@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race vet cover bench bench-json bench-figures campaign-smoke trace-smoke store-smoke l4-smoke explore-smoke telemetry-smoke fleet-smoke check
+.PHONY: all build test race vet cover bench bench-json bench-figures repo-bench repo-bench-compare alloc-profile alloc-budget campaign-smoke trace-smoke store-smoke l4-smoke explore-smoke telemetry-smoke fleet-smoke check
 
 all: check
 
@@ -32,10 +32,40 @@ bench:
 	$(GO) test -run xxx -bench 'MatcherDecide|StoreSelect|ProxyThroughput|ShardedStore' -benchtime 0.5s .
 
 # The same hot-path benchmarks, parsed into a committed JSON snapshot so
-# runs can be diffed across PRs.
+# runs can be diffed across PRs: make bench-json BENCH_JSON=BENCH_4.json
+BENCH_JSON ?= BENCH_3.json
 bench-json:
 	$(GO) test -run xxx -bench 'MatcherDecide|StoreSelect|ProxyThroughput|ShardedStore' -benchtime 0.5s . \
-		| $(GO) run ./internal/tools/benchjson > BENCH_3.json
+		| $(GO) run ./internal/tools/benchjson > $(BENCH_JSON)
+
+# The repository benchmark (BENCHMARK.json): seven workloads, each in its
+# own process, end-to-end metrics and oracles. bench/README.md has the
+# flags (-workload, -trace, -json, -seed).
+repo-bench:
+	$(GO) run ./bench
+
+# Compare two result files written with `go run ./bench -json FILE`:
+# make repo-bench-compare A=parent.json B=change.json
+repo-bench-compare:
+	$(GO) run ./bench -compare $(A) $(B)
+
+# Where one proxied exchange's allocations go: every allocation sampled,
+# top sites by object count (EXPERIMENTS.md, "Where a hop's allocations
+# go"). The counts cover 20000 exchanges, so divide by 20000.
+ALLOC_PROFILE_DIR ?= .bench_build/alloc-profile
+alloc-profile:
+	mkdir -p $(ALLOC_PROFILE_DIR)
+	$(GO) test -run '^$$' -bench 'Figure8ProxiedRequest200Rules$$' -benchtime 20000x \
+		-memprofilerate=1 -memprofile $(ALLOC_PROFILE_DIR)/mem.out -o $(ALLOC_PROFILE_DIR)/gremlin.test .
+	$(GO) tool pprof -sample_index=alloc_objects -top -nodecount=40 \
+		$(ALLOC_PROFILE_DIR)/gremlin.test $(ALLOC_PROFILE_DIR)/mem.out
+
+# The data path's allocation budgets and header-sharing invariants, under
+# the race detector: per-helper budgets in internal/trace, the
+# whole-exchange budget and shared-header forwarding in internal/proxy.
+alloc-budget:
+	$(GO) test -race -count=1 -run 'AllocBudget|HeaderConstantsCanonical|Stamp|FuzzAppendEI|SharedHeaderForwarding|PoolCounts' \
+		./internal/trace ./internal/proxy
 
 # The paper's full evaluation series (Tables 1-3, Figures 5-8).
 bench-figures:

@@ -44,6 +44,7 @@ import (
 	"gremlin/internal/registry"
 	"gremlin/internal/rules"
 	"gremlin/internal/telemetry"
+	"gremlin/internal/trace"
 )
 
 // DefaultPattern is the request-ID pattern recipes default to, confining
@@ -51,7 +52,7 @@ import (
 const DefaultPattern = core.DefaultPattern
 
 // HeaderRequestID is the header carrying the request ID between services.
-const HeaderRequestID = "X-Gremlin-ID"
+const HeaderRequestID = trace.HeaderRequestID
 
 // Data-plane types: fault-injection rules and the agent (sidecar proxy).
 type (

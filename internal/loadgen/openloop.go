@@ -9,6 +9,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"gremlin/internal/stats"
 	"gremlin/internal/trace"
 )
 
@@ -136,7 +137,10 @@ type OpenLoopOptions struct {
 	RNG *rand.Rand
 }
 
-// OpenLoopResult aggregates an open-loop run.
+// OpenLoopResult aggregates an open-loop run. Each sample's Latency runs
+// from the instant the arrival was due on the schedule, not from the
+// instant it was sent, so a request the generator sent late is charged the
+// wait it would have imposed on a real caller.
 type OpenLoopResult struct {
 	Result
 
@@ -149,6 +153,11 @@ type OpenLoopResult struct {
 
 	// PeakInFlight is the highest concurrently-outstanding count observed.
 	PeakInFlight int
+
+	// LateP99 is the 99th percentile of how long after its due instant a
+	// request was sent: the generator's own lateness. When it is not small
+	// beside the latencies, they measure the generator, not the target.
+	LateP99 time.Duration
 }
 
 // OfferedRate returns the arrival rate the process actually generated,
@@ -225,6 +234,7 @@ func RunOpenLoop(target string, opts OpenLoopOptions) (*OpenLoopResult, error) {
 		wg       sync.WaitGroup
 		inFlight atomic.Int64
 		peak     atomic.Int64
+		late     []time.Duration // send − due, one per issued request
 	)
 	start := time.Now()
 	timer := time.NewTimer(time.Hour)
@@ -280,19 +290,25 @@ arrivals:
 		}
 		id := gen.Next()
 		wg.Add(1)
-		go func(url, id string) {
+		go func(url, id string, due time.Time) {
 			defer wg.Done()
 			defer inFlight.Add(-1)
+			behind := time.Since(due)
 			// Issued requests run to completion even after the run window
 			// closes, so the result never undercounts in-flight work.
 			s := shoot(context.Background(), client, url, id)
+			s.Latency += behind
 			mu.Lock()
 			res.Samples = append(res.Samples, s)
+			late = append(late, behind)
 			mu.Unlock()
-		}(target+path, id)
+		}(target+path, id, next)
 	}
 	wg.Wait()
 	res.Elapsed = time.Since(start)
 	res.PeakInFlight = int(peak.Load())
+	if p99, err := stats.NewDurationCDF(late).Quantile(0.99); err == nil {
+		res.LateP99 = time.Duration(p99 * float64(time.Second))
+	}
 	return res, nil
 }

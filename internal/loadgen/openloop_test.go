@@ -126,6 +126,66 @@ func TestRunOpenLoopRateAndMix(t *testing.T) {
 	}
 }
 
+// stallingArrival is a constant-rate process whose generator stalls once:
+// the draw numbered stallAt blocks for stall before returning, as a
+// descheduled or garbage-collecting load generator would.
+type stallingArrival struct {
+	Constant
+	stallAt, n int
+	stall      time.Duration
+}
+
+func (a *stallingArrival) Next(rng *rand.Rand) time.Duration {
+	if a.n++; a.n == a.stallAt {
+		time.Sleep(a.stall)
+	}
+	return a.Constant.Next(rng)
+}
+
+// TestRunOpenLoopChargesStallFromDueTime stalls the dispatcher for 60 ms
+// in the middle of a 1000/s run against an instant server. The ~60
+// arrivals that fell due meanwhile are sent late; their latency must carry
+// the wait and LateP99 must report it. A clock started at send would show
+// a uniformly fast target and hide the queueing.
+func TestRunOpenLoopChargesStallFromDueTime(t *testing.T) {
+	srv := httptest.NewServer(http.HandlerFunc(func(http.ResponseWriter, *http.Request) {}))
+	defer srv.Close()
+	const stall = 60 * time.Millisecond
+	res, err := RunOpenLoop(srv.URL, OpenLoopOptions{
+		Arrival:  &stallingArrival{Constant: Constant{RatePerSec: 1000}, stallAt: 100, stall: stall},
+		Duration: 300 * time.Millisecond,
+		RNG:      rand.New(rand.NewSource(7)),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Shed != 0 || res.SuccessRate() != 1 {
+		t.Fatalf("shed %d, success rate %.2f against an instant server", res.Shed, res.SuccessRate())
+	}
+	// The schedule is absolute, so the stall costs no arrivals.
+	if res.Arrivals < 250 {
+		t.Errorf("%d arrivals in 300 ms at 1000/s: the stall diluted the offered rate", res.Arrivals)
+	}
+	var worst time.Duration
+	charged := 0
+	for _, s := range res.Samples {
+		worst = max(worst, s.Latency)
+		if s.Latency > stall/4 {
+			charged++
+		}
+	}
+	if worst < stall*8/10 {
+		t.Errorf("worst latency %v does not show the %v stall", worst, stall)
+	}
+	// Arrivals due in the first three quarters of the stall waited > stall/4.
+	if charged < 30 {
+		t.Errorf("%d samples carry the stall in their latency, want about 45", charged)
+	}
+	if res.LateP99 < stall/2 {
+		t.Errorf("LateP99 = %v, want the %v stall to show in the generator's lateness", res.LateP99, stall)
+	}
+}
+
 // TestRunOpenLoopShedsAtCap points a fast arrival process at a stalled
 // server with a tiny in-flight cap: arrivals beyond the cap must be shed,
 // and issued requests still complete.

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"net/url"
 	"strconv"
 	"strings"
 	"sync"
@@ -104,7 +105,7 @@ type Stats struct {
 	// EITruncated counts hops whose execution index hit the depth or byte
 	// bound and was terminated with the truncation marker instead of
 	// growing — nonzero means the topology is deeper (or more cyclic)
-	// than X-Gremlin-EI can name, and explore-plane coverage of those
+	// than X-Gremlin-Ei can name, and explore-plane coverage of those
 	// hops is necessarily coarse.
 	EITruncated int64 `json:"eiTruncated,omitempty"`
 
@@ -205,15 +206,22 @@ func (a *Agent) countFault(d rules.Decision) {
 	}
 }
 
-// flow carries one exchange's identity down the data path: the flat
-// request ID, the span this hop minted, its parent span, the hop's
-// execution index, and the start time every latency is measured from.
+// flow is one exchange's data-path state in a single allocation. It is
+// never pooled: the transport's goroutines may hold out until the reply
+// body is closed.
 type flow struct {
-	reqID      string
-	spanID     string
-	parentSpan string
-	ei         string
-	start      time.Time
+	start time.Time
+	// target is the picked replica, counted in flight until ServeHTTP returns.
+	target *poolTarget
+	// recs are the request and reply records, logged from here.
+	recs [2]eventlog.Record
+	// ids are the span ID, parent span and execution index of this hop: the
+	// backing array of the three outbound header values.
+	ids [3]string
+	// out is the outbound request, a shallow copy of the inbound one re-aimed
+	// at the target by url.
+	out http.Request
+	url url.URL
 }
 
 // maxOrdinalKeys bounds the ordinal map. When the cap is reached the
@@ -254,7 +262,10 @@ type routeProxy struct {
 	agent  *Agent
 	route  Route
 	server *httpx.Server
-	client *http.Client
+	// transport is used directly, not through an http.Client: redirects
+	// pass through untouched, and there is no timeout, since detecting slow
+	// dependencies is the application's job, not the proxy's.
+	transport *http.Transport
 	// recProto carries the parts of an eventlog.Record that are constant
 	// for this route, so the data path only fills in per-message fields.
 	recProto eventlog.Record
@@ -275,6 +286,7 @@ func New(cfg Config) (*Agent, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
+	cfg.AgentID = cfg.agentID() // resolved once: every record carries it
 	a := &Agent{
 		cfg:     cfg,
 		matcher: rules.NewMatcher(cfg.RNG),
@@ -306,18 +318,9 @@ func New(cfg Config) (*Agent, error) {
 			pool:      newTargetPool(r.Targets),
 			canaryPat: canaryPat,
 			mirrorPat: mirrorPat,
-			// The data-path client must be transparent: no timeout, since
-			// detecting slow dependencies is the application's job, not
-			// the proxy's.
-			client: &http.Client{
-				Transport: &http.Transport{
-					MaxIdleConnsPerHost: 64,
-					IdleConnTimeout:     90 * time.Second,
-				},
-				CheckRedirect: func(req *http.Request, via []*http.Request) error {
-					// Pass redirects through to the caller untouched.
-					return http.ErrUseLastResponse
-				},
+			transport: &http.Transport{
+				MaxIdleConnsPerHost: 64,
+				IdleConnTimeout:     90 * time.Second,
 			},
 		}
 		srv, err := httpx.NewServer(r.ListenAddr, rp)
@@ -339,7 +342,7 @@ func New(cfg Config) (*Agent, error) {
 			ListenAddr: r.ListenAddr,
 			Targets:    r.Targets,
 			Matcher:    a.matcher,
-			Log:        a.log,
+			Log:        func(rec eventlog.Record) { a.log(rec) },
 			ConnID:     connIDs.Next,
 			Agent:      cfg.agentID(),
 		})
@@ -404,7 +407,7 @@ func (a *Agent) Close() error {
 			firstErr = err
 		}
 		rp.mirrors.Wait()
-		rp.client.CloseIdleConnections()
+		rp.transport.CloseIdleConnections()
 	}
 	for _, relay := range a.relays {
 		if err := relay.Close(); err != nil && firstErr == nil {
@@ -465,15 +468,19 @@ func (a *Agent) ControlURL() string {
 // (tests and embedded deployments). Remote control uses the REST API.
 func (a *Agent) Matcher() *rules.Matcher { return a.matcher }
 
-// log sends a record to the sink, tagging the agent identity.
-func (a *Agent) log(rec eventlog.Record) {
+// log sends records to the sink, tagging the agent identity. The data path
+// passes a slice of its flow (recs...): a lone record would be boxed in a
+// slice of its own on every call.
+func (a *Agent) log(recs ...eventlog.Record) {
 	if a.sink == nil {
 		return
 	}
-	rec.Agent = a.cfg.agentID()
+	for i := range recs {
+		recs[i].Agent = a.cfg.AgentID
+	}
 	// A full or unreachable store must not break the data path; the paper's
 	// agents ship logs asynchronously via logstash with the same property.
-	_ = a.sink.Log(rec)
+	_ = a.sink.Log(recs...)
 }
 
 // ServeHTTP is the data path for one route: log, match rules, inject
@@ -492,14 +499,13 @@ func (rp *routeProxy) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		// span is a trace root.
 		reqID      = trace.FromRequest(r)
 		parentSpan = trace.SpanFromRequest(r)
-		spanID     = a.spanGen.Next()
-		start      = time.Now()
+		f          = &flow{start: time.Now()}
 	)
 
 	a.nProxied.Add(1)
 	a.nSpans.Add(1)
 	// This hop's execution index extends the caller's (relayed in
-	// X-Gremlin-EI) with one (destination, call-ordinal) frame. AppendEI
+	// X-Gremlin-Ei) with one (destination, call-ordinal) frame. AppendEI
 	// bounds depth and bytes; a hop past the bound is counted and its
 	// index marker-terminated rather than grown.
 	hopEI, eiTruncated := trace.AppendEI(trace.EIFromRequest(r),
@@ -507,10 +513,17 @@ func (rp *routeProxy) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	if eiTruncated {
 		a.nEITrunc.Add(1)
 	}
-	f := flow{reqID: reqID, spanID: spanID, parentSpan: parentSpan, ei: hopEI, start: start}
-	// Deferred so severed connections (which unwind via ErrAbortHandler)
-	// still observe their duration.
-	defer func() { a.latency.Observe(time.Since(start).Seconds()) }()
+	spanID := a.spanGen.Next()
+	f.ids = [3]string{spanID, parentSpan, hopEI}
+	// Deferred so every exit path — including severed connections, which
+	// unwind via ErrAbortHandler — observes its duration and keeps the
+	// replica counted as busy until its reply body is relayed or discarded.
+	defer func() {
+		if f.target != nil {
+			f.target.pending.Add(-1)
+		}
+		a.latency.Observe(time.Since(f.start).Seconds())
+	}()
 	reqMsg := rules.Message{
 		Src:       a.cfg.ServiceName,
 		Dst:       rp.route.Dst,
@@ -521,8 +534,9 @@ func (rp *routeProxy) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	reqDecision := a.matcher.Decide(reqMsg)
 	a.countFault(reqDecision)
 
-	reqRec := rp.recProto
-	reqRec.Timestamp = start
+	reqRec := &f.recs[0]
+	*reqRec = rp.recProto
+	reqRec.Timestamp = f.start
 	reqRec.RequestID = reqID
 	reqRec.SpanID = spanID
 	reqRec.ParentSpanID = parentSpan
@@ -532,7 +546,7 @@ func (rp *routeProxy) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	reqRec.URI = r.URL.RequestURI()
 	reqRec.FaultAction = firedAction(reqDecision)
 	reqRec.FaultRuleID = firedRuleID(reqDecision)
-	a.log(reqRec)
+	a.log(f.recs[:1]...)
 
 	var (
 		injected     time.Duration
@@ -549,7 +563,7 @@ func (rp *routeProxy) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	if reqDecision.Fired {
 		switch reqDecision.Rule.Action {
 		case rules.ActionAbort:
-			rp.abort(w, r, reqDecision, f, injected, faultActions, faultRules)
+			rp.abort(w, reqDecision, f, injected, faultActions, faultRules)
 			return
 		case rules.ActionDelay:
 			d := reqDecision.Rule.Delay()
@@ -577,8 +591,7 @@ func (rp *routeProxy) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	// Forward upstream.
 	resp, err := rp.forward(r, f, reqBody, bufferReq)
 	if err != nil {
-		a.log(rp.replyRecord(r, f, http.StatusBadGateway, injected,
-			faultActions, faultRules, false))
+		rp.logReply(f, http.StatusBadGateway, injected, faultActions, faultRules, false)
 		httpx.WriteError(w, http.StatusBadGateway, "proxy: forward to %s: %v", rp.route.Dst, err)
 		return
 	}
@@ -600,12 +613,12 @@ func (rp *routeProxy) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		if respDecision.Rule.ErrorCode == rules.AbortSeverConnection {
 			// The severed reply must still reach the event log: the checker
 			// cannot reason about a connection cut it never saw.
-			a.log(rp.replyRecord(r, f, 0, injected, faultActions, faultRules, true))
+			rp.logReply(f, 0, injected, faultActions, faultRules, true)
 			rp.sever(w)
 			return
 		}
 		status = respDecision.Rule.ErrorCode
-		a.log(rp.replyRecord(r, f, status, injected, faultActions, faultRules, true))
+		rp.logReply(f, status, injected, faultActions, faultRules, true)
 		body := http.StatusText(status) + "\n"
 		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
 		w.Header().Set("Content-Length", strconv.Itoa(len(body)))
@@ -632,7 +645,7 @@ func (rp *routeProxy) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		respBody = bytes.ReplaceAll(respBody,
 			[]byte(respDecision.Rule.SearchBytes),
 			[]byte(respDecision.Rule.ReplaceBytes))
-		a.log(rp.replyRecord(r, f, status, injected, faultActions, faultRules, false))
+		rp.logReply(f, status, injected, faultActions, faultRules, false)
 		copyHeaders(w.Header(), resp.Header)
 		// The body was rewritten; the upstream framing headers no longer
 		// apply.
@@ -645,7 +658,7 @@ func (rp *routeProxy) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 
 	// Streaming fast path: the reply body flows upstream→client through a
 	// pooled buffer without ever being held whole in memory.
-	a.log(rp.replyRecord(r, f, status, injected, faultActions, faultRules, false))
+	rp.logReply(f, status, injected, faultActions, faultRules, false)
 	a.nStreamed.Add(1)
 	copyHeaders(w.Header(), resp.Header)
 	w.WriteHeader(status)
@@ -655,42 +668,37 @@ func (rp *routeProxy) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	_ = resp.Body.Close()
 }
 
-// replyRecord builds the reply-side record for this exchange from the
-// route's prototype.
-func (rp *routeProxy) replyRecord(r *http.Request, f flow, status int,
-	injected time.Duration, actions, ruleIDs []string, gremlin bool) eventlog.Record {
+// logReply completes the exchange's reply-side record — the request record
+// with the outcome filled in — and logs it.
+func (rp *routeProxy) logReply(f *flow, status int,
+	injected time.Duration, actions, ruleIDs []string, gremlin bool) {
 
-	rec := rp.recProto
+	rec := &f.recs[1]
+	*rec = f.recs[0]
 	rec.Timestamp = time.Now()
-	rec.RequestID = f.reqID
-	rec.SpanID = f.spanID
-	rec.ParentSpanID = f.parentSpan
-	rec.EI = f.ei
 	rec.Kind = eventlog.KindReply
-	rec.Method = r.Method
-	rec.URI = r.URL.RequestURI()
 	rec.Status = status
 	rec.LatencyMillis = float64(time.Since(f.start)) / float64(time.Millisecond)
 	rec.FaultAction = strings.Join(actions, ",")
 	rec.FaultRuleID = strings.Join(ruleIDs, ",")
 	rec.InjectedDelayMillis = float64(injected) / float64(time.Millisecond)
 	rec.GremlinGenerated = gremlin
-	return rec
+	rp.agent.log(f.recs[1:]...)
 }
 
 // abort terminates a request without forwarding it: either by returning the
 // rule's HTTP error code or, for AbortSeverConnection, by severing the TCP
 // connection to emulate a crashed process. Either way the reply is logged,
 // severed connections as status 0.
-func (rp *routeProxy) abort(w http.ResponseWriter, r *http.Request, d rules.Decision,
-	f flow, injected time.Duration, actions, ruleIDs []string) {
+func (rp *routeProxy) abort(w http.ResponseWriter, d rules.Decision,
+	f *flow, injected time.Duration, actions, ruleIDs []string) {
 
 	severed := d.Rule.ErrorCode == rules.AbortSeverConnection
 	status := d.Rule.ErrorCode
 	if severed {
 		status = 0
 	}
-	rp.agent.log(rp.replyRecord(r, f, status, injected, actions, ruleIDs, true))
+	rp.logReply(f, status, injected, actions, ruleIDs, true)
 	if severed {
 		rp.sever(w)
 		return
@@ -722,55 +730,45 @@ func (rp *routeProxy) sever(w http.ResponseWriter) {
 // When buffered is false (no Modify rewrite, no mirror), the inbound body
 // is handed straight to the outbound connection instead of being read into
 // memory; body must then be nil.
-func (rp *routeProxy) forward(r *http.Request, f flow, body []byte, buffered bool) (*http.Response, error) {
+func (rp *routeProxy) forward(r *http.Request, f *flow, body []byte, buffered bool) (*http.Response, error) {
 	var target string
-	if len(rp.route.CanaryTargets) > 0 && rp.canaryPat.Match(trace.FromRequest(r)) {
+	if len(rp.route.CanaryTargets) > 0 && rp.canaryPat.Match(f.recs[0].RequestID) {
 		target = rp.route.CanaryTargets[int(rp.canaryNext.Add(1)-1)%len(rp.route.CanaryTargets)]
 	} else {
 		// Live pool: least-pending replica wins, round-robin among equals.
 		// A fully drained pool (every replica unhealthy) fails the exchange,
 		// which the caller reports as 502.
-		addr, release, ok := rp.pool.pick()
-		if !ok {
+		if f.target = rp.pool.pick(); f.target == nil {
 			return nil, fmt.Errorf("no live targets (all replicas of %s drained)", rp.route.Dst)
 		}
-		defer release()
-		target = addr
+		target = f.target.addr
 	}
-	url := "http://" + target + r.URL.RequestURI()
-	var (
-		out *http.Request
-		err error
-	)
+	// The outbound request is the inbound one re-aimed at the target: same
+	// method, context, framing and header map.
+	out := &f.out
+	*out = *r
+	f.url = *r.URL
+	f.url.Scheme, f.url.Host = "http", target
+	out.URL, out.Host, out.RequestURI = &f.url, target, ""
+	out.Close, out.Trailer = false, nil
 	if buffered {
 		rp.mirror(r, body)
-		out, err = http.NewRequestWithContext(r.Context(), r.Method, url, bytes.NewReader(body))
-		if err != nil {
-			return nil, err
-		}
-		out.ContentLength = int64(len(body))
-	} else {
-		src := io.Reader(r.Body)
-		if r.ContentLength == 0 {
-			// Bodyless request: NoBody keeps the outbound call from being
-			// framed as chunked.
-			src = http.NoBody
-		}
-		out, err = http.NewRequestWithContext(r.Context(), r.Method, url, src)
-		if err != nil {
-			return nil, err
-		}
-		out.ContentLength = r.ContentLength
+		// GetBody lets the transport replay the body on a stale connection.
+		out.GetBody = func() (io.ReadCloser, error) { return io.NopCloser(bytes.NewReader(body)), nil }
+		out.Body, _ = out.GetBody()
+		out.ContentLength, out.TransferEncoding = int64(len(body)), nil
+	} else if r.ContentLength == 0 {
+		// Bodyless request: NoBody keeps the outbound call from being
+		// framed as chunked.
+		out.Body = http.NoBody
 	}
-	copyHeaders(out.Header, r.Header)
 	// The outbound request carries this hop's span so the callee's agent
 	// (and any microservice relaying headers via trace.Propagate) links its
 	// own span to ours, and this hop's execution index so the callee's
 	// outbound calls extend the causal path.
-	trace.SetSpan(out, f.spanID, f.parentSpan)
-	trace.SetEI(out, f.ei)
-	out.Header.Del("Connection")
-	return rp.client.Do(out)
+	trace.Stamp(out.Header, &f.ids)
+	delete(out.Header, "Connection")
+	return rp.transport.RoundTrip(out)
 }
 
 // wantsMirror reports whether this request would be mirrored to a shadow
@@ -789,7 +787,7 @@ func discardBody(rc io.ReadCloser) {
 // mirror asynchronously copies the request to the next mirror target
 // (shadow deployment); the copy's outcome never affects the live call.
 func (rp *routeProxy) mirror(r *http.Request, body []byte) {
-	if len(rp.route.MirrorTargets) == 0 || !rp.mirrorPat.Match(trace.FromRequest(r)) {
+	if !rp.wantsMirror(trace.FromRequest(r)) {
 		return
 	}
 	target := rp.route.MirrorTargets[int(rp.mirrorNext.Add(1)-1)%len(rp.route.MirrorTargets)]
@@ -800,18 +798,18 @@ func (rp *routeProxy) mirror(r *http.Request, body []byte) {
 	if err != nil {
 		return
 	}
-	copyHeaders(out.Header, r.Header)
+	// The copy's own header map: the live request goes on to stamp r.Header.
+	out.Header = r.Header.Clone()
 	out.Header.Del("Connection")
 	out.ContentLength = int64(len(body))
 	rp.mirrors.Add(1)
 	go func() {
 		defer rp.mirrors.Done()
-		resp, err := rp.client.Do(out)
+		resp, err := rp.transport.RoundTrip(out)
 		if err != nil {
 			return
 		}
-		_, _ = io.Copy(io.Discard, io.LimitReader(resp.Body, maxBodyBytes))
-		_ = resp.Body.Close()
+		discardBody(resp.Body)
 	}()
 }
 
@@ -826,11 +824,11 @@ func sleepOrDisconnect(r *http.Request, d time.Duration) {
 	}
 }
 
+// copyHeaders hands src's value slices to dst. src is a reply header the
+// data path owns and reads no further; keys from the wire are canonical.
 func copyHeaders(dst, src http.Header) {
 	for k, vs := range src {
-		for _, v := range vs {
-			dst.Add(k, v)
-		}
+		dst[k] = vs
 	}
 }
 

@@ -31,14 +31,16 @@ func newTargetPool(addrs []string) *targetPool {
 }
 
 // pick selects a target and accounts an in-flight request against it; the
-// caller must invoke the returned release exactly once when the exchange
-// completes. ok is false when the pool is empty (every replica drained).
-func (p *targetPool) pick() (addr string, release func(), ok bool) {
+// caller must decrement the returned target's pending exactly once when
+// the exchange completes — reply body relayed or discarded, not merely
+// headers received. It returns nil when the pool is empty (every replica
+// drained).
+func (p *targetPool) pick() *poolTarget {
 	p.mu.Lock()
+	defer p.mu.Unlock()
 	n := len(p.targets)
 	if n == 0 {
-		p.mu.Unlock()
-		return "", nil, false
+		return nil
 	}
 	start := int(p.rr % uint64(n))
 	p.rr++
@@ -50,8 +52,7 @@ func (p *targetPool) pick() (addr string, release func(), ok bool) {
 		}
 	}
 	best.pending.Add(1)
-	p.mu.Unlock()
-	return best.addr, func() { best.pending.Add(-1) }, true
+	return best
 }
 
 // set replaces the live target set. Addresses already in the pool keep

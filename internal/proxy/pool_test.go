@@ -12,12 +12,12 @@ func TestTargetPoolRoundRobinWhenIdle(t *testing.T) {
 	p := newTargetPool([]string{"a", "b", "c"})
 	counts := map[string]int{}
 	for i := 0; i < 9; i++ {
-		addr, release, ok := p.pick()
-		if !ok {
+		target := p.pick()
+		if target == nil {
 			t.Fatal("pool empty")
 		}
-		release()
-		counts[addr]++
+		target.pending.Add(-1)
+		counts[target.addr]++
 	}
 	for _, addr := range []string{"a", "b", "c"} {
 		if counts[addr] != 3 {
@@ -31,18 +31,17 @@ func TestTargetPoolPrefersLeastPending(t *testing.T) {
 	// Occupy "busy" with two in-flight requests.
 	p.targets[0].pending.Add(2)
 	for i := 0; i < 4; i++ {
-		addr, release, _ := p.pick()
-		if addr != "idle" {
-			t.Fatalf("pick %d chose %q despite a less-pending replica", i, addr)
+		target := p.pick()
+		if target.addr != "idle" {
+			t.Fatalf("pick %d chose %q despite a less-pending replica", i, target.addr)
 		}
-		release()
+		target.pending.Add(-1)
 	}
 }
 
 func TestTargetPoolSetPreservesPending(t *testing.T) {
 	p := newTargetPool([]string{"a", "b"})
-	addr, release, _ := p.pick()
-	defer release()
+	addr := p.pick().addr
 	p.set([]string{"a", "b", "c"})
 	for _, target := range p.targets {
 		if target.addr == addr && target.pending.Load() != 1 {
@@ -56,7 +55,7 @@ func TestTargetPoolSetPreservesPending(t *testing.T) {
 
 func TestTargetPoolEmpty(t *testing.T) {
 	p := newTargetPool(nil)
-	if _, _, ok := p.pick(); ok {
+	if p.pick() != nil {
 		t.Fatal("empty pool returned a target")
 	}
 	p.set([]string{"a", "a", "a"}) // duplicates collapse
@@ -77,8 +76,8 @@ func TestTargetPoolConcurrent(t *testing.T) {
 					p.set([]string{"a", "b", fmt.Sprintf("d%d", i)})
 					continue
 				}
-				if _, release, ok := p.pick(); ok {
-					release()
+				if target := p.pick(); target != nil {
+					target.pending.Add(-1)
 				}
 			}
 		}(w)

@@ -16,7 +16,7 @@ import (
 // same edge along different causal paths therefore carry different
 // execution indices, which is what lets the explorer name injection
 // points finer than (src, dst) edges.
-const HeaderEI = "X-Gremlin-EI"
+const HeaderEI = "X-Gremlin-Ei"
 
 // EITruncationMarker is the sentinel frame terminating an execution index
 // that hit the depth or byte bound. Once an index carries the marker no
@@ -108,7 +108,46 @@ func CanonicalEI(s string) string {
 // index terminated with the truncation marker, or the inbound index was
 // already truncated and the frame silently discarded). Agents count every
 // true return as a truncation event.
+//
+// An inbound index that is already canonical and below the bounds — every
+// hop's, unless the header was forged — is checked in one scan and extended
+// in one allocation; anything else goes through appendEISlow, whose result
+// the fast path must equal byte for byte (FuzzAppendEI).
 func AppendEI(ei, service string, ordinal int) (string, bool) {
+	if n := canonicalEIFrames(ei); n >= 0 && n < MaxEIFrames {
+		sep := "/"
+		if n == 0 {
+			sep = ""
+		}
+		if out := ei + sep + service + "#" + strconv.Itoa(ordinal); len(out) <= MaxEIBytes {
+			return out, false
+		}
+	}
+	return appendEISlow(ei, service, ordinal)
+}
+
+// canonicalEIFrames returns the number of frames in ei when ParseEI →
+// FormatEI would return ei unchanged and untruncated, and -1 otherwise.
+func canonicalEIFrames(ei string) int {
+	frames := 0
+	for rest := ei; rest != ""; frames++ {
+		part, tail, more := strings.Cut(rest, "/")
+		h := strings.LastIndexByte(part, '#')
+		ord := part[h+1:]
+		// No empty final frame, no empty service, and only an ordinal that
+		// Atoi → Itoa reproduces (nine digits fit an int on every platform).
+		if (more && tail == "") || h <= 0 || ord == "" || len(ord) > 9 || (ord[0] == '0' && len(ord) > 1) ||
+			strings.ContainsFunc(ord, func(r rune) bool { return r < '0' || r > '9' }) {
+			return -1
+		}
+		rest = tail
+	}
+	return frames
+}
+
+// appendEISlow is AppendEI by parse → clamp → format: for malformed,
+// truncated or at-the-bound input, and the fast path's reference.
+func appendEISlow(ei, service string, ordinal int) (string, bool) {
 	frames, truncated := ParseEI(ei)
 	if truncated {
 		// Already at the bound upstream: never grow past the marker.

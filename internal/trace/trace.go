@@ -20,12 +20,15 @@ import (
 	"fmt"
 	"math/rand"
 	"net/http"
+	"strconv"
 	"sync/atomic"
 )
 
 // HeaderRequestID is the header used to propagate the request ID between
-// microservices and through Gremlin agents.
-const HeaderRequestID = "X-Gremlin-ID"
+// microservices and through Gremlin agents. Every header constant here is
+// in canonical MIME form, so Get/Set/Del allocate no canonicalised key and
+// Stamp can index the map directly; the wire is case-insensitive.
+const HeaderRequestID = "X-Gremlin-Id"
 
 // HeaderSpan carries the span ID of the hop that delivered a request: the
 // agent proxying a hop mints a fresh span ID, stamps it on the outbound
@@ -65,9 +68,8 @@ var globalSalt atomic.Uint64
 // long as their salts differ — guaranteed for nil-rng generators in one
 // process, probabilistic for seeded ones.
 type Generator struct {
-	prefix string
+	prefix string // caller's prefix plus "<salt>-": everything but the counter
 	ctr    atomic.Uint64
-	salt   uint64
 }
 
 // NewGenerator returns a Generator whose IDs carry the given prefix
@@ -89,13 +91,14 @@ func NewGenerator(prefix string, rng *rand.Rand) *Generator {
 	} else {
 		salt = globalSalt.Add(1) % 0xffffff
 	}
-	return &Generator{prefix: prefix, salt: salt}
+	return &Generator{prefix: fmt.Sprintf("%s%06x-", prefix, salt)}
 }
 
-// Next returns a fresh unique ID.
+// Next returns a fresh unique ID: one allocation, the returned string.
 func (g *Generator) Next() string {
-	n := g.ctr.Add(1)
-	return fmt.Sprintf("%s%06x-%d", g.prefix, g.salt, n)
+	var scratch [64]byte
+	b := append(scratch[:0], g.prefix...)
+	return string(strconv.AppendUint(b, g.ctr.Add(1), 10))
 }
 
 // FromRequest extracts the request ID from an HTTP request, returning the
@@ -132,6 +135,19 @@ func SetSpan(r *http.Request, spanID, parentID string) {
 		r.Header.Del(HeaderParentSpan)
 	} else {
 		r.Header.Set(HeaderParentSpan, parentID)
+	}
+}
+
+// Stamp is SetSpan plus SetEI for a hop with per-exchange storage: the
+// one-element value slices are cut from vals — {span ID, parent span ID,
+// execution index}, which must outlive h — not allocated per header.
+func Stamp(h http.Header, vals *[3]string) {
+	for i, key := range [...]string{HeaderSpan, HeaderParentSpan, HeaderEI} {
+		if vals[i] == "" {
+			delete(h, key)
+		} else {
+			h[key] = vals[i : i+1 : i+1]
+		}
 	}
 }
 
