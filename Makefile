@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race vet cover bench bench-json bench-figures repo-bench repo-bench-compare alloc-profile alloc-budget campaign-smoke trace-smoke store-smoke l4-smoke explore-smoke telemetry-smoke fleet-smoke check
+.PHONY: all build test race vet cover bench bench-json bench-figures repo-bench repo-bench-compare alloc-profile alloc-profile-store alloc-budget campaign-smoke trace-smoke store-smoke l4-smoke explore-smoke telemetry-smoke fleet-smoke check
 
 all: check
 
@@ -60,12 +60,26 @@ alloc-profile:
 	$(GO) tool pprof -sample_index=alloc_objects -top -nodecount=40 \
 		$(ALLOC_PROFILE_DIR)/gremlin.test $(ALLOC_PROFILE_DIR)/mem.out
 
+# Where a shipped record's allocations go: one campaign unit's store
+# traffic over HTTP (LogBatch 256 -> Select -> ClearMatching on a
+# WAL-backed 4-shard store holding 100k records), every allocation
+# sampled (EXPERIMENTS.md, "Where a record's allocations go"). The counts
+# cover 512 units plus the 100k-record prefill; `-list` a function to
+# split the two.
+alloc-profile-store:
+	mkdir -p $(ALLOC_PROFILE_DIR)
+	$(GO) test -run '^$$' -bench 'StoreShipSelectClear$$' -benchtime 512x \
+		-memprofilerate=1 -memprofile $(ALLOC_PROFILE_DIR)/store-mem.out -o $(ALLOC_PROFILE_DIR)/gremlin.test .
+	$(GO) tool pprof -sample_index=alloc_objects -top -nodecount=40 \
+		$(ALLOC_PROFILE_DIR)/gremlin.test $(ALLOC_PROFILE_DIR)/store-mem.out
+
 # The data path's allocation budgets and header-sharing invariants, under
 # the race detector: per-helper budgets in internal/trace, the
-# whole-exchange budget and shared-header forwarding in internal/proxy.
+# whole-exchange budget and shared-header forwarding in internal/proxy,
+# the record codec's budget and its fuzz seed corpus in internal/eventlog.
 alloc-budget:
-	$(GO) test -race -count=1 -run 'AllocBudget|HeaderConstantsCanonical|Stamp|FuzzAppendEI|SharedHeaderForwarding|PoolCounts' \
-		./internal/trace ./internal/proxy
+	$(GO) test -race -count=1 -run 'AllocBudget|HeaderConstantsCanonical|Stamp|FuzzAppendEI|SharedHeaderForwarding|PoolCounts|FuzzRecordCodec' \
+		./internal/trace ./internal/proxy ./internal/eventlog
 
 # The paper's full evaluation series (Tables 1-3, Figures 5-8).
 bench-figures:

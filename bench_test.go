@@ -774,3 +774,78 @@ func benchmarkWALAppend(b *testing.B, dataDir bool) {
 
 func BenchmarkShardedStoreAppendVolatile(b *testing.B) { benchmarkWALAppend(b, false) }
 func BenchmarkShardedStoreAppendWAL(b *testing.B)      { benchmarkWALAppend(b, true) }
+
+// BenchmarkStoreShipSelectClear is one campaign unit's store traffic over
+// HTTP — ship a 256-record hop-shaped batch, select one edge's replies,
+// clear the run's namespace — against a WAL-backed 4-shard store already
+// holding 100k records. The batches are built before the timer starts, so
+// what `make alloc-profile-store` shows is the store path alone; the
+// per-stage table in EXPERIMENTS.md ("Where a record's allocations go")
+// is read off that profile.
+func BenchmarkStoreShipSelectClear(b *testing.B) {
+	ss, err := eventlog.NewShardedStore(eventlog.StoreOptions{
+		Shards: 4, DataDir: b.TempDir(), Fsync: eventlog.FsyncNever,
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.Cleanup(func() {
+		if err := ss.Close(); err != nil {
+			b.Error(err)
+		}
+	})
+	populateSharded(b, ss, 100_000)
+	srv, err := eventlog.NewServer("127.0.0.1:0", ss)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.Cleanup(func() { _ = srv.Close() })
+	client := eventlog.NewClient(srv.URL(), nil)
+
+	// Eight runs, so consecutive ops land on different shards; a run's
+	// namespace is empty again once its op has cleared it.
+	const batch, runs = 256, 8
+	edges := [4][2]string{{"gw", "cart"}, {"cart", "stock"}, {"cart", "pay"}, {"pay", "bank"}}
+	ts := time.Date(2026, 7, 4, 0, 0, 0, 0, time.UTC)
+	var batches [runs][]eventlog.Record
+	var patterns [runs]string
+	for r := range batches {
+		patterns[r] = fmt.Sprintf("camp-b%d-*", r)
+		for j := 0; j < batch/2; j++ {
+			e := edges[j%len(edges)]
+			req := eventlog.Record{
+				Timestamp: ts.Add(time.Duration(j) * 2 * time.Microsecond),
+				RequestID: fmt.Sprintf("camp-b%d-%d", r, j),
+				SpanID:    fmt.Sprintf("s%d-%d", r, j), ParentSpanID: fmt.Sprintf("s%d-%d", r, j/2),
+				EI:  fmt.Sprintf("gw:1/%s:%d", e[1], j),
+				Src: e[0], Dst: e[1], Kind: eventlog.KindRequest,
+				Method: http.MethodGet, URI: "/item", Agent: e[0] + "-agent",
+			}
+			reply := req
+			reply.Kind, reply.Status, reply.LatencyMillis = eventlog.KindReply, http.StatusOK, 0.1
+			reply.Timestamp = req.Timestamp.Add(time.Microsecond)
+			batches[r] = append(batches[r], req, reply)
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := client.LogBatch(batches[i%runs]); err != nil {
+			b.Fatal(err)
+		}
+		got, err := client.Select(eventlog.Query{Src: "gw", Dst: "cart", Kind: eventlog.KindReply, IDPattern: patterns[i%runs]})
+		if err != nil {
+			b.Fatal(err)
+		}
+		if len(got) != batch/2/len(edges) {
+			b.Fatalf("select returned %d records, want %d", len(got), batch/2/len(edges))
+		}
+		dropped, err := client.ClearMatching(patterns[i%runs])
+		if err != nil {
+			b.Fatal(err)
+		}
+		if dropped != batch {
+			b.Fatalf("cleared %d records, want %d", dropped, batch)
+		}
+	}
+}

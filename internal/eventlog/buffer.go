@@ -1,6 +1,7 @@
 package eventlog
 
 import (
+	"errors"
 	"fmt"
 	"sync"
 	"sync/atomic"
@@ -17,8 +18,8 @@ import (
 // The buffer is bounded: under overload (the store slower than the data
 // path for long enough to accumulate Max records) the oldest unshipped
 // records are dropped and counted in Dropped. When the underlying sink
-// fails, the batch is kept (within the same bound) and retried on the next
-// flush.
+// fails, the records it did not take are kept (within the same bound) and
+// retried on the next flush.
 //
 // BufferedSink is safe for concurrent use. Call Flush (or Close) before
 // reading assertions to make all observations visible.
@@ -200,9 +201,11 @@ func (b *BufferedSink) run() {
 	}
 }
 
-// flush takes the buffered records and ships them. On failure the batch is
-// put back at the front of the buffer (bounded by Max, dropping the oldest
-// overflow) so the next flush retries it.
+// flush takes the buffered records and ships them. On failure what the
+// sink did not take — the whole batch, or the unshipped part a
+// *PartialBatchError names — is put back at the front of the buffer
+// (bounded by Max, dropping the oldest overflow) so the next flush retries
+// it, and only it.
 func (b *BufferedSink) flush() error {
 	b.flushMu.Lock()
 	defer b.flushMu.Unlock()
@@ -222,6 +225,10 @@ func (b *BufferedSink) flush() error {
 		err = b.sink.Log(recs...)
 	}
 	if err != nil {
+		var partial *PartialBatchError
+		if errors.As(err, &partial) {
+			recs = partial.Unshipped
+		}
 		b.retries.Add(1)
 		b.mu.Lock()
 		if over := len(recs) + len(b.buf) - b.max; over > 0 {

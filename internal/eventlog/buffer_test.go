@@ -2,7 +2,13 @@ package eventlog
 
 import (
 	"errors"
+	"fmt"
+	"net/http"
+	"net/http/httptest"
+	"net/http/httputil"
+	"net/url"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -309,5 +315,70 @@ func TestBufferedSinkUsesBatchPath(t *testing.T) {
 	}
 	if got := b.MaxBatch(); got < 4 || got > 10 {
 		t.Fatalf("MaxBatch=%d, want within [4,10]", got)
+	}
+}
+
+// One shard group of a flush failing must not ship the groups the server
+// already took a second time: records at the store == records logged.
+func TestBufferedSinkRequeuesOnlyUnshippedShardGroups(t *testing.T) {
+	store, err := NewShardedStore(StoreOptions{Shards: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer store.Close()
+	srv, err := NewServer("127.0.0.1:0", store)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+
+	// In front of the store: a proxy that refuses shard 1's group once.
+	target, err := url.Parse(srv.URL())
+	if err != nil {
+		t.Fatal(err)
+	}
+	proxy := httputil.NewSingleHostReverseProxy(target)
+	var refused atomic.Bool
+	front := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.Method == http.MethodPost && r.URL.Query().Get("shard") == "1" && refused.CompareAndSwap(false, true) {
+			http.Error(w, "shard 1 unavailable", http.StatusServiceUnavailable)
+			return
+		}
+		proxy.ServeHTTP(w, r)
+	}))
+	defer front.Close()
+
+	// Flushed by hand only: the batch stays below Size, the interval is far.
+	sink := NewBufferedSinkOpts(NewClient(front.URL, nil), BufferOptions{Size: 1024, Interval: time.Hour})
+	defer sink.Close()
+	const n = 64
+	perShard := make([]int, 4)
+	for i := 0; i < n; i++ {
+		id := fmt.Sprintf("ns%d-1", i)
+		perShard[shardOf(id, 4)]++
+		if err := sink.Log(Record{RequestID: id, Src: "a", Dst: "b", Kind: KindRequest}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if perShard[0] == 0 || perShard[1] == 0 {
+		t.Fatalf("batch must span shards 0 and 1, got %v", perShard)
+	}
+
+	err = sink.Flush()
+	var partial *PartialBatchError
+	if !errors.As(err, &partial) || len(partial.Unshipped) != n-perShard[0] {
+		t.Fatalf("first flush: %v; want a PartialBatchError holding the %d records past shard 0", err, n-perShard[0])
+	}
+	if got := store.Len(); got != perShard[0] {
+		t.Fatalf("store holds %d records after the refused group, want shard 0's %d", got, perShard[0])
+	}
+	if err := sink.Flush(); err != nil {
+		t.Fatalf("retry: %v", err)
+	}
+	if got := store.Len(); got != n {
+		t.Fatalf("store holds %d records, logged %d", got, n)
+	}
+	if sink.Dropped() != 0 || sink.Retries() != 1 {
+		t.Fatalf("Dropped = %d, Retries = %d; want 0 and 1", sink.Dropped(), sink.Retries())
 	}
 }

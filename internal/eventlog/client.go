@@ -12,7 +12,6 @@ import (
 	"net/http"
 	"net/url"
 	"strings"
-	"sync"
 	"sync/atomic"
 	"time"
 )
@@ -48,19 +47,28 @@ func (c *Client) Log(recs ...Record) error {
 	if len(recs) == 0 {
 		return nil
 	}
-	var out map[string]int
-	if err := c.post("/v1/records", recs, &out); err != nil {
-		return fmt.Errorf("eventlog: ship %d records: %w", len(recs), err)
-	}
-	return nil
+	return c.postRecords("/v1/records", "application/json", recs, appendArray)
 }
+
+// PartialBatchError is LogBatch's failure on a batch split across shards:
+// the shard groups posted before the failing one were acknowledged,
+// Unshipped holds the rest. Retrying Unshipped — and only that — keeps
+// the store free of duplicates.
+type PartialBatchError struct {
+	Unshipped []Record
+	Err       error
+}
+
+func (e *PartialBatchError) Error() string { return e.Err.Error() }
+func (e *PartialBatchError) Unwrap() error { return e.Err }
 
 // LogBatch ships one flush's worth of records as a single JSON Lines
 // body per shard: the batch is grouped by the server's shard topology
 // (learned once from /v1/stats and re-learned when it drifts), encoded
 // into a pooled buffer, and sent with the ?shard= pre-routing hint so the
 // server appends each group under exactly one shard lock. BufferedSink
-// uses this instead of Log when its sink is a Client.
+// uses this instead of Log when its sink is a Client. When one of several
+// groups fails the error is a *PartialBatchError.
 func (c *Client) LogBatch(recs []Record) error {
 	if len(recs) == 0 {
 		return nil
@@ -69,15 +77,31 @@ func (c *Client) LogBatch(recs []Record) error {
 	if n <= 1 {
 		return c.postBatch("/v1/records", recs)
 	}
-	groups := make(map[int][]Record, 4)
+	path := func(si int) string { return fmt.Sprintf("/v1/records?shard=%d&of=%d", si, n) }
+	// One run's records share a namespace, so a batch is often one group:
+	// ship it as it is.
+	first, mixed := shardOf(recs[0].RequestID, n), false
+	for i := 1; i < len(recs) && !mixed; i++ {
+		mixed = shardOf(recs[i].RequestID, n) != first
+	}
+	if !mixed {
+		return c.postBatch(path(first), recs)
+	}
+	groups := make([][]Record, n)
 	for _, r := range recs {
 		si := shardOf(r.RequestID, n)
 		groups[si] = append(groups[si], r)
 	}
 	for si, g := range groups {
-		path := fmt.Sprintf("/v1/records?shard=%d&of=%d", si, n)
-		if err := c.postBatch(path, g); err != nil {
-			return err
+		if len(g) == 0 {
+			continue
+		}
+		if err := c.postBatch(path(si), g); err != nil {
+			var unshipped []Record
+			for _, rest := range groups[si:] {
+				unshipped = append(unshipped, rest...)
+			}
+			return &PartialBatchError{Unshipped: unshipped, Err: err}
 		}
 	}
 	return nil
@@ -127,29 +151,27 @@ func (c *Client) Info() (StoreInfo, error) {
 	return out, nil
 }
 
-// batchBufPool recycles NDJSON encode buffers across flushes.
-var batchBufPool = sync.Pool{New: func() any { return new(bytes.Buffer) }}
-
-// postBatch sends records as one application/x-ndjson body encoded into a
-// pooled buffer — one request, one encoder pass, zero per-record HTTP
-// overhead.
+// postBatch sends records as one application/x-ndjson body.
 func (c *Client) postBatch(path string, recs []Record) error {
-	buf := batchBufPool.Get().(*bytes.Buffer)
-	buf.Reset()
-	defer batchBufPool.Put(buf)
-	enc := json.NewEncoder(buf)
-	for i := range recs {
-		if err := enc.Encode(&recs[i]); err != nil {
-			return fmt.Errorf("eventlog: encode batch: %w", err)
-		}
+	return c.postRecords(path, "application/x-ndjson", recs, appendLines)
+}
+
+// postRecords sends recs as one body, encoded into a pooled buffer — one
+// request, one encoder pass, zero per-record HTTP overhead.
+func (c *Client) postRecords(path, contentType string, recs []Record, encode func([]byte, []Record) ([]byte, error)) error {
+	bp := bufPool.Get().(*[]byte)
+	defer bufPool.Put(bp)
+	body, err := encode((*bp)[:0], recs)
+	*bp = body
+	if err != nil {
+		return fmt.Errorf("eventlog: encode %d records: %w", len(recs), err)
 	}
-	req, err := http.NewRequest(http.MethodPost, c.baseURL+path, bytes.NewReader(buf.Bytes()))
+	req, err := http.NewRequest(http.MethodPost, c.baseURL+path, bytes.NewReader(body))
 	if err != nil {
 		return fmt.Errorf("eventlog: ship %d records: %w", len(recs), err)
 	}
-	req.Header.Set("Content-Type", "application/x-ndjson")
-	var out map[string]int
-	if err := c.do(req, &out); err != nil {
+	req.Header.Set("Content-Type", contentType)
+	if err := c.do(req, nil); err != nil {
 		return fmt.Errorf("eventlog: ship %d records: %w", len(recs), err)
 	}
 	return nil
@@ -157,9 +179,25 @@ func (c *Client) postBatch(path string, recs []Record) error {
 
 // Select runs a query against the remote store.
 func (c *Client) Select(q Query) ([]Record, error) {
-	var recs []Record
-	if err := c.post("/v1/query", q, &recs); err != nil {
+	req, err := newPost(c.baseURL+"/v1/query", q)
+	if err != nil {
 		return nil, fmt.Errorf("eventlog: query: %w", err)
+	}
+	resp, err := c.send(req)
+	if err != nil {
+		return nil, fmt.Errorf("eventlog: query: %w", err)
+	}
+	defer drainClose(resp.Body)
+	bp := bufPool.Get().(*[]byte)
+	defer bufPool.Put(bp)
+	body, err := readAll((*bp)[:0], resp.Body)
+	*bp = body
+	if err != nil {
+		return nil, fmt.Errorf("eventlog: query: read response: %w", err)
+	}
+	recs, err := decodeArray(body, false)
+	if err != nil {
+		return nil, fmt.Errorf("eventlog: query: decode response: %w", err)
 	}
 	return recs, nil
 }
@@ -263,7 +301,10 @@ func (c *Client) Stream(ctx context.Context, pattern string, fn func(Record) err
 
 	sc := bufio.NewScanner(resp.Body)
 	sc.Buffer(make([]byte, 0, 64<<10), 1<<20)
-	var data []string
+	var (
+		d    recordDecoder
+		data []string
+	)
 	event := ""
 	for sc.Scan() {
 		line := sc.Text()
@@ -274,7 +315,7 @@ func (c *Client) Stream(ctx context.Context, pattern string, fn func(Record) err
 			// counter the client surfaces via the error path only if asked.
 			if event == "" && len(data) > 0 {
 				var rec Record
-				if err := json.Unmarshal([]byte(strings.Join(data, "\n")), &rec); err != nil {
+				if err := d.unmarshal([]byte(strings.Join(data, "\n")), &rec); err != nil {
 					return fmt.Errorf("eventlog: stream: decode record: %w", err)
 				}
 				if err := fn(rec); err != nil {
@@ -330,28 +371,35 @@ func (c *Client) Healthy() bool {
 }
 
 func (c *Client) post(path string, in, out any) error {
-	body, err := json.Marshal(in)
-	if err != nil {
-		return fmt.Errorf("marshal: %w", err)
-	}
-	req, err := http.NewRequest(http.MethodPost, c.baseURL+path, bytes.NewReader(body))
+	req, err := newPost(c.baseURL+path, in)
 	if err != nil {
 		return err
 	}
-	req.Header.Set("Content-Type", "application/json")
 	return c.do(req, out)
 }
 
+// newPost builds a POST of in as a JSON body.
+func newPost(url string, in any) (*http.Request, error) {
+	body, err := json.Marshal(in)
+	if err != nil {
+		return nil, fmt.Errorf("marshal: %w", err)
+	}
+	req, err := http.NewRequest(http.MethodPost, url, bytes.NewReader(body))
+	if err != nil {
+		return nil, err
+	}
+	req.Header.Set("Content-Type", "application/json")
+	return req, nil
+}
+
+// do performs req and decodes the reply's JSON body into out (nil: the
+// body is discarded).
 func (c *Client) do(req *http.Request, out any) error {
-	resp, err := c.http.Do(req)
+	resp, err := c.send(req)
 	if err != nil {
 		return err
 	}
 	defer drainClose(resp.Body)
-	if resp.StatusCode >= 400 {
-		b, _ := io.ReadAll(io.LimitReader(resp.Body, 4096))
-		return fmt.Errorf("server returned %d: %s", resp.StatusCode, bytes.TrimSpace(b))
-	}
 	if out == nil {
 		return nil
 	}
@@ -359,6 +407,21 @@ func (c *Client) do(req *http.Request, out any) error {
 		return fmt.Errorf("decode response: %w", err)
 	}
 	return nil
+}
+
+// send performs req and returns the reply for the caller to read, drain
+// and close; a reply with an error status becomes an error.
+func (c *Client) send(req *http.Request) (*http.Response, error) {
+	resp, err := c.http.Do(req)
+	if err != nil {
+		return nil, err
+	}
+	if resp.StatusCode >= 400 {
+		b, _ := io.ReadAll(io.LimitReader(resp.Body, 4096))
+		drainClose(resp.Body)
+		return nil, fmt.Errorf("server returned %d: %s", resp.StatusCode, bytes.TrimSpace(b))
+	}
+	return resp, nil
 }
 
 // drainClose drains and closes a response body so the underlying connection

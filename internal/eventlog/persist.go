@@ -2,6 +2,7 @@ package eventlog
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -19,11 +20,8 @@ func writeJSONL(w io.Writer, src Source) (int, error) {
 		return 0, err
 	}
 	bw := bufio.NewWriter(w)
-	enc := json.NewEncoder(bw)
-	for i, r := range recs {
-		if err := enc.Encode(r); err != nil {
-			return i, fmt.Errorf("eventlog: encode record %d: %w", i, err)
-		}
+	if n, err := writeLines(bw, recs); err != nil {
+		return n, fmt.Errorf("eventlog: encode record %d: %w", n, err)
 	}
 	if err := bw.Flush(); err != nil {
 		return len(recs), fmt.Errorf("eventlog: flush: %w", err)
@@ -35,8 +33,38 @@ func writeJSONL(w io.Writer, src Source) (int, error) {
 // sink. Sequence numbers are reassigned on append, preserving the input
 // order. Blank lines are skipped. Returns the number of records loaded.
 func readJSONL(r io.Reader, sink Sink) (int, error) {
-	dec := json.NewDecoder(r)
-	n := 0
+	br := bufio.NewReaderSize(r, 64<<10)
+	var (
+		d    recordDecoder
+		long []byte
+	)
+	for n := 0; ; {
+		line, rerr := readLine(br, &long)
+		if rerr != nil && !errors.Is(rerr, io.EOF) {
+			return n, fmt.Errorf("eventlog: decode record %d: %w", n, rerr)
+		}
+		if len(line) > 0 {
+			var rec Record
+			if !d.line(line, &rec) {
+				// Blank, escaped, spread over several lines: a json.Decoder
+				// reads on from the start of this line.
+				rest := io.MultiReader(bytes.NewReader(bytes.Clone(line)), br)
+				return readJSONLValues(json.NewDecoder(rest), sink, n)
+			}
+			if err := logLoaded(sink, rec); err != nil {
+				return n, err
+			}
+			n++
+		}
+		if rerr != nil {
+			return n, nil
+		}
+	}
+}
+
+// readJSONLValues appends every record dec still holds to sink, counting
+// on from n.
+func readJSONLValues(dec *json.Decoder, sink Sink, n int) (int, error) {
 	for {
 		var rec Record
 		err := dec.Decode(&rec)
@@ -46,12 +74,16 @@ func readJSONL(r io.Reader, sink Sink) (int, error) {
 		if err != nil {
 			return n, fmt.Errorf("eventlog: decode record %d: %w", n, err)
 		}
-		rec.Seq = 0 // reassigned by Log
-		if err := sink.Log(rec); err != nil {
+		if err := logLoaded(sink, rec); err != nil {
 			return n, err
 		}
 		n++
 	}
+}
+
+func logLoaded(sink Sink, rec Record) error {
+	rec.Seq = 0 // reassigned by Log
+	return sink.Log(rec)
 }
 
 // saveFile writes src's records to path as JSON Lines, replacing any

@@ -1,10 +1,7 @@
 package eventlog
 
 import (
-	"encoding/json"
-	"errors"
 	"fmt"
-	"io"
 	"net/http"
 	"strconv"
 	"strings"
@@ -183,26 +180,21 @@ func (s *Server) handleRecords(w http.ResponseWriter, r *http.Request) {
 // Lines when the client announces application/x-ndjson — the encoding the
 // BufferedSink batches flushes in, identical to the WAL segment format.
 func decodeRecords(w http.ResponseWriter, r *http.Request) ([]Record, error) {
-	if !strings.Contains(r.Header.Get("Content-Type"), "x-ndjson") {
-		var recs []Record
-		if err := httpx.ReadJSON(w, r, &recs); err != nil {
-			return nil, err
-		}
-		return recs, nil
+	bp := bufPool.Get().(*[]byte)
+	defer bufPool.Put(bp)
+	body, err := readAll((*bp)[:0], http.MaxBytesReader(w, r.Body, httpx.MaxBodyBytes))
+	*bp = body
+	if err != nil {
+		return nil, fmt.Errorf("read request body: %w", err)
 	}
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, httpx.MaxBodyBytes))
-	var recs []Record
-	for {
-		var rec Record
-		err := dec.Decode(&rec)
-		if errors.Is(err, io.EOF) {
-			return recs, nil
-		}
-		if err != nil {
-			return nil, fmt.Errorf("decode record %d: %w", len(recs), err)
-		}
-		recs = append(recs, rec)
+	if strings.Contains(r.Header.Get("Content-Type"), "x-ndjson") {
+		return decodeLines(body)
 	}
+	recs, err := decodeArray(body, true)
+	if err != nil {
+		return nil, fmt.Errorf("decode request body: %w", err)
+	}
+	return recs, nil
 }
 
 // ingest appends decoded records, honouring a shard-aware client's
@@ -275,7 +267,18 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		httpx.WriteError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	httpx.WriteJSON(w, http.StatusOK, recs)
+	bp := bufPool.Get().(*[]byte)
+	defer bufPool.Put(bp)
+	body, err := appendArray((*bp)[:0], recs)
+	body = append(body, '\n')
+	*bp = body
+	if err != nil {
+		httpx.WriteError(w, http.StatusInternalServerError, "%v", err)
+		return
+	}
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(http.StatusOK)
+	_, _ = w.Write(body)
 }
 
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
@@ -349,7 +352,7 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 
 	heartbeat := time.NewTicker(streamHeartbeat)
 	defer heartbeat.Stop()
-	enc := json.NewEncoder(w)
+	var event []byte
 	var reportedDrops int64
 	for {
 		select {
@@ -357,13 +360,12 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 			if !ok {
 				return
 			}
-			if _, err := w.Write([]byte("data: ")); err != nil {
+			event, err = AppendRecord(append(event[:0], "data: "...), &rec)
+			if err != nil {
 				return
 			}
-			if err := enc.Encode(rec); err != nil { // Encode appends \n
-				return
-			}
-			if _, err := w.Write([]byte("\n")); err != nil {
+			event = append(event, "\n\n"...)
+			if _, err := w.Write(event); err != nil {
 				return
 			}
 			flusher.Flush()

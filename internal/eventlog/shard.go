@@ -358,17 +358,10 @@ func (ss *ShardedStore) Select(q Query) ([]Record, error) {
 		return nil, fmt.Errorf("eventlog: bad query pattern: %w", err)
 	}
 	if si := ss.shardOfPattern(pat); si >= 0 {
-		return ss.shards[si].Select(q)
+		return ss.shards[si].selectMatching(q, pat), nil
 	}
 	parts := make([][]Record, len(ss.shards))
-	err = ss.scatter(func(i int) error {
-		var serr error
-		parts[i], serr = ss.shards[i].Select(q)
-		return serr
-	})
-	if err != nil {
-		return nil, err
-	}
+	ss.scatter(func(i int) { parts[i] = ss.shards[i].selectMatching(q, pat) })
 	merged := mergeSorted(parts)
 	if q.Limit > 0 && len(merged) > q.Limit {
 		merged = merged[:q.Limit]
@@ -383,17 +376,10 @@ func (ss *ShardedStore) Count(q Query) (int, error) {
 		return 0, fmt.Errorf("eventlog: bad query pattern: %w", err)
 	}
 	if si := ss.shardOfPattern(pat); si >= 0 {
-		return ss.shards[si].Count(q)
+		return ss.shards[si].countMatching(q, pat), nil
 	}
 	counts := make([]int, len(ss.shards))
-	err = ss.scatter(func(i int) error {
-		var serr error
-		counts[i], serr = ss.shards[i].Count(q)
-		return serr
-	})
-	if err != nil {
-		return 0, err
-	}
+	ss.scatter(func(i int) { counts[i] = ss.shards[i].countMatching(q, pat) })
 	total := 0
 	for _, c := range counts {
 		total += c
@@ -410,11 +396,11 @@ func (ss *ShardedStore) Count(q Query) (int, error) {
 const scatterThreshold = 8192
 
 // scatter runs fn(i) for every shard — in parallel when the store is
-// large enough for the goroutine fan-out to pay — returning the first
-// error.
-func (ss *ShardedStore) scatter(fn func(i int) error) error {
+// large enough for the goroutine fan-out to pay.
+func (ss *ShardedStore) scatter(fn func(i int)) {
 	if len(ss.shards) == 1 {
-		return fn(0)
+		fn(0)
+		return
 	}
 	total := 0
 	for _, sh := range ss.shards {
@@ -422,28 +408,19 @@ func (ss *ShardedStore) scatter(fn func(i int) error) error {
 	}
 	if total < scatterThreshold {
 		for i := range ss.shards {
-			if err := fn(i); err != nil {
-				return err
-			}
+			fn(i)
 		}
-		return nil
+		return
 	}
-	errs := make([]error, len(ss.shards))
 	var wg sync.WaitGroup
 	for i := range ss.shards {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			errs[i] = fn(i)
+			fn(i)
 		}(i)
 	}
 	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
 // mergeSorted merges per-shard sorted record slices into one sorted slice
@@ -584,11 +561,8 @@ func (ss *ShardedStore) ClearMatching(idPattern string) (int, error) {
 				return total, werr
 			}
 		}
-		d, cerr := ss.shards[si].ClearMatching(idPattern)
+		d := ss.shards[si].clearMatching(pat)
 		ss.gates[si].Unlock()
-		if cerr != nil {
-			return total, cerr
-		}
 		total += d
 		ss.noteGarbage(si, d)
 	}

@@ -235,8 +235,14 @@ func (s *Store) ClearMatching(idPattern string) (int, error) {
 	if err != nil {
 		return 0, fmt.Errorf("eventlog: bad clear pattern: %w", err)
 	}
+	return s.clearMatching(pat), nil
+}
+
+// clearMatching is ClearMatching with the pattern already compiled (the
+// sharded store compiles it once for all shards).
+func (s *Store) clearMatching(pat pattern.Pattern) int {
 	if pat.MatchAll() {
-		return s.Clear(), nil
+		return s.Clear()
 	}
 
 	s.mu.Lock()
@@ -249,17 +255,19 @@ func (s *Store) ClearMatching(idPattern string) (int, error) {
 	}
 	dropped := len(s.recs) - len(kept)
 	if dropped == 0 {
-		return 0, nil
+		return 0
 	}
 	s.recs = kept
 
-	// Positions shifted: rebuild the posting lists and the order flag.
-	s.byEdge = make(map[storeKey][]int32, len(s.byEdge))
-	s.bySrc = make(map[string][]int32, len(s.bySrc))
-	s.byDst = make(map[string][]int32, len(s.byDst))
+	// Positions shifted: rebuild the posting lists, in the lists' own
+	// memory, and the order flag.
+	truncatePostings(s.byEdge)
+	truncatePostings(s.bySrc)
+	truncatePostings(s.byDst)
 	s.ordered = true
 	s.lastTS = time.Time{}
-	for pos, r := range s.recs {
+	for pos := range s.recs {
+		r := &s.recs[pos]
 		p := int32(pos)
 		s.byEdge[storeKey{r.Src, r.Dst}] = append(s.byEdge[storeKey{r.Src, r.Dst}], p)
 		s.bySrc[r.Src] = append(s.bySrc[r.Src], p)
@@ -270,7 +278,27 @@ func (s *Store) ClearMatching(idPattern string) (int, error) {
 			s.lastTS = r.Timestamp
 		}
 	}
-	return dropped, nil
+	dropEmptyPostings(s.byEdge)
+	dropEmptyPostings(s.bySrc)
+	dropEmptyPostings(s.byDst)
+	return dropped
+}
+
+// truncatePostings empties every posting list in place, keeping its
+// capacity for the rebuild.
+func truncatePostings[K comparable](lists map[K][]int32) {
+	for k, l := range lists {
+		lists[k] = l[:0]
+	}
+}
+
+// dropEmptyPostings removes the keys a rebuild left without records.
+func dropEmptyPostings[K comparable](lists map[K][]int32) {
+	for k, l := range lists {
+		if len(l) == 0 {
+			delete(lists, k)
+		}
+	}
 }
 
 // Select returns the records matching q in (timestamp, seq) order.
@@ -279,7 +307,11 @@ func (s *Store) Select(q Query) ([]Record, error) {
 	if err != nil {
 		return nil, fmt.Errorf("eventlog: bad query pattern: %w", err)
 	}
+	return s.selectMatching(q, pat), nil
+}
 
+// selectMatching is Select with q.IDPattern already compiled.
+func (s *Store) selectMatching(q Query, pat pattern.Pattern) []Record {
 	s.mu.RLock()
 	ordered := s.ordered
 	var matched []Record
@@ -324,7 +356,7 @@ func (s *Store) Select(q Query) ([]Record, error) {
 	if q.Limit > 0 && len(matched) > q.Limit {
 		matched = matched[:q.Limit]
 	}
-	return matched, nil
+	return matched
 }
 
 // Count reports how many records match q without copying them out — the
@@ -334,6 +366,11 @@ func (s *Store) Count(q Query) (int, error) {
 	if err != nil {
 		return 0, fmt.Errorf("eventlog: bad query pattern: %w", err)
 	}
+	return s.countMatching(q, pat), nil
+}
+
+// countMatching is Count with q.IDPattern already compiled.
+func (s *Store) countMatching(q Query, pat pattern.Pattern) int {
 	n := 0
 	s.mu.RLock()
 	if list, ok := s.postings(q); ok {
@@ -360,7 +397,7 @@ func (s *Store) Count(q Query) (int, error) {
 		}
 	}
 	s.mu.RUnlock()
-	return n, nil
+	return n
 }
 
 // Counter is the optional count-only surface of a Source. Store,

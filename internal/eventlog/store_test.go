@@ -369,3 +369,46 @@ func TestClearMatching(t *testing.T) {
 		t.Fatalf("match-all clear dropped %d, left %d", n, s.Len())
 	}
 }
+
+// A clear that takes every record off an edge leaves that edge's posting
+// lists reused-then-empty: they must be dropped, the surviving edges must
+// point at the shifted positions, and the edge must index afresh when
+// records arrive on it again.
+func TestClearMatchingEmptiesEdge(t *testing.T) {
+	s := NewStore()
+	for i := 0; i < 6; i++ {
+		if err := s.Log(
+			rec("gone", "edge", KindRequest, fmt.Sprintf("drop-%d", i), time.Duration(2*i)),
+			rec("a", "b", KindRequest, fmt.Sprintf("keep-%d", i), time.Duration(2*i+1)),
+		); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if n, err := s.ClearMatching("drop-*"); err != nil || n != 6 {
+		t.Fatalf("ClearMatching = %d, %v; want 6", n, err)
+	}
+	if len(s.byEdge) != 1 || len(s.bySrc) != 1 || len(s.byDst) != 1 {
+		t.Fatalf("emptied edge still indexed: %d edges, %d sources, %d destinations", len(s.byEdge), len(s.bySrc), len(s.byDst))
+	}
+	for _, q := range []Query{{Src: "gone", Dst: "edge"}, {Src: "gone"}, {Dst: "edge"}} {
+		if got, err := s.Select(q); err != nil || len(got) != 0 {
+			t.Fatalf("Select(%+v) on the emptied edge = %+v, %v", q, got, err)
+		}
+	}
+	kept, err := s.Select(Query{Src: "a", Dst: "b"})
+	if err != nil || len(kept) != 6 {
+		t.Fatalf("survivors = %+v, %v", kept, err)
+	}
+	for i, r := range kept {
+		if r.RequestID != fmt.Sprintf("keep-%d", i) {
+			t.Fatalf("survivor %d is %s", i, r.RequestID)
+		}
+	}
+	if err := s.Log(rec("gone", "edge", KindReply, "back-1", time.Hour)); err != nil {
+		t.Fatal(err)
+	}
+	back, err := s.Select(Query{Src: "gone", Dst: "edge"})
+	if err != nil || len(back) != 1 || back[0].RequestID != "back-1" {
+		t.Fatalf("edge after refill = %+v, %v", back, err)
+	}
+}

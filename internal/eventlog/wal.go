@@ -2,7 +2,6 @@ package eventlog
 
 import (
 	"bufio"
-	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -59,6 +58,15 @@ type walLine struct {
 	Record
 }
 
+// unmarshalWALLine decodes the lines the record codec leaves alone:
+// tombstones, and records in any form but the canonical one. It is its
+// own function so that replay allocates a walLine only for those.
+func unmarshalWALLine(line []byte) (walLine, error) {
+	var wl walLine
+	err := json.Unmarshal(line, &wl)
+	return wl, err
+}
+
 // clearLine encodes a tombstone for idPattern ("*" = clear all).
 func clearLine(idPattern string) ([]byte, error) {
 	b, err := json.Marshal(struct {
@@ -69,10 +77,6 @@ func clearLine(idPattern string) ([]byte, error) {
 	}
 	return append(b, '\n'), nil
 }
-
-// walBufPool recycles the per-batch encode buffers so a flood of appends
-// does not allocate a fresh buffer per batch.
-var walBufPool = sync.Pool{New: func() any { return new(bytes.Buffer) }}
 
 // wal is one shard's write-ahead log: append-only JSONL segment files
 // (`00000001.wal`, `00000002.wal`, ...) in a directory, size-rotated, with
@@ -186,16 +190,22 @@ func (w *wal) replaySegment(idx int, recs []Record, lastClearAll *int) ([]Record
 	defer f.Close()
 
 	br := bufio.NewReaderSize(f, 256<<10)
-	var offset int64
+	var (
+		d      recordDecoder
+		long   []byte
+		offset int64
+	)
 	for {
-		line, err := br.ReadBytes('\n')
+		line, err := readLine(br, &long)
 		if err != nil && !errors.Is(err, io.EOF) {
 			return recs, fmt.Errorf("eventlog: wal: read %s: %w", path, err)
 		}
 		torn := err != nil // EOF before the terminating newline
 		if len(line) > 0 && !torn {
-			var wl walLine
-			if derr := json.Unmarshal(line, &wl); derr != nil {
+			var rec Record
+			if d.line(line, &rec) {
+				recs = append(recs, rec)
+			} else if wl, derr := unmarshalWALLine(line); derr != nil {
 				// A malformed line mid-file means the segment itself is
 				// corrupt; a malformed final line is a torn write.
 				if _, perr := br.Peek(1); perr == nil {
@@ -274,18 +284,14 @@ func (w *wal) recount() error {
 // rotating and fsyncing per policy. The caller has already stamped
 // timestamps and sequence numbers.
 func (w *wal) append(recs []Record) error {
-	buf := walBufPool.Get().(*bytes.Buffer)
-	buf.Reset()
-	enc := json.NewEncoder(buf)
-	for i := range recs {
-		if err := enc.Encode(&recs[i]); err != nil {
-			walBufPool.Put(buf)
-			return fmt.Errorf("eventlog: wal: encode: %w", err)
-		}
+	bp := bufPool.Get().(*[]byte)
+	defer bufPool.Put(bp)
+	b, err := appendLines((*bp)[:0], recs)
+	*bp = b
+	if err != nil {
+		return fmt.Errorf("eventlog: wal: encode: %w", err)
 	}
-	err := w.write(buf.Bytes())
-	walBufPool.Put(buf)
-	return err
+	return w.write(b)
 }
 
 // appendClear writes a tombstone for idPattern.
@@ -401,11 +407,8 @@ func (w *wal) compact(snapshot []Record) error {
 	if _, err := bw.Write(marker); err != nil {
 		return fail(err)
 	}
-	enc := json.NewEncoder(bw)
-	for i := range snapshot {
-		if err := enc.Encode(&snapshot[i]); err != nil {
-			return fail(err)
-		}
+	if _, err := writeLines(bw, snapshot); err != nil {
+		return fail(err)
 	}
 	if err := bw.Flush(); err != nil {
 		return fail(err)

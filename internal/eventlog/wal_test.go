@@ -1,6 +1,8 @@
 package eventlog
 
 import (
+	"bytes"
+	"encoding/json"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -370,5 +372,99 @@ func TestWALShardCountMismatch(t *testing.T) {
 	defer re.Close()
 	if got := re.Len(); got != 200 {
 		t.Fatalf("matching reopen replayed %d records, want 200", got)
+	}
+}
+
+// openFixtureWAL copies the checked-in segment — written by the commit
+// before the record codec, with encoding/json — into a fresh directory,
+// applies edit to its bytes, and replays it.
+func openFixtureWAL(t *testing.T, edit func([]byte) []byte) (recs []Record, seg string, err error) {
+	t.Helper()
+	b, rerr := os.ReadFile(filepath.Join("testdata", "wal-parent", "00000001.wal"))
+	if rerr != nil {
+		t.Fatal(rerr)
+	}
+	dir := t.TempDir()
+	seg = filepath.Join(dir, "00000001.wal")
+	if werr := os.WriteFile(seg, edit(b), 0o644); werr != nil {
+		t.Fatal(werr)
+	}
+	w, recs, err := openWAL(dir, FsyncNever, 64<<20)
+	if err == nil {
+		t.Cleanup(func() { _ = w.close() })
+	}
+	return recs, seg, err
+}
+
+// TestWALReplaysParentSegment: a segment the previous encoder wrote
+// replays to the records encoding/json reads from it, re-encodes to the
+// same bytes, and keeps the torn-tail / mid-file-corruption distinction.
+func TestWALReplaysParentSegment(t *testing.T) {
+	same := func(b []byte) []byte { return b }
+	recs, seg, err := openFixtureWAL(t, same)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The reference replay: encoding/json line by line, the one tombstone
+	// ("drop-*") applied by hand.
+	raw, err := os.ReadFile(seg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want []Record
+	var wantLines [][]byte
+	for _, line := range bytes.SplitAfter(raw, []byte{'\n'}) {
+		var wl walLine
+		if len(line) == 0 {
+			continue
+		}
+		if err := json.Unmarshal(line, &wl); err != nil {
+			t.Fatal(err)
+		}
+		if wl.Clear == nil && !strings.HasPrefix(wl.RequestID, "drop-") {
+			want = append(want, wl.Record)
+			wantLines = append(wantLines, line)
+		}
+	}
+	if len(want) != 10 || !sameRecords(recs, want) {
+		t.Fatalf("replayed %d records, want the fixture's 10:\n got %+v\nwant %+v", len(recs), recs, want)
+	}
+	for i := range recs {
+		// The one byte that was not UTF-8 came back as U+FFFD, which no
+		// encoder escapes; every other line is reproduced exactly.
+		if bytes.Contains(wantLines[i], []byte(`\ufffd`)) {
+			continue
+		}
+		line, err := AppendRecord(nil, &recs[i])
+		if err != nil || !bytes.Equal(append(line, '\n'), wantLines[i]) {
+			t.Fatalf("record %d re-encodes to %s (%v), the segment holds %s", i, line, err, wantLines[i])
+		}
+	}
+
+	// A line the codec gives up on halfway — a canonical record with an
+	// impossible timestamp — in the middle of the file is corruption.
+	corrupt := func(b []byte) []byte {
+		return bytes.Replace(b, []byte(`"ts":"2026-07-04T12:00:00.125456789Z"`), []byte(`"ts":"2026-13-04T12:00:00.125456789Z"`), 1)
+	}
+	if _, _, err := openFixtureWAL(t, corrupt); err == nil || !strings.Contains(err.Error(), "offset") {
+		t.Fatalf("mid-file corruption must fail the open with its offset, got %v", err)
+	}
+
+	// The same damage on the last line, and a last line cut short, are torn
+	// writes: dropped and truncated away.
+	lastLine := raw[bytes.LastIndexByte(raw[:len(raw)-1], '\n')+1:]
+	for name, tear := range map[string]func([]byte) []byte{
+		"cut short":      func(b []byte) []byte { return b[:len(b)-9] },
+		"whole but bad":  func(b []byte) []byte { return bytes.Replace(b, []byte(`"conn-close"`), []byte(`"conn-close`), 1) },
+		"no newline yet": func(b []byte) []byte { return b[:len(b)-1] },
+	} {
+		recs, seg, err := openFixtureWAL(t, tear)
+		if err != nil || !sameRecords(recs, want[:9]) {
+			t.Fatalf("%s: replayed %d records, %v; want the 9 before the torn one", name, len(recs), err)
+		}
+		left, err := os.ReadFile(seg)
+		if err != nil || !bytes.Equal(left, raw[:len(raw)-len(lastLine)]) {
+			t.Fatalf("%s: torn tail not truncated (%v): segment ends %q", name, err, left[max(0, len(left)-40):])
+		}
 	}
 }

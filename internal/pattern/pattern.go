@@ -15,11 +15,12 @@ import (
 // everything.
 type Pattern struct {
 	src string
-	re  *regexp.Regexp // nil means match-all
+	re  *regexp.Regexp // nil for match-all and for prefixOnly patterns
 
 	// prefixOnly marks globs of the form "literal*", whose match is a bare
-	// prefix comparison — the dominant shape in recipes ("test-*") and far
-	// cheaper than the regexp engine on the data path.
+	// prefix comparison — the dominant shape in recipes ("test-*") and
+	// campaign namespaces ("camp-<run>-*"), and far cheaper than the regexp
+	// engine both to match and to compile: no regexp is built for them.
 	prefixOnly bool
 	prefix     string
 }
@@ -35,6 +36,12 @@ func Compile(s string) (Pattern, error) {
 			return Pattern{}, fmt.Errorf("pattern: compile regexp %q: %w", raw, err)
 		}
 		return Pattern{src: s, re: re}, nil
+	}
+	// "literal*" (sole wildcard: one trailing '*') is a pure prefix match.
+	// Invalid UTF-8 compiles to U+FFFD below, so the byte-prefix shortcut
+	// would diverge from the regex; keep such patterns on the engine.
+	if i := strings.IndexAny(s, "*?"); i == len(s)-1 && s[i] == '*' && utf8.ValidString(s[:i]) {
+		return Pattern{src: s, prefixOnly: true, prefix: s[:i]}, nil
 	}
 	var b strings.Builder
 	b.WriteString("^")
@@ -53,15 +60,7 @@ func Compile(s string) (Pattern, error) {
 	if err != nil {
 		return Pattern{}, fmt.Errorf("pattern: compile glob %q: %w", s, err)
 	}
-	p := Pattern{src: s, re: re}
-	// "literal*" (sole wildcard: one trailing '*') is a pure prefix match.
-	// Invalid UTF-8 compiles to U+FFFD above, so the byte-prefix shortcut
-	// would diverge from the regex; keep such patterns on the engine.
-	if i := strings.IndexAny(s, "*?"); i == len(s)-1 && s[i] == '*' && utf8.ValidString(s[:i]) {
-		p.prefixOnly = true
-		p.prefix = s[:i]
-	}
-	return p, nil
+	return Pattern{src: s, re: re}, nil
 }
 
 // MustCompile is Compile that panics on error, for statically known
@@ -76,11 +75,11 @@ func MustCompile(s string) Pattern {
 
 // Match reports whether the ID satisfies the pattern.
 func (p Pattern) Match(id string) bool {
-	if p.re == nil {
-		return true
-	}
 	if p.prefixOnly {
 		return strings.HasPrefix(id, p.prefix)
+	}
+	if p.re == nil {
+		return true
 	}
 	return p.re.MatchString(id)
 }
@@ -91,6 +90,9 @@ func (p Pattern) Match(id string) bool {
 // optimization the paper suggests for reducing rule-matching overhead
 // (§7.2).
 func (p Pattern) LiteralPrefix() string {
+	if p.prefixOnly {
+		return p.prefix
+	}
 	if p.re == nil {
 		return ""
 	}
@@ -113,7 +115,7 @@ func (p Pattern) LiteralPrefix() string {
 }
 
 // MatchAll reports whether the pattern matches every ID.
-func (p Pattern) MatchAll() bool { return p.re == nil }
+func (p Pattern) MatchAll() bool { return p.re == nil && !p.prefixOnly }
 
 // String returns the original pattern source.
 func (p Pattern) String() string { return p.src }

@@ -140,3 +140,16 @@ func TestLiteralPrefixSoundProperty(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// Campaign namespaces ("camp-<run>-*") are compiled on every store query
+// and clear; a prefix glob must not build a regexp to do that.
+func TestCompilePrefixGlobAllocs(t *testing.T) {
+	var p Pattern
+	allocs := testing.AllocsPerRun(100, func() { p = MustCompile("camp-x-*") })
+	if allocs > 1 {
+		t.Fatalf("Compile of a prefix glob made %.0f allocations, want at most 1", allocs)
+	}
+	if !p.Match("camp-x-7") || p.Match("camp-y-7") || p.MatchAll() || p.LiteralPrefix() != "camp-x-" {
+		t.Fatalf("prefix glob misbehaves: %+v", p)
+	}
+}
