@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race vet cover bench bench-json bench-figures repo-bench repo-bench-compare alloc-profile alloc-profile-store alloc-budget campaign-smoke trace-smoke store-smoke l4-smoke explore-smoke telemetry-smoke fleet-smoke check
+.PHONY: all build test race vet cover bench bench-json bench-figures repo-bench repo-bench-compare alloc-profile alloc-profile-store cpu-profile-store alloc-budget campaign-smoke trace-smoke store-smoke l4-smoke explore-smoke telemetry-smoke fleet-smoke check
 
 all: check
 
@@ -61,7 +61,7 @@ alloc-profile:
 		$(ALLOC_PROFILE_DIR)/gremlin.test $(ALLOC_PROFILE_DIR)/mem.out
 
 # Where a shipped record's allocations go: one campaign unit's store
-# traffic over HTTP (LogBatch 256 -> Select -> ClearMatching on a
+# traffic over HTTP (LogBatch 256 -> Select -> Count -> ClearMatching on a
 # WAL-backed 4-shard store holding 100k records), every allocation
 # sampled (EXPERIMENTS.md, "Where a record's allocations go"). The counts
 # cover 512 units plus the 100k-record prefill; `-list` a function to
@@ -73,12 +73,24 @@ alloc-profile-store:
 	$(GO) tool pprof -sample_index=alloc_objects -top -nodecount=40 \
 		$(ALLOC_PROFILE_DIR)/gremlin.test $(ALLOC_PROFILE_DIR)/store-mem.out
 
+# Where a campaign unit's store time goes: the same unit, CPU-profiled,
+# top 25 by cumulative time (EXPERIMENTS.md, "Where a campaign unit's
+# store time goes"). 2000 units, so the two 100k-record prefills the
+# benchmark runs (b.N = 1, then 2000) stay a minor share.
+cpu-profile-store:
+	mkdir -p $(ALLOC_PROFILE_DIR)
+	$(GO) test -run '^$$' -bench 'StoreShipSelectClear$$' -benchtime 2000x \
+		-cpuprofile $(ALLOC_PROFILE_DIR)/store-cpu.out -o $(ALLOC_PROFILE_DIR)/gremlin.test .
+	$(GO) tool pprof -top -cum -nodecount=25 \
+		$(ALLOC_PROFILE_DIR)/gremlin.test $(ALLOC_PROFILE_DIR)/store-cpu.out
+
 # The data path's allocation budgets and header-sharing invariants, under
 # the race detector: per-helper budgets in internal/trace, the
 # whole-exchange budget and shared-header forwarding in internal/proxy,
-# the record codec's budget and its fuzz seed corpus in internal/eventlog.
+# the record codec's budget and its fuzz seed corpus, and copy-free WAL
+# compaction (budget and unordered-shard replay) in internal/eventlog.
 alloc-budget:
-	$(GO) test -race -count=1 -run 'AllocBudget|HeaderConstantsCanonical|Stamp|FuzzAppendEI|SharedHeaderForwarding|PoolCounts|FuzzRecordCodec' \
+	$(GO) test -race -count=1 -run 'AllocBudget|HeaderConstantsCanonical|Stamp|FuzzAppendEI|SharedHeaderForwarding|PoolCounts|FuzzRecordCodec|CompactUnorderedShardReplays' \
 		./internal/trace ./internal/proxy ./internal/eventlog
 
 # The paper's full evaluation series (Tables 1-3, Figures 5-8).

@@ -777,11 +777,12 @@ func BenchmarkShardedStoreAppendWAL(b *testing.B)      { benchmarkWALAppend(b, t
 
 // BenchmarkStoreShipSelectClear is one campaign unit's store traffic over
 // HTTP — ship a 256-record hop-shaped batch, select one edge's replies,
-// clear the run's namespace — against a WAL-backed 4-shard store already
+// count the run, clear the run's namespace (the shape of the repo
+// benchmark's log_cycle op) — against a WAL-backed 4-shard store already
 // holding 100k records. The batches are built before the timer starts, so
-// what `make alloc-profile-store` shows is the store path alone; the
-// per-stage table in EXPERIMENTS.md ("Where a record's allocations go")
-// is read off that profile.
+// what `make alloc-profile-store` and `make cpu-profile-store` show is the
+// store path alone; EXPERIMENTS.md ("Where a record's allocations go",
+// "Where a campaign unit's store time goes") reads its tables off them.
 func BenchmarkStoreShipSelectClear(b *testing.B) {
 	ss, err := eventlog.NewShardedStore(eventlog.StoreOptions{
 		Shards: 4, DataDir: b.TempDir(), Fsync: eventlog.FsyncNever,
@@ -839,6 +840,9 @@ func BenchmarkStoreShipSelectClear(b *testing.B) {
 		}
 		if len(got) != batch/2/len(edges) {
 			b.Fatalf("select returned %d records, want %d", len(got), batch/2/len(edges))
+		}
+		if n, err := client.Count(eventlog.Query{IDPattern: patterns[i%runs]}); err != nil || n != batch {
+			b.Fatalf("count = %d, %v; want %d", n, err, batch)
 		}
 		dropped, err := client.ClearMatching(patterns[i%runs])
 		if err != nil {

@@ -7,7 +7,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"hash/fnv"
 	"io"
 	"net/http"
 	"net/url"
@@ -110,12 +109,7 @@ func (c *Client) LogBatch(recs []Record) error {
 // shardOf mirrors the server's request-ID-namespace routing so client
 // batches land pre-sorted (the server re-verifies placement).
 func shardOf(id string, shards int) int {
-	if shards <= 1 {
-		return 0
-	}
-	h := fnv.New32a()
-	_, _ = h.Write([]byte(namespaceOf(id)))
-	return int(h.Sum32() % uint32(shards))
+	return shardOfNamespace(namespaceOf(id), shards)
 }
 
 // topology returns the server's shard count, fetching it on first use.

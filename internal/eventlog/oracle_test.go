@@ -1,0 +1,310 @@
+package eventlog
+
+import (
+	"fmt"
+	"math/rand"
+	"reflect"
+	"sort"
+	"testing"
+	"time"
+
+	"gremlin/internal/pattern"
+)
+
+// oracleStore is the surface the differential oracle drives.
+type oracleStore interface {
+	Source
+	Counter
+	ClearMatching(idPattern string) (int, error)
+}
+
+// oracleTarget is one store under test, with its two append paths.
+type oracleTarget struct {
+	name    string
+	st      oracleStore
+	stamped func([]Record) // append records that already carry seqs
+	shards  func() []*Store
+}
+
+func plainTarget() *oracleTarget {
+	s := NewStore()
+	return &oracleTarget{
+		name:    "store",
+		st:      s,
+		stamped: s.logStamped,
+		shards:  func() []*Store { return []*Store{s} },
+	}
+}
+
+func shardedTarget(t *testing.T, name string, opts StoreOptions) *oracleTarget {
+	ss := newSharded(t, opts)
+	return &oracleTarget{
+		name: name,
+		st:   ss,
+		// What concurrent LogShard calls do: seqs stamped globally, then
+		// each shard's group appended under its gate.
+		stamped: func(recs []Record) {
+			groups := make(map[int][]Record)
+			for _, r := range recs {
+				if r.Seq > ss.seq.Load() {
+					ss.seq.Store(r.Seq)
+				}
+				si := ss.shardFor(r.RequestID)
+				groups[si] = append(groups[si], r)
+			}
+			for si := range ss.shards {
+				if g := groups[si]; len(g) > 0 {
+					if err := ss.appendShard(si, g); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+		},
+		shards: func() []*Store { return ss.shards },
+	}
+}
+
+// oracleRef is the naive reference: every live record in append order;
+// a query filters, stable-sorts by Before, then limits.
+type oracleRef []Record
+
+func (ref oracleRef) query(q Query) []Record {
+	pat := pattern.MustCompile(q.IDPattern)
+	var out []Record
+	for _, r := range ref {
+		if (q.Src == "" || r.Src == q.Src) && (q.Dst == "" || r.Dst == q.Dst) &&
+			(q.Kind == "" || r.Kind == q.Kind) && pat.Match(r.RequestID) &&
+			(q.Since.IsZero() || !r.Timestamp.Before(q.Since)) &&
+			(q.Until.IsZero() || r.Timestamp.Before(q.Until)) {
+			out = append(out, r)
+		}
+	}
+	sort.SliceStable(out, func(i, j int) bool { return out[i].Before(out[j]) })
+	if q.Limit > 0 && len(out) > q.Limit {
+		out = out[:q.Limit]
+	}
+	return out
+}
+
+func (ref oracleRef) clear(idPattern string) (oracleRef, int) {
+	pat := pattern.MustCompile(idPattern)
+	kept := ref[:0]
+	for _, r := range ref {
+		if !pat.Match(r.RequestID) {
+			kept = append(kept, r)
+		}
+	}
+	return kept, len(ref) - len(kept)
+}
+
+var (
+	oracleQueryPatterns = []string{
+		"", "*", "camp-r1-*", "camp-r2-1*", "camp-r3-7", "x-*", "x-1?", "*-3",
+		"camp-r*", "re:^camp-r0-", "re:-1$", "re:camp", "solo1", "y*",
+	}
+	oracleClearPatterns = []string{
+		"camp-r0-*", "camp-r1-*", "camp-r2-*", "camp-r3-*", "camp-r2-1*", "x-*",
+		"*-3", "camp-r*", "re:^camp-r1-", "re:-2$", "re:camp", "solo1", "y-*",
+	}
+	oracleEnds = []string{"a", "b", "c"}
+)
+
+// oracleID draws campaign IDs, plain "x-n"/"y-n-m" IDs, dash-less IDs and
+// the empty ID.
+func oracleID(rng *rand.Rand) string {
+	switch rng.Intn(8) {
+	case 0, 1, 2, 3:
+		return fmt.Sprintf("camp-r%d-%d", rng.Intn(4), rng.Intn(30))
+	case 4:
+		return fmt.Sprintf("x-%d", rng.Intn(30))
+	case 5:
+		return fmt.Sprintf("y-%d-%d", rng.Intn(3), rng.Intn(5))
+	case 6:
+		return fmt.Sprintf("solo%d", rng.Intn(3))
+	}
+	return ""
+}
+
+func oracleQuery(rng *rand.Rand, clock int) Query {
+	q := Query{IDPattern: oracleQueryPatterns[rng.Intn(len(oracleQueryPatterns))]}
+	if rng.Intn(3) == 0 {
+		q.Src = oracleEnds[rng.Intn(len(oracleEnds))]
+	}
+	if rng.Intn(3) == 0 {
+		q.Dst = oracleEnds[rng.Intn(len(oracleEnds))]
+	}
+	if rng.Intn(3) == 0 {
+		q.Kind = []Kind{KindRequest, KindReply}[rng.Intn(2)]
+	}
+	if rng.Intn(4) == 0 {
+		q.Since = t0.Add(time.Duration(rng.Intn(clock+1)) * time.Millisecond)
+	}
+	if rng.Intn(4) == 0 {
+		q.Until = t0.Add(time.Duration(rng.Intn(clock+2)) * time.Millisecond)
+	}
+	if rng.Intn(3) == 0 {
+		q.Limit = 1 + rng.Intn(8)
+	}
+	return q
+}
+
+// checkOracleQuery holds Select and Count on st to the reference.
+func checkOracleQuery(t *testing.T, name string, st oracleStore, ref oracleRef, q Query) {
+	t.Helper()
+	want := ref.query(q)
+	got, err := st.Select(q)
+	if err != nil {
+		t.Fatalf("%s: Select(%+v): %v", name, q, err)
+	}
+	if len(got) != len(want) {
+		t.Fatalf("%s: Select(%+v) returned %d records, reference %d", name, q, len(got), len(want))
+	}
+	for i := range got {
+		if !sameRecord(got[i], want[i]) {
+			t.Fatalf("%s: Select(%+v) record %d = %+v, reference %+v", name, q, i, got[i], want[i])
+		}
+	}
+	if n, err := st.Count(q); err != nil || n != len(want) {
+		t.Fatalf("%s: Count(%+v) = %d, %v; reference %d", name, q, n, err, len(want))
+	}
+}
+
+// checkStoreIndex is the white-box half of the oracle: every posting map
+// equals a from-scratch rebuild over recs (same positions, no empty keys)
+// and sorted equals a full rescan.
+func checkStoreIndex(t *testing.T, name string, s *Store) {
+	t.Helper()
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	fresh := NewStore()
+	for i := range s.recs {
+		fresh.index(&s.recs[i], int32(i))
+	}
+	for _, m := range []struct {
+		what      string
+		got, want any
+	}{
+		{"byEdge", s.byEdge, fresh.byEdge},
+		{"bySrc", s.bySrc, fresh.bySrc},
+		{"byDst", s.byDst, fresh.byDst},
+		{"byNS", s.byNS, fresh.byNS},
+	} {
+		if !reflect.DeepEqual(m.got, m.want) {
+			t.Fatalf("%s: %s = %v, rebuild %v", name, m.what, m.got, m.want)
+		}
+	}
+	sorted := len(s.recs)
+	for i := 1; i < len(s.recs); i++ {
+		if s.recs[i].Before(s.recs[i-1]) {
+			sorted = i
+			break
+		}
+	}
+	if s.sorted != sorted {
+		t.Fatalf("%s: sorted = %d, rescan %d (of %d records)", name, s.sorted, sorted, len(s.recs))
+	}
+}
+
+// TestStoreOracle is the store's differential oracle: seeded random
+// Log/stamped batches (equal and out-of-order timestamps, shuffled seqs)
+// interleaved with pinned, unpinned, regexp and match-all clears, on a
+// Store, a volatile 4-shard ShardedStore and a WAL-backed one that
+// compacts often and is reopened at the end. Every random query must
+// answer exactly what the naive reference does, and every shard's index
+// must equal a rebuild after every step.
+func TestStoreOracle(t *testing.T) {
+	for seed := int64(1); seed <= 3; seed++ {
+		t.Run(fmt.Sprint(seed), func(t *testing.T) {
+			dir := t.TempDir()
+			walOpts := StoreOptions{Shards: 4, DataDir: dir, Fsync: FsyncNever, CompactAfter: 16}
+			targets := []*oracleTarget{
+				plainTarget(),
+				shardedTarget(t, "sharded", StoreOptions{Shards: 4}),
+				shardedTarget(t, "wal", walOpts),
+			}
+			rng := rand.New(rand.NewSource(seed))
+			var ref oracleRef
+			var seq uint64
+			clock := 0
+			for step := 0; step < 300; step++ {
+				switch op := rng.Intn(10); {
+				case op < 3:
+					p := oracleClearPatterns[rng.Intn(len(oracleClearPatterns))]
+					if rng.Intn(40) == 0 {
+						p = []string{"", "*"}[rng.Intn(2)]
+					}
+					var want int
+					ref, want = ref.clear(p)
+					for _, tg := range targets {
+						if n, err := tg.st.ClearMatching(p); err != nil || n != want {
+							t.Fatalf("step %d %s: ClearMatching(%q) = %d, %v; reference %d", step, tg.name, p, n, err, want)
+						}
+					}
+				default:
+					batch := make([]Record, 1+rng.Intn(12))
+					for i := range batch {
+						clock += rng.Intn(2)
+						batch[i] = Record{
+							Timestamp: t0.Add(time.Duration(clock-rng.Intn(3)) * time.Millisecond),
+							RequestID: oracleID(rng),
+							Src:       oracleEnds[rng.Intn(len(oracleEnds))],
+							Dst:       oracleEnds[rng.Intn(len(oracleEnds))],
+							Kind:      []Kind{KindRequest, KindReply}[rng.Intn(2)],
+						}
+					}
+					// Log stamps seqs in batch order; a stamped batch carries
+					// the same seqs shuffled.
+					useLog := op < 7
+					order := rng.Perm(len(batch))
+					stamped := append([]Record(nil), batch...)
+					for i := range stamped {
+						if useLog {
+							order[i] = i
+						}
+						stamped[i].Seq = seq + uint64(order[i]) + 1
+					}
+					for _, tg := range targets {
+						if useLog {
+							if err := tg.st.(Sink).Log(batch...); err != nil {
+								t.Fatal(err)
+							}
+						} else {
+							tg.stamped(stamped)
+						}
+					}
+					ref = append(ref, stamped...)
+					seq += uint64(len(batch))
+				}
+				for _, tg := range targets {
+					for si, s := range tg.shards() {
+						checkStoreIndex(t, fmt.Sprintf("step %d %s shard %d", step, tg.name, si), s)
+					}
+					for i := 0; i < 3; i++ {
+						checkOracleQuery(t, fmt.Sprintf("step %d %s", step, tg.name), tg.st, ref, oracleQuery(rng, clock))
+					}
+				}
+			}
+
+			// Reopen the WAL-backed store: replay must rebuild each shard
+			// exactly — same records in the same order, same sorted prefix.
+			wal := targets[2]
+			var before [][]Record
+			for _, s := range wal.shards() {
+				before = append(before, append([]Record(nil), s.recs...))
+			}
+			if err := wal.st.(*ShardedStore).Close(); err != nil {
+				t.Fatal(err)
+			}
+			reopened := shardedTarget(t, "wal reopened", walOpts)
+			for si, s := range reopened.shards() {
+				if !sameRecords(s.recs, before[si]) && len(s.recs)+len(before[si]) > 0 {
+					t.Fatalf("shard %d replays %d records, held %d (or in another order)", si, len(s.recs), len(before[si]))
+				}
+				checkStoreIndex(t, fmt.Sprintf("reopened shard %d", si), s)
+			}
+			for i := 0; i < 200; i++ {
+				checkOracleQuery(t, "wal reopened", reopened.st, ref, oracleQuery(rng, clock))
+			}
+		})
+	}
+}

@@ -220,36 +220,47 @@ func namespaceOf(id string) string {
 	return id
 }
 
-// shardFor routes a request ID to its shard.
-func (ss *ShardedStore) shardFor(id string) int {
-	if len(ss.shards) == 1 {
+// patternNamespace returns the one namespace every ID matching pat lies
+// in, or ok=false when the pattern can span namespaces. A pattern pins a
+// namespace when its literal prefix extends past the namespace boundary
+// (e.g. "camp-run1-*" or "test-*"): all matching IDs then share the
+// prefix's namespace. The shard router and the store's namespace posting
+// lists both rely on this rule.
+func patternNamespace(pat pattern.Pattern) (ns string, ok bool) {
+	if pat.MatchAll() {
+		return "", false
+	}
+	prefix := pat.LiteralPrefix()
+	ns = namespaceOf(prefix)
+	return ns, len(ns) < len(prefix)
+}
+
+// shardOfNamespace hashes a namespace to one of shards partitions.
+func shardOfNamespace(ns string, shards int) int {
+	if shards <= 1 {
 		return 0
 	}
 	h := fnv.New32a()
-	_, _ = h.Write([]byte(namespaceOf(id)))
-	return int(h.Sum32() % uint32(len(ss.shards)))
+	_, _ = h.Write([]byte(ns))
+	return int(h.Sum32() % uint32(shards))
+}
+
+// shardFor routes a request ID to its shard.
+func (ss *ShardedStore) shardFor(id string) int {
+	return shardOf(id, len(ss.shards))
 }
 
 // shardOfPattern returns the one shard every ID matching pat can live on,
-// or -1 when the pattern spans namespaces and the query must scatter. A
-// pattern pins a shard when its literal prefix extends past the namespace
-// boundary (e.g. "camp-run1-*" or "test-*"): all matching IDs then share
-// the prefix's namespace.
+// or -1 when the pattern spans namespaces and the query must scatter.
 func (ss *ShardedStore) shardOfPattern(pat pattern.Pattern) int {
 	if len(ss.shards) == 1 {
 		return 0
 	}
-	if pat.MatchAll() {
+	ns, ok := patternNamespace(pat)
+	if !ok {
 		return -1
 	}
-	prefix := pat.LiteralPrefix()
-	ns := namespaceOf(prefix)
-	if len(ns) >= len(prefix) {
-		return -1 // boundary not inside the literal: namespace ambiguous
-	}
-	h := fnv.New32a()
-	_, _ = h.Write([]byte(ns))
-	return int(h.Sum32() % uint32(len(ss.shards)))
+	return shardOfNamespace(ns, len(ss.shards))
 }
 
 // Log appends records: stamps global sequence numbers and timestamps,
@@ -592,18 +603,21 @@ func (ss *ShardedStore) Compact() error {
 	return nil
 }
 
-// CompactShard compacts one shard's write-ahead log.
+// CompactShard compacts one shard's write-ahead log. The snapshot is the
+// shard's own record slice, written in append order under its read lock —
+// no copy — so replay rebuilds exactly the in-memory state, order and all.
+// The append gate keeps every writer out meanwhile.
 func (ss *ShardedStore) CompactShard(si int) error {
 	if si < 0 || si >= len(ss.shards) || ss.wals[si] == nil {
 		return nil
 	}
 	ss.gates[si].Lock()
 	defer ss.gates[si].Unlock()
-	snapshot, err := ss.shards[si].Select(Query{})
+	sh := ss.shards[si]
+	sh.mu.RLock()
+	err := ss.wals[si].compact(sh.recs)
+	sh.mu.RUnlock()
 	if err != nil {
-		return err
-	}
-	if err := ss.wals[si].compact(snapshot); err != nil {
 		return err
 	}
 	ss.garbage[si].Store(0)

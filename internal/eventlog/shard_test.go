@@ -59,40 +59,57 @@ func TestNamespaceRoutingKeepsNamespaceTogether(t *testing.T) {
 	}
 }
 
+// TestPatternPinning holds the one namespace rule, patternNamespace, to
+// the shard router that uses it: a pattern pins a namespace exactly when
+// shardOfPattern pins a shard, and that shard is where a matching ID
+// routes. The store's namespace posting lists use the same helper.
 func TestPatternPinning(t *testing.T) {
 	ss := newSharded(t, StoreOptions{Shards: 8})
 	tests := []struct {
 		pattern string
-		pinned  bool
+		ns      string // "" = not pinned
+		id      string // an ID the pattern matches
 	}{
-		{"test-*", true},      // literal prefix passes the namespace boundary
-		{"test-17", true},     // exact ID
-		{"camp-run1-*", true}, // campaign namespace
-		{"camp-run1-u2*", true},
-		{"camp-*", false}, // prefix IS a (partial) namespace — could match many
-		{"test*", false},  // "test" and "testing" are different namespaces
-		{"*", false},
-		{"", false},
-		{"*-suffix", false},
+		{"test-*", "test", "test-x"}, // literal prefix passes the namespace boundary
+		{"test-17", "test", "test-17"},
+		{"camp-run1-*", "camp-run1", "camp-run1-x"},
+		{"camp-r1-*", "camp-r1", "camp-r1-u3-0"},
+		{"camp-run1-u2*", "camp-run1", "camp-run1-u2x"},
+		{"re:^camp-x-", "camp-x", "camp-x-9"},
+		{"re:camp-x-", "", "zzcamp-x-9"}, // unanchored: matches mid-ID
+		{"camp-r1*", "", "camp-r1x-0"},   // "camp-r1" and "camp-r1x" differ
+		{"camp-*", "", "camp-a-0"},       // prefix IS a (partial) namespace
+		{"test*", "", "testing-1"},       // "test" and "testing" differ
+		{"*", "", "x"},
+		{"", "", "x"},
+		{"*-suffix", "", "a-suffix"},
+		{"solo1", "", "solo1"},                 // dash-less: no boundary inside the literal
+		{"camp-\xffr1-*", "", "camp-\xffr1-9"}, // invalid UTF-8 glob: no usable literal prefix
 	}
 	for _, tt := range tests {
 		pat, err := pattern.Compile(tt.pattern)
 		if err != nil {
 			t.Fatalf("compile %q: %v", tt.pattern, err)
 		}
+		ns, pinned := patternNamespace(pat)
+		if pinned != (tt.ns != "") || pinned && ns != tt.ns {
+			t.Errorf("patternNamespace(%q) = %q, %v; want %q", tt.pattern, ns, pinned, tt.ns)
+		}
+		if !pat.Match(tt.id) {
+			t.Fatalf("bad case: %q does not match %q", tt.pattern, tt.id)
+		}
 		si := ss.shardOfPattern(pat)
-		if got := si >= 0; got != tt.pinned {
-			t.Errorf("shardOfPattern(%q) pinned=%v, want %v", tt.pattern, got, tt.pinned)
+		if si >= 0 != pinned {
+			t.Errorf("shardOfPattern(%q) = %d, but patternNamespace pinned=%v", tt.pattern, si, pinned)
 			continue
 		}
-		if si >= 0 {
-			// The pinned shard must be where matching IDs actually live.
-			id := tt.pattern
-			if len(id) > 0 && id[len(id)-1] == '*' {
-				id = id[:len(id)-1] + "x"
+		if pinned {
+			// The pinned namespace and shard are where matching IDs live.
+			if got := namespaceOf(tt.id); got != ns {
+				t.Errorf("patternNamespace(%q) = %q, but %q is in namespace %q", tt.pattern, ns, tt.id, got)
 			}
-			if want := ss.shardFor(id); si != want {
-				t.Errorf("shardOfPattern(%q) = %d, but id %q routes to %d", tt.pattern, si, id, want)
+			if want := ss.shardFor(tt.id); si != want {
+				t.Errorf("shardOfPattern(%q) = %d, but id %q routes to %d", tt.pattern, si, tt.id, want)
 			}
 		}
 	}

@@ -54,28 +54,31 @@ type storeKey struct {
 
 // Store is the in-memory event store. It is safe for concurrent use.
 //
-// Appended records are indexed by source, destination, and (src, dst) edge
-// — posting lists of record positions in append order — so the checker's
-// narrow queries (GetRequests/GetReplies on one edge) visit only that
-// edge's records instead of scanning the whole store. The store also
-// tracks whether appended timestamps are nondecreasing; while they are
-// (the common single-writer case), posting lists are already in
-// (timestamp, seq) order and Select skips the output sort entirely.
+// Appended records are indexed by source, destination, (src, dst) edge and
+// request-ID namespace — posting lists of record positions in append
+// order — so the checker's narrow queries (GetRequests/GetReplies on one
+// edge, a whole campaign run) visit only those records instead of
+// scanning the whole store, and clearing a run touches only the records
+// appended since the run's first one. The store also tracks how much of
+// it is in (timestamp, seq) order; while all of it is (the common
+// single-writer case), posting lists are already in output order and
+// Select skips the output sort entirely.
 type Store struct {
 	mu       sync.RWMutex
 	recs     []Record
 	seq      uint64
 	appended uint64
 
-	// ordered reports whether recs is in (timestamp, seq) order as
-	// appended; lastTS is the most recently appended timestamp.
-	ordered bool
-	lastTS  time.Time
+	// sorted is the length of the longest prefix of recs in (timestamp,
+	// seq) order; the store is ordered while sorted == len(recs).
+	sorted int
 
-	// Posting lists: record positions in append order.
+	// Posting lists: record positions in append order. byNS is keyed by
+	// namespaceOf(RequestID), the shard router's namespace.
 	byEdge map[storeKey][]int32
 	bySrc  map[string][]int32
 	byDst  map[string][]int32
+	byNS   map[string][]int32
 
 	// linearScan disables the posting-list index (ablation/benchmark
 	// baseline; see UseLinearScan).
@@ -99,10 +102,10 @@ var (
 // NewStore creates an empty store.
 func NewStore() *Store {
 	return &Store{
-		ordered: true,
-		byEdge:  make(map[storeKey][]int32),
-		bySrc:   make(map[string][]int32),
-		byDst:   make(map[string][]int32),
+		byEdge: make(map[storeKey][]int32),
+		bySrc:  make(map[string][]int32),
+		byDst:  make(map[string][]int32),
+		byNS:   make(map[string][]int32),
 	}
 }
 
@@ -172,15 +175,61 @@ func (s *Store) logStamped(recs []Record) {
 // s.mu and has assigned Seq and Timestamp.
 func (s *Store) appendLocked(r Record) {
 	s.appended++
-	pos := int32(len(s.recs))
+	pos := len(s.recs)
 	s.recs = append(s.recs, r)
-	s.byEdge[storeKey{r.Src, r.Dst}] = append(s.byEdge[storeKey{r.Src, r.Dst}], pos)
+	s.index(&s.recs[pos], int32(pos))
+	s.extendSorted()
+}
+
+// extendSorted grows the sorted prefix over the records that follow it in
+// order. It stops at the first record out of order, so after an append it
+// costs O(1) however unordered the store is.
+func (s *Store) extendSorted() {
+	for s.sorted < len(s.recs) && (s.sorted == 0 || !s.recs[s.sorted].Before(s.recs[s.sorted-1])) {
+		s.sorted++
+	}
+}
+
+// index appends pos, the position of r, to r's posting lists.
+func (s *Store) index(r *Record, pos int32) {
+	k := storeKey{r.Src, r.Dst}
+	s.byEdge[k] = append(s.byEdge[k], pos)
 	s.bySrc[r.Src] = append(s.bySrc[r.Src], pos)
 	s.byDst[r.Dst] = append(s.byDst[r.Dst], pos)
-	if r.Timestamp.Before(s.lastTS) {
-		s.ordered = false
-	} else {
-		s.lastTS = r.Timestamp
+	ns := namespaceOf(r.RequestID)
+	s.byNS[ns] = append(s.byNS[ns], pos)
+}
+
+// cut shortens r's posting lists to their positions below first.
+func (s *Store) cut(r *Record, first int32) {
+	cutPosting(s.byEdge, storeKey{r.Src, r.Dst}, first)
+	cutPosting(s.bySrc, r.Src, first)
+	cutPosting(s.byDst, r.Dst, first)
+	cutPosting(s.byNS, namespaceOf(r.RequestID), first)
+}
+
+// dropEmpty deletes those of r's posting lists that hold no position.
+func (s *Store) dropEmpty(r *Record) {
+	dropEmptyPosting(s.byEdge, storeKey{r.Src, r.Dst})
+	dropEmptyPosting(s.bySrc, r.Src)
+	dropEmptyPosting(s.byDst, r.Dst)
+	dropEmptyPosting(s.byNS, namespaceOf(r.RequestID))
+}
+
+// cutPosting shortens k's posting list to its positions below first, by
+// binary search; a list that ends below first is left alone in O(1).
+func cutPosting[K comparable](lists map[K][]int32, k K, first int32) {
+	l := lists[k]
+	if len(l) == 0 || l[len(l)-1] < first {
+		return
+	}
+	lists[k] = l[:sort.Search(len(l), func(i int) bool { return l[i] >= first })]
+}
+
+// dropEmptyPosting deletes k if its posting list is empty.
+func dropEmptyPosting[K comparable](lists map[K][]int32, k K) {
+	if l, ok := lists[k]; ok && len(l) == 0 {
+		delete(lists, k)
 	}
 }
 
@@ -218,11 +267,11 @@ func (s *Store) Clear() int {
 	defer s.mu.Unlock()
 	n := len(s.recs)
 	s.recs = nil
-	s.ordered = true
-	s.lastTS = time.Time{}
+	s.sorted = 0
 	s.byEdge = make(map[storeKey][]int32)
 	s.bySrc = make(map[string][]int32)
 	s.byDst = make(map[string][]int32)
+	s.byNS = make(map[string][]int32)
 	return n
 }
 
@@ -247,58 +296,60 @@ func (s *Store) clearMatching(pat pattern.Pattern) int {
 
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	kept := s.recs[:0]
-	for _, r := range s.recs {
-		if !pat.Match(r.RequestID) {
-			kept = append(kept, r)
-		}
-	}
-	dropped := len(s.recs) - len(kept)
-	if dropped == 0 {
+	first := s.firstMatch(pat)
+	if first < 0 {
 		return 0
 	}
-	s.recs = kept
 
-	// Positions shifted: rebuild the posting lists, in the lists' own
-	// memory, and the order flag.
-	truncatePostings(s.byEdge)
-	truncatePostings(s.bySrc)
-	truncatePostings(s.byDst)
-	s.ordered = true
-	s.lastTS = time.Time{}
-	for pos := range s.recs {
-		r := &s.recs[pos]
-		p := int32(pos)
-		s.byEdge[storeKey{r.Src, r.Dst}] = append(s.byEdge[storeKey{r.Src, r.Dst}], p)
-		s.bySrc[r.Src] = append(s.bySrc[r.Src], p)
-		s.byDst[r.Dst] = append(s.byDst[r.Dst], p)
-		if r.Timestamp.Before(s.lastTS) {
-			s.ordered = false
-		} else {
-			s.lastTS = r.Timestamp
+	// Records before first neither move nor change position, so only the
+	// suffix is touched. Every posting list that reaches into the suffix
+	// belongs to one of its records: cut those back to first, partition
+	// the suffix stably (survivors slide down, dropped records collect at
+	// the tail), re-index the survivors at their new positions, and drop
+	// the lists only dropped records kept alive.
+	recs := s.recs
+	kept := first
+	for i := first; i < len(recs); i++ {
+		s.cut(&recs[i], int32(first))
+		if pat.Match(recs[i].RequestID) {
+			continue
 		}
+		if kept != i {
+			recs[kept], recs[i] = recs[i], recs[kept]
+		}
+		kept++
 	}
-	dropEmptyPostings(s.byEdge)
-	dropEmptyPostings(s.bySrc)
-	dropEmptyPostings(s.byDst)
-	return dropped
+	for i := first; i < kept; i++ {
+		s.index(&recs[i], int32(i))
+	}
+	for i := kept; i < len(recs); i++ {
+		s.dropEmpty(&recs[i])
+	}
+	clear(recs[kept:]) // release the dropped records' strings
+	s.recs = recs[:kept]
+	s.sorted = min(s.sorted, first)
+	s.extendSorted()
+	return len(recs) - kept
 }
 
-// truncatePostings empties every posting list in place, keeping its
-// capacity for the rebuild.
-func truncatePostings[K comparable](lists map[K][]int32) {
-	for k, l := range lists {
-		lists[k] = l[:0]
+// firstMatch returns the lowest position whose request ID matches pat, or
+// -1. A pattern pinned to one namespace reads only that namespace's
+// posting list. Caller holds s.mu.
+func (s *Store) firstMatch(pat pattern.Pattern) int {
+	if ns, ok := patternNamespace(pat); ok {
+		for _, pos := range s.byNS[ns] {
+			if pat.Match(s.recs[pos].RequestID) {
+				return int(pos)
+			}
+		}
+		return -1
 	}
-}
-
-// dropEmptyPostings removes the keys a rebuild left without records.
-func dropEmptyPostings[K comparable](lists map[K][]int32) {
-	for k, l := range lists {
-		if len(l) == 0 {
-			delete(lists, k)
+	for i := range s.recs {
+		if pat.Match(s.recs[i].RequestID) {
+			return i
 		}
 	}
+	return -1
 }
 
 // Select returns the records matching q in (timestamp, seq) order.
@@ -313,9 +364,9 @@ func (s *Store) Select(q Query) ([]Record, error) {
 // selectMatching is Select with q.IDPattern already compiled.
 func (s *Store) selectMatching(q Query, pat pattern.Pattern) []Record {
 	s.mu.RLock()
-	ordered := s.ordered
+	ordered := s.sorted == len(s.recs)
 	var matched []Record
-	if list, ok := s.postings(q); ok {
+	if list, ok := s.postings(q, pat); ok {
 		// Filter positions through pointers first, then copy the matching
 		// records once at exactly the right size — records are wide enough
 		// that copying candidates (or regrowing the result) dominates an
@@ -373,10 +424,11 @@ func (s *Store) Count(q Query) (int, error) {
 func (s *Store) countMatching(q Query, pat pattern.Pattern) int {
 	n := 0
 	s.mu.RLock()
-	if list, ok := s.postings(q); ok {
+	if list, ok := s.postings(q, pat); ok {
+		ordered := s.sorted == len(s.recs)
 		for _, pos := range list {
 			r := &s.recs[pos]
-			if s.ordered && !q.Until.IsZero() && !r.Timestamp.Before(q.Until) {
+			if ordered && !q.Until.IsZero() && !r.Timestamp.Before(q.Until) {
 				break
 			}
 			if matches(r, q, pat) {
@@ -421,22 +473,29 @@ func CountRecords(src Source, q Query) (int, error) {
 	return len(recs), nil
 }
 
-// postings returns the narrowest posting list serving q, or ok=false when
-// the query filters on neither endpoint (or the index is disabled) and a
-// full scan is required. Caller holds at least a read lock.
-func (s *Store) postings(q Query) ([]int32, bool) {
+// postings returns the narrowest posting list serving q — its edge,
+// source or destination list, or the namespace list of an ID pattern
+// pinned to one namespace (pat is q.IDPattern compiled) — or ok=false when
+// none applies (or the index is disabled) and a full scan is required.
+// Caller holds at least a read lock.
+func (s *Store) postings(q Query, pat pattern.Pattern) (list []int32, ok bool) {
 	if s.linearScan {
 		return nil, false
 	}
 	switch {
 	case q.Src != "" && q.Dst != "":
-		return s.byEdge[storeKey{q.Src, q.Dst}], true
+		list, ok = s.byEdge[storeKey{q.Src, q.Dst}], true
 	case q.Src != "":
-		return s.bySrc[q.Src], true
+		list, ok = s.bySrc[q.Src], true
 	case q.Dst != "":
-		return s.byDst[q.Dst], true
+		list, ok = s.byDst[q.Dst], true
 	}
-	return nil, false
+	if ns, pinned := patternNamespace(pat); pinned {
+		if l := s.byNS[ns]; !ok || len(l) < len(list) {
+			return l, true
+		}
+	}
+	return list, ok
 }
 
 func matches(r *Record, q Query, pat pattern.Pattern) bool {

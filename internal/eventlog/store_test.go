@@ -412,3 +412,31 @@ func TestClearMatchingEmptiesEdge(t *testing.T) {
 		t.Fatalf("edge after refill = %+v, %v", back, err)
 	}
 }
+
+// ShardedStore stamps global seqs before it takes a shard's gate, so two
+// concurrent LogShard batches can reach a shard in reverse seq order. On
+// equal timestamps the store must notice it is out of order and sort:
+// Select's contract is (timestamp, seq).
+func TestSelectOrdersTimestampTiesBySeq(t *testing.T) {
+	s := NewStore()
+	batch := func(seqs ...uint64) []Record {
+		var recs []Record
+		for _, seq := range seqs {
+			recs = append(recs, Record{Seq: seq, Timestamp: t0, RequestID: fmt.Sprintf("x-%d", seq), Src: "a", Dst: "b", Kind: KindRequest})
+		}
+		return recs
+	}
+	s.logStamped(batch(3, 4))
+	s.logStamped(batch(1, 2))
+	for _, q := range []Query{{}, {Src: "a", Dst: "b"}, {IDPattern: "x-*"}, {Limit: 2}} {
+		got, err := s.Select(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, r := range got {
+			if r.Seq != uint64(i+1) {
+				t.Fatalf("Select(%+v): record %d has seq %d, want %d", q, i, r.Seq, i+1)
+			}
+		}
+	}
+}

@@ -8,6 +8,7 @@ func FuzzCompile(f *testing.F) {
 	for _, seed := range []string{"", "*", "test-*", "test-?", "re:^a+$", "re:[", "a.b", "αβ*", "re:(?P<x>y)"} {
 		f.Add(seed, "test-123")
 	}
+	f.Add("re:test-", "xtest-1") // unanchored: the match starts mid-ID
 	f.Fuzz(func(t *testing.T, pat, id string) {
 		p, err := Compile(pat)
 		if err != nil {

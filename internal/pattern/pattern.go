@@ -7,6 +7,7 @@ package pattern
 import (
 	"fmt"
 	"regexp"
+	"regexp/syntax"
 	"strings"
 	"unicode/utf8"
 )
@@ -16,6 +17,11 @@ import (
 type Pattern struct {
 	src string
 	re  *regexp.Regexp // nil for match-all and for prefixOnly patterns
+
+	// anchored marks "re:" patterns whose every match starts at the
+	// beginning of the ID, so that the regexp's literal prefix (a prefix
+	// of every *match*) is a prefix of every matching ID.
+	anchored bool
 
 	// prefixOnly marks globs of the form "literal*", whose match is a bare
 	// prefix comparison — the dominant shape in recipes ("test-*") and
@@ -35,7 +41,7 @@ func Compile(s string) (Pattern, error) {
 		if err != nil {
 			return Pattern{}, fmt.Errorf("pattern: compile regexp %q: %w", raw, err)
 		}
-		return Pattern{src: s, re: re}, nil
+		return Pattern{src: s, re: re, anchored: anchoredAtStart(raw)}, nil
 	}
 	// "literal*" (sole wildcard: one trailing '*') is a pure prefix match.
 	// Invalid UTF-8 compiles to U+FFFD below, so the byte-prefix shortcut
@@ -97,6 +103,9 @@ func (p Pattern) LiteralPrefix() string {
 		return ""
 	}
 	if strings.HasPrefix(p.src, "re:") {
+		if !p.anchored {
+			return "" // "re:camp-x-" also matches "zzcamp-x-1"
+		}
 		prefix, _ := p.re.LiteralPrefix()
 		return prefix
 	}
@@ -112,6 +121,21 @@ func (p Pattern) LiteralPrefix() string {
 		return ""
 	}
 	return prefix
+}
+
+// anchoredAtStart reports whether the regular expression expr opens with
+// '^' outside multi-line mode, so that every match begins at the start of
+// the text. Other anchored shapes (groups, alternations) answer false,
+// which only costs them the prefix.
+func anchoredAtStart(expr string) bool {
+	re, err := syntax.Parse(expr, syntax.Perl)
+	if err != nil {
+		return false
+	}
+	for re.Op == syntax.OpConcat && len(re.Sub) > 0 {
+		re = re.Sub[0]
+	}
+	return re.Op == syntax.OpBeginText
 }
 
 // MatchAll reports whether the pattern matches every ID.

@@ -111,6 +111,12 @@ func TestLiteralPrefix(t *testing.T) {
 		{"*-suffix", ""},
 		{"re:^test-[0-9]+$", "test-"},
 		{"re:[0-9]+", ""},
+		// regexp's own LiteralPrefix is a prefix of every match, not of
+		// every matching ID: only an anchored expression has an ID prefix.
+		{"re:camp-x-", ""},
+		{"re:^camp-x-", "camp-x-"},
+		{"re:(?m)^camp-x-", ""},
+		{"re:^camp-x-|camp-x-", ""},
 	}
 	for _, tt := range tests {
 		p, err := Compile(tt.pattern)
