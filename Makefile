@@ -87,10 +87,12 @@ cpu-profile-store:
 # The data path's allocation budgets and header-sharing invariants, under
 # the race detector: per-helper budgets in internal/trace, the
 # whole-exchange budget and shared-header forwarding in internal/proxy,
-# the record codec's budget and its fuzz seed corpus, and copy-free WAL
-# compaction (budget and unordered-shard replay) in internal/eventlog.
+# the record codec's budget and its fuzz seed corpus, a volatile store's
+# allocation-free Log and cheap constructors (StoreLogAllocBudget), and
+# copy-free WAL compaction (budget and unordered-shard replay) in
+# internal/eventlog.
 alloc-budget:
-	$(GO) test -race -count=1 -run 'AllocBudget|HeaderConstantsCanonical|Stamp|FuzzAppendEI|SharedHeaderForwarding|PoolCounts|FuzzRecordCodec|CompactUnorderedShardReplays' \
+	$(GO) test -race -count=1 -run 'AllocBudget|StoreLogAllocBudget|HeaderConstantsCanonical|Stamp|FuzzAppendEI|SharedHeaderForwarding|PoolCounts|FuzzRecordCodec|CompactUnorderedShardReplays' \
 		./internal/trace ./internal/proxy ./internal/eventlog
 
 # The paper's full evaluation series (Tables 1-3, Figures 5-8).

@@ -138,7 +138,11 @@ type (
 	// Query selects records from the store.
 	Query = eventlog.Query
 
-	// Store is the in-memory event store.
+	// Store is the event store: records partition across shards by
+	// request-ID namespace, reads scatter-gather with a time-sorted merge,
+	// a data directory makes every acknowledged append crash-durable, and
+	// a live subscription is one channel whose buffer bounds the whole
+	// feed. NewStore gives one volatile shard.
 	Store = eventlog.Store
 
 	// StoreServer exposes a Store over HTTP (the logstash/Elasticsearch
@@ -154,14 +158,8 @@ type (
 	// Source answers record queries (the checker reads through it).
 	Source = eventlog.Source
 
-	// ShardedStore is the sharded, optionally WAL-backed event store:
-	// records partition across shards by request-ID namespace, reads
-	// scatter-gather with a time-sorted merge, and a data directory makes
-	// every acknowledged append crash-durable.
-	ShardedStore = eventlog.ShardedStore
-
-	// StoreOptions configures a ShardedStore (shard count, WAL directory,
-	// fsync policy, segment size, compaction threshold).
+	// StoreOptions configures a Store (shard count, WAL directory, fsync
+	// policy, segment size, compaction threshold).
 	StoreOptions = eventlog.StoreOptions
 )
 
@@ -179,19 +177,19 @@ const (
 // configuration, as reported by GET /v1/info.
 type StoreInfo = eventlog.StoreInfo
 
-// NewStore creates an empty in-memory event store.
+// NewStore creates an empty, volatile, single-shard event store.
 func NewStore() *Store { return eventlog.NewStore() }
 
-// NewShardedStore creates a sharded event store. The zero StoreOptions
+// NewShardedStore creates an event store per opts. The zero StoreOptions
 // value yields a single volatile shard — equivalent to NewStore; set
 // Shards and DataDir to scale and persist it.
-func NewShardedStore(opts StoreOptions) (*ShardedStore, error) {
+func NewShardedStore(opts StoreOptions) (*Store, error) {
 	return eventlog.NewShardedStore(opts)
 }
 
 // NewStoreServer starts an event-store server on addr ("127.0.0.1:0" for
-// an ephemeral port). store is either a *Store or a *ShardedStore.
-func NewStoreServer(addr string, store eventlog.StoreAPI) (*StoreServer, error) {
+// an ephemeral port).
+func NewStoreServer(addr string, store *Store) (*StoreServer, error) {
 	return eventlog.NewServer(addr, store)
 }
 

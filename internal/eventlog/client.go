@@ -64,8 +64,9 @@ func (e *PartialBatchError) Unwrap() error { return e.Err }
 // LogBatch ships one flush's worth of records as a single JSON Lines
 // body per shard: the batch is grouped by the server's shard topology
 // (learned once from /v1/stats and re-learned when it drifts), encoded
-// into a pooled buffer, and sent with the ?shard= pre-routing hint so the
-// server appends each group under exactly one shard lock. BufferedSink
+// into a pooled buffer, and sent with an advisory ?shard= hint; a body
+// bound for one shard is appended under that shard's lock alone, without
+// a copy. BufferedSink
 // uses this instead of Log when its sink is a Client. When one of several
 // groups fails the error is a *PartialBatchError.
 func (c *Client) LogBatch(recs []Record) error {
@@ -106,8 +107,8 @@ func (c *Client) LogBatch(recs []Record) error {
 	return nil
 }
 
-// shardOf mirrors the server's request-ID-namespace routing so client
-// batches land pre-sorted (the server re-verifies placement).
+// shardOf mirrors the store's request-ID-namespace routing so client
+// batches arrive pre-sorted (the store routes every record itself).
 func shardOf(id string, shards int) int {
 	return shardOfNamespace(namespaceOf(id), shards)
 }

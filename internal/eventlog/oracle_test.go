@@ -11,56 +11,33 @@ import (
 	"gremlin/internal/pattern"
 )
 
-// oracleStore is the surface the differential oracle drives.
-type oracleStore interface {
-	Source
-	Counter
-	ClearMatching(idPattern string) (int, error)
-}
-
-// oracleTarget is one store under test, with its two append paths.
+// oracleTarget is one store under test.
 type oracleTarget struct {
-	name    string
-	st      oracleStore
-	stamped func([]Record) // append records that already carry seqs
-	shards  func() []*Store
+	name string
+	st   *Store
 }
 
-func plainTarget() *oracleTarget {
-	s := NewStore()
-	return &oracleTarget{
-		name:    "store",
-		st:      s,
-		stamped: s.logStamped,
-		shards:  func() []*Store { return []*Store{s} },
+// logStamped appends records that already carry their seqs, in whatever
+// order, as a replayed log holds them: each shard's group under its gate,
+// WAL first.
+func logStamped(t *testing.T, s *Store, recs []Record) {
+	t.Helper()
+	groups := make([][]Record, len(s.shards))
+	for _, r := range recs {
+		if r.Seq > s.seq.Load() {
+			s.seq.Store(r.Seq)
+		}
+		si := s.shardFor(r.RequestID)
+		groups[si] = append(groups[si], r)
 	}
-}
-
-func shardedTarget(t *testing.T, name string, opts StoreOptions) *oracleTarget {
-	ss := newSharded(t, opts)
-	return &oracleTarget{
-		name: name,
-		st:   ss,
-		// What concurrent LogShard calls do: seqs stamped globally, then
-		// each shard's group appended under its gate.
-		stamped: func(recs []Record) {
-			groups := make(map[int][]Record)
-			for _, r := range recs {
-				if r.Seq > ss.seq.Load() {
-					ss.seq.Store(r.Seq)
-				}
-				si := ss.shardFor(r.RequestID)
-				groups[si] = append(groups[si], r)
-			}
-			for si := range ss.shards {
-				if g := groups[si]; len(g) > 0 {
-					if err := ss.appendShard(si, g); err != nil {
-						t.Fatal(err)
-					}
-				}
-			}
-		},
-		shards: func() []*Store { return ss.shards },
+	for si, g := range groups {
+		sh := s.shards[si]
+		sh.gate.Lock()
+		err := sh.write(g, 0, time.Time{})
+		sh.gate.Unlock()
+		if err != nil {
+			t.Fatal(err)
+		}
 	}
 }
 
@@ -149,7 +126,7 @@ func oracleQuery(rng *rand.Rand, clock int) Query {
 }
 
 // checkOracleQuery holds Select and Count on st to the reference.
-func checkOracleQuery(t *testing.T, name string, st oracleStore, ref oracleRef, q Query) {
+func checkOracleQuery(t *testing.T, name string, st *Store, ref oracleRef, q Query) {
 	t.Helper()
 	want := ref.query(q)
 	got, err := st.Select(q)
@@ -172,11 +149,11 @@ func checkOracleQuery(t *testing.T, name string, st oracleStore, ref oracleRef, 
 // checkStoreIndex is the white-box half of the oracle: every posting map
 // equals a from-scratch rebuild over recs (same positions, no empty keys)
 // and sorted equals a full rescan.
-func checkStoreIndex(t *testing.T, name string, s *Store) {
+func checkStoreIndex(t *testing.T, name string, s *shard) {
 	t.Helper()
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	fresh := NewStore()
+	fresh := newShard()
 	for i := range s.recs {
 		fresh.index(&s.recs[i], int32(i))
 	}
@@ -208,7 +185,7 @@ func checkStoreIndex(t *testing.T, name string, s *Store) {
 // TestStoreOracle is the store's differential oracle: seeded random
 // Log/stamped batches (equal and out-of-order timestamps, shuffled seqs)
 // interleaved with pinned, unpinned, regexp and match-all clears, on a
-// Store, a volatile 4-shard ShardedStore and a WAL-backed one that
+// single-shard Store, a volatile 4-shard one and a WAL-backed one that
 // compacts often and is reopened at the end. Every random query must
 // answer exactly what the naive reference does, and every shard's index
 // must equal a rebuild after every step.
@@ -218,9 +195,9 @@ func TestStoreOracle(t *testing.T) {
 			dir := t.TempDir()
 			walOpts := StoreOptions{Shards: 4, DataDir: dir, Fsync: FsyncNever, CompactAfter: 16}
 			targets := []*oracleTarget{
-				plainTarget(),
-				shardedTarget(t, "sharded", StoreOptions{Shards: 4}),
-				shardedTarget(t, "wal", walOpts),
+				{"store", NewStore()},
+				{"sharded", newSharded(t, StoreOptions{Shards: 4})},
+				{"wal", newSharded(t, walOpts)},
 			}
 			rng := rand.New(rand.NewSource(seed))
 			var ref oracleRef
@@ -265,18 +242,18 @@ func TestStoreOracle(t *testing.T) {
 					}
 					for _, tg := range targets {
 						if useLog {
-							if err := tg.st.(Sink).Log(batch...); err != nil {
+							if err := tg.st.Log(batch...); err != nil {
 								t.Fatal(err)
 							}
 						} else {
-							tg.stamped(stamped)
+							logStamped(t, tg.st, stamped)
 						}
 					}
 					ref = append(ref, stamped...)
 					seq += uint64(len(batch))
 				}
 				for _, tg := range targets {
-					for si, s := range tg.shards() {
+					for si, s := range tg.st.shards {
 						checkStoreIndex(t, fmt.Sprintf("step %d %s shard %d", step, tg.name, si), s)
 					}
 					for i := 0; i < 3; i++ {
@@ -289,21 +266,21 @@ func TestStoreOracle(t *testing.T) {
 			// exactly — same records in the same order, same sorted prefix.
 			wal := targets[2]
 			var before [][]Record
-			for _, s := range wal.shards() {
+			for _, s := range wal.st.shards {
 				before = append(before, append([]Record(nil), s.recs...))
 			}
-			if err := wal.st.(*ShardedStore).Close(); err != nil {
+			if err := wal.st.Close(); err != nil {
 				t.Fatal(err)
 			}
-			reopened := shardedTarget(t, "wal reopened", walOpts)
-			for si, s := range reopened.shards() {
+			reopened := newSharded(t, walOpts)
+			for si, s := range reopened.shards {
 				if !sameRecords(s.recs, before[si]) && len(s.recs)+len(before[si]) > 0 {
 					t.Fatalf("shard %d replays %d records, held %d (or in another order)", si, len(s.recs), len(before[si]))
 				}
 				checkStoreIndex(t, fmt.Sprintf("reopened shard %d", si), s)
 			}
 			for i := 0; i < 200; i++ {
-				checkOracleQuery(t, "wal reopened", reopened.st, ref, oracleQuery(rng, clock))
+				checkOracleQuery(t, "wal reopened", reopened, ref, oracleQuery(rng, clock))
 			}
 		})
 	}

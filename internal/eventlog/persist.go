@@ -8,14 +8,15 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"path/filepath"
 )
 
-// writeJSONL streams every record src holds to w as JSON Lines — one
-// record per line, in (timestamp, seq) order. The format is the same one
+// WriteJSONL streams every stored record to w as JSON Lines — one record
+// per line, in (timestamp, seq) order. The format is the same one
 // logstash-style shippers use, so dumps interoperate with standard log
-// tooling (and with the sharded store's WAL segments).
-func writeJSONL(w io.Writer, src Source) (int, error) {
-	recs, err := src.Select(Query{})
+// tooling (and with the write-ahead log's segments).
+func (s *Store) WriteJSONL(w io.Writer) (int, error) {
+	recs, err := s.Select(Query{})
 	if err != nil {
 		return 0, err
 	}
@@ -29,10 +30,11 @@ func writeJSONL(w io.Writer, src Source) (int, error) {
 	return len(recs), nil
 }
 
-// readJSONL appends records decoded from r (one JSON record per line) to
-// sink. Sequence numbers are reassigned on append, preserving the input
-// order. Blank lines are skipped. Returns the number of records loaded.
-func readJSONL(r io.Reader, sink Sink) (int, error) {
+// ReadJSONL appends records decoded from r (one JSON record per line) to
+// the store. Sequence numbers are reassigned on append, preserving the
+// input order. Blank lines are skipped. Returns the number of records
+// loaded.
+func (s *Store) ReadJSONL(r io.Reader) (int, error) {
 	br := bufio.NewReaderSize(r, 64<<10)
 	var (
 		d    recordDecoder
@@ -49,9 +51,9 @@ func readJSONL(r io.Reader, sink Sink) (int, error) {
 				// Blank, escaped, spread over several lines: a json.Decoder
 				// reads on from the start of this line.
 				rest := io.MultiReader(bytes.NewReader(bytes.Clone(line)), br)
-				return readJSONLValues(json.NewDecoder(rest), sink, n)
+				return s.readJSONLValues(json.NewDecoder(rest), n)
 			}
-			if err := logLoaded(sink, rec); err != nil {
+			if err := s.Log(rec); err != nil {
 				return n, err
 			}
 			n++
@@ -62,9 +64,9 @@ func readJSONL(r io.Reader, sink Sink) (int, error) {
 	}
 }
 
-// readJSONLValues appends every record dec still holds to sink, counting
-// on from n.
-func readJSONLValues(dec *json.Decoder, sink Sink, n int) (int, error) {
+// readJSONLValues appends every record dec still holds, counting on from
+// n.
+func (s *Store) readJSONLValues(dec *json.Decoder, n int) (int, error) {
 	for {
 		var rec Record
 		err := dec.Decode(&rec)
@@ -74,27 +76,22 @@ func readJSONLValues(dec *json.Decoder, sink Sink, n int) (int, error) {
 		if err != nil {
 			return n, fmt.Errorf("eventlog: decode record %d: %w", n, err)
 		}
-		if err := logLoaded(sink, rec); err != nil {
+		if err := s.Log(rec); err != nil {
 			return n, err
 		}
 		n++
 	}
 }
 
-func logLoaded(sink Sink, rec Record) error {
-	rec.Seq = 0 // reassigned by Log
-	return sink.Log(rec)
-}
-
-// saveFile writes src's records to path as JSON Lines, replacing any
+// SaveFile writes the store's records to path as JSON Lines, replacing any
 // existing file atomically (write to a temp file, then rename).
-func saveFile(path string, src Source) (int, error) {
-	tmp, err := os.CreateTemp(dirOf(path), ".eventlog-*")
+func (s *Store) SaveFile(path string) (int, error) {
+	tmp, err := os.CreateTemp(filepath.Dir(path), ".eventlog-*")
 	if err != nil {
 		return 0, fmt.Errorf("eventlog: save: %w", err)
 	}
 	tmpName := tmp.Name()
-	n, werr := writeJSONL(tmp, src)
+	n, werr := s.WriteJSONL(tmp)
 	cerr := tmp.Close()
 	if werr != nil || cerr != nil {
 		_ = os.Remove(tmpName)
@@ -110,10 +107,10 @@ func saveFile(path string, src Source) (int, error) {
 	return n, nil
 }
 
-// loadFile appends records from a JSON Lines file to sink. A missing file
-// is not an error and loads zero records, so servers can start against a
-// persistence path that does not exist yet.
-func loadFile(path string, sink Sink) (int, error) {
+// LoadFile appends records from a JSON Lines file to the store. A missing
+// file is not an error and loads zero records, so servers can start
+// against a persistence path that does not exist yet.
+func (s *Store) LoadFile(path string) (int, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		if errors.Is(err, os.ErrNotExist) {
@@ -122,30 +119,5 @@ func loadFile(path string, sink Sink) (int, error) {
 		return 0, fmt.Errorf("eventlog: load: %w", err)
 	}
 	defer f.Close()
-	return readJSONL(bufio.NewReader(f), sink)
-}
-
-// WriteJSONL streams every stored record to w as JSON Lines, one record
-// per line, in (timestamp, seq) order.
-func (s *Store) WriteJSONL(w io.Writer) (int, error) { return writeJSONL(w, s) }
-
-// ReadJSONL appends records decoded from r (one JSON record per line) to
-// the store, reassigning sequence numbers.
-func (s *Store) ReadJSONL(r io.Reader) (int, error) { return readJSONL(r, s) }
-
-// SaveFile writes the store's records to path as JSON Lines, replacing any
-// existing file atomically (write to a temp file, then rename).
-func (s *Store) SaveFile(path string) (int, error) { return saveFile(path, s) }
-
-// LoadFile appends records from a JSON Lines file to the store. A missing
-// file is not an error and loads zero records.
-func (s *Store) LoadFile(path string) (int, error) { return loadFile(path, s) }
-
-func dirOf(path string) string {
-	for i := len(path) - 1; i >= 0; i-- {
-		if path[i] == '/' {
-			return path[:i]
-		}
-	}
-	return "."
+	return s.ReadJSONL(bufio.NewReader(f))
 }

@@ -11,38 +11,13 @@ import (
 	"gremlin/internal/metrics"
 )
 
-// StoreAPI is the store surface the HTTP server exposes. Both *Store and
-// *ShardedStore implement it, so the same Server fronts a single-shard
-// in-memory store and a sharded persistent one.
-type StoreAPI interface {
-	Sink
-	Source
-	Counter
-	Clear() int
-	ClearMatching(idPattern string) (int, error)
-	Len() int
-	Appended() uint64
-	Subscribers() int
-	Published() int64
-	SubscriberDropped() int64
-	SubscribeBuffer(idPattern string, buffer int) (Subscriber, error)
-	NumShards() int
-	ShardStats() []ShardStats
-}
-
-// shardSink is the optional pre-routed append fast path (ShardedStore's
-// LogShard): a shard-aware client groups a batch per shard so the server
-// appends it under exactly one shard lock.
-type shardSink interface {
-	LogShard(shard int, recs ...Record) error
-}
-
 // Server exposes a store over HTTP — the stand-in for the paper's
 // logstash→Elasticsearch pipeline. Endpoints:
 //
 //	POST   /v1/records   ingest records: a JSON array, or JSON Lines with
-//	                     Content-Type application/x-ndjson; ?shard=i&of=N
-//	                     marks a batch pre-routed to shard i of N
+//	                     Content-Type application/x-ndjson; a shard-aware
+//	                     client's ?shard=i&of=N hint is advisory — the
+//	                     store routes every record itself
 //	POST   /v1/query     run a Query, returning matching records
 //	POST   /v1/count     run a Query, returning only the match count
 //	DELETE /v1/records   clear the store (?pattern= clears only matching
@@ -55,7 +30,7 @@ type shardSink interface {
 //	GET    /metrics      Prometheus text exposition
 //	GET    /healthz      liveness probe
 type Server struct {
-	store StoreAPI
+	store *Store
 	http  *httpx.Server
 }
 
@@ -100,12 +75,6 @@ type StoreInfo struct {
 	DataDir string `json:"dataDir,omitempty"`
 }
 
-// durabilityReporter is the optional store surface backing GET /v1/info;
-// only persistent-capable stores (ShardedStore) implement it.
-type durabilityReporter interface {
-	Durability() (policy FsyncPolicy, interval time.Duration, dataDir string)
-}
-
 // countBody is the payload of POST /v1/count.
 type countBody struct {
 	Count int `json:"count"`
@@ -118,7 +87,7 @@ type clearBody struct {
 
 // NewServer creates and starts a store server on addr (use "127.0.0.1:0"
 // for an ephemeral port). Call Close to stop it.
-func NewServer(addr string, store StoreAPI) (*Server, error) {
+func NewServer(addr string, store *Store) (*Server, error) {
 	s := &Server{store: store}
 	mux := http.NewServeMux()
 	mux.HandleFunc("/v1/records", s.handleRecords)
@@ -155,7 +124,7 @@ func (s *Server) handleRecords(w http.ResponseWriter, r *http.Request) {
 			httpx.WriteError(w, http.StatusBadRequest, "%v", err)
 			return
 		}
-		if err := s.ingest(r, recs); err != nil {
+		if err := s.store.Log(recs...); err != nil {
 			httpx.WriteError(w, http.StatusInternalServerError, "%v", err)
 			return
 		}
@@ -197,22 +166,6 @@ func decodeRecords(w http.ResponseWriter, r *http.Request) ([]Record, error) {
 	return recs, nil
 }
 
-// ingest appends decoded records, honouring a shard-aware client's
-// pre-routing hint when its view of the shard topology is current.
-func (s *Server) ingest(r *http.Request, recs []Record) error {
-	q := r.URL.Query()
-	if shard, of := q.Get("shard"), q.Get("of"); shard != "" && of != "" {
-		si, err1 := strconv.Atoi(shard)
-		n, err2 := strconv.Atoi(of)
-		if err1 == nil && err2 == nil && n == s.store.NumShards() {
-			if ssink, ok := s.store.(shardSink); ok {
-				return ssink.LogShard(si, recs...)
-			}
-		}
-	}
-	return s.store.Log(recs...)
-}
-
 func (s *Server) handleCount(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		httpx.WriteError(w, http.StatusMethodNotAllowed, "method %s not allowed", r.Method)
@@ -231,24 +184,15 @@ func (s *Server) handleCount(w http.ResponseWriter, r *http.Request) {
 	httpx.WriteJSON(w, http.StatusOK, countBody{Count: n})
 }
 
-// compacter is the optional WAL-compaction surface of a store; only
-// persistent sharded stores implement it.
-type compacter interface {
-	Compact() error
-}
-
 func (s *Server) handleCompact(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		httpx.WriteError(w, http.StatusMethodNotAllowed, "method %s not allowed", r.Method)
 		return
 	}
-	if c, ok := s.store.(compacter); ok {
-		if err := c.Compact(); err != nil {
-			httpx.WriteError(w, http.StatusInternalServerError, "%v", err)
-			return
-		}
+	if err := s.store.Compact(); err != nil {
+		httpx.WriteError(w, http.StatusInternalServerError, "%v", err)
+		return
 	}
-	// Volatile stores have nothing to compact; success either way.
 	httpx.WriteJSON(w, http.StatusOK, map[string]string{"status": "ok"})
 }
 
@@ -300,15 +244,12 @@ func (s *Server) handleInfo(w http.ResponseWriter, r *http.Request) {
 		Subscribers:       s.store.Subscribers(),
 		SubscriberDropped: s.store.SubscriberDropped(),
 	}
-	if d, ok := s.store.(durabilityReporter); ok {
-		policy, interval, dir := d.Durability()
-		if dir != "" {
-			info.Persistent = true
-			info.Fsync = string(policy)
-			info.DataDir = dir
-			if policy == FsyncInterval {
-				info.FsyncIntervalMillis = interval.Milliseconds()
-			}
+	if policy, interval, dir := s.store.Durability(); dir != "" {
+		info.Persistent = true
+		info.Fsync = string(policy)
+		info.DataDir = dir
+		if policy == FsyncInterval {
+			info.FsyncIntervalMillis = interval.Milliseconds()
 		}
 	}
 	httpx.WriteJSON(w, http.StatusOK, info)

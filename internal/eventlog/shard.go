@@ -1,13 +1,8 @@
 package eventlog
 
 import (
-	"errors"
-	"fmt"
 	"hash/fnv"
-	"io"
-	"io/fs"
-	"os"
-	"path/filepath"
+	"sort"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -16,190 +11,394 @@ import (
 	"gremlin/internal/pattern"
 )
 
-// StoreOptions configures a ShardedStore. The zero value is a pure
-// in-memory single shard — behaviourally identical to NewStore.
-type StoreOptions struct {
-	// Shards is the number of independent partitions (default 1). Records
-	// are routed by a hash of their request-ID namespace, so one
-	// campaign run's records ("camp-<runID>-*") always share a shard and
-	// namespace-scoped queries touch exactly one lock.
-	Shards int
-
-	// DataDir enables write-ahead persistence: each shard keeps
-	// size-rotated JSONL segment files under DataDir/shard-<i>/ and
-	// replays them at open, so a kill -9'd store restarts into its exact
-	// pre-crash state. Empty disables persistence.
-	DataDir string
-
-	// Fsync selects the WAL durability policy (default FsyncInterval).
-	Fsync FsyncPolicy
-
-	// FsyncInterval is the background sync cadence under FsyncInterval
-	// (default 100ms).
-	FsyncInterval time.Duration
-
-	// MaxSegmentBytes rotates a shard's WAL segment when it exceeds this
-	// size (default 64 MiB).
-	MaxSegmentBytes int64
-
-	// CompactAfter triggers a shard's WAL compaction once that many
-	// records have been cleared from it since the last compaction
-	// (default 8192; negative disables automatic compaction). Compaction
-	// rewrites the live set into a single snapshot segment, reclaiming
-	// the space of cleared campaign namespaces.
-	CompactAfter int
+// storeKey identifies one (src, dst) edge's posting list.
+type storeKey struct {
+	src, dst string
 }
 
-func (o StoreOptions) withDefaults() StoreOptions {
-	if o.Shards <= 0 {
-		o.Shards = 1
-	}
-	if o.Fsync == "" {
-		o.Fsync = FsyncInterval
-	}
-	if o.FsyncInterval <= 0 {
-		o.FsyncInterval = 100 * time.Millisecond
-	}
-	if o.MaxSegmentBytes <= 0 {
-		o.MaxSegmentBytes = 64 << 20
-	}
-	if o.CompactAfter == 0 {
-		o.CompactAfter = 8192
-	}
-	return o
+// shard is one partition of a Store: its records, the posting lists over
+// them, its write-ahead log and the subscriptions its appends feed.
+//
+// Appended records are indexed by source, destination, (src, dst) edge and
+// request-ID namespace — posting lists of record positions in append
+// order — so the checker's narrow queries (GetRequests/GetReplies on one
+// edge, a whole campaign run) visit only those records instead of
+// scanning the whole shard, and clearing a run touches only the records
+// appended since the run's first one. The shard also tracks how much of
+// it is in (timestamp, seq) order; while all of it is (the common case:
+// Log stamps records inside the gate), posting lists are already in output
+// order and a select skips the output sort entirely.
+type shard struct {
+	// gate serializes every change to the shard — append, clear,
+	// compaction — so the write-ahead log and memory change in one order,
+	// replay order always equals memory order, and a writer holding it may
+	// read recs without mu.
+	gate    sync.Mutex
+	wal     *wal // nil for a volatile store
+	garbage int  // records cleared since the last compaction; under gate
+
+	mu       sync.RWMutex
+	recs     []Record
+	appended uint64
+
+	// sorted is the length of the longest prefix of recs in (timestamp,
+	// seq) order; the shard is ordered while sorted == len(recs).
+	sorted int
+
+	// Posting lists: record positions in append order. byNS is keyed by
+	// namespaceOf(RequestID), the shard router's namespace.
+	byEdge map[storeKey][]int32
+	bySrc  map[string][]int32
+	byDst  map[string][]int32
+	byNS   map[string][]int32
+
+	// linearScan disables the posting-list index (ablation/benchmark
+	// baseline; see Store.UseLinearScan).
+	linearScan bool
+
+	// Subscriptions this shard's appends feed (see subscribe.go). nsubs
+	// mirrors len(subs) so an append can skip publishing without subMu.
+	subMu      sync.RWMutex
+	subs       []*Subscription
+	nsubs      atomic.Int32
+	published  atomic.Int64
+	subDropped atomic.Int64
 }
 
-// ShardStats is one shard's observability snapshot (see the
-// gremlin_store_shard_* and gremlin_store_wal_* metric families).
-type ShardStats struct {
-	Shard          int    `json:"shard"`
-	Records        int    `json:"records"`
-	Appended       uint64 `json:"appended"`
-	WALSegments    int    `json:"walSegments,omitempty"`
-	WALBytes       int64  `json:"walBytes,omitempty"`
-	WALReplayed    int    `json:"walReplayed,omitempty"`
-	WALCompactions uint64 `json:"walCompactions,omitempty"`
+func newShard() *shard {
+	return &shard{
+		byEdge: make(map[storeKey][]int32),
+		bySrc:  make(map[string][]int32),
+		byDst:  make(map[string][]int32),
+		byNS:   make(map[string][]int32),
+	}
 }
 
-// ShardedStore partitions the event log across N independent Stores, each
-// with its own lock, posting-list indexes, subscriber fan-out, and
-// (optionally) write-ahead log — so concurrent appends and selects stop
-// contending on one mutex. Records route to shards by a hash of their
-// request-ID namespace; reads scatter across the shards and merge the
-// time-sorted streams, so Select/Count/Subscribe behave exactly like a
-// single Store's. It implements the same Sink/Source surface as Store and
-// is safe for concurrent use.
-type ShardedStore struct {
-	shards []*Store
-	wals   []*wal // nil entries when DataDir is unset
-
-	// gates serialize the WAL-append + memory-append pair per shard so
-	// replay order always equals memory order and compaction snapshots
-	// are exact.
-	gates   []sync.Mutex
-	garbage []atomic.Int64 // records cleared per shard since last compaction
-
-	seq    atomic.Uint64 // global sequence numbers, unique across shards
-	opts   StoreOptions
-	closed atomic.Bool
-
-	stopSync chan struct{}
-	syncDone chan struct{}
+// stamp gives r its sequence number and, when it has none, a timestamp.
+func stamp(r *Record, seq uint64, now time.Time) {
+	r.Seq = seq
+	if r.Timestamp.IsZero() {
+		r.Timestamp = now
+	}
 }
 
-var (
-	_ Sink   = (*ShardedStore)(nil)
-	_ Source = (*ShardedStore)(nil)
-)
-
-// NewShardedStore creates a store partitioned per opts, replaying any
-// existing write-ahead logs under opts.DataDir.
-func NewShardedStore(opts StoreOptions) (*ShardedStore, error) {
-	o := opts.withDefaults()
-	ss := &ShardedStore{
-		shards:  make([]*Store, o.Shards),
-		wals:    make([]*wal, o.Shards),
-		gates:   make([]sync.Mutex, o.Shards),
-		garbage: make([]atomic.Int64, o.Shards),
-		opts:    o,
-	}
-	for i := range ss.shards {
-		ss.shards[i] = NewStore()
-	}
-	if o.DataDir != "" {
-		if err := checkShardCount(o.DataDir, o.Shards); err != nil {
-			return nil, err
-		}
-		for i := range ss.shards {
-			w, recs, err := openWAL(filepath.Join(o.DataDir, fmt.Sprintf("shard-%d", i)), o.Fsync, o.MaxSegmentBytes)
-			if err != nil {
-				ss.closeWALs()
-				return nil, err
+// write appends a batch; the caller holds sh.gate. A non-zero base stamps
+// record i with seq base+i (and now when it has no timestamp); base 0
+// keeps the seqs the records carry. The batch reaches the write-ahead log,
+// when there is one, before memory — which is why only that path copies
+// the batch to stamp it — and then the subscriptions.
+func (sh *shard) write(recs []Record, base uint64, now time.Time) error {
+	if sh.wal != nil {
+		if base > 0 {
+			stamped := make([]Record, len(recs))
+			for i, r := range recs {
+				stamp(&r, base+uint64(i), now)
+				stamped[i] = r
 			}
-			ss.wals[i] = w
-			ss.shards[i].logStamped(recs)
-			for _, r := range recs {
-				if r.Seq > ss.seq.Load() {
-					ss.seq.Store(r.Seq)
-				}
-			}
+			recs, base = stamped, 0
 		}
-		if o.Fsync == FsyncInterval {
-			ss.stopSync = make(chan struct{})
-			ss.syncDone = make(chan struct{})
-			go ss.syncLoop()
+		if err := sh.wal.append(recs); err != nil {
+			return err
 		}
 	}
-	return ss, nil
-}
-
-// checkShardCount pins a data directory to the shard count that wrote it.
-// Namespace→shard routing depends on the count, so reopening with a
-// different one would strand replayed records on shards the new routing
-// never reads; resharding means a new directory.
-func checkShardCount(dir string, shards int) error {
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return fmt.Errorf("eventlog: data dir: %w", err)
-	}
-	meta := filepath.Join(dir, "SHARDS")
-	b, err := os.ReadFile(meta)
-	if errors.Is(err, fs.ErrNotExist) {
-		return os.WriteFile(meta, []byte(fmt.Sprintf("%d\n", shards)), 0o644)
-	}
-	if err != nil {
-		return fmt.Errorf("eventlog: data dir: %w", err)
-	}
-	var have int
-	if _, err := fmt.Sscanf(string(b), "%d", &have); err != nil {
-		return fmt.Errorf("eventlog: %s: unreadable shard count %q", meta, b)
-	}
-	if have != shards {
-		return fmt.Errorf("eventlog: data dir %s was written with %d shards, opened with %d; routing would strand records — use a new directory to reshard", dir, have, shards)
-	}
+	sh.add(recs, base, now)
 	return nil
 }
 
-// NumShards reports the number of partitions.
-func (ss *ShardedStore) NumShards() int { return len(ss.shards) }
-
-// Durability reports the store's WAL configuration — fsync policy,
-// background sync cadence, and data directory (empty for volatile
-// stores). GET /v1/info exposes it to remote operators.
-func (ss *ShardedStore) Durability() (FsyncPolicy, time.Duration, string) {
-	return ss.opts.Fsync, ss.opts.FsyncInterval, ss.opts.DataDir
+// add appends a batch to memory, stamping as write does, and publishes it.
+// The caller holds sh.gate (or is replaying into a shard nobody else can
+// reach yet), so the appended records stay put for publish after mu is
+// released.
+func (sh *shard) add(recs []Record, base uint64, now time.Time) {
+	sh.mu.Lock()
+	start := len(sh.recs)
+	for i, r := range recs {
+		if base > 0 {
+			stamp(&r, base+uint64(i), now)
+		}
+		sh.appended++
+		sh.recs = append(sh.recs, r)
+		pos := len(sh.recs) - 1
+		sh.index(&sh.recs[pos], int32(pos))
+		sh.extendSorted()
+	}
+	added := sh.recs[start:]
+	sh.mu.Unlock()
+	sh.publish(added)
 }
 
-// Replayed reports how many records were recovered from the write-ahead
-// logs when the store was opened.
-func (ss *ShardedStore) Replayed() int {
-	n := 0
-	for _, w := range ss.wals {
-		if w != nil {
-			_, _, r, _ := w.stats()
-			n += r
+// extendSorted grows the sorted prefix over the records that follow it in
+// order. It stops at the first record out of order, so after an append it
+// costs O(1) however unordered the shard is.
+func (sh *shard) extendSorted() {
+	for sh.sorted < len(sh.recs) && (sh.sorted == 0 || !sh.recs[sh.sorted].Before(sh.recs[sh.sorted-1])) {
+		sh.sorted++
+	}
+}
+
+// index appends pos, the position of r, to r's posting lists.
+func (sh *shard) index(r *Record, pos int32) {
+	k := storeKey{r.Src, r.Dst}
+	sh.byEdge[k] = append(sh.byEdge[k], pos)
+	sh.bySrc[r.Src] = append(sh.bySrc[r.Src], pos)
+	sh.byDst[r.Dst] = append(sh.byDst[r.Dst], pos)
+	ns := namespaceOf(r.RequestID)
+	sh.byNS[ns] = append(sh.byNS[ns], pos)
+}
+
+// cut shortens r's posting lists to their positions below first.
+func (sh *shard) cut(r *Record, first int32) {
+	cutPosting(sh.byEdge, storeKey{r.Src, r.Dst}, first)
+	cutPosting(sh.bySrc, r.Src, first)
+	cutPosting(sh.byDst, r.Dst, first)
+	cutPosting(sh.byNS, namespaceOf(r.RequestID), first)
+}
+
+// dropEmpty deletes those of r's posting lists that hold no position.
+func (sh *shard) dropEmpty(r *Record) {
+	dropEmptyPosting(sh.byEdge, storeKey{r.Src, r.Dst})
+	dropEmptyPosting(sh.bySrc, r.Src)
+	dropEmptyPosting(sh.byDst, r.Dst)
+	dropEmptyPosting(sh.byNS, namespaceOf(r.RequestID))
+}
+
+// cutPosting shortens k's posting list to its positions below first, by
+// binary search; a list that ends below first is left alone in O(1).
+func cutPosting[K comparable](lists map[K][]int32, k K, first int32) {
+	l := lists[k]
+	if len(l) == 0 || l[len(l)-1] < first {
+		return
+	}
+	lists[k] = l[:sort.Search(len(l), func(i int) bool { return l[i] >= first })]
+}
+
+// dropEmptyPosting deletes k if its posting list is empty.
+func dropEmptyPosting[K comparable](lists map[K][]int32, k K) {
+	if l, ok := lists[k]; ok && len(l) == 0 {
+		delete(lists, k)
+	}
+}
+
+func (sh *shard) len() int {
+	sh.mu.RLock()
+	defer sh.mu.RUnlock()
+	return len(sh.recs)
+}
+
+// clearMatching removes the records whose request ID matches pat and
+// returns how many were dropped. The caller holds sh.gate.
+func (sh *shard) clearMatching(pat pattern.Pattern) int {
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
+	if pat.MatchAll() {
+		n := len(sh.recs)
+		sh.recs = nil
+		sh.sorted = 0
+		sh.byEdge = make(map[storeKey][]int32)
+		sh.bySrc = make(map[string][]int32)
+		sh.byDst = make(map[string][]int32)
+		sh.byNS = make(map[string][]int32)
+		return n
+	}
+	first := sh.firstMatch(pat)
+	if first < 0 {
+		return 0
+	}
+
+	// Records before first neither move nor change position, so only the
+	// suffix is touched. Every posting list that reaches into the suffix
+	// belongs to one of its records: cut those back to first, partition
+	// the suffix stably (survivors slide down, dropped records collect at
+	// the tail), re-index the survivors at their new positions, and drop
+	// the lists only dropped records kept alive.
+	recs := sh.recs
+	kept := first
+	for i := first; i < len(recs); i++ {
+		sh.cut(&recs[i], int32(first))
+		if pat.Match(recs[i].RequestID) {
+			continue
+		}
+		if kept != i {
+			recs[kept], recs[i] = recs[i], recs[kept]
+		}
+		kept++
+	}
+	for i := first; i < kept; i++ {
+		sh.index(&recs[i], int32(i))
+	}
+	for i := kept; i < len(recs); i++ {
+		sh.dropEmpty(&recs[i])
+	}
+	clear(recs[kept:]) // release the dropped records' strings
+	sh.recs = recs[:kept]
+	sh.sorted = min(sh.sorted, first)
+	sh.extendSorted()
+	return len(recs) - kept
+}
+
+// firstMatch returns the lowest position whose request ID matches pat, or
+// -1. A pattern pinned to one namespace reads only that namespace's
+// posting list. Caller holds sh.mu.
+func (sh *shard) firstMatch(pat pattern.Pattern) int {
+	if ns, ok := patternNamespace(pat); ok {
+		for _, pos := range sh.byNS[ns] {
+			if pat.Match(sh.recs[pos].RequestID) {
+				return int(pos)
+			}
+		}
+		return -1
+	}
+	for i := range sh.recs {
+		if pat.Match(sh.recs[i].RequestID) {
+			return i
 		}
 	}
+	return -1
+}
+
+// compact rewrites the shard's write-ahead log down to its live records.
+// The snapshot is the shard's own record slice in append order — no copy —
+// so replay rebuilds exactly the in-memory state, order and all. The
+// caller holds sh.gate, which keeps every writer out meanwhile.
+func (sh *shard) compact() error {
+	if sh.wal == nil {
+		return nil
+	}
+	if err := sh.wal.compact(sh.recs); err != nil {
+		return err
+	}
+	sh.garbage = 0
+	return nil
+}
+
+// selectMatching returns the shard's records matching q (pat is
+// q.IDPattern compiled) in (timestamp, seq) order.
+func (sh *shard) selectMatching(q Query, pat pattern.Pattern) []Record {
+	sh.mu.RLock()
+	ordered := sh.sorted == len(sh.recs)
+	var matched []Record
+	if list, ok := sh.postings(q, pat); ok {
+		// Filter positions through pointers first, then copy the matching
+		// records once at exactly the right size — records are wide enough
+		// that copying candidates (or regrowing the result) dominates an
+		// edge query's cost.
+		hits := make([]int32, 0, len(list))
+		for _, pos := range list {
+			r := &sh.recs[pos]
+			if ordered && !q.Until.IsZero() && !r.Timestamp.Before(q.Until) {
+				// Posting lists are in timestamp order while the shard is
+				// ordered: nothing past the Until bound can match.
+				break
+			}
+			if matches(r, q, pat) {
+				hits = append(hits, pos)
+				if ordered && q.Limit > 0 && len(hits) == q.Limit {
+					// Already in output order: the limit is final.
+					break
+				}
+			}
+		}
+		matched = make([]Record, len(hits))
+		for i, pos := range hits {
+			matched[i] = sh.recs[pos]
+		}
+	} else {
+		matched = make([]Record, 0, 64)
+		for _, r := range sh.recs {
+			if matches(&r, q, pat) {
+				matched = append(matched, r)
+			}
+		}
+	}
+	sh.mu.RUnlock()
+
+	if !ordered {
+		sort.Slice(matched, func(i, j int) bool { return matched[i].Before(matched[j]) })
+	}
+	if q.Limit > 0 && len(matched) > q.Limit {
+		matched = matched[:q.Limit]
+	}
+	return matched
+}
+
+// countMatching reports how many of the shard's records match q without
+// copying them out.
+func (sh *shard) countMatching(q Query, pat pattern.Pattern) int {
+	n := 0
+	sh.mu.RLock()
+	if list, ok := sh.postings(q, pat); ok {
+		ordered := sh.sorted == len(sh.recs)
+		for _, pos := range list {
+			r := &sh.recs[pos]
+			if ordered && !q.Until.IsZero() && !r.Timestamp.Before(q.Until) {
+				break
+			}
+			if matches(r, q, pat) {
+				n++
+				if q.Limit > 0 && n == q.Limit {
+					break
+				}
+			}
+		}
+	} else {
+		for i := range sh.recs {
+			if matches(&sh.recs[i], q, pat) {
+				n++
+				if q.Limit > 0 && n == q.Limit {
+					break
+				}
+			}
+		}
+	}
+	sh.mu.RUnlock()
 	return n
+}
+
+// postings returns the narrowest posting list serving q — its edge,
+// source or destination list, or the namespace list of an ID pattern
+// pinned to one namespace (pat is q.IDPattern compiled) — or ok=false when
+// none applies (or the index is disabled) and a full scan is required.
+// Caller holds at least a read lock.
+func (sh *shard) postings(q Query, pat pattern.Pattern) (list []int32, ok bool) {
+	if sh.linearScan {
+		return nil, false
+	}
+	switch {
+	case q.Src != "" && q.Dst != "":
+		list, ok = sh.byEdge[storeKey{q.Src, q.Dst}], true
+	case q.Src != "":
+		list, ok = sh.bySrc[q.Src], true
+	case q.Dst != "":
+		list, ok = sh.byDst[q.Dst], true
+	}
+	if ns, pinned := patternNamespace(pat); pinned {
+		if l := sh.byNS[ns]; !ok || len(l) < len(list) {
+			return l, true
+		}
+	}
+	return list, ok
+}
+
+func matches(r *Record, q Query, pat pattern.Pattern) bool {
+	if q.Src != "" && r.Src != q.Src {
+		return false
+	}
+	if q.Dst != "" && r.Dst != q.Dst {
+		return false
+	}
+	if q.Kind != "" && r.Kind != q.Kind {
+		return false
+	}
+	if !pat.MatchAll() && !pat.Match(r.RequestID) {
+		return false
+	}
+	if !q.Since.IsZero() && r.Timestamp.Before(q.Since) {
+		return false
+	}
+	if !q.Until.IsZero() && !r.Timestamp.Before(q.Until) {
+		return false
+	}
+	return true
 }
 
 // namespaceOf extracts a request ID's routing namespace: the leading
@@ -224,7 +423,7 @@ func namespaceOf(id string) string {
 // in, or ok=false when the pattern can span namespaces. A pattern pins a
 // namespace when its literal prefix extends past the namespace boundary
 // (e.g. "camp-run1-*" or "test-*"): all matching IDs then share the
-// prefix's namespace. The shard router and the store's namespace posting
+// prefix's namespace. The shard router and the shards' namespace posting
 // lists both rely on this rule.
 func patternNamespace(pat pattern.Pattern) (ns string, ok bool) {
 	if pat.MatchAll() {
@@ -244,576 +443,3 @@ func shardOfNamespace(ns string, shards int) int {
 	_, _ = h.Write([]byte(ns))
 	return int(h.Sum32() % uint32(shards))
 }
-
-// shardFor routes a request ID to its shard.
-func (ss *ShardedStore) shardFor(id string) int {
-	return shardOf(id, len(ss.shards))
-}
-
-// shardOfPattern returns the one shard every ID matching pat can live on,
-// or -1 when the pattern spans namespaces and the query must scatter.
-func (ss *ShardedStore) shardOfPattern(pat pattern.Pattern) int {
-	if len(ss.shards) == 1 {
-		return 0
-	}
-	ns, ok := patternNamespace(pat)
-	if !ok {
-		return -1
-	}
-	return shardOfNamespace(ns, len(ss.shards))
-}
-
-// Log appends records: stamps global sequence numbers and timestamps,
-// groups the batch by shard, and for each shard writes the group to the
-// write-ahead log (acknowledged only once the kernel has it) before
-// appending it to that shard's in-memory index and fanning it out to
-// subscribers.
-func (ss *ShardedStore) Log(recs ...Record) error {
-	if len(recs) == 0 {
-		return nil
-	}
-	if ss.closed.Load() {
-		return fmt.Errorf("eventlog: store closed")
-	}
-	now := time.Now()
-	if len(ss.shards) == 1 {
-		batch := make([]Record, len(recs))
-		for i, r := range recs {
-			r.Seq = ss.seq.Add(1)
-			if r.Timestamp.IsZero() {
-				r.Timestamp = now
-			}
-			batch[i] = r
-		}
-		return ss.appendShard(0, batch)
-	}
-
-	groups := make(map[int][]Record, 4)
-	for _, r := range recs {
-		r.Seq = ss.seq.Add(1)
-		if r.Timestamp.IsZero() {
-			r.Timestamp = now
-		}
-		si := ss.shardFor(r.RequestID)
-		groups[si] = append(groups[si], r)
-	}
-	for si, g := range groups {
-		if err := ss.appendShard(si, g); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// LogShard appends a batch a shard-aware client pre-routed to shard si
-// (POST /v1/records?shard=). Routing is re-verified record by record —
-// placement determines which lock a namespaced query takes, so a stale or
-// buggy client hint must not strand records on the wrong shard. Verified
-// prefixes append as one batch; stragglers fall back to ordinary routing.
-func (ss *ShardedStore) LogShard(si int, recs ...Record) error {
-	if si < 0 || si >= len(ss.shards) {
-		return ss.Log(recs...)
-	}
-	match := len(recs)
-	for i, r := range recs {
-		if ss.shardFor(r.RequestID) != si {
-			match = i
-			break
-		}
-	}
-	if match == 0 {
-		return ss.Log(recs...)
-	}
-	if ss.closed.Load() {
-		return fmt.Errorf("eventlog: store closed")
-	}
-	now := time.Now()
-	batch := make([]Record, match)
-	for i, r := range recs[:match] {
-		r.Seq = ss.seq.Add(1)
-		if r.Timestamp.IsZero() {
-			r.Timestamp = now
-		}
-		batch[i] = r
-	}
-	if err := ss.appendShard(si, batch); err != nil {
-		return err
-	}
-	if match < len(recs) {
-		return ss.Log(recs[match:]...)
-	}
-	return nil
-}
-
-// appendShard writes one shard's stamped batch: WAL first, memory second,
-// under the shard's append gate.
-func (ss *ShardedStore) appendShard(si int, batch []Record) error {
-	ss.gates[si].Lock()
-	defer ss.gates[si].Unlock()
-	if w := ss.wals[si]; w != nil {
-		if err := w.append(batch); err != nil {
-			return err
-		}
-	}
-	ss.shards[si].logStamped(batch)
-	return nil
-}
-
-// Select returns the records matching q in (timestamp, seq) order,
-// scatter-gathering across shards and merging their sorted streams. A
-// query whose IDPattern pins one namespace reads only that namespace's
-// shard.
-func (ss *ShardedStore) Select(q Query) ([]Record, error) {
-	pat, err := pattern.Compile(q.IDPattern)
-	if err != nil {
-		return nil, fmt.Errorf("eventlog: bad query pattern: %w", err)
-	}
-	if si := ss.shardOfPattern(pat); si >= 0 {
-		return ss.shards[si].selectMatching(q, pat), nil
-	}
-	parts := make([][]Record, len(ss.shards))
-	ss.scatter(func(i int) { parts[i] = ss.shards[i].selectMatching(q, pat) })
-	merged := mergeSorted(parts)
-	if q.Limit > 0 && len(merged) > q.Limit {
-		merged = merged[:q.Limit]
-	}
-	return merged, nil
-}
-
-// Count reports how many records match q without materializing them.
-func (ss *ShardedStore) Count(q Query) (int, error) {
-	pat, err := pattern.Compile(q.IDPattern)
-	if err != nil {
-		return 0, fmt.Errorf("eventlog: bad query pattern: %w", err)
-	}
-	if si := ss.shardOfPattern(pat); si >= 0 {
-		return ss.shards[si].countMatching(q, pat), nil
-	}
-	counts := make([]int, len(ss.shards))
-	ss.scatter(func(i int) { counts[i] = ss.shards[i].countMatching(q, pat) })
-	total := 0
-	for _, c := range counts {
-		total += c
-	}
-	if q.Limit > 0 && total > q.Limit {
-		total = q.Limit
-	}
-	return total, nil
-}
-
-// scatterThreshold is the combined record count above which a
-// scatter-gather read pays for per-shard goroutines; smaller stores scan
-// sequentially.
-const scatterThreshold = 8192
-
-// scatter runs fn(i) for every shard — in parallel when the store is
-// large enough for the goroutine fan-out to pay.
-func (ss *ShardedStore) scatter(fn func(i int)) {
-	if len(ss.shards) == 1 {
-		fn(0)
-		return
-	}
-	total := 0
-	for _, sh := range ss.shards {
-		total += sh.Len()
-	}
-	if total < scatterThreshold {
-		for i := range ss.shards {
-			fn(i)
-		}
-		return
-	}
-	var wg sync.WaitGroup
-	for i := range ss.shards {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			fn(i)
-		}(i)
-	}
-	wg.Wait()
-}
-
-// mergeSorted merges per-shard sorted record slices into one sorted slice
-// using a binary min-heap of shard cursors.
-func mergeSorted(parts [][]Record) []Record {
-	nonEmpty, total := 0, 0
-	last := -1
-	for i, p := range parts {
-		if len(p) > 0 {
-			nonEmpty++
-			total += len(p)
-			last = i
-		}
-	}
-	if nonEmpty == 0 {
-		return nil
-	}
-	if nonEmpty == 1 {
-		return parts[last]
-	}
-
-	type cursor struct {
-		part, idx int
-	}
-	heap := make([]cursor, 0, nonEmpty)
-	less := func(a, b cursor) bool {
-		return parts[a.part][a.idx].Before(parts[b.part][b.idx])
-	}
-	push := func(c cursor) {
-		heap = append(heap, c)
-		for i := len(heap) - 1; i > 0; {
-			parent := (i - 1) / 2
-			if !less(heap[i], heap[parent]) {
-				break
-			}
-			heap[i], heap[parent] = heap[parent], heap[i]
-			i = parent
-		}
-	}
-	fix := func() { // sift the root down after its cursor advanced
-		i := 0
-		for {
-			l, r := 2*i+1, 2*i+2
-			small := i
-			if l < len(heap) && less(heap[l], heap[small]) {
-				small = l
-			}
-			if r < len(heap) && less(heap[r], heap[small]) {
-				small = r
-			}
-			if small == i {
-				return
-			}
-			heap[i], heap[small] = heap[small], heap[i]
-			i = small
-		}
-	}
-	for i, p := range parts {
-		if len(p) > 0 {
-			push(cursor{part: i})
-		}
-	}
-	out := make([]Record, 0, total)
-	for len(heap) > 0 {
-		c := heap[0]
-		out = append(out, parts[c.part][c.idx])
-		if c.idx+1 < len(parts[c.part]) {
-			heap[0].idx++
-		} else {
-			heap[0] = heap[len(heap)-1]
-			heap = heap[:len(heap)-1]
-		}
-		fix()
-	}
-	return out
-}
-
-// Len reports the number of stored records across all shards.
-func (ss *ShardedStore) Len() int {
-	n := 0
-	for _, sh := range ss.shards {
-		n += sh.Len()
-	}
-	return n
-}
-
-// Appended reports the total records ever appended across all shards.
-func (ss *ShardedStore) Appended() uint64 {
-	var n uint64
-	for _, sh := range ss.shards {
-		n += sh.Appended()
-	}
-	return n
-}
-
-// Clear removes all records from every shard and returns how many were
-// dropped. With persistence enabled the clear is journalled and the usual
-// compaction accounting applies.
-func (ss *ShardedStore) Clear() int {
-	n := 0
-	for si := range ss.shards {
-		ss.gates[si].Lock()
-		if w := ss.wals[si]; w != nil {
-			_ = w.appendClear("*")
-		}
-		d := ss.shards[si].Clear()
-		ss.gates[si].Unlock()
-		n += d
-		ss.noteGarbage(si, d)
-	}
-	return n
-}
-
-// ClearMatching removes the records whose request ID matches idPattern,
-// touching only the owning shard when the pattern pins a namespace
-// (campaign cleanup's "camp-<runID>-*" always does). Cleared space in a
-// persistent store is reclaimed by compaction once a shard accumulates
-// CompactAfter cleared records.
-func (ss *ShardedStore) ClearMatching(idPattern string) (int, error) {
-	pat, err := pattern.Compile(idPattern)
-	if err != nil {
-		return 0, fmt.Errorf("eventlog: bad clear pattern: %w", err)
-	}
-	targets := make([]int, 0, len(ss.shards))
-	if si := ss.shardOfPattern(pat); si >= 0 {
-		targets = append(targets, si)
-	} else {
-		for i := range ss.shards {
-			targets = append(targets, i)
-		}
-	}
-	total := 0
-	for _, si := range targets {
-		ss.gates[si].Lock()
-		if w := ss.wals[si]; w != nil {
-			if werr := w.appendClear(idPattern); werr != nil {
-				ss.gates[si].Unlock()
-				return total, werr
-			}
-		}
-		d := ss.shards[si].clearMatching(pat)
-		ss.gates[si].Unlock()
-		total += d
-		ss.noteGarbage(si, d)
-	}
-	return total, nil
-}
-
-// noteGarbage accounts cleared records against the shard's compaction
-// budget and compacts when the threshold trips.
-func (ss *ShardedStore) noteGarbage(si, dropped int) {
-	if dropped == 0 || ss.wals[si] == nil || ss.opts.CompactAfter < 0 {
-		return
-	}
-	if ss.garbage[si].Add(int64(dropped)) >= int64(ss.opts.CompactAfter) {
-		_ = ss.CompactShard(si)
-	}
-}
-
-// Compact rewrites every shard's write-ahead log down to its live
-// records, reclaiming the space of cleared namespaces immediately instead
-// of waiting for the CompactAfter threshold.
-func (ss *ShardedStore) Compact() error {
-	for si := range ss.shards {
-		if err := ss.CompactShard(si); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// CompactShard compacts one shard's write-ahead log. The snapshot is the
-// shard's own record slice, written in append order under its read lock —
-// no copy — so replay rebuilds exactly the in-memory state, order and all.
-// The append gate keeps every writer out meanwhile.
-func (ss *ShardedStore) CompactShard(si int) error {
-	if si < 0 || si >= len(ss.shards) || ss.wals[si] == nil {
-		return nil
-	}
-	ss.gates[si].Lock()
-	defer ss.gates[si].Unlock()
-	sh := ss.shards[si]
-	sh.mu.RLock()
-	err := ss.wals[si].compact(sh.recs)
-	sh.mu.RUnlock()
-	if err != nil {
-		return err
-	}
-	ss.garbage[si].Store(0)
-	return nil
-}
-
-// Subscribe opens a live feed of records whose request ID matches
-// idPattern, merged across shards. See Store.Subscribe.
-func (ss *ShardedStore) Subscribe(idPattern string) (Subscriber, error) {
-	return ss.SubscribeBuffer(idPattern, DefaultSubscriberBuffer)
-}
-
-// SubscribeBuffer is Subscribe with an explicit per-shard buffer
-// capacity. A pattern that pins one namespace taps only that shard's
-// fan-out; otherwise each shard feeds a fan-in goroutine and the merged
-// feed preserves per-shard order (concurrent shards interleave, exactly
-// as concurrent appends do).
-func (ss *ShardedStore) SubscribeBuffer(idPattern string, buffer int) (Subscriber, error) {
-	pat, err := pattern.Compile(idPattern)
-	if err != nil {
-		return nil, fmt.Errorf("eventlog: bad subscribe pattern: %w", err)
-	}
-	if si := ss.shardOfPattern(pat); si >= 0 {
-		return ss.shards[si].SubscribeBuffer(idPattern, buffer)
-	}
-	if buffer < 1 {
-		buffer = 1
-	}
-	m := &mergedSub{ch: make(chan Record, buffer)}
-	m.subs = make([]Subscriber, len(ss.shards))
-	for i, sh := range ss.shards {
-		sub, serr := sh.SubscribeBuffer(idPattern, buffer)
-		if serr != nil {
-			for _, open := range m.subs[:i] {
-				open.Close()
-			}
-			return nil, serr
-		}
-		m.subs[i] = sub
-	}
-	m.wg.Add(len(m.subs))
-	for _, sub := range m.subs {
-		go func(sub Subscriber) {
-			defer m.wg.Done()
-			for rec := range sub.C() {
-				m.ch <- rec
-			}
-		}(sub)
-	}
-	go func() {
-		m.wg.Wait()
-		close(m.ch)
-	}()
-	return m, nil
-}
-
-// mergedSub fans N per-shard subscriptions into one channel.
-type mergedSub struct {
-	subs []Subscriber
-	ch   chan Record
-	wg   sync.WaitGroup
-	once sync.Once
-}
-
-func (m *mergedSub) C() <-chan Record { return m.ch }
-
-func (m *mergedSub) Dropped() int64 {
-	var n int64
-	for _, sub := range m.subs {
-		n += sub.Dropped()
-	}
-	return n
-}
-
-func (m *mergedSub) Close() {
-	m.once.Do(func() {
-		for _, sub := range m.subs {
-			sub.Close()
-		}
-		// The fan-in goroutines drain the closed shard channels and then
-		// close m.ch; no need to wait here.
-	})
-}
-
-// Subscribers reports the number of open per-shard subscriptions.
-func (ss *ShardedStore) Subscribers() int {
-	n := 0
-	for _, sh := range ss.shards {
-		n += sh.Subscribers()
-	}
-	return n
-}
-
-// Published reports the total records delivered to subscribers.
-func (ss *ShardedStore) Published() int64 {
-	var n int64
-	for _, sh := range ss.shards {
-		n += sh.Published()
-	}
-	return n
-}
-
-// SubscriberDropped reports the total records dropped on full subscriber
-// buffers.
-func (ss *ShardedStore) SubscriberDropped() int64 {
-	var n int64
-	for _, sh := range ss.shards {
-		n += sh.SubscriberDropped()
-	}
-	return n
-}
-
-// ShardStats returns one entry per shard with its record, append, and
-// write-ahead-log counters.
-func (ss *ShardedStore) ShardStats() []ShardStats {
-	out := make([]ShardStats, len(ss.shards))
-	for i, sh := range ss.shards {
-		st := ShardStats{Shard: i, Records: sh.Len(), Appended: sh.Appended()}
-		if w := ss.wals[i]; w != nil {
-			st.WALSegments, st.WALBytes, st.WALReplayed, st.WALCompactions = w.stats()
-		}
-		out[i] = st
-	}
-	return out
-}
-
-// Sync forces dirty write-ahead segments to stable storage (the
-// FsyncInterval loop does this continuously).
-func (ss *ShardedStore) Sync() error {
-	for _, w := range ss.wals {
-		if w != nil {
-			if err := w.sync(); err != nil {
-				return err
-			}
-		}
-	}
-	return nil
-}
-
-// Close stops the background sync loop and seals the write-ahead logs.
-// The in-memory store remains readable; further appends fail.
-func (ss *ShardedStore) Close() error {
-	if !ss.closed.CompareAndSwap(false, true) {
-		return nil
-	}
-	if ss.stopSync != nil {
-		close(ss.stopSync)
-		<-ss.syncDone
-	}
-	var first error
-	for si := range ss.shards {
-		ss.gates[si].Lock()
-		if w := ss.wals[si]; w != nil {
-			if err := w.close(); err != nil && first == nil {
-				first = err
-			}
-		}
-		ss.gates[si].Unlock()
-	}
-	return first
-}
-
-func (ss *ShardedStore) closeWALs() {
-	for _, w := range ss.wals {
-		if w != nil {
-			_ = w.close()
-		}
-	}
-}
-
-// syncLoop fsyncs dirty segments on the configured cadence.
-func (ss *ShardedStore) syncLoop() {
-	defer close(ss.syncDone)
-	t := time.NewTicker(ss.opts.FsyncInterval)
-	defer t.Stop()
-	for {
-		select {
-		case <-t.C:
-			_ = ss.Sync()
-		case <-ss.stopSync:
-			return
-		}
-	}
-}
-
-// WriteJSONL streams every stored record to w as JSON Lines in
-// (timestamp, seq) order. See Store.WriteJSONL.
-func (ss *ShardedStore) WriteJSONL(w io.Writer) (int, error) { return writeJSONL(w, ss) }
-
-// ReadJSONL appends records decoded from r (one JSON record per line),
-// reassigning sequence numbers. See Store.ReadJSONL.
-func (ss *ShardedStore) ReadJSONL(r io.Reader) (int, error) { return readJSONL(r, ss) }
-
-// SaveFile writes the store's records to path as JSON Lines, atomically.
-func (ss *ShardedStore) SaveFile(path string) (int, error) { return saveFile(path, ss) }
-
-// LoadFile appends records from a JSON Lines file; a missing file loads
-// zero records.
-func (ss *ShardedStore) LoadFile(path string) (int, error) { return loadFile(path, ss) }

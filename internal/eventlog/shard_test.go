@@ -3,6 +3,8 @@ package eventlog
 import (
 	"fmt"
 	"math/rand"
+	"net/http"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -40,7 +42,7 @@ func TestNamespaceOf(t *testing.T) {
 
 func TestNamespaceRoutingKeepsNamespaceTogether(t *testing.T) {
 	// All IDs of one namespace must land on one shard, whatever the count.
-	// shardOf (client side) and ShardedStore.shardFor (server side) must
+	// shardOf (client side) and Store.shardFor (server side) must
 	// agree, or client batch hints would always miss.
 	for _, n := range []int{2, 3, 8} {
 		ss := newSharded(t, StoreOptions{Shards: n})
@@ -151,7 +153,7 @@ func TestScatterGatherMatchesSingleStore(t *testing.T) {
 	if len(all) != len(recs) {
 		t.Fatalf("sharded holds %d records, want %d", len(all), len(recs))
 	}
-	single.logStamped(all)
+	logStamped(t, single, all)
 
 	queries := []Query{
 		{},
@@ -277,7 +279,7 @@ func TestShardedSubscribe(t *testing.T) {
 		}
 	}
 
-	drain := func(sub Subscriber, want int) int {
+	drain := func(sub *Subscription, want int) int {
 		got := 0
 		timeout := time.After(2 * time.Second)
 		for got < want {
@@ -358,32 +360,35 @@ func TestSingleShardIsPlainStore(t *testing.T) {
 	}
 }
 
+// TestLogShardVerifiesRouting: a shard-aware client's ?shard= hint is
+// only a hint. A batch posted as shard i's — wrongly, or against a stale
+// topology — still lands every record on the shard its namespace routes
+// to, where a pinned query looks for it.
 func TestLogShardVerifiesRouting(t *testing.T) {
-	ss := newSharded(t, StoreOptions{Shards: 4})
-	r1 := Record{RequestID: "test-1", Src: "a", Dst: "b", Kind: KindRequest}
-	r2 := Record{RequestID: "other-1", Src: "a", Dst: "b", Kind: KindRequest}
-	want := ss.shardFor("test-1")
-	// Send both to test-1's shard: the mismatched one must be rerouted,
-	// not appended to the wrong shard.
-	if err := ss.LogShard(want, r1, r2); err != nil {
-		t.Fatal(err)
+	ss, c := newShardedTestServer(t, 4)
+	hinted := ss.shardFor("test-1")
+	otherID := "other-1"
+	for i := 2; ss.shardFor(otherID) == hinted; i++ {
+		otherID = fmt.Sprintf("other%d-1", i)
 	}
-	if got := ss.Len(); got != 2 {
-		t.Fatalf("Len=%d, want 2", got)
-	}
-	other := ss.shardFor("other-1")
-	if other != want {
-		recs, _ := ss.shards[other].Select(Query{IDPattern: "other-1"})
-		if len(recs) != 1 {
-			t.Fatalf("misrouted record not rerouted to shard %d", other)
+	for _, hint := range []string{fmt.Sprintf("shard=%d&of=4", hinted), "shard=99&of=4", "shard=0&of=8"} {
+		ss.Clear()
+		body := `{"requestId":"test-1","src":"a","dst":"b","kind":"request"}
+{"requestId":"` + otherID + `","src":"a","dst":"b","kind":"request"}
+`
+		resp, err := http.Post(c.baseURL+"/v1/records?"+hint, "application/x-ndjson", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-	// An out-of-range hint (stale topology) degrades to ordinary routing.
-	if err := ss.LogShard(99, r1); err != nil {
-		t.Fatal(err)
-	}
-	if got := ss.Len(); got != 3 {
-		t.Fatalf("Len=%d after out-of-range hint, want 3", got)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusAccepted {
+			t.Fatalf("%s: status %d", hint, resp.StatusCode)
+		}
+		for id, si := range map[string]int{"test-1": hinted, otherID: ss.shardFor(otherID)} {
+			if n := ss.shards[si].countMatching(Query{}, pattern.MustCompile(id)); n != 1 {
+				t.Fatalf("%s: %s not on its shard %d", hint, id, si)
+			}
+		}
 	}
 }
 

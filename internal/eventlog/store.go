@@ -1,8 +1,11 @@
 package eventlog
 
 import (
+	"errors"
 	"fmt"
-	"sort"
+	"io/fs"
+	"os"
+	"path/filepath"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -47,413 +50,8 @@ type Source interface {
 	Select(q Query) ([]Record, error)
 }
 
-// storeKey identifies one (src, dst) edge's posting list.
-type storeKey struct {
-	src, dst string
-}
-
-// Store is the in-memory event store. It is safe for concurrent use.
-//
-// Appended records are indexed by source, destination, (src, dst) edge and
-// request-ID namespace — posting lists of record positions in append
-// order — so the checker's narrow queries (GetRequests/GetReplies on one
-// edge, a whole campaign run) visit only those records instead of
-// scanning the whole store, and clearing a run touches only the records
-// appended since the run's first one. The store also tracks how much of
-// it is in (timestamp, seq) order; while all of it is (the common
-// single-writer case), posting lists are already in output order and
-// Select skips the output sort entirely.
-type Store struct {
-	mu       sync.RWMutex
-	recs     []Record
-	seq      uint64
-	appended uint64
-
-	// sorted is the length of the longest prefix of recs in (timestamp,
-	// seq) order; the store is ordered while sorted == len(recs).
-	sorted int
-
-	// Posting lists: record positions in append order. byNS is keyed by
-	// namespaceOf(RequestID), the shard router's namespace.
-	byEdge map[storeKey][]int32
-	bySrc  map[string][]int32
-	byDst  map[string][]int32
-	byNS   map[string][]int32
-
-	// linearScan disables the posting-list index (ablation/benchmark
-	// baseline; see UseLinearScan).
-	linearScan bool
-
-	// Live subscriptions (see subscribe.go). subCount mirrors len(subs) so
-	// the append path can skip publishing without touching subMu.
-	subMu      sync.RWMutex
-	subs       map[uint64]*Subscription
-	subSeq     uint64
-	subCount   atomic.Int64
-	subDropped atomic.Int64
-	published  atomic.Int64
-}
-
-var (
-	_ Sink   = (*Store)(nil)
-	_ Source = (*Store)(nil)
-)
-
-// NewStore creates an empty store.
-func NewStore() *Store {
-	return &Store{
-		byEdge: make(map[storeKey][]int32),
-		bySrc:  make(map[string][]int32),
-		byDst:  make(map[string][]int32),
-		byNS:   make(map[string][]int32),
-	}
-}
-
-// UseLinearScan toggles the pre-index ablation: Select scans and sorts
-// every stored record, as the store did before posting lists existed.
-// Results are identical; only the work per query differs. Used as the
-// before/after baseline in benchmarks.
-func (s *Store) UseLinearScan(on bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.linearScan = on
-}
-
-// Log appends records, assigning sequence numbers. Records with a zero
-// timestamp are stamped with the current time. Appended records also fan
-// out to live subscriptions (after the store lock is released, with
-// non-blocking sends, so subscribers never slow the append path down).
-func (s *Store) Log(recs ...Record) error {
-	now := time.Now()
-	live := s.subCount.Load() > 0
-	var stamped []Record
-	if live {
-		stamped = make([]Record, 0, len(recs))
-	}
-	s.mu.Lock()
-	for _, r := range recs {
-		s.seq++
-		r.Seq = s.seq
-		if r.Timestamp.IsZero() {
-			r.Timestamp = now
-		}
-		s.appendLocked(r)
-		if live {
-			stamped = append(stamped, r)
-		}
-	}
-	s.mu.Unlock()
-	if live {
-		s.publish(stamped)
-	}
-	return nil
-}
-
-// logStamped appends records that already carry final sequence numbers
-// and timestamps — the ShardedStore stamps globally unique sequences
-// before routing a batch to its shard (and WAL replay restores the
-// original ones), so this path must not reassign them.
-func (s *Store) logStamped(recs []Record) {
-	if len(recs) == 0 {
-		return
-	}
-	live := s.subCount.Load() > 0
-	s.mu.Lock()
-	for _, r := range recs {
-		if r.Seq > s.seq {
-			s.seq = r.Seq
-		}
-		s.appendLocked(r)
-	}
-	s.mu.Unlock()
-	if live {
-		s.publish(recs)
-	}
-}
-
-// appendLocked stores one stamped record and indexes it. Caller holds
-// s.mu and has assigned Seq and Timestamp.
-func (s *Store) appendLocked(r Record) {
-	s.appended++
-	pos := len(s.recs)
-	s.recs = append(s.recs, r)
-	s.index(&s.recs[pos], int32(pos))
-	s.extendSorted()
-}
-
-// extendSorted grows the sorted prefix over the records that follow it in
-// order. It stops at the first record out of order, so after an append it
-// costs O(1) however unordered the store is.
-func (s *Store) extendSorted() {
-	for s.sorted < len(s.recs) && (s.sorted == 0 || !s.recs[s.sorted].Before(s.recs[s.sorted-1])) {
-		s.sorted++
-	}
-}
-
-// index appends pos, the position of r, to r's posting lists.
-func (s *Store) index(r *Record, pos int32) {
-	k := storeKey{r.Src, r.Dst}
-	s.byEdge[k] = append(s.byEdge[k], pos)
-	s.bySrc[r.Src] = append(s.bySrc[r.Src], pos)
-	s.byDst[r.Dst] = append(s.byDst[r.Dst], pos)
-	ns := namespaceOf(r.RequestID)
-	s.byNS[ns] = append(s.byNS[ns], pos)
-}
-
-// cut shortens r's posting lists to their positions below first.
-func (s *Store) cut(r *Record, first int32) {
-	cutPosting(s.byEdge, storeKey{r.Src, r.Dst}, first)
-	cutPosting(s.bySrc, r.Src, first)
-	cutPosting(s.byDst, r.Dst, first)
-	cutPosting(s.byNS, namespaceOf(r.RequestID), first)
-}
-
-// dropEmpty deletes those of r's posting lists that hold no position.
-func (s *Store) dropEmpty(r *Record) {
-	dropEmptyPosting(s.byEdge, storeKey{r.Src, r.Dst})
-	dropEmptyPosting(s.bySrc, r.Src)
-	dropEmptyPosting(s.byDst, r.Dst)
-	dropEmptyPosting(s.byNS, namespaceOf(r.RequestID))
-}
-
-// cutPosting shortens k's posting list to its positions below first, by
-// binary search; a list that ends below first is left alone in O(1).
-func cutPosting[K comparable](lists map[K][]int32, k K, first int32) {
-	l := lists[k]
-	if len(l) == 0 || l[len(l)-1] < first {
-		return
-	}
-	lists[k] = l[:sort.Search(len(l), func(i int) bool { return l[i] >= first })]
-}
-
-// dropEmptyPosting deletes k if its posting list is empty.
-func dropEmptyPosting[K comparable](lists map[K][]int32, k K) {
-	if l, ok := lists[k]; ok && len(l) == 0 {
-		delete(lists, k)
-	}
-}
-
-// Appended reports the total number of records ever appended (a monotone
-// counter, unlike Len, which Clear resets).
-func (s *Store) Appended() uint64 {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return s.appended
-}
-
-// NumShards reports the number of partitions (always 1 for a plain
-// Store; see ShardedStore).
-func (s *Store) NumShards() int { return 1 }
-
-// ShardStats returns the single-shard view of the store's counters, so
-// shard-labelled metrics read identically against a Store and a
-// ShardedStore.
-func (s *Store) ShardStats() []ShardStats {
-	return []ShardStats{{Shard: 0, Records: s.Len(), Appended: s.Appended()}}
-}
-
-// Len reports the number of stored records.
-func (s *Store) Len() int {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return len(s.recs)
-}
-
-// Clear removes all records and returns how many were dropped. Recipes
-// clear the store between test steps so assertions evaluate only the
-// current step's observations.
-func (s *Store) Clear() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	n := len(s.recs)
-	s.recs = nil
-	s.sorted = 0
-	s.byEdge = make(map[storeKey][]int32)
-	s.bySrc = make(map[string][]int32)
-	s.byDst = make(map[string][]int32)
-	s.byNS = make(map[string][]int32)
-	return n
-}
-
-// ClearMatching removes the records whose request ID matches idPattern
-// and returns how many were dropped. Campaigns reclaim a finished run's
-// namespaced records ("camp-<runID>-*") without disturbing concurrent
-// runs sharing the store; an empty pattern clears everything.
-func (s *Store) ClearMatching(idPattern string) (int, error) {
-	pat, err := pattern.Compile(idPattern)
-	if err != nil {
-		return 0, fmt.Errorf("eventlog: bad clear pattern: %w", err)
-	}
-	return s.clearMatching(pat), nil
-}
-
-// clearMatching is ClearMatching with the pattern already compiled (the
-// sharded store compiles it once for all shards).
-func (s *Store) clearMatching(pat pattern.Pattern) int {
-	if pat.MatchAll() {
-		return s.Clear()
-	}
-
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	first := s.firstMatch(pat)
-	if first < 0 {
-		return 0
-	}
-
-	// Records before first neither move nor change position, so only the
-	// suffix is touched. Every posting list that reaches into the suffix
-	// belongs to one of its records: cut those back to first, partition
-	// the suffix stably (survivors slide down, dropped records collect at
-	// the tail), re-index the survivors at their new positions, and drop
-	// the lists only dropped records kept alive.
-	recs := s.recs
-	kept := first
-	for i := first; i < len(recs); i++ {
-		s.cut(&recs[i], int32(first))
-		if pat.Match(recs[i].RequestID) {
-			continue
-		}
-		if kept != i {
-			recs[kept], recs[i] = recs[i], recs[kept]
-		}
-		kept++
-	}
-	for i := first; i < kept; i++ {
-		s.index(&recs[i], int32(i))
-	}
-	for i := kept; i < len(recs); i++ {
-		s.dropEmpty(&recs[i])
-	}
-	clear(recs[kept:]) // release the dropped records' strings
-	s.recs = recs[:kept]
-	s.sorted = min(s.sorted, first)
-	s.extendSorted()
-	return len(recs) - kept
-}
-
-// firstMatch returns the lowest position whose request ID matches pat, or
-// -1. A pattern pinned to one namespace reads only that namespace's
-// posting list. Caller holds s.mu.
-func (s *Store) firstMatch(pat pattern.Pattern) int {
-	if ns, ok := patternNamespace(pat); ok {
-		for _, pos := range s.byNS[ns] {
-			if pat.Match(s.recs[pos].RequestID) {
-				return int(pos)
-			}
-		}
-		return -1
-	}
-	for i := range s.recs {
-		if pat.Match(s.recs[i].RequestID) {
-			return i
-		}
-	}
-	return -1
-}
-
-// Select returns the records matching q in (timestamp, seq) order.
-func (s *Store) Select(q Query) ([]Record, error) {
-	pat, err := pattern.Compile(q.IDPattern)
-	if err != nil {
-		return nil, fmt.Errorf("eventlog: bad query pattern: %w", err)
-	}
-	return s.selectMatching(q, pat), nil
-}
-
-// selectMatching is Select with q.IDPattern already compiled.
-func (s *Store) selectMatching(q Query, pat pattern.Pattern) []Record {
-	s.mu.RLock()
-	ordered := s.sorted == len(s.recs)
-	var matched []Record
-	if list, ok := s.postings(q, pat); ok {
-		// Filter positions through pointers first, then copy the matching
-		// records once at exactly the right size — records are wide enough
-		// that copying candidates (or regrowing the result) dominates an
-		// edge query's cost.
-		hits := make([]int32, 0, len(list))
-		for _, pos := range list {
-			r := &s.recs[pos]
-			if ordered && !q.Until.IsZero() && !r.Timestamp.Before(q.Until) {
-				// Posting lists are in timestamp order while the store is
-				// ordered: nothing past the Until bound can match.
-				break
-			}
-			if matches(r, q, pat) {
-				hits = append(hits, pos)
-				if ordered && q.Limit > 0 && len(hits) == q.Limit {
-					// Already in output order: the limit is final.
-					break
-				}
-			}
-		}
-		matched = make([]Record, len(hits))
-		for i, pos := range hits {
-			matched[i] = s.recs[pos]
-		}
-	} else {
-		matched = make([]Record, 0, 64)
-		for _, r := range s.recs {
-			if matches(&r, q, pat) {
-				matched = append(matched, r)
-			}
-		}
-	}
-	s.mu.RUnlock()
-
-	if !ordered {
-		sort.Slice(matched, func(i, j int) bool { return matched[i].Before(matched[j]) })
-	}
-	if q.Limit > 0 && len(matched) > q.Limit {
-		matched = matched[:q.Limit]
-	}
-	return matched
-}
-
-// Count reports how many records match q without copying them out — the
-// cheap path for count-only assertions and campaign bookkeeping.
-func (s *Store) Count(q Query) (int, error) {
-	pat, err := pattern.Compile(q.IDPattern)
-	if err != nil {
-		return 0, fmt.Errorf("eventlog: bad query pattern: %w", err)
-	}
-	return s.countMatching(q, pat), nil
-}
-
-// countMatching is Count with q.IDPattern already compiled.
-func (s *Store) countMatching(q Query, pat pattern.Pattern) int {
-	n := 0
-	s.mu.RLock()
-	if list, ok := s.postings(q, pat); ok {
-		ordered := s.sorted == len(s.recs)
-		for _, pos := range list {
-			r := &s.recs[pos]
-			if ordered && !q.Until.IsZero() && !r.Timestamp.Before(q.Until) {
-				break
-			}
-			if matches(r, q, pat) {
-				n++
-				if q.Limit > 0 && n == q.Limit {
-					break
-				}
-			}
-		}
-	} else {
-		for i := range s.recs {
-			if matches(&s.recs[i], q, pat) {
-				n++
-				if q.Limit > 0 && n == q.Limit {
-					break
-				}
-			}
-		}
-	}
-	s.mu.RUnlock()
-	return n
-}
-
-// Counter is the optional count-only surface of a Source. Store,
-// ShardedStore, and Client all implement it.
+// Counter is the optional count-only surface of a Source. Store and
+// Client implement it.
 type Counter interface {
 	Count(q Query) (int, error)
 }
@@ -473,49 +71,601 @@ func CountRecords(src Source, q Query) (int, error) {
 	return len(recs), nil
 }
 
-// postings returns the narrowest posting list serving q — its edge,
-// source or destination list, or the namespace list of an ID pattern
-// pinned to one namespace (pat is q.IDPattern compiled) — or ok=false when
-// none applies (or the index is disabled) and a full scan is required.
-// Caller holds at least a read lock.
-func (s *Store) postings(q Query, pat pattern.Pattern) (list []int32, ok bool) {
-	if s.linearScan {
-		return nil, false
-	}
-	switch {
-	case q.Src != "" && q.Dst != "":
-		list, ok = s.byEdge[storeKey{q.Src, q.Dst}], true
-	case q.Src != "":
-		list, ok = s.bySrc[q.Src], true
-	case q.Dst != "":
-		list, ok = s.byDst[q.Dst], true
-	}
-	if ns, pinned := patternNamespace(pat); pinned {
-		if l := s.byNS[ns]; !ok || len(l) < len(list) {
-			return l, true
-		}
-	}
-	return list, ok
+// StoreOptions configures a Store. The zero value is a pure in-memory
+// single shard — what NewStore returns.
+type StoreOptions struct {
+	// Shards is the number of independent partitions (default 1). Records
+	// are routed by a hash of their request-ID namespace, so one
+	// campaign run's records ("camp-<runID>-*") always share a shard and
+	// namespace-scoped queries touch exactly one lock.
+	Shards int
+
+	// DataDir enables write-ahead persistence: each shard keeps
+	// size-rotated JSONL segment files under DataDir/shard-<i>/ and
+	// replays them at open, so a kill -9'd store restarts into its exact
+	// pre-crash state. Empty disables persistence.
+	DataDir string
+
+	// Fsync selects the WAL durability policy (default FsyncInterval).
+	Fsync FsyncPolicy
+
+	// FsyncInterval is the background sync cadence under FsyncInterval
+	// (default 100ms).
+	FsyncInterval time.Duration
+
+	// MaxSegmentBytes rotates a shard's WAL segment when it exceeds this
+	// size (default 64 MiB).
+	MaxSegmentBytes int64
+
+	// CompactAfter triggers a shard's WAL compaction once that many
+	// records have been cleared from it since the last compaction
+	// (default 8192; negative disables automatic compaction). Compaction
+	// rewrites the live set into a single snapshot segment, reclaiming
+	// the space of cleared campaign namespaces.
+	CompactAfter int
 }
 
-func matches(r *Record, q Query, pat pattern.Pattern) bool {
-	if q.Src != "" && r.Src != q.Src {
-		return false
+func (o StoreOptions) withDefaults() StoreOptions {
+	if o.Shards <= 0 {
+		o.Shards = 1
 	}
-	if q.Dst != "" && r.Dst != q.Dst {
-		return false
+	if o.Fsync == "" {
+		o.Fsync = FsyncInterval
 	}
-	if q.Kind != "" && r.Kind != q.Kind {
-		return false
+	if o.FsyncInterval <= 0 {
+		o.FsyncInterval = 100 * time.Millisecond
 	}
-	if !pat.MatchAll() && !pat.Match(r.RequestID) {
-		return false
+	if o.MaxSegmentBytes <= 0 {
+		o.MaxSegmentBytes = 64 << 20
 	}
-	if !q.Since.IsZero() && r.Timestamp.Before(q.Since) {
-		return false
+	if o.CompactAfter == 0 {
+		o.CompactAfter = 8192
 	}
-	if !q.Until.IsZero() && !r.Timestamp.Before(q.Until) {
-		return false
+	return o
+}
+
+// ShardStats is one shard's observability snapshot (see the
+// gremlin_store_shard_* and gremlin_store_wal_* metric families).
+type ShardStats struct {
+	Shard          int    `json:"shard"`
+	Records        int    `json:"records"`
+	Appended       uint64 `json:"appended"`
+	WALSegments    int    `json:"walSegments,omitempty"`
+	WALBytes       int64  `json:"walBytes,omitempty"`
+	WALReplayed    int    `json:"walReplayed,omitempty"`
+	WALCompactions uint64 `json:"walCompactions,omitempty"`
+}
+
+// Store is the event store. It partitions the log across N shards, each
+// with its own lock, posting-list indexes, subscriber list and (optionally)
+// write-ahead log, so concurrent appends and selects stop contending on one
+// mutex. Records route to shards by a hash of their request-ID namespace;
+// reads scatter across the shards and merge the time-sorted streams, so
+// Select, Count and Subscribe answer exactly as one partition would.
+// NewStore returns a volatile single-shard store; NewShardedStore sets the
+// shard count and persistence. It is safe for concurrent use.
+type Store struct {
+	shards []*shard
+	seq    atomic.Uint64 // global sequence numbers, unique across shards
+	opts   StoreOptions
+	closed atomic.Bool
+
+	subscribers atomic.Int64 // open subscriptions
+
+	stopSync chan struct{}
+	syncDone chan struct{}
+}
+
+// ShardedStore is Store's former name, kept as an alias only because the
+// benchmark program under bench/ still spells it.
+type ShardedStore = Store
+
+var (
+	_ Sink    = (*Store)(nil)
+	_ Source  = (*Store)(nil)
+	_ Counter = (*Store)(nil)
+)
+
+// NewStore creates an empty, volatile, single-shard store.
+func NewStore() *Store {
+	s, _ := NewShardedStore(StoreOptions{}) // only a DataDir can fail
+	return s
+}
+
+// NewShardedStore creates a store partitioned per opts, replaying any
+// existing write-ahead logs under opts.DataDir.
+func NewShardedStore(opts StoreOptions) (*Store, error) {
+	o := opts.withDefaults()
+	s := &Store{shards: make([]*shard, o.Shards), opts: o}
+	for i := range s.shards {
+		s.shards[i] = newShard()
 	}
-	return true
+	if o.DataDir == "" {
+		return s, nil
+	}
+	if err := checkShardCount(o.DataDir, o.Shards); err != nil {
+		return nil, err
+	}
+	for i, sh := range s.shards {
+		w, recs, err := openWAL(filepath.Join(o.DataDir, fmt.Sprintf("shard-%d", i)), o.Fsync, o.MaxSegmentBytes)
+		if err != nil {
+			s.closeWALs()
+			return nil, err
+		}
+		// Replayed records keep their seqs and must not be journalled
+		// again, so they go in before the log is attached.
+		sh.add(recs, 0, time.Time{})
+		sh.wal = w
+		for _, r := range recs {
+			if r.Seq > s.seq.Load() {
+				s.seq.Store(r.Seq)
+			}
+		}
+	}
+	if o.Fsync == FsyncInterval {
+		s.stopSync = make(chan struct{})
+		s.syncDone = make(chan struct{})
+		go s.syncLoop()
+	}
+	return s, nil
+}
+
+// checkShardCount pins a data directory to the shard count that wrote it.
+// Namespace→shard routing depends on the count, so reopening with a
+// different one would strand replayed records on shards the new routing
+// never reads; resharding means a new directory.
+func checkShardCount(dir string, shards int) error {
+	if err := os.MkdirAll(dir, 0o755); err != nil {
+		return fmt.Errorf("eventlog: data dir: %w", err)
+	}
+	meta := filepath.Join(dir, "SHARDS")
+	b, err := os.ReadFile(meta)
+	if errors.Is(err, fs.ErrNotExist) {
+		return os.WriteFile(meta, []byte(fmt.Sprintf("%d\n", shards)), 0o644)
+	}
+	if err != nil {
+		return fmt.Errorf("eventlog: data dir: %w", err)
+	}
+	var have int
+	if _, err := fmt.Sscanf(string(b), "%d", &have); err != nil {
+		return fmt.Errorf("eventlog: %s: unreadable shard count %q", meta, b)
+	}
+	if have != shards {
+		return fmt.Errorf("eventlog: data dir %s was written with %d shards, opened with %d; routing would strand records — use a new directory to reshard", dir, have, shards)
+	}
+	return nil
+}
+
+// NumShards reports the number of partitions.
+func (s *Store) NumShards() int { return len(s.shards) }
+
+// Durability reports the store's WAL configuration — fsync policy,
+// background sync cadence, and data directory (empty for volatile
+// stores). GET /v1/info exposes it to remote operators.
+func (s *Store) Durability() (FsyncPolicy, time.Duration, string) {
+	return s.opts.Fsync, s.opts.FsyncInterval, s.opts.DataDir
+}
+
+// Replayed reports how many records were recovered from the write-ahead
+// logs when the store was opened.
+func (s *Store) Replayed() int {
+	n := 0
+	for _, sh := range s.shards {
+		if sh.wal != nil {
+			_, _, r, _ := sh.wal.stats()
+			n += r
+		}
+	}
+	return n
+}
+
+// UseLinearScan toggles the pre-index ablation: Select scans and sorts
+// every stored record, as the store did before posting lists existed.
+// Results are identical; only the work per query differs. Used as the
+// before/after baseline in benchmarks.
+func (s *Store) UseLinearScan(on bool) {
+	for _, sh := range s.shards {
+		sh.mu.Lock()
+		sh.linearScan = on
+		sh.mu.Unlock()
+	}
+}
+
+// shardFor routes a request ID to its shard.
+func (s *Store) shardFor(id string) int {
+	return shardOf(id, len(s.shards))
+}
+
+// shardOfPattern returns the one shard every ID matching pat can live on,
+// or -1 when the pattern spans namespaces and the query must scatter.
+func (s *Store) shardOfPattern(pat pattern.Pattern) int {
+	if len(s.shards) == 1 {
+		return 0
+	}
+	ns, ok := patternNamespace(pat)
+	if !ok {
+		return -1
+	}
+	return shardOfNamespace(ns, len(s.shards))
+}
+
+// Log appends records: each gets the next global sequence number and,
+// when it has none, the current time, both taken under its shard's gate so
+// every shard's seq order is its append order. With persistence on, a
+// shard's records reach its write-ahead log (acknowledged only once the
+// kernel has them) before memory; live subscriptions see them last, with
+// non-blocking sends, so subscribers never slow the append path down. A
+// batch bound for one shard — a volatile single-shard store's always, a
+// shard-aware client's usually — is appended without being copied.
+func (s *Store) Log(recs ...Record) error {
+	if len(recs) == 0 {
+		return nil
+	}
+	if s.closed.Load() {
+		return fmt.Errorf("eventlog: store closed")
+	}
+	si := 0
+	if len(s.shards) > 1 {
+		si = s.shardFor(recs[0].RequestID)
+		for _, r := range recs[1:] {
+			if s.shardFor(r.RequestID) != si {
+				return s.logScattered(recs)
+			}
+		}
+	}
+	sh := s.shards[si]
+	sh.gate.Lock()
+	defer sh.gate.Unlock()
+	n := uint64(len(recs))
+	return sh.write(recs, s.seq.Add(n)-n+1, time.Now())
+}
+
+// logScattered appends a batch that spans shards. It holds every involved
+// shard's gate — taken in shard order, so concurrent batches cannot
+// deadlock — while it reserves the batch's seqs, so seqs follow the batch
+// order and each shard still appends in seq order.
+func (s *Store) logScattered(recs []Record) error {
+	groups := make([][]Record, len(s.shards))
+	for i, r := range recs {
+		si := s.shardFor(r.RequestID)
+		r.Seq = uint64(i) // batch position until the seqs are reserved
+		groups[si] = append(groups[si], r)
+	}
+	for si, g := range groups {
+		if len(g) > 0 {
+			s.shards[si].gate.Lock()
+		}
+	}
+	n := uint64(len(recs))
+	base, now := s.seq.Add(n)-n+1, time.Now()
+	var err error
+	for si, g := range groups {
+		if len(g) == 0 {
+			continue
+		}
+		for i := range g {
+			stamp(&g[i], base+g[i].Seq, now)
+		}
+		if err == nil {
+			err = s.shards[si].write(g, 0, time.Time{})
+		}
+		s.shards[si].gate.Unlock()
+	}
+	return err
+}
+
+// Select returns the records matching q in (timestamp, seq) order,
+// scatter-gathering across shards and merging their sorted streams. A
+// query whose IDPattern pins one namespace reads only that namespace's
+// shard.
+func (s *Store) Select(q Query) ([]Record, error) {
+	pat, err := pattern.Compile(q.IDPattern)
+	if err != nil {
+		return nil, fmt.Errorf("eventlog: bad query pattern: %w", err)
+	}
+	if si := s.shardOfPattern(pat); si >= 0 {
+		return s.shards[si].selectMatching(q, pat), nil
+	}
+	parts := make([][]Record, len(s.shards))
+	s.scatter(func(i int) { parts[i] = s.shards[i].selectMatching(q, pat) })
+	merged := mergeSorted(parts)
+	if q.Limit > 0 && len(merged) > q.Limit {
+		merged = merged[:q.Limit]
+	}
+	return merged, nil
+}
+
+// Count reports how many records match q without copying them out — the
+// cheap path for count-only assertions and campaign bookkeeping.
+func (s *Store) Count(q Query) (int, error) {
+	pat, err := pattern.Compile(q.IDPattern)
+	if err != nil {
+		return 0, fmt.Errorf("eventlog: bad query pattern: %w", err)
+	}
+	if si := s.shardOfPattern(pat); si >= 0 {
+		return s.shards[si].countMatching(q, pat), nil
+	}
+	counts := make([]int, len(s.shards))
+	s.scatter(func(i int) { counts[i] = s.shards[i].countMatching(q, pat) })
+	total := 0
+	for _, c := range counts {
+		total += c
+	}
+	if q.Limit > 0 && total > q.Limit {
+		total = q.Limit
+	}
+	return total, nil
+}
+
+// scatterThreshold is the combined record count above which a
+// scatter-gather read pays for per-shard goroutines; smaller stores scan
+// sequentially.
+const scatterThreshold = 8192
+
+// scatter runs fn(i) for every shard — in parallel when the store is
+// large enough for the goroutine fan-out to pay.
+func (s *Store) scatter(fn func(i int)) {
+	if s.Len() < scatterThreshold {
+		for i := range s.shards {
+			fn(i)
+		}
+		return
+	}
+	var wg sync.WaitGroup
+	for i := range s.shards {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			fn(i)
+		}(i)
+	}
+	wg.Wait()
+}
+
+// mergeSorted merges per-shard sorted record slices into one sorted slice
+// using a binary min-heap of shard cursors.
+func mergeSorted(parts [][]Record) []Record {
+	nonEmpty, total := 0, 0
+	last := -1
+	for i, p := range parts {
+		if len(p) > 0 {
+			nonEmpty++
+			total += len(p)
+			last = i
+		}
+	}
+	if nonEmpty == 0 {
+		return nil
+	}
+	if nonEmpty == 1 {
+		return parts[last]
+	}
+
+	type cursor struct {
+		part, idx int
+	}
+	heap := make([]cursor, 0, nonEmpty)
+	less := func(a, b cursor) bool {
+		return parts[a.part][a.idx].Before(parts[b.part][b.idx])
+	}
+	push := func(c cursor) {
+		heap = append(heap, c)
+		for i := len(heap) - 1; i > 0; {
+			parent := (i - 1) / 2
+			if !less(heap[i], heap[parent]) {
+				break
+			}
+			heap[i], heap[parent] = heap[parent], heap[i]
+			i = parent
+		}
+	}
+	fix := func() { // sift the root down after its cursor advanced
+		i := 0
+		for {
+			l, r := 2*i+1, 2*i+2
+			small := i
+			if l < len(heap) && less(heap[l], heap[small]) {
+				small = l
+			}
+			if r < len(heap) && less(heap[r], heap[small]) {
+				small = r
+			}
+			if small == i {
+				return
+			}
+			heap[i], heap[small] = heap[small], heap[i]
+			i = small
+		}
+	}
+	for i, p := range parts {
+		if len(p) > 0 {
+			push(cursor{part: i})
+		}
+	}
+	out := make([]Record, 0, total)
+	for len(heap) > 0 {
+		c := heap[0]
+		out = append(out, parts[c.part][c.idx])
+		if c.idx+1 < len(parts[c.part]) {
+			heap[0].idx++
+		} else {
+			heap[0] = heap[len(heap)-1]
+			heap = heap[:len(heap)-1]
+		}
+		fix()
+	}
+	return out
+}
+
+// Len reports the number of stored records across all shards.
+func (s *Store) Len() int {
+	n := 0
+	for _, sh := range s.shards {
+		n += sh.len()
+	}
+	return n
+}
+
+// Appended reports the total number of records ever appended (a monotone
+// counter, unlike Len, which a clear lowers).
+func (s *Store) Appended() uint64 {
+	var n uint64
+	for _, sh := range s.shards {
+		sh.mu.RLock()
+		n += sh.appended
+		sh.mu.RUnlock()
+	}
+	return n
+}
+
+// Clear removes all records and returns how many were dropped. Recipes
+// clear the store between test steps so assertions evaluate only the
+// current step's observations.
+func (s *Store) Clear() int {
+	n, _ := s.ClearMatching("*")
+	return n
+}
+
+// ClearMatching removes the records whose request ID matches idPattern
+// and returns how many were dropped. Campaigns reclaim a finished run's
+// namespaced records ("camp-<runID>-*") without disturbing concurrent
+// runs sharing the store; an empty pattern clears everything. Only the
+// owning shard is touched when the pattern pins a namespace, as campaign
+// cleanup's always does. With persistence on, the clear is journalled as
+// a tombstone first, and a shard that has accumulated CompactAfter
+// cleared records compacts its log.
+func (s *Store) ClearMatching(idPattern string) (int, error) {
+	pat, err := pattern.Compile(idPattern)
+	if err != nil {
+		return 0, fmt.Errorf("eventlog: bad clear pattern: %w", err)
+	}
+	lo, hi := 0, len(s.shards)
+	if si := s.shardOfPattern(pat); si >= 0 {
+		lo, hi = si, si+1
+	}
+	total := 0
+	for _, sh := range s.shards[lo:hi] {
+		n, err := s.clearShard(sh, idPattern, pat)
+		total += n
+		if err != nil {
+			return total, err
+		}
+	}
+	return total, nil
+}
+
+func (s *Store) clearShard(sh *shard, idPattern string, pat pattern.Pattern) (int, error) {
+	sh.gate.Lock()
+	defer sh.gate.Unlock()
+	if sh.wal != nil {
+		if err := sh.wal.appendClear(idPattern); err != nil {
+			return 0, err
+		}
+	}
+	n := sh.clearMatching(pat)
+	if sh.wal != nil && n > 0 && s.opts.CompactAfter >= 0 {
+		if sh.garbage += n; sh.garbage >= s.opts.CompactAfter {
+			_ = sh.compact() // the tombstone is durable; a failed compaction retries on the next clear
+		}
+	}
+	return n, nil
+}
+
+// Compact rewrites every shard's write-ahead log down to its live
+// records, reclaiming the space of cleared namespaces immediately instead
+// of waiting for the CompactAfter threshold. Volatile stores have nothing
+// to compact.
+func (s *Store) Compact() error {
+	for si := range s.shards {
+		if err := s.CompactShard(si); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// CompactShard compacts one shard's write-ahead log.
+func (s *Store) CompactShard(si int) error {
+	if si < 0 || si >= len(s.shards) {
+		return nil
+	}
+	sh := s.shards[si]
+	sh.gate.Lock()
+	defer sh.gate.Unlock()
+	return sh.compact()
+}
+
+// ShardStats returns one entry per shard with its record, append, and
+// write-ahead-log counters.
+func (s *Store) ShardStats() []ShardStats {
+	out := make([]ShardStats, len(s.shards))
+	for i, sh := range s.shards {
+		sh.mu.RLock()
+		st := ShardStats{Shard: i, Records: len(sh.recs), Appended: sh.appended}
+		sh.mu.RUnlock()
+		if sh.wal != nil {
+			st.WALSegments, st.WALBytes, st.WALReplayed, st.WALCompactions = sh.wal.stats()
+		}
+		out[i] = st
+	}
+	return out
+}
+
+// Sync forces dirty write-ahead segments to stable storage (the
+// FsyncInterval loop does this continuously).
+func (s *Store) Sync() error {
+	for _, sh := range s.shards {
+		if sh.wal != nil {
+			if err := sh.wal.sync(); err != nil {
+				return err
+			}
+		}
+	}
+	return nil
+}
+
+// Close stops the background sync loop and seals the write-ahead logs.
+// The in-memory store remains readable; further appends fail.
+func (s *Store) Close() error {
+	if !s.closed.CompareAndSwap(false, true) {
+		return nil
+	}
+	if s.stopSync != nil {
+		close(s.stopSync)
+		<-s.syncDone
+	}
+	var first error
+	for _, sh := range s.shards {
+		sh.gate.Lock()
+		if sh.wal != nil {
+			if err := sh.wal.close(); err != nil && first == nil {
+				first = err
+			}
+		}
+		sh.gate.Unlock()
+	}
+	return first
+}
+
+func (s *Store) closeWALs() {
+	for _, sh := range s.shards {
+		if sh.wal != nil {
+			_ = sh.wal.close()
+		}
+	}
+}
+
+// syncLoop fsyncs dirty segments on the configured cadence.
+func (s *Store) syncLoop() {
+	defer close(s.syncDone)
+	t := time.NewTicker(s.opts.FsyncInterval)
+	defer t.Stop()
+	for {
+		select {
+		case <-t.C:
+			_ = s.Sync()
+		case <-s.stopSync:
+			return
+		}
+	}
 }

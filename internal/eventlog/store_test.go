@@ -387,8 +387,8 @@ func TestClearMatchingEmptiesEdge(t *testing.T) {
 	if n, err := s.ClearMatching("drop-*"); err != nil || n != 6 {
 		t.Fatalf("ClearMatching = %d, %v; want 6", n, err)
 	}
-	if len(s.byEdge) != 1 || len(s.bySrc) != 1 || len(s.byDst) != 1 {
-		t.Fatalf("emptied edge still indexed: %d edges, %d sources, %d destinations", len(s.byEdge), len(s.bySrc), len(s.byDst))
+	if sh := s.shards[0]; len(sh.byEdge) != 1 || len(sh.bySrc) != 1 || len(sh.byDst) != 1 {
+		t.Fatalf("emptied edge still indexed: %d edges, %d sources, %d destinations", len(sh.byEdge), len(sh.bySrc), len(sh.byDst))
 	}
 	for _, q := range []Query{{Src: "gone", Dst: "edge"}, {Src: "gone"}, {Dst: "edge"}} {
 		if got, err := s.Select(q); err != nil || len(got) != 0 {
@@ -413,10 +413,11 @@ func TestClearMatchingEmptiesEdge(t *testing.T) {
 	}
 }
 
-// ShardedStore stamps global seqs before it takes a shard's gate, so two
-// concurrent LogShard batches can reach a shard in reverse seq order. On
-// equal timestamps the store must notice it is out of order and sort:
-// Select's contract is (timestamp, seq).
+// Replayed records keep the seqs and the order their log holds, and a log
+// written by an older store — which stamped seqs outside the shard's gate —
+// can hold equal-timestamp records in reverse seq order. The store must
+// notice it is out of order and sort: Select's contract is (timestamp,
+// seq).
 func TestSelectOrdersTimestampTiesBySeq(t *testing.T) {
 	s := NewStore()
 	batch := func(seqs ...uint64) []Record {
@@ -426,8 +427,8 @@ func TestSelectOrdersTimestampTiesBySeq(t *testing.T) {
 		}
 		return recs
 	}
-	s.logStamped(batch(3, 4))
-	s.logStamped(batch(1, 2))
+	logStamped(t, s, batch(3, 4))
+	logStamped(t, s, batch(1, 2))
 	for _, q := range []Query{{}, {Src: "a", Dst: "b"}, {IDPattern: "x-*"}, {Limit: 2}} {
 		got, err := s.Select(q)
 		if err != nil {
@@ -437,6 +438,36 @@ func TestSelectOrdersTimestampTiesBySeq(t *testing.T) {
 			if r.Seq != uint64(i+1) {
 				t.Fatalf("Select(%+v): record %d has seq %d, want %d", q, i, r.Seq, i+1)
 			}
+		}
+	}
+}
+
+// TestStoreLogAllocBudget: appending a 64-record batch to a warmed volatile
+// store allocates nothing — the records are stamped as they are copied
+// into the shard — whichever constructor built the store, and building
+// one stays cheap. Every hop workload logs through NewStore.
+func TestStoreLogAllocBudget(t *testing.T) {
+	sharded, err := NewShardedStore(StoreOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	batch := hopBatch(64)
+	for name, s := range map[string]*Store{"NewStore": NewStore(), "NewShardedStore": sharded} {
+		for i := 0; i < 64; i++ {
+			if err := s.Log(batch...); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if got := testing.AllocsPerRun(200, func() { _ = s.Log(batch...) }); got != 0 {
+			t.Errorf("%s: Log of 64 records = %.0f allocs, want 0", name, got)
+		}
+	}
+	for name, build := range map[string]func(){
+		"NewStore":        func() { _ = NewStore() },
+		"NewShardedStore": func() { _, _ = NewShardedStore(StoreOptions{}) },
+	} {
+		if got := testing.AllocsPerRun(100, build); got > 10 {
+			t.Errorf("%s = %.0f allocs, want at most 10", name, got)
 		}
 	}
 }

@@ -4,13 +4,16 @@ import (
 	"context"
 	"fmt"
 	"io"
+	"net"
 	"net/http"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
 	"gremlin/internal/metrics"
+	"gremlin/internal/pattern"
 )
 
 func TestSubscribeDeliversMatchingRecords(t *testing.T) {
@@ -326,6 +329,176 @@ func TestServerMetricsEndpoint(t *testing.T) {
 	} {
 		if !strings.Contains(body, want) {
 			t.Errorf("metrics missing %q in:\n%s", want, body)
+		}
+	}
+}
+
+// waitUntil polls cond for up to five seconds and reports whether it held.
+func waitUntil(cond func() bool) bool {
+	deadline := time.Now().Add(5 * time.Second)
+	for !cond() {
+		if time.Now().After(deadline) {
+			return false
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+	return true
+}
+
+// checkNoGoroutinesLeft fails unless the goroutine count settles back
+// within two of base.
+func checkNoGoroutinesLeft(t *testing.T, base int) {
+	t.Helper()
+	if !waitUntil(func() bool { return runtime.NumGoroutine() <= base+2 }) {
+		t.Fatalf("%d goroutines left behind (%d at start)", runtime.NumGoroutine()-base, base)
+	}
+}
+
+// TestSubscriptionCloseLeaksNoGoroutines: closing an unpinned feed on a
+// multi-shard store while its buffer is full, without reading it, leaves
+// nothing running.
+func TestSubscriptionCloseLeaksNoGoroutines(t *testing.T) {
+	ss := newSharded(t, StoreOptions{Shards: 4})
+	batch := make([]Record, 64)
+	for i := range batch {
+		batch[i] = Record{RequestID: fmt.Sprintf("ns%d-%d", i%8, i), Src: "a", Dst: "b", Kind: KindRequest}
+	}
+	base := runtime.NumGoroutine()
+	for cycle := 0; cycle < 20; cycle++ {
+		sub, err := ss.SubscribeBuffer("", 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := ss.Log(batch...); err != nil {
+			t.Fatal(err)
+		}
+		sub.Close()
+	}
+	checkNoGoroutinesLeft(t, base)
+}
+
+// TestSubscriptionServerDisconnectLeaksNoGoroutines: a /v1/stream client
+// on a 4-shard server that stops reading until its feed overflows, then
+// disconnects, leaves nothing running.
+func TestSubscriptionServerDisconnectLeaksNoGoroutines(t *testing.T) {
+	ss, c := newShardedTestServer(t, 4)
+	base := runtime.NumGoroutine()
+	conn, err := net.Dial("tcp", strings.TrimPrefix(c.baseURL, "http://"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	// A small receive window, so the handler's writes block sooner.
+	if err := conn.(*net.TCPConn).SetReadBuffer(4096); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := io.WriteString(conn, "GET /v1/stream?buffer=2 HTTP/1.1\r\nHost: store\r\n\r\n"); err != nil {
+		t.Fatal(err)
+	}
+	if !waitUntil(func() bool { return ss.Subscribers() > 0 }) {
+		t.Fatal("stream never subscribed")
+	}
+	// Large records across namespaces until the feed drops: the handler is
+	// then stuck writing to a client that does not read.
+	uri := strings.Repeat("x", 64<<10)
+	batch := make([]Record, 16)
+	for i := range batch {
+		batch[i] = Record{RequestID: fmt.Sprintf("ns%d-%d", i%8, i), Src: "a", Dst: "b", Kind: KindRequest, URI: uri}
+	}
+	for i := 0; ss.SubscriberDropped() == 0; i++ {
+		if i == 1000 {
+			t.Fatal("feed never overflowed")
+		}
+		if err := ss.Log(batch...); err != nil {
+			t.Fatal(err)
+		}
+	}
+	conn.Close()
+	if !waitUntil(func() bool { return ss.Subscribers() == 0 }) {
+		t.Fatal("subscription outlived its client")
+	}
+	checkNoGoroutinesLeft(t, base)
+}
+
+// TestSubscriptionConservation holds a feed to the records it was owed:
+// on a single-shard and a 4-shard store, for a pinned and an unpinned
+// pattern, with batches across namespaces logged concurrently, every
+// matching record appended while it was open is delivered on C or counted
+// in Dropped, a feed nobody reads holds at most its buffer, and each
+// shard's records arrive in that shard's append order.
+func TestSubscriptionConservation(t *testing.T) {
+	const buffer = 16
+	for _, shards := range []int{1, 4} {
+		for _, pat := range []string{"camp-r1-*", "*"} {
+			for _, reading := range []bool{true, false} {
+				t.Run(fmt.Sprintf("shards=%d/%s/reading=%v", shards, pat, reading), func(t *testing.T) {
+					s := newSharded(t, StoreOptions{Shards: shards})
+					sub, err := s.SubscribeBuffer(pat, buffer)
+					if err != nil {
+						t.Fatal(err)
+					}
+					var delivered []Record
+					done := make(chan struct{})
+					if reading {
+						go func() {
+							defer close(done)
+							for r := range sub.C() {
+								delivered = append(delivered, r)
+							}
+						}()
+					}
+					var wg sync.WaitGroup
+					for w := 0; w < 4; w++ {
+						wg.Add(1)
+						go func(w int) {
+							defer wg.Done()
+							for b := 0; b < 50; b++ {
+								batch := make([]Record, 8)
+								for i := range batch {
+									ns := []string{"camp-r1", "camp-r2", "test", "x"}[(w+b+i)%4]
+									batch[i] = Record{RequestID: fmt.Sprintf("%s-%d-%d", ns, w, b), Src: "a", Dst: "b", Kind: KindRequest}
+								}
+								if err := s.Log(batch...); err != nil {
+									t.Error(err)
+									return
+								}
+							}
+						}(w)
+					}
+					wg.Wait()
+					sub.Close()
+					if reading {
+						<-done
+					} else {
+						for r := range sub.C() {
+							delivered = append(delivered, r)
+						}
+						if len(delivered) > buffer {
+							t.Errorf("an unread feed held %d records, buffer %d", len(delivered), buffer)
+						}
+					}
+
+					want, err := s.Count(Query{IDPattern: pat})
+					if err != nil {
+						t.Fatal(err)
+					}
+					if got := int64(len(delivered)) + sub.Dropped(); got != int64(want) {
+						t.Errorf("delivered %d + dropped %d = %d, appended %d matching", len(delivered), sub.Dropped(), got, want)
+					}
+					last := make([]uint64, shards)
+					p := pattern.MustCompile(pat)
+					for _, r := range delivered {
+						if !p.Match(r.RequestID) {
+							t.Fatalf("delivered %q, which %q does not match", r.RequestID, pat)
+						}
+						si := shardOf(r.RequestID, shards)
+						if r.Seq <= last[si] {
+							t.Fatalf("shard %d delivered seq %d after %d", si, r.Seq, last[si])
+						}
+						last[si] = r.Seq
+					}
+				})
+			}
 		}
 	}
 }

@@ -14,14 +14,8 @@ import (
 // Monitor works identically against both.
 type Feed func(ctx context.Context, pattern string, fn func(eventlog.Record)) error
 
-// Subscribable is the live-subscription surface of an event store; both
-// *eventlog.Store and *eventlog.ShardedStore satisfy it.
-type Subscribable interface {
-	SubscribeBuffer(idPattern string, buffer int) (eventlog.Subscriber, error)
-}
-
 // StoreFeed taps an in-process store's subscription fan-out.
-func StoreFeed(s Subscribable) Feed {
+func StoreFeed(s *eventlog.Store) Feed {
 	return func(ctx context.Context, pattern string, fn func(eventlog.Record)) error {
 		sub, err := s.SubscribeBuffer(pattern, eventlog.DefaultSubscriberBuffer)
 		if err != nil {
