@@ -88,12 +88,13 @@ cpu-profile-store:
 # the race detector: per-helper budgets in internal/trace, the
 # whole-exchange budget and shared-header forwarding in internal/proxy,
 # the record codec's budget and its fuzz seed corpus, a volatile store's
-# allocation-free Log and cheap constructors (StoreLogAllocBudget), and
+# allocation-free Log and cheap constructors (StoreLogAllocBudget),
 # copy-free WAL compaction (budget and unordered-shard replay) in
-# internal/eventlog.
+# internal/eventlog, and the L4 relay's per-connection budget, passed
+# through and throttled (RelayAllocBudget), in internal/streamproxy.
 alloc-budget:
-	$(GO) test -race -count=1 -run 'AllocBudget|StoreLogAllocBudget|HeaderConstantsCanonical|Stamp|FuzzAppendEI|SharedHeaderForwarding|PoolCounts|FuzzRecordCodec|CompactUnorderedShardReplays' \
-		./internal/trace ./internal/proxy ./internal/eventlog
+	$(GO) test -race -count=1 -run 'AllocBudget|StoreLogAllocBudget|RelayAllocBudget|HeaderConstantsCanonical|Stamp|FuzzAppendEI|SharedHeaderForwarding|PoolCounts|FuzzRecordCodec|CompactUnorderedShardReplays' \
+		./internal/trace ./internal/proxy ./internal/eventlog ./internal/streamproxy
 
 # The paper's full evaluation series (Tables 1-3, Figures 5-8).
 bench-figures:

@@ -39,13 +39,5 @@ func (b *bucket) wait(n int, done <-chan struct{}) bool {
 	if b.allow >= 0 {
 		return true
 	}
-	d := time.Duration(-b.allow / b.rate * float64(time.Second))
-	t := time.NewTimer(d)
-	defer t.Stop()
-	select {
-	case <-t.C:
-		return true
-	case <-done:
-		return false
-	}
+	return sleep(time.Duration(-b.allow/b.rate*float64(time.Second)), done)
 }

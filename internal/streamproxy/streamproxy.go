@@ -19,6 +19,11 @@
 //   - Throttle: token-bucket pacing of one direction to RateBytesPerSec.
 //   - Jitter: a fixed sleep before each relayed chunk.
 //
+// The accept-time decision holds for the connection's life. A direction
+// no mid-stream fault fired for is passed through with io.Copy between
+// the two TCP sockets (splice(2) on Linux), so its bytes never enter
+// the process.
+//
 // Every connection emits a paired conn-open/conn-close record into the
 // event log (shared RequestID = connection ID) carrying the bytes moved
 // each way, the connection's duration, and the fault that fired, so the
@@ -27,6 +32,7 @@
 package streamproxy
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"io"
@@ -39,9 +45,18 @@ import (
 	"gremlin/internal/rules"
 )
 
-// copyBufSize is the per-direction relay buffer. 32 KiB matches the
+// copyBufSize is a faulted direction's relay buffer. 32 KiB matches the
 // HTTP proxy's streaming fast path.
 const copyBufSize = 32 * 1024
+
+// chunk is how many bytes an unfaulted direction hands to one io.Copy
+// (one splice(2) run on Linux) before adding them to the counters, so
+// the byte counters advance while a long-lived connection is open.
+const chunk = 1 << 20
+
+// copyBufs holds the faulted path's buffers, so a throttled or jittered
+// connection costs no per-connection buffer allocation.
+var copyBufs = sync.Pool{New: func() any { return new([copyBufSize]byte) }}
 
 // DefaultDialTimeout bounds the upstream dial when Config.DialTimeout
 // is zero.
@@ -142,6 +157,12 @@ type Relay struct {
 	sessions map[*session]struct{}
 	closed   bool
 
+	// quit is cancelled by Close: it cuts short the connect phase
+	// (connect-delay and upstream dial) of connections not yet
+	// registered as sessions.
+	quit context.Context
+	stop context.CancelFunc
+
 	wg sync.WaitGroup
 
 	conns, open          atomic.Int64
@@ -164,7 +185,9 @@ func New(cfg Config) (*Relay, error) {
 	if err != nil {
 		return nil, fmt.Errorf("streamproxy: listen %s: %w", cfg.ListenAddr, err)
 	}
-	return &Relay{cfg: cfg, ln: ln, sessions: make(map[*session]struct{})}, nil
+	r := &Relay{cfg: cfg, ln: ln, sessions: make(map[*session]struct{})}
+	r.quit, r.stop = context.WithCancel(context.Background())
+	return r, nil
 }
 
 // Addr returns the bound listen address (useful with ":0").
@@ -182,7 +205,8 @@ func (r *Relay) Start() {
 	go r.acceptLoop()
 }
 
-// Close stops the listener, tears down every live session (emitting
+// Close stops the listener, cuts short connections still in their
+// connect phase, tears down every live session (all of them emitting
 // their conn-close records), and waits for all connection goroutines to
 // finish.
 func (r *Relay) Close() error {
@@ -199,6 +223,7 @@ func (r *Relay) Close() error {
 	}
 	r.mu.Unlock()
 
+	r.stop()
 	err := r.ln.Close()
 	for _, s := range live {
 		s.teardown(rules.SeverFIN)
@@ -250,9 +275,11 @@ func (r *Relay) mintID() string {
 	return fmt.Sprintf("l4-conn-%d", r.connSeq.Add(1))
 }
 
+// dial connects to the next upstream target; Close aborts it.
 func (r *Relay) dial() (net.Conn, error) {
 	target := r.cfg.Targets[r.nextTarget.Add(1)%uint64(len(r.cfg.Targets))]
-	return net.DialTimeout("tcp", target, r.cfg.DialTimeout)
+	d := net.Dialer{Timeout: r.cfg.DialTimeout}
+	return d.DialContext(r.quit, "tcp", target)
 }
 
 // streamFault filters a decision down to the mid-stream actions; the
@@ -325,7 +352,11 @@ func (r *Relay) handle(down net.Conn) {
 			closeRec.FaultRuleID = upDec.Rule.ID
 			closeRec.InjectedDelayMillis = float64(upDec.Rule.DelayMillis)
 			closeRec.GremlinGenerated = true
-			time.Sleep(upDec.Rule.Delay())
+			if !sleep(upDec.Rule.Delay(), r.quit.Done()) {
+				down.Close()
+				emitClose()
+				return
+			}
 		}
 	}
 
@@ -456,8 +487,13 @@ type pumpResult struct {
 
 // pump relays src→dst until EOF, error, or a fault terminates the
 // direction. total accumulates the relay-wide byte counter for this
-// direction.
+// direction. A direction no fault fired for is passed through; a faulted
+// one is copied through a pooled buffer, so the fault can act between
+// reads.
 func (s *session) pump(src, dst net.Conn, dec rules.Decision, total *atomic.Int64) pumpResult {
+	if !dec.Fired {
+		return s.passThrough(src, dst, total)
+	}
 	var res pumpResult
 	var (
 		severAfter int64 = -1
@@ -466,18 +502,15 @@ func (s *session) pump(src, dst net.Conn, dec rules.Decision, total *atomic.Int6
 		tb         *bucket
 		jitter     time.Duration
 	)
-	if dec.Fired {
-		rule := dec.Rule
-		switch rule.Action {
-		case rules.ActionSever:
-			severAfter, severMode = rule.AbortAfterBytes, rule.EffectiveSeverMode()
-		case rules.ActionHalfOpen:
-			halfAfter = rule.AbortAfterBytes
-		case rules.ActionThrottle:
-			tb = newBucket(rule.RateBytesPerSec)
-		case rules.ActionJitter:
-			jitter = rule.Delay()
-		}
+	switch rule := dec.Rule; rule.Action {
+	case rules.ActionSever:
+		severAfter, severMode = rule.AbortAfterBytes, rule.EffectiveSeverMode()
+	case rules.ActionHalfOpen:
+		halfAfter = rule.AbortAfterBytes
+	case rules.ActionThrottle:
+		tb = newBucket(rule.RateBytesPerSec)
+	case rules.ActionJitter:
+		jitter = rule.Delay()
 	}
 	actuate := func(a rules.Action, counter *atomic.Int64) {
 		if res.action == "" {
@@ -486,7 +519,9 @@ func (s *session) pump(src, dst net.Conn, dec rules.Decision, total *atomic.Int6
 		}
 	}
 
-	buf := make([]byte, copyBufSize)
+	pooled := copyBufs.Get().(*[copyBufSize]byte)
+	defer copyBufs.Put(pooled)
+	buf := pooled[:]
 	for {
 		if halfAfter >= 0 && res.bytes >= halfAfter {
 			actuate(rules.ActionHalfOpen, &s.relay.halfOpened)
@@ -500,35 +535,35 @@ func (s *session) pump(src, dst net.Conn, dec rules.Decision, total *atomic.Int6
 		}
 		n, err := src.Read(buf)
 		if n > 0 {
-			chunk := buf[:n]
+			out := buf[:n]
 			// Clip at a pending sever/half-open threshold so the logged
 			// byte counts are exact; the remainder is dropped because the
 			// direction dies on the next loop iteration anyway.
 			if severAfter >= 0 && res.bytes+int64(n) > severAfter {
-				chunk = buf[:severAfter-res.bytes]
+				out = buf[:severAfter-res.bytes]
 			} else if halfAfter >= 0 && res.bytes+int64(n) > halfAfter {
-				chunk = buf[:halfAfter-res.bytes]
+				out = buf[:halfAfter-res.bytes]
 			}
 			if jitter > 0 {
 				actuate(rules.ActionJitter, &s.relay.jittered)
-				if !s.sleep(jitter) {
+				if !sleep(jitter, s.done) {
 					return res
 				}
 				res.injectedMillis += float64(jitter) / float64(time.Millisecond)
 			}
 			if tb != nil {
 				actuate(rules.ActionThrottle, &s.relay.throttled)
-				if !tb.wait(len(chunk), s.done) {
+				if !tb.wait(len(out), s.done) {
 					return res
 				}
 			}
-			if len(chunk) > 0 {
-				if _, werr := dst.Write(chunk); werr != nil {
+			if len(out) > 0 {
+				if _, werr := dst.Write(out); werr != nil {
 					s.teardown(rules.SeverFIN)
 					return res
 				}
-				res.bytes += int64(len(chunk))
-				total.Add(int64(len(chunk)))
+				res.bytes += int64(len(out))
+				total.Add(int64(len(out)))
 			}
 		}
 		if err != nil {
@@ -544,14 +579,40 @@ func (s *session) pump(src, dst net.Conn, dec rules.Decision, total *atomic.Int6
 	}
 }
 
-// sleep pauses for d unless the session is torn down first.
-func (s *session) sleep(d time.Duration) bool {
+// passThrough relays src→dst for a direction no fault fired for. Each
+// io.Copy moves up to chunk bytes through the destination's ReadFrom,
+// which between two TCP connections on Linux is splice(2): the bytes
+// never enter the process. Their count is published after every chunk.
+func (s *session) passThrough(src, dst net.Conn, total *atomic.Int64) pumpResult {
+	var res pumpResult
+	lr := &io.LimitedReader{R: src}
+	for {
+		lr.N = chunk
+		n, err := io.Copy(dst, lr)
+		res.bytes += n
+		total.Add(n)
+		if err != nil {
+			s.teardown(rules.SeverFIN)
+			return res
+		}
+		if lr.N > 0 {
+			// The source sent EOF before the chunk filled: propagate the
+			// FIN and let the other direction keep flowing.
+			closeWrite(dst)
+			return res
+		}
+	}
+}
+
+// sleep pauses for d and reports true, or reports false as soon as done
+// is closed (session teardown, relay Close).
+func sleep(d time.Duration, done <-chan struct{}) bool {
 	t := time.NewTimer(d)
 	defer t.Stop()
 	select {
 	case <-t.C:
 		return true
-	case <-s.done:
+	case <-done:
 		return false
 	}
 }
