@@ -90,11 +90,13 @@ cpu-profile-store:
 # the record codec's budget and its fuzz seed corpus, a volatile store's
 # allocation-free Log and cheap constructors (StoreLogAllocBudget),
 # copy-free WAL compaction (budget and unordered-shard replay) in
-# internal/eventlog, and the L4 relay's per-connection budget, passed
-# through and throttled (RelayAllocBudget), in internal/streamproxy.
+# internal/eventlog, the L4 relay's per-connection budget, passed
+# through and throttled (RelayAllocBudget), in internal/streamproxy, and
+# the orchestrator's registry fan-out read (RegistryReadAllocBudget) in
+# internal/registry.
 alloc-budget:
-	$(GO) test -race -count=1 -run 'AllocBudget|StoreLogAllocBudget|RelayAllocBudget|HeaderConstantsCanonical|Stamp|FuzzAppendEI|SharedHeaderForwarding|PoolCounts|FuzzRecordCodec|CompactUnorderedShardReplays' \
-		./internal/trace ./internal/proxy ./internal/eventlog ./internal/streamproxy
+	$(GO) test -race -count=1 -run 'AllocBudget|StoreLogAllocBudget|RelayAllocBudget|RegistryReadAllocBudget|HeaderConstantsCanonical|Stamp|FuzzAppendEI|SharedHeaderForwarding|PoolCounts|FuzzRecordCodec|CompactUnorderedShardReplays' \
+		./internal/trace ./internal/proxy ./internal/eventlog ./internal/streamproxy ./internal/registry
 
 # The paper's full evaluation series (Tables 1-3, Figures 5-8).
 bench-figures:

@@ -95,15 +95,10 @@ func run(args []string) error {
 	}
 	g := graph.FromEdges(edges)
 
-	registryRaw, err := os.ReadFile(*registryPath)
+	reg, err := registry.LoadFile(*registryPath)
 	if err != nil {
 		return err
 	}
-	var instances []registry.Instance
-	if err := json.Unmarshal(registryRaw, &instances); err != nil {
-		return fmt.Errorf("parse %s: %w", *registryPath, err)
-	}
-	reg := registry.NewStatic(instances...)
 
 	storeClient := eventlog.NewClient(*storeURL, nil)
 	if !storeClient.Healthy() {

@@ -27,6 +27,7 @@ import (
 	"math/rand"
 	"os"
 	"os/signal"
+	"slices"
 	"strings"
 	"syscall"
 	"time"
@@ -120,7 +121,7 @@ func runCommand(args []string) error {
 	if err != nil {
 		return err
 	}
-	reg, err := loadRegistry(*registryPath)
+	reg, err := registry.LoadFile(*registryPath)
 	if err != nil {
 		return err
 	}
@@ -195,7 +196,7 @@ func autorunCommand(args []string) error {
 	if err != nil {
 		return err
 	}
-	reg, err := loadRegistry(*registryPath)
+	reg, err := registry.LoadFile(*registryPath)
 	if err != nil {
 		return err
 	}
@@ -271,7 +272,7 @@ func chaosCommand(args []string) error {
 	if err != nil {
 		return err
 	}
-	reg, err := loadRegistry(*registryPath)
+	reg, err := registry.LoadFile(*registryPath)
 	if err != nil {
 		return err
 	}
@@ -359,14 +360,14 @@ func agentCommand(sub string, args []string) error {
 		}
 		return printJSON(info)
 	case "rules":
-		list, err := client.ListRules(ctx)
+		set, err := client.GetRuleSet(ctx)
 		if err != nil {
 			return err
 		}
-		for _, r := range list {
+		for _, r := range set.Rules {
 			fmt.Println(r)
 		}
-		fmt.Printf("%d rules installed\n", len(list))
+		fmt.Printf("%d rules installed at generation %d\n", len(set.Rules), set.Generation)
 		return nil
 	case "install":
 		if *file == "" {
@@ -380,19 +381,31 @@ func agentCommand(sub string, args []string) error {
 		if err := json.Unmarshal(raw, &batch); err != nil {
 			return fmt.Errorf("parse %s: %w", *file, err)
 		}
-		if err := client.InstallRules(ctx, batch...); err != nil {
+		// The agent rejects a set with duplicate IDs, so an ID already
+		// installed fails the whole batch.
+		gen, err := editRules(ctx, client, func(cur []rules.Rule) ([]rules.Rule, error) {
+			return append(cur, batch...), nil
+		})
+		if err != nil {
 			return err
 		}
-		fmt.Printf("installed %d rules\n", len(batch))
+		fmt.Printf("installed %d rules at generation %d\n", len(batch), gen)
 		return nil
 	case "remove":
 		if *id == "" {
 			return fmt.Errorf("gremlin-ctl remove: -id is required")
 		}
-		if err := client.RemoveRule(ctx, *id); err != nil {
+		gen, err := editRules(ctx, client, func(cur []rules.Rule) ([]rules.Rule, error) {
+			n := len(cur)
+			if cur = slices.DeleteFunc(cur, func(r rules.Rule) bool { return r.ID == *id }); len(cur) == n {
+				return nil, fmt.Errorf("rule %q not installed", *id)
+			}
+			return cur, nil
+		})
+		if err != nil {
 			return err
 		}
-		fmt.Printf("removed rule %s\n", *id)
+		fmt.Printf("removed rule %s at generation %d\n", *id, gen)
 		return nil
 	case "clear":
 		n, err := client.ClearRules(ctx)
@@ -409,6 +422,27 @@ func agentCommand(sub string, args []string) error {
 		return nil
 	}
 	return nil
+}
+
+// editRules replaces an agent's rule set with edit(installed rules) at the
+// next generation, compare-and-swapped on the generation it read, and
+// returns the new generation. A leased rule set is refused: its owner
+// renews it, and a PUT without a TTL would disarm the lease.
+func editRules(ctx context.Context, client *agentapi.Client, edit func([]rules.Rule) ([]rules.Rule, error)) (uint64, error) {
+	cur, err := client.GetRuleSet(ctx)
+	if err != nil {
+		return 0, err
+	}
+	if cur.Leased {
+		return 0, fmt.Errorf("agent %s holds a leased rule set (generation %d); editing it would disarm its owner's lease",
+			client.BaseURL(), cur.Generation)
+	}
+	next, err := edit(cur.Rules)
+	if err != nil {
+		return 0, err
+	}
+	st, err := client.PutRuleSet(ctx, rules.RuleSet{Generation: cur.Generation + 1, Rules: next}, cur.Generation)
+	return st.Generation, err
 }
 
 // statusCommand prints each agent's rule-set status — generation, content
@@ -430,7 +464,7 @@ func statusCommand(args []string) error {
 	case *agentURL != "":
 		urls = []string{*agentURL}
 	case *registryPath != "":
-		reg, err := loadRegistry(*registryPath)
+		reg, err := registry.LoadFile(*registryPath)
 		if err != nil {
 			return err
 		}
@@ -583,7 +617,7 @@ func driftCommand(args []string) error {
 	if *registryPath == "" {
 		return fmt.Errorf("gremlin-ctl drift: -registry is required")
 	}
-	reg, err := loadRegistry(*registryPath)
+	reg, err := registry.LoadFile(*registryPath)
 	if err != nil {
 		return err
 	}
@@ -631,20 +665,6 @@ func loadGraph(path string) (*graph.Graph, error) {
 		return nil, fmt.Errorf("parse %s: %w", path, err)
 	}
 	return graph.FromEdges(edges), nil
-}
-
-// loadRegistry reads a registry JSON file
-// ([{"service":..,"addr":..,"agentControlUrl":..}]).
-func loadRegistry(path string) (registry.Registry, error) {
-	raw, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	var instances []registry.Instance
-	if err := json.Unmarshal(raw, &instances); err != nil {
-		return nil, fmt.Errorf("parse %s: %w", path, err)
-	}
-	return registry.NewStatic(instances...), nil
 }
 
 func storeCommand(sub string, args []string) error {
@@ -725,9 +745,10 @@ func usage() {
 
 agent commands (-agent <control URL>):
   info      show agent identity, routes and rule-set generation
-  rules     list installed rules
-  install   install rules from -file <rules.json>
-  remove    remove one rule by -id
+  rules     list installed rules and their generation
+  install   add rules from -file <rules.json> at the next generation
+            (refused while the agent holds a leased rule set)
+  remove    remove one rule by -id, likewise
   clear     remove all rules
   flush     flush buffered observations to the store
 

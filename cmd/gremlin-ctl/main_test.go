@@ -14,6 +14,7 @@ import (
 	"gremlin/internal/agentapi"
 	"gremlin/internal/eventlog"
 	"gremlin/internal/registry"
+	"gremlin/internal/rules"
 	"gremlin/internal/topology"
 )
 
@@ -147,11 +148,20 @@ func TestEndToEndCtlAgainstLiveTopology(t *testing.T) {
 	if err := run([]string{"install", "-agent", agentURL, "-file", rulesPath}); err != nil {
 		t.Fatalf("install: %v", err)
 	}
+	if err := run([]string{"install", "-agent", agentURL, "-file", rulesPath}); err == nil {
+		t.Fatal("installing an ID that is already installed should fail")
+	}
+	if n := app.Agent("serviceA").Matcher().Len(); n != 1 {
+		t.Fatalf("after install: %d rules, want 1", n)
+	}
 	if err := run([]string{"query", "-store", storeServer.URL(), "-kind", "reply", "-limit", "5"}); err != nil {
 		t.Fatalf("query: %v", err)
 	}
 	if err := run([]string{"remove", "-agent", agentURL, "-id", "manual-1"}); err != nil {
 		t.Fatalf("remove: %v", err)
+	}
+	if err := run([]string{"remove", "-agent", agentURL, "-id", "manual-1"}); err == nil {
+		t.Fatal("removing a rule that is not installed should fail")
 	}
 	if err := run([]string{"clear", "-agent", agentURL}); err != nil {
 		t.Fatalf("clear: %v", err)
@@ -412,12 +422,54 @@ func TestStatusAndDriftCommands(t *testing.T) {
 	if err := run([]string{"drift", "-registry", registryPath}); err != nil {
 		t.Fatalf("drift after repair: %v", err)
 	}
-	list, err := agentapi.New(agentURL, nil).ListRules(context.Background())
+	set, err := agentapi.New(agentURL, nil).GetRuleSet(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(list) != 0 {
-		t.Fatalf("repair left %d rules installed", len(list))
+	if len(set.Rules) != 0 {
+		t.Fatalf("repair left %d rules installed", len(set.Rules))
+	}
+}
+
+// TestInstallRefusesLeasedAgent: install and remove edit an agent's rule
+// set with a TTL-less PUT, which would disarm a lease its owner renews.
+// Against a leased agent both must fail and leave the set and its lease
+// as they were.
+func TestInstallRefusesLeasedAgent(t *testing.T) {
+	spec := topology.TwoServices(0, time.Millisecond)
+	app, err := topology.Build(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() {
+		if err := app.Close(); err != nil {
+			t.Error(err)
+		}
+	}()
+	agentURL := app.Agent("serviceA").ControlURL()
+	client := agentapi.New(agentURL, nil)
+	ctx := context.Background()
+
+	owned := rules.Rule{ID: "owned-1", Src: "serviceA", Dst: "serviceB", Action: rules.ActionAbort, Pattern: "test-*", ErrorCode: 503}
+	if _, err := client.PutRuleSet(ctx, rules.RuleSet{Generation: 7, Rules: []rules.Rule{owned}, TTLMillis: 60_000}, rules.NoMatch); err != nil {
+		t.Fatal(err)
+	}
+	rulesPath := writeJSON(t, t.TempDir(), "rules.json", []map[string]any{{
+		"id": "manual-1", "src": "serviceA", "dst": "serviceB",
+		"action": "abort", "pattern": "test-*", "errorCode": 503,
+	}})
+	if err := run([]string{"install", "-agent", agentURL, "-file", rulesPath}); err == nil || !strings.Contains(err.Error(), "leased") {
+		t.Fatalf("install on a leased agent: err = %v, want a lease refusal", err)
+	}
+	if err := run([]string{"remove", "-agent", agentURL, "-id", "owned-1"}); err == nil {
+		t.Fatal("remove on a leased agent should fail")
+	}
+	set, err := client.GetRuleSet(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !set.Leased || set.Generation != 7 || len(set.Rules) != 1 || set.Rules[0].ID != "owned-1" {
+		t.Fatalf("rule set after refused edits = %+v, want the leased generation 7 untouched", set)
 	}
 }
 

@@ -74,7 +74,7 @@ func run(args []string, out *os.File) error {
 		return attachLoop(ctx, *attach, *frames, *plain, out)
 	}
 
-	reg, err := loadRegistry(*registryPath)
+	reg, err := registry.LoadFile(*registryPath)
 	if err != nil {
 		return err
 	}
@@ -208,16 +208,4 @@ func renderSnapshot(s telemetry.Snapshot, plain bool) string {
 		}
 	}
 	return b.String()
-}
-
-func loadRegistry(path string) (registry.Registry, error) {
-	b, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	var instances []registry.Instance
-	if err := json.Unmarshal(b, &instances); err != nil {
-		return nil, fmt.Errorf("parse registry %s: %w", path, err)
-	}
-	return registry.NewStatic(instances...), nil
 }

@@ -208,9 +208,6 @@ type (
 	// their agents.
 	Registry = registry.Registry
 
-	// StaticRegistry is a fixed, thread-safe Registry.
-	StaticRegistry = registry.Static
-
 	// Instance is one physical service instance plus its agent.
 	Instance = registry.Instance
 
@@ -244,8 +241,9 @@ func NewGraph() *Graph { return graph.New() }
 // GraphFromEdges builds a graph from an edge list.
 func GraphFromEdges(edges []GraphEdge) *Graph { return graph.FromEdges(edges) }
 
-// NewRegistry builds a static registry from instances.
-func NewRegistry(instances ...Instance) *StaticRegistry { return registry.NewStatic(instances...) }
+// NewRegistry builds a fixed registry from instances: a DynamicRegistry
+// whose leases last about a century.
+func NewRegistry(instances ...Instance) *DynamicRegistry { return registry.NewStatic(instances...) }
 
 // NewDynamicRegistry builds a lease-based registry. The zero options value
 // uses a 10s default TTL and a 1024-event watch ring.
@@ -254,9 +252,8 @@ func NewDynamicRegistry(opts DynamicRegistryOptions) *DynamicRegistry {
 }
 
 // NewRegistryServer serves a registry over HTTP on addr ("127.0.0.1:0"
-// for an ephemeral port). Dynamic-only endpoints (renew, members, watch)
-// are enabled when reg is a *DynamicRegistry.
-func NewRegistryServer(addr string, reg registry.Backend) (*RegistryServer, error) {
+// for an ephemeral port).
+func NewRegistryServer(addr string, reg *DynamicRegistry) (*RegistryServer, error) {
 	return registry.NewServer(addr, reg)
 }
 

@@ -123,18 +123,18 @@ func TestPublicAPIAgent(t *testing.T) {
 	}()
 
 	ctl := gremlin.NewAgentClient(agent.ControlURL())
-	if err := ctl.InstallRules(context.Background(), gremlin.Rule{
+	if _, err := ctl.PutRuleSet(context.Background(), gremlin.RuleSet{Generation: 1, Rules: []gremlin.Rule{{
 		ID: "r1", Src: "client", Dst: "server",
 		Action: gremlin.ActionAbort, Pattern: gremlin.DefaultPattern, ErrorCode: 503,
-	}); err != nil {
+	}}}, gremlin.NoMatch); err != nil {
 		t.Fatal(err)
 	}
-	list, err := ctl.ListRules(context.Background())
+	set, err := ctl.GetRuleSet(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(list) != 1 || list[0].ID != "r1" {
-		t.Fatalf("rules = %+v", list)
+	if set.Generation != 1 || len(set.Rules) != 1 || set.Rules[0].ID != "r1" {
+		t.Fatalf("rule set = %+v", set)
 	}
 }
 

@@ -1,6 +1,8 @@
 // Package agentapi provides the Go client for a Gremlin agent's REST
 // control API. The Failure Orchestrator uses it to program the data plane;
-// the gremlin-ctl tool uses it for manual operation.
+// the gremlin-ctl tool uses it for manual operation. Rules travel only as
+// whole versioned rule sets (GetRuleSet/PutRuleSet); ClearRules drops them
+// all.
 //
 // Every method takes a context: reconciliation loops and recipe runs pass
 // theirs down so a hung agent can never block a Revert or an anti-entropy
@@ -15,7 +17,6 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"net/url"
 	"strconv"
 	"time"
 
@@ -58,7 +59,7 @@ func (c *Client) BaseURL() string { return c.baseURL }
 // Info fetches the agent's identity, routes, and rule-set version.
 func (c *Client) Info(ctx context.Context) (proxy.InfoBody, error) {
 	var info proxy.InfoBody
-	err := c.do(ctx, http.MethodGet, "/v1/info", nil, &info)
+	err := c.do(ctx, http.MethodGet, "/v1/info", &info)
 	if err != nil {
 		return proxy.InfoBody{}, fmt.Errorf("agentapi: info: %w", err)
 	}
@@ -68,7 +69,7 @@ func (c *Client) Info(ctx context.Context) (proxy.InfoBody, error) {
 // GetRuleSet fetches the agent's complete versioned rule state.
 func (c *Client) GetRuleSet(ctx context.Context) (proxy.RuleSetBody, error) {
 	var body proxy.RuleSetBody
-	if err := c.do(ctx, http.MethodGet, "/v1/ruleset", nil, &body); err != nil {
+	if err := c.do(ctx, http.MethodGet, "/v1/ruleset", &body); err != nil {
 		return proxy.RuleSetBody{}, fmt.Errorf("agentapi: get ruleset: %w", err)
 	}
 	return body, nil
@@ -123,38 +124,10 @@ func (c *Client) PutRuleSet(ctx context.Context, set rules.RuleSet, ifMatch uint
 	}
 }
 
-// InstallRules installs a batch of fault-injection rules on the agent.
-func (c *Client) InstallRules(ctx context.Context, batch ...rules.Rule) error {
-	if len(batch) == 0 {
-		return nil
-	}
-	if err := c.do(ctx, http.MethodPost, "/v1/rules", batch, nil); err != nil {
-		return fmt.Errorf("agentapi: install %d rules: %w", len(batch), err)
-	}
-	return nil
-}
-
-// ListRules returns the rules installed on the agent.
-func (c *Client) ListRules(ctx context.Context) ([]rules.Rule, error) {
-	var out []rules.Rule
-	if err := c.do(ctx, http.MethodGet, "/v1/rules", nil, &out); err != nil {
-		return nil, fmt.Errorf("agentapi: list rules: %w", err)
-	}
-	return out, nil
-}
-
-// RemoveRule removes one rule by ID.
-func (c *Client) RemoveRule(ctx context.Context, id string) error {
-	if err := c.do(ctx, http.MethodDelete, "/v1/rules/"+url.PathEscape(id), nil, nil); err != nil {
-		return fmt.Errorf("agentapi: remove rule %q: %w", id, err)
-	}
-	return nil
-}
-
 // ClearRules removes all rules, returning how many were installed.
 func (c *Client) ClearRules(ctx context.Context) (int, error) {
 	var out map[string]int
-	if err := c.do(ctx, http.MethodDelete, "/v1/rules", nil, &out); err != nil {
+	if err := c.do(ctx, http.MethodDelete, "/v1/rules", &out); err != nil {
 		return 0, fmt.Errorf("agentapi: clear rules: %w", err)
 	}
 	return out["removed"], nil
@@ -162,7 +135,7 @@ func (c *Client) ClearRules(ctx context.Context) (int, error) {
 
 // Flush asks the agent to flush buffered observation records to the store.
 func (c *Client) Flush(ctx context.Context) error {
-	if err := c.do(ctx, http.MethodPost, "/v1/flush", nil, nil); err != nil {
+	if err := c.do(ctx, http.MethodPost, "/v1/flush", nil); err != nil {
 		return fmt.Errorf("agentapi: flush: %w", err)
 	}
 	return nil
@@ -192,24 +165,15 @@ func (c *Client) Metrics(ctx context.Context) (string, error) {
 
 // Healthy reports whether the agent's control API responds.
 func (c *Client) Healthy(ctx context.Context) bool {
-	return c.do(ctx, http.MethodGet, "/healthz", nil, nil) == nil
+	return c.do(ctx, http.MethodGet, "/healthz", nil) == nil
 }
 
-func (c *Client) do(ctx context.Context, method, path string, in, out any) error {
-	var body io.Reader
-	if in != nil {
-		b, err := json.Marshal(in)
-		if err != nil {
-			return fmt.Errorf("marshal: %w", err)
-		}
-		body = bytes.NewReader(b)
-	}
-	req, err := http.NewRequestWithContext(ctx, method, c.baseURL+path, body)
+// do sends a bodiless request and decodes a JSON reply into out (when
+// non-nil).
+func (c *Client) do(ctx context.Context, method, path string, out any) error {
+	req, err := http.NewRequestWithContext(ctx, method, c.baseURL+path, nil)
 	if err != nil {
 		return err
-	}
-	if in != nil {
-		req.Header.Set("Content-Type", "application/json")
 	}
 	resp, err := c.http.Do(req)
 	if err != nil {

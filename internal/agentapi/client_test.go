@@ -40,13 +40,13 @@ func TestBaseURL(t *testing.T) {
 func TestPathsAndMethods(t *testing.T) {
 	ctx := context.Background()
 	var calls []string
-	srv := cannedServer(t, 200, `[]`, &calls)
+	srv := cannedServer(t, 200, `{}`, &calls)
 	c := New(srv.URL, nil)
 
-	if _, err := c.ListRules(ctx); err != nil {
+	if _, err := c.GetRuleSet(ctx); err != nil {
 		t.Fatal(err)
 	}
-	if err := c.RemoveRule(ctx, "has space/slash"); err != nil {
+	if _, err := c.ClearRules(ctx); err != nil {
 		t.Fatal(err)
 	}
 	if err := c.Flush(ctx); err != nil {
@@ -57,8 +57,8 @@ func TestPathsAndMethods(t *testing.T) {
 	}
 
 	want := []string{
-		"GET /v1/rules",
-		"DELETE /v1/rules/has%20space%2Fslash",
+		"GET /v1/ruleset",
+		"DELETE /v1/rules",
 		"POST /v1/flush",
 		"GET /healthz",
 	}
@@ -75,7 +75,7 @@ func TestPathsAndMethods(t *testing.T) {
 func TestServerErrorSurfaced(t *testing.T) {
 	srv := cannedServer(t, 400, `{"error":"mis-targeted rule"}`, nil)
 	c := New(srv.URL, nil)
-	err := c.InstallRules(context.Background(), rules.Rule{ID: "x", Src: "a", Dst: "b", Action: rules.ActionAbort, ErrorCode: 503})
+	_, err := c.GetRuleSet(context.Background())
 	if err == nil || !strings.Contains(err.Error(), "mis-targeted rule") {
 		t.Fatalf("err = %v, want body surfaced", err)
 	}
@@ -85,7 +85,7 @@ func TestMalformedResponseBody(t *testing.T) {
 	ctx := context.Background()
 	srv := cannedServer(t, 200, `not json`, nil)
 	c := New(srv.URL, nil)
-	if _, err := c.ListRules(ctx); err == nil {
+	if _, err := c.GetRuleSet(ctx); err == nil {
 		t.Fatal("want decode error")
 	}
 	if _, err := c.Info(ctx); err == nil {

@@ -103,7 +103,7 @@ func (f *fakeAgent) fail(err error) {
 // fixture builds a registry with services a (2 instances, 2 agents) and b
 // (1 instance), plus a dialer resolving the fake agents.
 type fixture struct {
-	reg    *registry.Static
+	reg    *registry.Dynamic
 	agents map[string]*fakeAgent
 	orch   *Orchestrator
 }

@@ -56,8 +56,9 @@ type RouteInfo struct {
 }
 
 // controlHandler builds the agent's REST control API. This is the
-// "well-defined interface to the control plane" of the paper's Table 2: the
-// Failure Orchestrator installs rules here.
+// "well-defined interface to the control plane" of the paper's Table 2:
+// rules reach the agent only as a whole versioned rule set (PUT
+// /v1/ruleset); DELETE /v1/rules clears them all.
 func (a *Agent) controlHandler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, _ *http.Request) {
@@ -66,10 +67,7 @@ func (a *Agent) controlHandler() http.Handler {
 	mux.HandleFunc("GET /v1/info", a.handleInfo)
 	mux.HandleFunc("GET /v1/ruleset", a.handleGetRuleSet)
 	mux.HandleFunc("PUT /v1/ruleset", a.handlePutRuleSet)
-	mux.HandleFunc("GET /v1/rules", a.handleListRules)
-	mux.HandleFunc("POST /v1/rules", a.handleInstallRules)
 	mux.HandleFunc("DELETE /v1/rules", a.handleClearRules)
-	mux.HandleFunc("DELETE /v1/rules/{id}", a.handleRemoveRule)
 	mux.HandleFunc("POST /v1/flush", a.handleFlush)
 	mux.HandleFunc("GET /metrics", a.handleMetrics)
 	return mux
@@ -143,38 +141,11 @@ func (a *Agent) handlePutRuleSet(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-func (a *Agent) handleListRules(w http.ResponseWriter, _ *http.Request) {
-	list := a.matcher.List()
-	if list == nil {
-		list = []rules.Rule{}
-	}
-	httpx.WriteJSON(w, http.StatusOK, list)
-}
-
-func (a *Agent) handleInstallRules(w http.ResponseWriter, r *http.Request) {
-	var batch []rules.Rule
-	if err := httpx.ReadJSON(w, r, &batch); err != nil {
-		httpx.WriteError(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	if err := a.InstallRules(batch...); err != nil {
-		httpx.WriteError(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	httpx.WriteJSON(w, http.StatusCreated, map[string]int{"installed": len(batch)})
-}
-
+// handleClearRules drops every rule at the next generation: the
+// orchestrator's ClearAll, which must work whatever generation or lease
+// an agent holds.
 func (a *Agent) handleClearRules(w http.ResponseWriter, _ *http.Request) {
 	httpx.WriteJSON(w, http.StatusOK, map[string]int{"removed": a.matcher.Clear()})
-}
-
-func (a *Agent) handleRemoveRule(w http.ResponseWriter, r *http.Request) {
-	id := r.PathValue("id")
-	if !a.matcher.Remove(id) {
-		httpx.WriteError(w, http.StatusNotFound, "rule %q not installed", id)
-		return
-	}
-	httpx.WriteJSON(w, http.StatusOK, map[string]int{"removed": 1})
 }
 
 func (a *Agent) handleFlush(w http.ResponseWriter, _ *http.Request) {
@@ -240,10 +211,10 @@ func (a *Agent) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	_, _ = mw.WriteTo(w)
 }
 
-// InstallRules validates and installs rules on this agent. Every rule must
-// name this agent's service as its source and one of the agent's routes as
-// its destination — the orchestrator ships rules only to the agents they
-// concern, and a mismatch indicates a mis-targeted rule.
+// InstallRules validates and installs rules on an in-process agent, at the
+// next generation; the wire has no such call. Every rule must name this
+// agent's service as its source and one of the agent's routes as its
+// destination — a mismatch indicates a mis-targeted rule.
 func (a *Agent) InstallRules(batch ...rules.Rule) error {
 	for _, rule := range batch {
 		if err := a.validateTarget(rule); err != nil {

@@ -75,26 +75,30 @@ func TestControlInfo(t *testing.T) {
 	}
 }
 
+// TestControlInstallListRemoveClear drives rule edits the only way the
+// wire allows: read the versioned set, PUT the edited set at the next
+// generation under If-Match, and DELETE /v1/rules to clear.
 func TestControlInstallListRemoveClear(t *testing.T) {
 	ctx := context.Background()
 	_, c := startAgent(t, nil)
 
-	if err := c.InstallRules(ctx, abortRule("r1"), abortRule("r2")); err != nil {
+	if _, err := c.PutRuleSet(ctx, rules.RuleSet{Generation: 1, Rules: []rules.Rule{abortRule("r1"), abortRule("r2")}}, 0); err != nil {
 		t.Fatal(err)
 	}
-	list, err := c.ListRules(ctx)
+	got, err := c.GetRuleSet(ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(list) != 2 {
-		t.Fatalf("ListRules = %d rules", len(list))
+	if got.Generation != 1 || len(got.Rules) != 2 {
+		t.Fatalf("GetRuleSet = %+v", got)
 	}
 
-	if err := c.RemoveRule(ctx, "r1"); err != nil {
+	if _, err := c.PutRuleSet(ctx, rules.RuleSet{Generation: 2, Rules: got.Rules[1:]}, got.Generation); err != nil {
 		t.Fatal(err)
 	}
-	if err := c.RemoveRule(ctx, "r1"); err == nil {
-		t.Fatal("removing a missing rule should error")
+	// A writer that read generation 1 lost the race.
+	if _, err := c.PutRuleSet(ctx, rules.RuleSet{Generation: 2}, got.Generation); !errors.Is(err, agentapi.ErrPreconditionFailed) {
+		t.Fatalf("stale If-Match: want ErrPreconditionFailed, got %v", err)
 	}
 
 	n, err := c.ClearRules(ctx)
@@ -104,19 +108,57 @@ func TestControlInstallListRemoveClear(t *testing.T) {
 	if n != 1 {
 		t.Fatalf("ClearRules = %d, want 1", n)
 	}
-	list, err = c.ListRules(ctx)
+	got, err = c.GetRuleSet(ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(list) != 0 {
-		t.Fatalf("rules remain after clear: %+v", list)
+	if len(got.Rules) != 0 || got.Generation != 3 {
+		t.Fatalf("after clear: %+v, want no rules at generation 3", got)
 	}
 }
 
-func TestControlInstallEmptyBatchIsLocalNoop(t *testing.T) {
-	c := agentapi.New("http://127.0.0.1:1", &http.Client{Timeout: 100 * time.Millisecond})
-	if err := c.InstallRules(context.Background()); err != nil {
-		t.Fatalf("empty install should not touch the network: %v", err)
+// TestControlLegacyRuleRoutesRemoved pins the retired imperative routes:
+// listing or posting rules is no longer a method /v1/rules allows, and a
+// per-rule delete has no route at all. DELETE /v1/rules still clears and
+// moves the generation.
+func TestControlLegacyRuleRoutesRemoved(t *testing.T) {
+	ctx := context.Background()
+	a, c := startAgent(t, nil)
+	if err := a.InstallRules(abortRule("r1")); err != nil {
+		t.Fatal(err)
+	}
+	for _, tt := range []struct {
+		method, path string
+		want         int
+	}{
+		{http.MethodGet, "/v1/rules", http.StatusMethodNotAllowed},
+		{http.MethodPost, "/v1/rules", http.StatusMethodNotAllowed},
+		{http.MethodDelete, "/v1/rules/r1", http.StatusNotFound},
+	} {
+		req, err := http.NewRequest(tt.method, a.ControlURL()+tt.path, strings.NewReader(`[]`))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != tt.want {
+			t.Errorf("%s %s = %d, want %d", tt.method, tt.path, resp.StatusCode, tt.want)
+		}
+	}
+	if a.Matcher().Len() != 1 {
+		t.Fatal("a retired route touched the rules")
+	}
+
+	gen := a.Matcher().Generation()
+	if n, err := c.ClearRules(ctx); err != nil || n != 1 {
+		t.Fatalf("ClearRules = %d, %v; want 1", n, err)
+	}
+	if a.Matcher().Len() != 0 || a.Matcher().Generation() != gen+1 {
+		t.Fatalf("DELETE /v1/rules left %d rules at generation %d, want 0 at %d",
+			a.Matcher().Len(), a.Matcher().Generation(), gen+1)
 	}
 }
 
@@ -125,15 +167,15 @@ func TestControlInstallRejectsBadRules(t *testing.T) {
 	_, c := startAgent(t, nil)
 	bad := abortRule("r1")
 	bad.Src = "someoneelse"
-	if err := c.InstallRules(ctx, bad); err == nil {
+	if _, err := c.PutRuleSet(ctx, rules.RuleSet{Generation: 1, Rules: []rules.Rule{bad}}, rules.NoMatch); err == nil {
 		t.Fatal("want error for mis-targeted rule")
 	}
-	list, err := c.ListRules(ctx)
+	got, err := c.GetRuleSet(ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(list) != 0 {
-		t.Fatal("failed install must not leave rules behind")
+	if len(got.Rules) != 0 || got.Generation != 0 {
+		t.Fatalf("failed install left %+v behind", got)
 	}
 }
 
@@ -180,15 +222,6 @@ func TestClientErrorsAgainstDownAgent(t *testing.T) {
 	c := agentapi.New("http://127.0.0.1:1", &http.Client{Timeout: 100 * time.Millisecond})
 	if _, err := c.Info(ctx); err == nil {
 		t.Fatal("Info should fail")
-	}
-	if err := c.InstallRules(ctx, abortRule("r")); err == nil {
-		t.Fatal("InstallRules should fail")
-	}
-	if _, err := c.ListRules(ctx); err == nil {
-		t.Fatal("ListRules should fail")
-	}
-	if err := c.RemoveRule(ctx, "r"); err == nil {
-		t.Fatal("RemoveRule should fail")
 	}
 	if _, err := c.ClearRules(ctx); err == nil {
 		t.Fatal("ClearRules should fail")
@@ -275,7 +308,7 @@ func TestControlInfoReportsSinkHealth(t *testing.T) {
 func TestControlMetricsExposition(t *testing.T) {
 	ctx := context.Background()
 	a, c := startAgent(t, nil)
-	if err := c.InstallRules(ctx, abortRule("abort-server")); err != nil {
+	if _, err := c.PutRuleSet(ctx, rules.RuleSet{Generation: 1, Rules: []rules.Rule{abortRule("abort-server")}}, rules.NoMatch); err != nil {
 		t.Fatal(err)
 	}
 

@@ -1,8 +1,10 @@
 package registry
 
 import (
+	"cmp"
 	"context"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -87,6 +89,11 @@ type Dynamic struct {
 
 	mu      sync.Mutex
 	members map[string]map[string]*Member // service -> addr -> member
+	// next is a lower bound on every member's Expires (zero while there
+	// are none): no lease can lapse before it, so reads skip the expiry
+	// scan until then. Every Expires write lowers it (leaseLocked); the
+	// scan raises it to the earliest surviving lease.
+	next    time.Time
 	version uint64
 	events  []Event // ring of the most recent MaxEvents changes
 	wake    chan struct{}
@@ -142,16 +149,27 @@ func (d *Dynamic) Register(in Instance, ttl time.Duration) error {
 	if m, ok := byAddr[in.Addr]; ok {
 		changed := m.Instance != in
 		m.Instance = in
-		m.RenewedAt = now
-		m.Expires = now.Add(ttl)
+		d.leaseLocked(m, now, ttl)
 		if changed {
 			d.emitLocked(EventUpdate, in, now)
 		}
 		return nil
 	}
-	byAddr[in.Addr] = &Member{Instance: in, RegisteredAt: now, RenewedAt: now, Expires: now.Add(ttl)}
+	m := &Member{Instance: in, RegisteredAt: now}
+	d.leaseLocked(m, now, ttl)
+	byAddr[in.Addr] = m
 	d.emitLocked(EventJoin, in, now)
 	return nil
+}
+
+// leaseLocked renews m's lease for ttl from now and lowers the registry's
+// next-expiry bound when the new deadline is earlier than it.
+func (d *Dynamic) leaseLocked(m *Member, now time.Time, ttl time.Duration) {
+	m.RenewedAt = now
+	m.Expires = now.Add(ttl)
+	if d.next.IsZero() || m.Expires.Before(d.next) {
+		d.next = m.Expires
+	}
 }
 
 // Renew extends a live member's lease by ttl (DefaultTTL when ttl <= 0).
@@ -169,15 +187,14 @@ func (d *Dynamic) Renew(service, addr string, ttl time.Duration) error {
 	if m == nil {
 		return fmt.Errorf("registry: renew %s@%s: no live lease (re-register)", service, addr)
 	}
-	m.RenewedAt = now
-	m.Expires = now.Add(ttl)
+	d.leaseLocked(m, now, ttl)
 	d.nRenewals++
 	return nil
 }
 
-// Deregister removes an instance explicitly, reporting whether it was
+// Remove deregisters an instance explicitly, reporting whether it was
 // live.
-func (d *Dynamic) Deregister(service, addr string) bool {
+func (d *Dynamic) Remove(service, addr string) bool {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	now := d.opts.Now()
@@ -195,11 +212,9 @@ func (d *Dynamic) Deregister(service, addr string) bool {
 	return true
 }
 
-// Add implements the Server backend: Register with the default TTL.
+// Add registers an instance under the default lease. An instance without
+// a service or address is dropped; Register reports it instead.
 func (d *Dynamic) Add(in Instance) { _ = d.Register(in, 0) }
-
-// Remove implements the Server backend: an explicit Deregister.
-func (d *Dynamic) Remove(service, addr string) bool { return d.Deregister(service, addr) }
 
 // Instances implements Registry over the live members.
 func (d *Dynamic) Instances(service string) ([]Instance, error) {
@@ -214,11 +229,8 @@ func (d *Dynamic) Instances(service string) ([]Instance, error) {
 	for _, m := range byAddr {
 		out = append(out, m.Instance)
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Replica != out[j].Replica {
-			return out[i].Replica < out[j].Replica
-		}
-		return out[i].Addr < out[j].Addr
+	slices.SortFunc(out, func(a, b Instance) int {
+		return cmp.Or(cmp.Compare(a.Replica, b.Replica), cmp.Compare(a.Addr, b.Addr))
 	})
 	return out, nil
 }
@@ -248,14 +260,9 @@ func (d *Dynamic) Members() []Member {
 			out = append(out, *m)
 		}
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Service != out[j].Service {
-			return out[i].Service < out[j].Service
-		}
-		if out[i].Replica != out[j].Replica {
-			return out[i].Replica < out[j].Replica
-		}
-		return out[i].Addr < out[j].Addr
+	slices.SortFunc(out, func(a, b Member) int {
+		return cmp.Or(cmp.Compare(a.Service, b.Service),
+			cmp.Compare(a.Replica, b.Replica), cmp.Compare(a.Addr, b.Addr))
 	})
 	return out
 }
@@ -362,21 +369,31 @@ func (d *Dynamic) emitLocked(typ EventType, in Instance, now time.Time) {
 }
 
 // expireLocked drops members whose lease lapsed, emitting expire events.
+// Until the next-expiry bound passes it costs one comparison; a scan
+// resets the bound to the earliest surviving lease.
 func (d *Dynamic) expireLocked(now time.Time) int {
+	if !now.After(d.next) {
+		return 0
+	}
 	expired := 0
+	var next time.Time
 	for svc, byAddr := range d.members {
 		for addr, m := range byAddr {
-			if now.After(m.Expires) {
+			switch {
+			case now.After(m.Expires):
 				delete(byAddr, addr)
 				expired++
 				d.nExpirations++
 				d.emitLocked(EventExpire, m.Instance, now)
+			case next.IsZero() || m.Expires.Before(next):
+				next = m.Expires
 			}
 		}
 		if len(byAddr) == 0 {
 			delete(d.members, svc)
 		}
 	}
+	d.next = next
 	return expired
 }
 

@@ -63,6 +63,58 @@ func TestDynamicRegisterRenewExpire(t *testing.T) {
 	}
 }
 
+// TestDynamicLeaseGuard pins the next-expiry bound reads consult before
+// scanning: every write of a member's deadline must lower it, or a lease
+// shortened after the bound was computed would outlive its deadline.
+// Each case first reads the registry so the bound sits at the long
+// lease, then shortens or adds a lease and steps just past it.
+func TestDynamicLeaseGuard(t *testing.T) {
+	const long, short = time.Hour, 5 * time.Second
+	x := Instance{Service: "a", Addr: "x:1"}
+	for _, tt := range []struct {
+		name    string
+		shorten func(d *Dynamic) error
+		gone    Instance // the member that must expire at the short deadline
+	}{
+		{"re-register", func(d *Dynamic) error { return d.Register(x, short) }, x},
+		{"renew", func(d *Dynamic) error { return d.Renew(x.Service, x.Addr, short) }, x},
+		{"join", func(d *Dynamic) error { return d.Register(Instance{Service: "b", Addr: "y:1"}, short) }, Instance{Service: "b", Addr: "y:1"}},
+	} {
+		t.Run(tt.name, func(t *testing.T) {
+			clock := newFakeClock()
+			d := NewDynamic(DynamicOptions{Now: clock.Now})
+			if err := d.Register(x, long); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := d.Instances(x.Service); err != nil {
+				t.Fatal(err)
+			}
+			if err := tt.shorten(d); err != nil {
+				t.Fatal(err)
+			}
+			clock.Advance(short)
+			if _, err := d.Instances(tt.gone.Service); err != nil {
+				t.Fatalf("expired before its deadline: %v", err)
+			}
+			clock.Advance(time.Millisecond)
+			if _, err := d.Instances(tt.gone.Service); !errors.Is(err, ErrUnknownService) {
+				t.Fatalf("lease outlived its %v deadline: err = %v", short, err)
+			}
+		})
+	}
+
+	t.Run("static", func(t *testing.T) {
+		clock := newFakeClock()
+		d := NewStatic()
+		d.opts.Now = clock.Now
+		d.Add(x)
+		clock.Advance(50 * 365 * 24 * time.Hour)
+		if got, err := d.Instances(x.Service); err != nil || len(got) != 1 {
+			t.Fatalf("NewStatic member gone after 50 years: %v, %v", got, err)
+		}
+	})
+}
+
 func TestDynamicReRegistrationDeduplicates(t *testing.T) {
 	clock := newFakeClock()
 	d := NewDynamic(DynamicOptions{Now: clock.Now})
@@ -235,7 +287,7 @@ func TestDynamicConcurrent(t *testing.T) {
 					_, _ = d.Instances("svc")
 					_ = d.Members()
 				case 3:
-					d.Deregister(in.Service, in.Addr)
+					d.Remove(in.Service, in.Addr)
 				}
 			}
 		}(w)
@@ -377,20 +429,5 @@ func TestClientHeartbeatKeepsMemberAlive(t *testing.T) {
 	// Stop deregisters explicitly.
 	if _, err := c.Instances("hb"); !errors.Is(err, ErrUnknownService) {
 		t.Fatalf("err after stop = %v, want ErrUnknownService", err)
-	}
-}
-
-func TestStaticServerRejectsDynamicEndpoints(t *testing.T) {
-	srv, err := NewServer("127.0.0.1:0", NewStatic())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
-	c := NewClient(srv.URL(), nil)
-	if _, err := c.Members(); err == nil {
-		t.Fatal("Members against a static backend should fail")
-	}
-	if err := c.Renew("a", "x", 0); err == nil {
-		t.Fatal("Renew against a static backend should fail")
 	}
 }

@@ -5,16 +5,19 @@
 // locates and configures all physical instances of the Gremlin agents"
 // (paper §4.2).
 //
-// Two implementations are provided: Static (fixed table, the paper's
-// configuration-file model) and a dynamic HTTP registry (Server/Client)
-// that services register with at startup.
+// Every registry is a lease-based Dynamic; NewStatic and LoadFile build
+// one whose leases outlive any deployment (the paper's
+// configuration-file model). Server and Client put it on HTTP for
+// services that register at startup.
 package registry
 
 import (
+	"encoding/json"
 	"errors"
 	"fmt"
+	"os"
 	"sort"
-	"sync"
+	"time"
 )
 
 // ErrUnknownService is returned when a service has no registered instances.
@@ -53,87 +56,47 @@ type Registry interface {
 	Services() ([]string, error)
 }
 
-// Static is a fixed, thread-safe registry.
-type Static struct {
-	mu        sync.RWMutex
-	instances map[string][]Instance
-}
+// staticLease is the default lease of a NewStatic registry: about a
+// century, so a fixed table never expires in practice.
+const staticLease = 100 * 365 * 24 * time.Hour
 
-var _ Registry = (*Static)(nil)
-
-// NewStatic builds a registry from a fixed instance list.
-func NewStatic(instances ...Instance) *Static {
-	s := &Static{instances: make(map[string][]Instance)}
+// NewStatic builds a fixed registry (the paper's configuration-file
+// model): a Dynamic whose default lease is about a century. Instances
+// without a service or address are dropped, as Add drops them; LoadFile
+// reports them instead.
+func NewStatic(instances ...Instance) *Dynamic {
+	d := NewDynamic(DynamicOptions{DefaultTTL: staticLease})
 	for _, in := range instances {
-		s.Add(in)
+		d.Add(in)
 	}
-	return s
+	return d
 }
 
-// Add registers an instance. Duplicate (service, addr) pairs replace the
-// previous entry so re-registration after restart is idempotent.
-func (s *Static) Add(in Instance) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.instances == nil {
-		s.instances = make(map[string][]Instance)
+// LoadFile reads a registry file, a JSON array of instances
+// ([{"service":..,"addr":..,"agentControlUrl":..}]), into a NewStatic
+// registry. An entry without a service or address is an error naming its
+// index.
+func LoadFile(path string) (*Dynamic, error) {
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		return nil, err
 	}
-	list := s.instances[in.Service]
-	for i, existing := range list {
-		if existing.Addr == in.Addr {
-			list[i] = in
-			return
+	var instances []Instance
+	if err := json.Unmarshal(raw, &instances); err != nil {
+		return nil, fmt.Errorf("parse %s: %w", path, err)
+	}
+	d := NewStatic()
+	for i, in := range instances {
+		if err := d.Register(in, 0); err != nil {
+			return nil, fmt.Errorf("%s: entry %d: %w", path, i, err)
 		}
 	}
-	s.instances[in.Service] = append(list, in)
-}
-
-// Remove deregisters the instance with the given service and address,
-// reporting whether it existed.
-func (s *Static) Remove(service, addr string) bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	list := s.instances[service]
-	for i, in := range list {
-		if in.Addr == addr {
-			s.instances[service] = append(list[:i], list[i+1:]...)
-			if len(s.instances[service]) == 0 {
-				delete(s.instances, service)
-			}
-			return true
-		}
-	}
-	return false
-}
-
-// Instances implements Registry.
-func (s *Static) Instances(service string) ([]Instance, error) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	list, ok := s.instances[service]
-	if !ok || len(list) == 0 {
-		return nil, fmt.Errorf("%w: %q", ErrUnknownService, service)
-	}
-	out := make([]Instance, len(list))
-	copy(out, list)
-	return out, nil
-}
-
-// Services implements Registry.
-func (s *Static) Services() ([]string, error) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	names := make([]string, 0, len(s.instances))
-	for n := range s.instances {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names, nil
+	return d, nil
 }
 
 // AgentURLs returns the distinct agent control URLs for a service's
-// instances, preserving first-seen order. Instances without agents are
-// skipped.
+// instances in first-seen order, which for a Dynamic is (replica, addr)
+// order. Instances without agents are skipped.
 func AgentURLs(r Registry, service string) ([]string, error) {
 	instances, err := r.Instances(service)
 	if err != nil {

@@ -2,8 +2,12 @@ package registry
 
 import (
 	"errors"
+	"fmt"
 	"net/http"
+	"os"
+	"path/filepath"
 	"reflect"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -105,20 +109,15 @@ func TestStaticConcurrent(t *testing.T) {
 	}
 }
 
-func TestZeroValueStaticUsable(t *testing.T) {
-	var r Static
-	r.Add(Instance{Service: "a", Addr: "x:1"})
-	if _, err := r.Instances("a"); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestAgentURLs(t *testing.T) {
+	// Instances come back in (replica, addr) order, not insertion order,
+	// so the URLs are first-seen in that order: agent2 is listed last
+	// although it registered first.
 	r := NewStatic(
+		Instance{Service: "a", Addr: "x:3", AgentControlURL: "http://agent2"},
 		Instance{Service: "a", Addr: "x:1", AgentControlURL: "http://agent1"},
 		Instance{Service: "a", Addr: "x:2", AgentControlURL: "http://agent1"}, // shared agent
-		Instance{Service: "a", Addr: "x:3", AgentControlURL: "http://agent2"},
-		Instance{Service: "a", Addr: "x:4"}, // agentless
+		Instance{Service: "a", Addr: "x:4"},                                   // agentless
 	)
 	urls, err := AgentURLs(r, "a")
 	if err != nil {
@@ -144,6 +143,67 @@ func TestAllAgentURLs(t *testing.T) {
 	}
 	if want := []string{"http://agent1", "http://agent2"}; !reflect.DeepEqual(urls, want) {
 		t.Fatalf("AllAgentURLs = %v", urls)
+	}
+}
+
+func TestLoadFile(t *testing.T) {
+	dir := t.TempDir()
+	for _, tt := range []struct {
+		name, body string
+		want       int    // instances of service a when the load succeeds
+		wantErr    string // substring of the error otherwise
+	}{
+		{"good", `[{"service":"a","addr":"x:1","agentControlUrl":"http://agent1"},{"service":"a","addr":"x:2"}]`, 2, ""},
+		{"missing addr", `[{"service":"a","addr":"x:1"},{"service":"a"}]`, 0, "entry 1"},
+		{"malformed", `[{"service":`, 0, "parse"},
+	} {
+		t.Run(tt.name, func(t *testing.T) {
+			path := filepath.Join(dir, strings.ReplaceAll(tt.name, " ", "-")+".json")
+			if err := os.WriteFile(path, []byte(tt.body), 0o600); err != nil {
+				t.Fatal(err)
+			}
+			r, err := LoadFile(path)
+			if tt.wantErr != "" {
+				if err == nil || !strings.Contains(err.Error(), tt.wantErr) {
+					t.Fatalf("err = %v, want one mentioning %q", err, tt.wantErr)
+				}
+				return
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got, err := r.Instances("a"); err != nil || len(got) != tt.want {
+				t.Fatalf("Instances(a) = %+v, %v; want %d", got, err, tt.want)
+			}
+		})
+	}
+	if _, err := LoadFile(filepath.Join(dir, "absent.json")); err == nil {
+		t.Fatal("a missing file should be an error")
+	}
+}
+
+// TestRegistryReadAllocBudget holds the orchestrator's fan-out read to
+// the cost of the fixed table NewStatic replaced: AllAgentURLs over 16
+// single-instance services allocated 39 times on that table.
+func TestRegistryReadAllocBudget(t *testing.T) {
+	var ins []Instance
+	for i := 0; i < 16; i++ {
+		ins = append(ins, Instance{
+			Service:         fmt.Sprintf("svc-%02d", i),
+			Addr:            fmt.Sprintf("10.0.0.%d:80", i),
+			AgentControlURL: fmt.Sprintf("http://10.0.0.%d:9000", i),
+		})
+	}
+	r := NewStatic(ins...)
+	var urls []string
+	allocs := testing.AllocsPerRun(200, func() {
+		urls, _ = AllAgentURLs(r)
+	})
+	if len(urls) != 16 {
+		t.Fatalf("AllAgentURLs = %d URLs, want 16", len(urls))
+	}
+	if allocs > 39 {
+		t.Fatalf("AllAgentURLs over 16 services: %.0f allocs, budget 39", allocs)
 	}
 }
 

@@ -16,55 +16,37 @@ import (
 	"gremlin/internal/metrics"
 )
 
-// Backend is the store a registry Server exposes. *Static implements the
-// fixed-table model; *Dynamic adds lease-based membership, and the server
-// serves its lease, member, watch, and metrics endpoints as well.
-type Backend interface {
-	Registry
-	Add(in Instance)
-	Remove(service, addr string) bool
-}
-
-// Server exposes a registry Backend over HTTP for dynamic service
-// registration:
+// Server exposes a registry over HTTP for dynamic service registration:
 //
-//	POST   /v1/instances[?ttlMillis=]   register an instance (lease-based
-//	                                    when the backend is Dynamic)
-//	DELETE /v1/instances?service=&addr= deregister
-//	GET    /v1/instances?service=       list a service's instances
-//	GET    /v1/services                 list service names
-//	GET    /healthz                     liveness probe
-//
-// Dynamic backends additionally serve:
-//
-//	POST /v1/renew?service=&addr=&ttlMillis=  heartbeat a lease
-//	GET  /v1/members                          live members with lease state
-//	GET  /v1/watch?since=N&timeoutMillis=M    long-poll the change feed
-//	GET  /metrics                             registry self-metrics
+//	POST   /v1/instances[?ttlMillis=]             register an instance under a lease
+//	POST   /v1/renew?service=&addr=&ttlMillis=    heartbeat a lease
+//	DELETE /v1/instances?service=&addr=           deregister
+//	GET    /v1/instances?service=                 list a service's instances
+//	GET    /v1/services                           list service names
+//	GET    /v1/members                            live members with lease state
+//	GET    /v1/watch?since=N&timeoutMillis=M      long-poll the change feed
+//	GET    /metrics                               registry self-metrics
+//	GET    /healthz                               liveness probe
 type Server struct {
-	reg  Backend
-	dyn  *Dynamic // non-nil when reg is lease-based
+	reg  *Dynamic
 	http *httpx.Server
 }
 
 // NewServer creates and starts a registry server on addr.
-func NewServer(addr string, reg Backend) (*Server, error) {
+func NewServer(addr string, reg *Dynamic) (*Server, error) {
 	s := &Server{reg: reg}
-	s.dyn, _ = reg.(*Dynamic)
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /v1/instances", s.handleRegister)
+	mux.HandleFunc("POST /v1/renew", s.handleRenew)
 	mux.HandleFunc("DELETE /v1/instances", s.handleDeregister)
 	mux.HandleFunc("GET /v1/instances", s.handleList)
 	mux.HandleFunc("GET /v1/services", s.handleServices)
+	mux.HandleFunc("GET /v1/members", s.handleMembers)
+	mux.HandleFunc("GET /v1/watch", s.handleWatch)
+	mux.HandleFunc("GET /metrics", s.handleMetrics)
 	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, _ *http.Request) {
 		httpx.WriteJSON(w, http.StatusOK, map[string]string{"status": "ok"})
 	})
-	if s.dyn != nil {
-		mux.HandleFunc("POST /v1/renew", s.handleRenew)
-		mux.HandleFunc("GET /v1/members", s.handleMembers)
-		mux.HandleFunc("GET /v1/watch", s.handleWatch)
-		mux.HandleFunc("GET /metrics", s.handleMetrics)
-	}
 	hs, err := httpx.NewServer(addr, mux)
 	if err != nil {
 		return nil, err
@@ -86,22 +68,14 @@ func (s *Server) handleRegister(w http.ResponseWriter, r *http.Request) {
 		httpx.WriteError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	if in.Service == "" || in.Addr == "" {
-		httpx.WriteError(w, http.StatusBadRequest, "instance needs service and addr")
+	ttl, err := ttlParam(r)
+	if err != nil {
+		httpx.WriteError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	if s.dyn != nil {
-		ttl, err := ttlParam(r)
-		if err != nil {
-			httpx.WriteError(w, http.StatusBadRequest, "%v", err)
-			return
-		}
-		if err := s.dyn.Register(in, ttl); err != nil {
-			httpx.WriteError(w, http.StatusBadRequest, "%v", err)
-			return
-		}
-	} else {
-		s.reg.Add(in)
+	if err := s.reg.Register(in, ttl); err != nil {
+		httpx.WriteError(w, http.StatusBadRequest, "%v", err)
+		return
 	}
 	httpx.WriteJSON(w, http.StatusCreated, in)
 }
@@ -117,7 +91,7 @@ func (s *Server) handleRenew(w http.ResponseWriter, r *http.Request) {
 		httpx.WriteError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	if err := s.dyn.Renew(service, addr, ttl); err != nil {
+	if err := s.reg.Renew(service, addr, ttl); err != nil {
 		// The lease is gone: the registrar must re-register, and 404 is
 		// the signal heartbeat loops react to.
 		httpx.WriteError(w, http.StatusNotFound, "%v", err)
@@ -127,7 +101,7 @@ func (s *Server) handleRenew(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleMembers(w http.ResponseWriter, _ *http.Request) {
-	members := s.dyn.Members()
+	members := s.reg.Members()
 	if members == nil {
 		members = []Member{}
 	}
@@ -166,7 +140,7 @@ func (s *Server) handleWatch(w http.ResponseWriter, r *http.Request) {
 	}
 	ctx, cancel := context.WithTimeout(r.Context(), timeout)
 	defer cancel()
-	events, version, err := s.dyn.WaitEvents(ctx, since)
+	events, version, err := s.reg.WaitEvents(ctx, since)
 	switch {
 	case err == nil:
 	case ctx.Err() != nil:
@@ -174,7 +148,7 @@ func (s *Server) handleWatch(w http.ResponseWriter, r *http.Request) {
 		version, events = since, nil
 	default:
 		// The cursor fell behind the ring; tell the consumer to resync.
-		httpx.WriteJSON(w, http.StatusOK, WatchResponse{Version: s.dyn.Version(), Resync: true, Events: []Event{}})
+		httpx.WriteJSON(w, http.StatusOK, WatchResponse{Version: s.reg.Version(), Resync: true, Events: []Event{}})
 		return
 	}
 	if events == nil {
@@ -185,7 +159,7 @@ func (s *Server) handleWatch(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	mw := metrics.NewWriter()
-	s.dyn.WriteMetrics(mw)
+	s.reg.WriteMetrics(mw)
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 	_, _ = mw.WriteTo(w)
 }
@@ -260,14 +234,13 @@ func NewClient(baseURL string, hc *http.Client) *Client {
 	return &Client{baseURL: baseURL, http: hc}
 }
 
-// Register adds an instance to the remote registry (with the server's
-// default lease when it is dynamic).
+// Register adds an instance to the remote registry under the server's
+// default lease.
 func (c *Client) Register(in Instance) error {
 	return c.RegisterTTL(in, 0)
 }
 
-// RegisterTTL adds an instance under an explicit lease TTL. Against a
-// static-backed server the TTL is ignored.
+// RegisterTTL adds an instance under an explicit lease TTL.
 func (c *Client) RegisterTTL(in Instance, ttl time.Duration) error {
 	b, err := json.Marshal(in)
 	if err != nil {
@@ -299,8 +272,7 @@ func (c *Client) Renew(service, addr string, ttl time.Duration) error {
 	return checkAndClose(resp)
 }
 
-// Members lists the server's live members with lease bookkeeping
-// (dynamic backends only).
+// Members lists the server's live members with lease bookkeeping.
 func (c *Client) Members() ([]Member, error) {
 	resp, err := c.http.Get(c.baseURL + "/v1/members")
 	if err != nil {
@@ -308,7 +280,7 @@ func (c *Client) Members() ([]Member, error) {
 	}
 	defer drainClose(resp.Body)
 	if resp.StatusCode >= 400 {
-		return nil, fmt.Errorf("registry: members: server returned %d (not a lease-based registry?)", resp.StatusCode)
+		return nil, fmt.Errorf("registry: members: server returned %d", resp.StatusCode)
 	}
 	var out []Member
 	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {

@@ -125,7 +125,7 @@ type snapshot struct {
 	// gen is the rule-set generation this snapshot carries and hash the
 	// content hash of its rules — the version the agent reports to the
 	// control plane for drift detection. Versioned applies adopt the
-	// incoming generation; imperative writers bump it by one.
+	// incoming generation; Install and Clear bump it by one.
 	gen  uint64
 	hash string
 	// rules holds every installed rule in insertion order.
@@ -176,9 +176,9 @@ func newSnapshot(rules []CompiledRule, prev *snapshot) *snapshot {
 // snapshot behind an atomic pointer, rules are indexed by (src, dst,
 // message type) so rules for other routes are never visited, and
 // probability sampling draws from per-goroutine RNG state, so concurrent
-// routes never serialize on a shared lock. Install/Remove/Clear are the
-// (mutex-serialized) writers: each builds and atomically publishes a new
-// snapshot.
+// routes never serialize on a shared lock. ApplyRuleSet, Install and
+// Clear are the (mutex-serialized) writers: each builds and atomically
+// publishes a new snapshot.
 //
 // The paper's Figure 8 measures a deliberately linear scan of all
 // installed rules per message; UseLinearScan restores that behaviour as an
@@ -223,11 +223,10 @@ func NewMatcher(rng *rand.Rand) *Matcher {
 	return m
 }
 
-// publishLocked is the single imperative write path: it compiles the next
-// rule list into a snapshot at the successor generation and publishes it.
-// Install, Remove, and Clear all funnel through here, which is what makes
-// them shims over the versioned rule-set state — every imperative mutation
-// is just the next generation of the whole set. Callers hold m.mu.
+// publishLocked is the write path of Install and Clear: it compiles the
+// next rule list into a snapshot at the successor generation and
+// publishes it, so each is just the next generation of the whole set.
+// Callers hold m.mu.
 func (m *Matcher) publishLocked(next []CompiledRule, prev *snapshot) {
 	s := newSnapshot(next, prev)
 	s.gen = prev.gen + 1
@@ -272,24 +271,6 @@ func (m *Matcher) Install(rs ...Rule) error {
 	return nil
 }
 
-// Remove deletes the rule with the given ID, reporting whether it existed.
-func (m *Matcher) Remove(id string) bool {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	cur := m.snap.Load()
-	if _, ok := cur.ids[id]; !ok {
-		return false
-	}
-	next := make([]CompiledRule, 0, len(cur.rules)-1)
-	for _, r := range cur.rules {
-		if r.ID != id {
-			next = append(next, r)
-		}
-	}
-	m.publishLocked(next, cur)
-	return true
-}
-
 // Clear removes all rules and returns how many were installed.
 func (m *Matcher) Clear() int {
 	m.mu.Lock()
@@ -303,20 +284,11 @@ func (m *Matcher) Clear() int {
 // Len reports the number of installed rules.
 func (m *Matcher) Len() int { return len(m.snap.Load().rules) }
 
-// List returns a snapshot of the installed rules.
-func (m *Matcher) List() []Rule {
-	cur := m.snap.Load()
-	out := make([]Rule, len(cur.rules))
-	for i, r := range cur.rules {
-		out[i] = r.Rule
-	}
-	return out
-}
-
 // RuleStats returns each installed rule's lifetime counters in insertion
 // order. Counters survive snapshot rebuilds (further installs or removals
-// of other rules) but are lost with the rule itself: Remove or Clear
-// followed by a reinstall starts that rule's tally from zero.
+// of other rules) but are lost with the rule itself: a rule set without
+// it, or Clear, followed by a reinstall starts that rule's tally from
+// zero.
 func (m *Matcher) RuleStats() []RuleStat {
 	cur := m.snap.Load()
 	out := make([]RuleStat, len(cur.rules))

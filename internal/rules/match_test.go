@@ -3,6 +3,7 @@ package rules
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"strconv"
 	"sync"
 	"testing"
@@ -80,6 +81,20 @@ func TestPatternForms(t *testing.T) {
 	}
 }
 
+// dropRule removes one rule the way a control plane does: the installed
+// set minus that rule, applied as the next generation under If-Match. It
+// reports whether the rule was installed.
+func dropRule(m *Matcher, id string) (bool, error) {
+	set := m.RuleSet()
+	n := len(set.Rules)
+	kept := slices.DeleteFunc(set.Rules, func(r Rule) bool { return r.ID == id })
+	if len(kept) == n {
+		return false, nil
+	}
+	_, err := m.ApplyRuleSet(RuleSet{Generation: set.Generation + 1, Rules: kept}, set.Generation)
+	return true, err
+}
+
 func TestMatcherInstallListRemoveClear(t *testing.T) {
 	m := NewMatcher(rand.New(rand.NewSource(1)))
 	if err := m.Install(validAbort(), validDelay()); err != nil {
@@ -88,14 +103,14 @@ func TestMatcherInstallListRemoveClear(t *testing.T) {
 	if m.Len() != 2 {
 		t.Fatalf("Len = %d, want 2", m.Len())
 	}
-	if got := m.List(); len(got) != 2 || got[0].ID != "r1" || got[1].ID != "r2" {
-		t.Fatalf("List = %+v", got)
+	if got := m.RuleSet().Rules; len(got) != 2 || got[0].ID != "r1" || got[1].ID != "r2" {
+		t.Fatalf("RuleSet().Rules = %+v", got)
 	}
-	if !m.Remove("r1") {
-		t.Fatal("Remove(r1) = false")
+	if ok, err := dropRule(m, "r1"); !ok || err != nil {
+		t.Fatalf("dropRule(r1) = %v, %v", ok, err)
 	}
-	if m.Remove("r1") {
-		t.Fatal("second Remove(r1) = true")
+	if ok, _ := dropRule(m, "r1"); ok {
+		t.Fatal("second dropRule(r1) found the rule")
 	}
 	if n := m.Clear(); n != 1 {
 		t.Fatalf("Clear = %d, want 1", n)
@@ -242,7 +257,9 @@ func TestMatcherConcurrentDecide(t *testing.T) {
 		if err := m.Install(extra); err != nil {
 			t.Fatal(err)
 		}
-		m.Remove(extra.ID)
+		if _, err := dropRule(m, extra.ID); err != nil {
+			t.Fatal(err)
+		}
 	}
 	wg.Wait()
 }
@@ -360,12 +377,16 @@ func TestRuleStatsSurviveRebuildsAndResetOnReinstall(t *testing.T) {
 		t.Fatalf("matched = %d after rebuild, want 1", s[0].Matched)
 	}
 	// Removing an unrelated rule also preserves it.
-	m.Remove(other.ID)
+	if _, err := dropRule(m, other.ID); err != nil {
+		t.Fatal(err)
+	}
 	if s := m.RuleStats(); s[0].Matched != 1 {
 		t.Fatalf("matched = %d after unrelated remove, want 1", s[0].Matched)
 	}
 	// Remove + reinstall starts over.
-	m.Remove(keep.ID)
+	if _, err := dropRule(m, keep.ID); err != nil {
+		t.Fatal(err)
+	}
 	if err := m.Install(keep); err != nil {
 		t.Fatal(err)
 	}

@@ -11,10 +11,9 @@ import (
 )
 
 // RuleSet is one versioned generation of an agent's complete rule state:
-// the unit of the declarative control plane. Where the imperative endpoints
-// mutate rules one batch at a time, a RuleSet describes the whole desired
-// state; applying it is an idempotent atomic swap, so a reconciler can
-// re-send it any number of times without disturbing a converged agent.
+// the unit of the declarative control plane. A RuleSet describes the whole
+// desired state; applying it is an idempotent atomic swap, so a reconciler
+// can re-send it any number of times without disturbing a converged agent.
 type RuleSet struct {
 	// Generation orders rule sets: the control plane bumps it on every
 	// desired-state change, and agents report their current generation so
@@ -197,7 +196,7 @@ func (m *Matcher) statusLocked() RuleSetStatus {
 
 // Generation reports the matcher's current rule-set generation. It starts
 // at zero and moves on every change: versioned applies adopt the incoming
-// generation, imperative Install/Remove/Clear bump it by one.
+// generation, Install and Clear bump it by one.
 func (m *Matcher) Generation() uint64 { return m.snap.Load().gen }
 
 // Hash reports the content hash of the installed rules.

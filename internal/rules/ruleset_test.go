@@ -154,8 +154,8 @@ func TestImperativeOpsBumpGeneration(t *testing.T) {
 	if m.Hash() == emptyHash {
 		t.Fatal("hash should change with content")
 	}
-	if !m.Remove("r1") {
-		t.Fatal("remove failed")
+	if ok, err := dropRule(m, "r1"); !ok || err != nil {
+		t.Fatalf("remove: found=%v err=%v", ok, err)
 	}
 	if g := m.Generation(); g != 2 {
 		t.Fatalf("generation after remove = %d", g)

@@ -43,7 +43,7 @@ func TestMatcherDecideInstallRemoveClearStress(t *testing.T) {
 				// Also exercise the other read paths.
 				if i%64 == 0 {
 					m.Len()
-					m.List()
+					m.RuleSet()
 				}
 			}
 		}(w)
@@ -61,8 +61,8 @@ func TestMatcherDecideInstallRemoveClearStress(t *testing.T) {
 				return
 			}
 			if i%3 == 0 {
-				if !m.Remove(extra.ID) {
-					t.Errorf("remove %s reported missing", extra.ID)
+				if ok, err := dropRule(m, extra.ID); !ok || err != nil {
+					t.Errorf("remove %s: found=%v err=%v", extra.ID, ok, err)
 					return
 				}
 			}
@@ -143,8 +143,8 @@ func TestIndexedDecidePreservesInsertionOrder(t *testing.T) {
 	if !d.Fired || d.Rule.ID != "r1" {
 		t.Fatalf("Decide = %+v, want first installed rule r1", d)
 	}
-	if !m.Remove("r1") {
-		t.Fatal("remove r1")
+	if ok, err := dropRule(m, "r1"); !ok || err != nil {
+		t.Fatalf("remove r1: found=%v err=%v", ok, err)
 	}
 	d = m.Decide(Message{Src: "serviceA", Dst: "serviceB", Type: OnRequest, RequestID: "test-1"})
 	if !d.Fired || d.Rule.ID != "second" {

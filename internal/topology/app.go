@@ -82,9 +82,10 @@ type Spec struct {
 	Sink eventlog.Sink
 
 	// Registry receives one Instance per replica as the application is
-	// built. Nil uses a fresh registry.Static; pass a *registry.Dynamic to
-	// put the application under lease-based membership.
-	Registry registry.Backend
+	// built. Nil uses a fresh registry.NewStatic, whose leases outlive the
+	// application; pass one with a short DefaultTTL to put the application
+	// under lease-based membership.
+	Registry *registry.Dynamic
 
 	// RNG seeds the agents' probability sampling. Nil is
 	// non-deterministic.
@@ -98,7 +99,7 @@ type App struct {
 
 	// Registry maps logical services to instances and agents — one
 	// Instance per replica.
-	Registry registry.Backend
+	Registry *registry.Dynamic
 
 	// Store is the in-process event store backing the agents' sink. Nil
 	// when the Spec supplied its own Sink.
