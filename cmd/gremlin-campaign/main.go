@@ -29,11 +29,11 @@ import (
 
 	"gremlin/internal/agentapi"
 	"gremlin/internal/campaign"
+	"gremlin/internal/checker"
 	"gremlin/internal/core"
 	"gremlin/internal/eventlog"
 	"gremlin/internal/graph"
 	"gremlin/internal/loadgen"
-	"gremlin/internal/observe"
 	"gremlin/internal/orchestrator"
 	"gremlin/internal/registry"
 	"gremlin/internal/telemetry"
@@ -66,7 +66,7 @@ func run(args []string) error {
 		maxLatency   = fs.Duration("max-latency", 0, "per-request latency bound asserted on callers (default 10s)")
 		keepLogs     = fs.Bool("keep-logs", false, "leave each run's records in the store instead of reclaiming them")
 		lease        = fs.Duration("lease", 30*time.Second, "lease TTL for each run's staged faults (0 disables leasing): if the campaign dies, agents self-expire the rules after this long")
-		liveAsserts  = fs.String("live-asserts", "", "JSON file of online assertions (observe specs); a live violation aborts that run's load early")
+		liveAsserts  = fs.String("live-asserts", "", "JSON file of online assertions (checker specs); a live violation aborts that run's load early")
 		telemetryOn  = fs.Bool("telemetry", false, "scrape fleet metrics and add fault-window differentials to the scorecard")
 		scrapeEvery  = fs.Duration("scrape-interval", time.Second, "metric scrape interval (with -telemetry)")
 		telListen    = fs.String("telemetry-listen", "", "serve live snapshots (JSON + SSE) on this address for gremlin-top (implies -telemetry)")
@@ -82,6 +82,19 @@ func run(args []string) error {
 	} {
 		if v == "" {
 			return fmt.Errorf("gremlin-campaign: %s is required", name)
+		}
+	}
+	// A bad spec file fails before anything is contacted.
+	var specs []checker.Spec
+	if *liveAsserts != "" {
+		f, err := os.Open(*liveAsserts)
+		if err != nil {
+			return err
+		}
+		specs, err = checker.LoadSpecs(f)
+		f.Close()
+		if err != nil {
+			return fmt.Errorf("%s: %w", *liveAsserts, err)
 		}
 	}
 
@@ -237,33 +250,15 @@ func run(args []string) error {
 		}
 	}
 	if *liveAsserts != "" {
-		raw, err := os.ReadFile(*liveAsserts)
-		if err != nil {
-			return err
-		}
-		var liveSpecs []observe.Spec
-		if err := json.Unmarshal(raw, &liveSpecs); err != nil {
-			return fmt.Errorf("parse %s: %w", *liveAsserts, err)
-		}
-		// Validate up front; evaluators are stateful, so each run builds its
-		// own set from the specs.
-		for i, s := range liveSpecs {
-			if _, err := observe.Build(s); err != nil {
-				return fmt.Errorf("%s: spec %d: %w", *liveAsserts, i, err)
-			}
-		}
+		// Bounds are stateful, so each run builds its own set.
 		opts.Observe = &campaign.ObserveOptions{
-			Feed: observe.ClientFeed(storeClient),
-			Checks: func(_ campaign.Unit, _ string) []observe.Assertion {
-				as := make([]observe.Assertion, 0, len(liveSpecs))
-				for _, s := range liveSpecs {
-					a, err := observe.Build(s)
-					if err != nil {
-						continue // validated above; unreachable
-					}
-					as = append(as, a)
+			Feed: checker.ClientFeed(storeClient),
+			Checks: func(campaign.Unit, string) []*checker.Bound {
+				bounds, err := checker.BuildAll(specs)
+				if err != nil {
+					panic(err) // LoadSpecs accepted these specs, and Build is deterministic
 				}
-				return as
+				return bounds
 			},
 		}
 	}

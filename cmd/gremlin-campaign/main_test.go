@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"gremlin/internal/campaign"
+	"gremlin/internal/checker"
 	"gremlin/internal/eventlog"
 	"gremlin/internal/registry"
 	"gremlin/internal/topology"
@@ -21,6 +22,21 @@ func TestRequiredFlags(t *testing.T) {
 	}
 	if err := run([]string{"-graph", "g.json"}); err == nil {
 		t.Fatal("missing -registry/-store/-load-url should fail")
+	}
+}
+
+// TestLiveAssertsRejectsBadSpec checks that a misspelled bound in the
+// -live-asserts file fails the command before any input is read or the
+// store is contacted.
+func TestLiveAssertsRejectsBadSpec(t *testing.T) {
+	specs := filepath.Join(t.TempDir(), "live.json")
+	if err := os.WriteFile(specs, []byte(`[{"type": "checkStatus", "status": -1, "maximum": 0}]`), 0o600); err != nil {
+		t.Fatal(err)
+	}
+	err := run([]string{"-live-asserts", specs, "-graph", "missing.json", "-registry", "missing.json",
+		"-store", "http://127.0.0.1:1", "-load-url", "http://127.0.0.1:1"})
+	if err == nil || !strings.Contains(err.Error(), `unknown field "maximum"`) {
+		t.Fatalf("err = %v, want the misspelled field rejected", err)
 	}
 }
 
@@ -148,5 +164,54 @@ func TestEndToEndCampaignAgainstLiveTopology(t *testing.T) {
 	}
 	if len(after) != len(entries) {
 		t.Fatalf("resume appended %d entries", len(after)-len(entries))
+	}
+
+	// A separate campaign with a live bound on failure replies
+	// (-live-asserts) tails the store over SSE. Whether the stream catches
+	// a violation before a unit settles is timing-dependent, so this checks
+	// the wiring settles every unit cleanly and that a journalled live
+	// violation always fails its unit; TestCampaignLiveViolationAbortsLoad
+	// covers the abort itself.
+	liveJournal := filepath.Join(dir, "live-journal.jsonl")
+	liveOut := filepath.Join(dir, "live-scorecard.json")
+	err = run([]string{
+		"-live-asserts", writeJSON(t, dir, "live.json", []checker.Spec{{Type: "checkStatus", Status: -1}}),
+		"-graph", graphPath,
+		"-registry", registryPath,
+		"-store", storeServer.URL(),
+		"-load-url", app.EntryURL(),
+		"-requests", "4",
+		"-parallelism", "3",
+		"-templates", "crash",
+		"-journal", liveJournal,
+		"-out", liveOut,
+		"-markdown", filepath.Join(dir, "live-scorecard.md"),
+		"-id", "cli-live",
+	})
+	if err == nil || !strings.Contains(err.Error(), "failed assertions") {
+		t.Fatalf("live err = %v, want assertion failures reported", err)
+	}
+	var liveSC campaign.Scorecard
+	raw, err = os.ReadFile(liveOut)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := json.Unmarshal(raw, &liveSC); err != nil {
+		t.Fatal(err)
+	}
+	if liveSC.Errors != 0 || liveSC.Executed == 0 {
+		t.Fatalf("live scorecard = %+v", liveSC)
+	}
+	liveEntries, err := campaign.LoadJournal(liveJournal)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(liveEntries) != liveSC.Units {
+		t.Fatalf("live journal has %d entries, scorecard settled %d", len(liveEntries), liveSC.Units)
+	}
+	for _, e := range liveEntries {
+		if e.LiveViolation != "" && e.Status != campaign.StatusFailed {
+			t.Fatalf("unit %s journalled live violation %q but status %q", e.Unit, e.LiveViolation, e.Status)
+		}
 	}
 }

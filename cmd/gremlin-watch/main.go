@@ -12,8 +12,10 @@
 //	gremlin-watch -store http://127.0.0.1:9200 -pattern 'camp-run-3-*' \
 //	    -max-failures 0 -max-latency-p99 250ms -window 10s -duration 2m
 //
-// The -assert file is a JSON array of observe.Spec objects; -max-failures
-// and -max-latency-p99 are shorthands for the two most common bounds.
+// The -assert file is a JSON array of checker.Spec objects, rejected on
+// unknown fields or meaningless bounds; -max-failures and -max-latency-p99
+// are shorthands for the two most common specs (a checkStatus on every
+// failure reply and a withRule p99 replyLatency, both over -window).
 package main
 
 import (
@@ -27,8 +29,8 @@ import (
 	"syscall"
 	"time"
 
+	"gremlin/internal/checker"
 	"gremlin/internal/eventlog"
-	"gremlin/internal/observe"
 )
 
 func main() {
@@ -42,7 +44,7 @@ func run(args []string) error {
 	var (
 		storeURL    = fs.String("store", "", "event store URL (required)")
 		pattern     = fs.String("pattern", "*", "request-ID pattern to tail (glob, or \"re:\" prefix for a regexp)")
-		assertPath  = fs.String("assert", "", "JSON file of assertion specs (array of observe.Spec)")
+		assertPath  = fs.String("assert", "", "JSON file of assertion specs (array of checker.Spec)")
 		maxFailures = fs.Int("max-failures", -1, "violate after more than this many failure replies (-1 disables)")
 		maxP99      = fs.Duration("max-latency-p99", 0, "violate when the p99 reply latency exceeds this (0 disables)")
 		window      = fs.Duration("window", 10*time.Second, "sliding window for -max-failures and -max-latency-p99")
@@ -58,35 +60,33 @@ func run(args []string) error {
 
 	// The stream subscription already scopes records to -pattern, so the
 	// shorthand bounds filter on nothing further.
-	var checks []observe.Assertion
+	var specs []checker.Spec
 	if *assertPath != "" {
 		f, err := os.Open(*assertPath)
 		if err != nil {
 			return err
 		}
-		loaded, err := observe.LoadSpecs(f)
+		specs, err = checker.LoadSpecs(f)
 		f.Close()
 		if err != nil {
 			return fmt.Errorf("%s: %w", *assertPath, err)
 		}
-		checks = append(checks, loaded...)
 	}
+	windowMillis := float64(*window) / float64(time.Millisecond)
 	if *maxFailures >= 0 {
-		a, err := observe.NewCheckStatus("", "", "", -1, *window, *maxFailures)
-		if err != nil {
-			return err
-		}
-		checks = append(checks, a)
+		specs = append(specs, checker.Spec{Type: "checkStatus", Status: -1,
+			Max: float64(*maxFailures), WindowMillis: windowMillis})
 	}
 	if *maxP99 > 0 {
-		a, err := observe.NewReplyLatency("", "", "", *window, 0.99, *maxP99, true)
-		if err != nil {
-			return err
-		}
-		checks = append(checks, a)
+		specs = append(specs, checker.Spec{Type: "replyLatency", Quantile: 0.99, WithRule: true,
+			MaxLatencyMillis: float64(*maxP99) / float64(time.Millisecond), WindowMillis: windowMillis})
 	}
-	if len(checks) == 0 {
+	if len(specs) == 0 {
 		return errors.New("gremlin-watch: no assertions — pass -assert, -max-failures, or -max-latency-p99")
+	}
+	checks, err := checker.BuildAll(specs)
+	if err != nil {
+		return fmt.Errorf("gremlin-watch: %w", err)
 	}
 
 	client := eventlog.NewClient(*storeURL, nil)
@@ -106,8 +106,8 @@ func run(args []string) error {
 		fmt.Printf("gremlin-watch: tailing %s pattern %q with %d assertions\n",
 			*storeURL, *pattern, len(checks))
 	}
-	monitor := observe.NewMonitor(checks, nil)
-	err := observe.Watch(ctx, observe.ClientFeed(client), *pattern, monitor, true)
+	monitor := checker.NewMonitor(checks, nil)
+	err = checker.Watch(ctx, checker.ClientFeed(client), *pattern, monitor, true)
 
 	if v, ok := monitor.FirstViolation(); ok {
 		return fmt.Errorf("gremlin-watch: VIOLATION after %d records: %s", monitor.Observed(), v)

@@ -23,9 +23,9 @@ import (
 
 	"gremlin"
 	"gremlin/internal/agentapi"
+	"gremlin/internal/checker"
 	"gremlin/internal/eventlog"
 	"gremlin/internal/loadgen"
-	"gremlin/internal/observe"
 	"gremlin/internal/registry"
 	"gremlin/internal/topology"
 )
@@ -61,13 +61,13 @@ func run() error {
 	// Online assertion: more than 3 failure replies anywhere in the test
 	// namespace is a violation. The monitor cancels the load context the
 	// moment it fires.
-	live, err := observe.NewCheckStatus("", "", "test-*", -1, 0, 3)
+	live, err := checker.Build(checker.Spec{Type: "checkStatus", Pattern: "test-*", Status: -1, Max: 3})
 	if err != nil {
 		return err
 	}
 	loadCtx, cancelLoad := context.WithCancel(context.Background())
 	defer cancelLoad()
-	monitor := observe.NewMonitor([]observe.Assertion{live}, func(v observe.Violation) {
+	monitor := checker.NewMonitor([]*checker.Bound{live}, func(v checker.Violation) {
 		fmt.Printf("\n  LIVE VIOLATION: %s\n", v)
 		cancelLoad()
 	})
@@ -77,7 +77,7 @@ func run() error {
 	watchDone := make(chan error, 1)
 	client := eventlog.NewClient(srv.URL(), nil)
 	go func() {
-		watchDone <- observe.Watch(watchCtx, observe.ClientFeed(client), "test-*", monitor, true)
+		watchDone <- checker.Watch(watchCtx, checker.ClientFeed(client), "test-*", monitor, true)
 	}()
 
 	// Crash serviceB and drive paced load: 40 requests that would take

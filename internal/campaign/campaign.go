@@ -29,10 +29,10 @@ import (
 	"sync"
 	"time"
 
+	"gremlin/internal/checker"
 	"gremlin/internal/core"
 	"gremlin/internal/eventlog"
 	"gremlin/internal/graph"
-	"gremlin/internal/observe"
 	"gremlin/internal/rules"
 	"gremlin/internal/tracing"
 )
@@ -101,14 +101,14 @@ type Options struct {
 
 // ObserveOptions wires live assertion evaluation into a campaign.
 type ObserveOptions struct {
-	// Feed taps the event stream (observe.StoreFeed for an in-process
-	// store, observe.ClientFeed for a remote one).
-	Feed observe.Feed
+	// Feed taps the event stream (checker.StoreFeed for an in-process
+	// store, checker.ClientFeed for a remote one).
+	Feed checker.Feed
 
-	// Checks builds the online assertions for one unit, scoped to the
-	// run's request-ID pattern. Returning nil skips live evaluation for
-	// that unit.
-	Checks func(u Unit, idPattern string) []observe.Assertion
+	// Checks builds the live bounds for one unit, scoped to the run's
+	// request-ID pattern. Returning nil skips live evaluation for that
+	// unit.
+	Checks func(u Unit, idPattern string) []*checker.Bound
 }
 
 func (o Options) withDefaults() Options {
@@ -234,17 +234,17 @@ func runUnit(ctx context.Context, runner *core.Runner, u Unit, idx int, o Option
 	loadCtx, cancelLoad := context.WithCancel(context.Background())
 	defer cancelLoad()
 	var (
-		monitor   *observe.Monitor
+		monitor   *checker.Monitor
 		watchDone chan struct{}
 	)
 	if o.Observe != nil && o.Observe.Feed != nil && o.Observe.Checks != nil {
 		if checks := o.Observe.Checks(u, pat); len(checks) > 0 {
-			monitor = observe.NewMonitor(checks, func(observe.Violation) { cancelLoad() })
+			monitor = checker.NewMonitor(checks, func(checker.Violation) { cancelLoad() })
 			watchCtx, stopWatch := context.WithCancel(context.Background())
 			watchDone = make(chan struct{})
 			go func() {
 				defer close(watchDone)
-				_ = observe.Watch(watchCtx, o.Observe.Feed, pat, monitor, true)
+				_ = checker.Watch(watchCtx, o.Observe.Feed, pat, monitor, true)
 			}()
 			defer func() { stopWatch(); <-watchDone }()
 		}

@@ -10,10 +10,10 @@ import (
 	"time"
 
 	"gremlin/internal/campaign"
+	"gremlin/internal/checker"
 	"gremlin/internal/core"
 	"gremlin/internal/graph"
 	"gremlin/internal/loadgen"
-	"gremlin/internal/observe"
 	"gremlin/internal/orchestrator"
 	"gremlin/internal/rules"
 	"gremlin/internal/topology"
@@ -374,7 +374,7 @@ func TestCampaignLiveViolationAbortsLoad(t *testing.T) {
 	// Online bound: more than 3 failure replies in the run's namespace is a
 	// violation. Built here (test goroutine) since the single unit uses the
 	// stateful evaluator exactly once.
-	live, err := observe.NewCheckStatus("", "", "camp-live-0-*", -1, 0, 3)
+	live, err := checker.Build(checker.Spec{Type: "checkStatus", Pattern: "camp-live-0-*", Status: -1, Max: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -400,12 +400,12 @@ func TestCampaignLiveViolationAbortsLoad(t *testing.T) {
 			return err
 		},
 		Observe: &campaign.ObserveOptions{
-			Feed: observe.StoreFeed(app.Store),
-			Checks: func(_ campaign.Unit, idPattern string) []observe.Assertion {
+			Feed: checker.StoreFeed(app.Store),
+			Checks: func(_ campaign.Unit, idPattern string) []*checker.Bound {
 				if idPattern != "camp-live-0-*" {
 					t.Errorf("checks got pattern %q", idPattern)
 				}
-				return []observe.Assertion{live}
+				return []*checker.Bound{live}
 			},
 		},
 		OnEntry: func(e campaign.Entry) { entry = e },

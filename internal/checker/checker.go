@@ -14,6 +14,12 @@
 //     HasBulkhead) validate the resiliency design patterns of §2.1, built
 //     from the base assertions.
 //
+// Beside them, the upper-bound base assertions also run live: a Bound
+// (built from a JSON Spec) consumes the store's record feed one record at
+// a time, selecting records with the same predicate as Store.Select, and a
+// Monitor fed by Watch reports the first violation while the run is still
+// in progress, so a campaign can abort a failing unit early.
+//
 // The withRule parameter: Gremlin's own fault injections appear in the
 // logs. withRule=true evaluates records as the calling service observed
 // them — including Gremlin-injected delays and Gremlin-synthesized error
@@ -187,20 +193,28 @@ func NumRequests(rl RList, tdelta time.Duration, withRule bool) int {
 // drops Gremlin-synthesized replies.
 func ReplyLatency(rl RList, withRule bool) []time.Duration {
 	var out []time.Duration
-	for _, r := range rl {
-		if r.Kind != eventlog.KindReply {
-			continue
+	for i := range rl {
+		if d, ok := latency(&rl[i], withRule); ok {
+			out = append(out, d)
 		}
-		if withRule {
-			out = append(out, r.Latency())
-			continue
-		}
-		if r.GremlinGenerated {
-			continue
-		}
-		out = append(out, r.UntamperedLatency())
 	}
 	return out
+}
+
+// latency is a reply's latency under the withRule mode; ok is false for a
+// record the mode leaves out: a non-reply, or a Gremlin-synthesized reply
+// when withRule is false. The batch checks and the live replyLatency bound
+// both read latencies through it.
+func latency(r *eventlog.Record, withRule bool) (d time.Duration, ok bool) {
+	switch {
+	case r.Kind != eventlog.KindReply:
+		return 0, false
+	case withRule:
+		return r.Latency(), true
+	case r.GremlinGenerated:
+		return 0, false
+	}
+	return r.UntamperedLatency(), true
 }
 
 // AtMostRequests checks that at most num records occur within the window
@@ -285,8 +299,8 @@ func CountFaultedAt(rl RList, ei string) int {
 // the given withRule mode, or 0 for an empty list.
 func MaxLatency(rl RList, withRule bool) time.Duration {
 	var max time.Duration
-	for _, d := range ReplyLatency(rl, withRule) {
-		if d > max {
+	for i := range rl {
+		if d, ok := latency(&rl[i], withRule); ok && d > max {
 			max = d
 		}
 	}

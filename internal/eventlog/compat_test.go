@@ -1,4 +1,4 @@
-// Plane-compatibility tests: the checker, tracing, and observe planes must
+// Plane-compatibility tests: the checker (batch and live) and tracing must
 // behave identically whether they read a *Store or a *ShardedStore. They
 // live in an external test package so eventlog itself never imports the
 // planes built on top of it.
@@ -12,7 +12,6 @@ import (
 
 	"gremlin/internal/checker"
 	"gremlin/internal/eventlog"
-	"gremlin/internal/observe"
 	"gremlin/internal/tracing"
 )
 
@@ -92,17 +91,20 @@ func TestTracingOverShardedStore(t *testing.T) {
 func TestObserveOverShardedStore(t *testing.T) {
 	ss := shardedStore(t, 4)
 
-	a, err := observe.NewNumRequests("gateway", "backend", "camp-run1-*", time.Minute, 5)
+	a, err := checker.Build(checker.Spec{
+		Type: "numRequests", Src: "gateway", Dst: "backend", Pattern: "camp-run1-*",
+		WindowMillis: 60000, Max: 5,
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	m := observe.NewMonitor([]observe.Assertion{a}, nil)
+	m := checker.NewMonitor([]*checker.Bound{a}, nil)
 
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()
 	done := make(chan error, 1)
 	go func() {
-		done <- observe.Watch(ctx, observe.StoreFeed(ss), "camp-run1-*", m, true)
+		done <- checker.Watch(ctx, checker.StoreFeed(ss), "camp-run1-*", m, true)
 	}()
 
 	// Give the subscription a moment to attach, then exceed the budget.

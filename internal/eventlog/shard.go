@@ -290,7 +290,7 @@ func (sh *shard) selectMatching(q Query, pat pattern.Pattern) []Record {
 				// ordered: nothing past the Until bound can match.
 				break
 			}
-			if matches(r, q, pat) {
+			if Matches(r, q, pat) {
 				hits = append(hits, pos)
 				if ordered && q.Limit > 0 && len(hits) == q.Limit {
 					// Already in output order: the limit is final.
@@ -305,7 +305,7 @@ func (sh *shard) selectMatching(q Query, pat pattern.Pattern) []Record {
 	} else {
 		matched = make([]Record, 0, 64)
 		for _, r := range sh.recs {
-			if matches(&r, q, pat) {
+			if Matches(&r, q, pat) {
 				matched = append(matched, r)
 			}
 		}
@@ -333,7 +333,7 @@ func (sh *shard) countMatching(q Query, pat pattern.Pattern) int {
 			if ordered && !q.Until.IsZero() && !r.Timestamp.Before(q.Until) {
 				break
 			}
-			if matches(r, q, pat) {
+			if Matches(r, q, pat) {
 				n++
 				if q.Limit > 0 && n == q.Limit {
 					break
@@ -342,7 +342,7 @@ func (sh *shard) countMatching(q Query, pat pattern.Pattern) int {
 		}
 	} else {
 		for i := range sh.recs {
-			if matches(&sh.recs[i], q, pat) {
+			if Matches(&sh.recs[i], q, pat) {
 				n++
 				if q.Limit > 0 && n == q.Limit {
 					break
@@ -379,7 +379,10 @@ func (sh *shard) postings(q Query, pat pattern.Pattern) (list []int32, ok bool) 
 	return list, ok
 }
 
-func matches(r *Record, q Query, pat pattern.Pattern) bool {
+// Matches reports whether r satisfies q, with pat being q.IDPattern
+// compiled; q.Limit is ignored. It is the one record predicate: Select,
+// Count and the checker's live bounds all decide membership through it.
+func Matches(r *Record, q Query, pat pattern.Pattern) bool {
 	if q.Src != "" && r.Src != q.Src {
 		return false
 	}

@@ -12,10 +12,10 @@ import (
 //
 // Unlike CDF (which sorts a complete sample set after the fact), a
 // StreamingHistogram answers quantile queries while samples are still
-// arriving — the online assertion evaluators in internal/observe query the
-// running latency quantile after every record. Remove subtracts a sample
-// that previously passed through Observe, which is what a sliding window
-// needs to evict expired samples without rebuilding.
+// arriving — the checker's live replyLatency bound queries the running
+// latency quantile after every record. Remove subtracts a sample that
+// previously passed through Observe, which is what a sliding window needs
+// to evict expired samples without rebuilding.
 //
 // StreamingHistogram is not safe for concurrent use.
 type StreamingHistogram struct {
@@ -26,42 +26,27 @@ type StreamingHistogram struct {
 	buckets []int64
 	over    int64 // samples beyond the last bucket
 	count   int64
-	sum     float64
 }
 
-// Default shape: 1 µs resolution up to ~28 h with 10% relative error, in
+// The shape: 1 µs resolution up to ~28 h with 10% relative error, in
 // seconds. 0.1% of a 28 h span needs log(1e11)/log(1.1) ≈ 266 buckets.
 const (
-	defaultQuantileMin    = 1e-6
-	defaultQuantileGrowth = 1.1
-	defaultQuantileSpan   = 1e11
+	quantileMin    = 1e-6
+	quantileGrowth = 1.1
+	quantileSpan   = 1e11
 )
 
-// NewStreamingHistogram creates a histogram with the default shape: bucket
-// bounds growing by 10% from 1e-6, covering values up to 1e5 (in whatever
-// unit the caller feeds it; seconds for latencies).
+// NewStreamingHistogram creates a histogram whose bucket bounds grow by
+// 10% from 1e-6, covering values up to 1e5 (in whatever unit the caller
+// feeds it; seconds for latencies). Samples at or below 1e-6 or beyond the
+// last bucket still count; they clamp to the edge buckets.
 func NewStreamingHistogram() *StreamingHistogram {
-	h, err := NewStreamingHistogramOpts(defaultQuantileMin, defaultQuantileGrowth, defaultQuantileMin*defaultQuantileSpan)
-	if err != nil {
-		panic(err) // constants are valid
-	}
-	return h
-}
-
-// NewStreamingHistogramOpts creates a histogram resolving values in
-// [min, max] with per-bucket growth factor growth (> 1). Samples at or
-// below min or above max still count; they clamp to the edge buckets.
-func NewStreamingHistogramOpts(min, growth, max float64) (*StreamingHistogram, error) {
-	if min <= 0 || growth <= 1 || max <= min {
-		return nil, fmt.Errorf("stats: invalid streaming histogram shape min=%v growth=%v max=%v", min, growth, max)
-	}
-	n := int(math.Ceil(math.Log(max/min)/math.Log(growth))) + 1
 	return &StreamingHistogram{
-		min:     min,
-		logG:    math.Log(growth),
-		growth:  growth,
-		buckets: make([]int64, n),
-	}, nil
+		min:     quantileMin,
+		logG:    math.Log(quantileGrowth),
+		growth:  quantileGrowth,
+		buckets: make([]int64, int(math.Ceil(math.Log(quantileSpan)/math.Log(quantileGrowth)))+1),
+	}
 }
 
 // bucketIndex returns which region v falls into: -1 for the underflow
@@ -91,7 +76,6 @@ func (h *StreamingHistogram) Observe(v float64) {
 		h.buckets[i]++
 	}
 	h.count++
-	h.sum += v
 }
 
 // Remove subtracts a sample previously recorded with Observe. Removing a
@@ -116,32 +100,6 @@ func (h *StreamingHistogram) Remove(v float64) {
 		}
 	}
 	h.count--
-	h.sum -= v
-	if h.count == 0 {
-		h.sum = 0
-	}
-}
-
-// Count reports the number of live samples (observed minus removed).
-func (h *StreamingHistogram) Count() int { return int(h.count) }
-
-// Sum reports the sum of live samples.
-func (h *StreamingHistogram) Sum() float64 { return h.sum }
-
-// Mean reports the mean of live samples (0 when empty).
-func (h *StreamingHistogram) Mean() float64 {
-	if h.count == 0 {
-		return 0
-	}
-	return h.sum / float64(h.count)
-}
-
-// Reset drops all samples.
-func (h *StreamingHistogram) Reset() {
-	h.under, h.over, h.count, h.sum = 0, 0, 0, 0
-	for i := range h.buckets {
-		h.buckets[i] = 0
-	}
 }
 
 // Quantile estimates the q-th quantile (0 <= q <= 1) of the live samples

@@ -1,8 +1,10 @@
-// Package stats provides the small statistical toolkit used by the
-// benchmark harness: empirical CDFs, percentiles, histograms, and summary
-// statistics over latency samples. The paper's evaluation reports response
-// time CDFs (Figures 5, 6, 8) and timing breakdowns (Figure 7); this package
-// computes those series.
+// Package stats provides the small statistical toolkit behind the
+// evaluation figures and the live latency bound: empirical CDFs,
+// percentiles and summary statistics over latency samples, and a streaming
+// quantile histogram. The paper's evaluation reports response time CDFs
+// (Figures 5, 6, 8) and timing breakdowns (Figure 7); internal/experiments
+// and internal/loadgen compute those series here, and the checker's live
+// replyLatency bound reads its quantile from StreamingHistogram.
 package stats
 
 import (
@@ -10,7 +12,6 @@ import (
 	"fmt"
 	"math"
 	"sort"
-	"strings"
 	"time"
 )
 
@@ -165,60 +166,4 @@ func SummarizeDurations(samples []time.Duration) (Summary, error) {
 		s[i] = d.Seconds()
 	}
 	return Summarize(s)
-}
-
-// Histogram counts samples into fixed-width buckets over [lo, hi). Samples
-// below lo land in the first bucket; samples at or above hi land in the last.
-type Histogram struct {
-	Lo, Hi  float64
-	Buckets []int
-	width   float64
-}
-
-// NewHistogram creates a histogram with n buckets spanning [lo, hi).
-func NewHistogram(lo, hi float64, n int) (*Histogram, error) {
-	if n <= 0 {
-		return nil, fmt.Errorf("stats: bucket count %d must be positive", n)
-	}
-	if hi <= lo {
-		return nil, fmt.Errorf("stats: range [%v,%v) is empty", lo, hi)
-	}
-	return &Histogram{Lo: lo, Hi: hi, Buckets: make([]int, n), width: (hi - lo) / float64(n)}, nil
-}
-
-// Observe records one sample.
-func (h *Histogram) Observe(v float64) {
-	i := int((v - h.Lo) / h.width)
-	if i < 0 {
-		i = 0
-	}
-	if i >= len(h.Buckets) {
-		i = len(h.Buckets) - 1
-	}
-	h.Buckets[i]++
-}
-
-// Total reports the number of observed samples.
-func (h *Histogram) Total() int {
-	var t int
-	for _, b := range h.Buckets {
-		t += b
-	}
-	return t
-}
-
-// String renders a compact ASCII view of the histogram, one bucket per line.
-func (h *Histogram) String() string {
-	var b strings.Builder
-	total := h.Total()
-	for i, n := range h.Buckets {
-		lo := h.Lo + float64(i)*h.width
-		frac := 0.0
-		if total > 0 {
-			frac = float64(n) / float64(total)
-		}
-		fmt.Fprintf(&b, "[%8.4f, %8.4f) %6d %5.1f%% %s\n",
-			lo, lo+h.width, n, 100*frac, strings.Repeat("#", int(frac*40)))
-	}
-	return b.String()
 }

@@ -220,58 +220,3 @@ func TestSummarizeDurations(t *testing.T) {
 		t.Fatal("want error for empty input")
 	}
 }
-
-func TestHistogram(t *testing.T) {
-	h, err := NewHistogram(0, 10, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, v := range []float64{-1, 0, 1.9, 2, 9.9, 10, 100} {
-		h.Observe(v)
-	}
-	want := []int{3, 1, 0, 0, 3}
-	for i, n := range want {
-		if h.Buckets[i] != n {
-			t.Errorf("bucket %d = %d, want %d (all: %v)", i, h.Buckets[i], n, h.Buckets)
-		}
-	}
-	if h.Total() != 7 {
-		t.Fatalf("Total = %d, want 7", h.Total())
-	}
-	if h.String() == "" {
-		t.Fatal("String should render")
-	}
-}
-
-func TestHistogramErrors(t *testing.T) {
-	if _, err := NewHistogram(0, 10, 0); err == nil {
-		t.Fatal("want error for zero buckets")
-	}
-	if _, err := NewHistogram(5, 5, 3); err == nil {
-		t.Fatal("want error for empty range")
-	}
-	if _, err := NewHistogram(6, 5, 3); err == nil {
-		t.Fatal("want error for inverted range")
-	}
-}
-
-func TestHistogramTotalMatchesObservations(t *testing.T) {
-	f := func(vals []float64) bool {
-		h, err := NewHistogram(-100, 100, 10)
-		if err != nil {
-			return false
-		}
-		n := 0
-		for _, v := range vals {
-			if math.IsNaN(v) {
-				continue
-			}
-			h.Observe(v)
-			n++
-		}
-		return h.Total() == n
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
-	}
-}
