@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race vet cover bench bench-json bench-figures repo-bench repo-bench-compare alloc-profile alloc-profile-store cpu-profile-store alloc-budget campaign-smoke trace-smoke store-smoke l4-smoke explore-smoke telemetry-smoke fleet-smoke check
+.PHONY: all build test race vet cover bench-figures repo-bench repo-bench-compare alloc-profile alloc-profile-store cpu-profile-store alloc-budget campaign-smoke trace-smoke store-smoke l4-smoke explore-smoke telemetry-smoke fleet-smoke check
 
 all: check
 
@@ -26,18 +26,6 @@ cover:
 	@echo "total: $$($(GO) tool cover -func=cover.out | tail -n 1 | awk '{print $$3}')"
 	@rm -f cover.out
 
-# Before/after micro-benchmarks for the hot paths (matcher, store, proxy)
-# plus the sharded-vs-single store pairs.
-bench:
-	$(GO) test -run xxx -bench 'MatcherDecide|StoreSelect|ProxyThroughput|ShardedStore' -benchtime 0.5s .
-
-# The same hot-path benchmarks, parsed into a committed JSON snapshot so
-# runs can be diffed across PRs: make bench-json BENCH_JSON=BENCH_4.json
-BENCH_JSON ?= BENCH_3.json
-bench-json:
-	$(GO) test -run xxx -bench 'MatcherDecide|StoreSelect|ProxyThroughput|ShardedStore' -benchtime 0.5s . \
-		| $(GO) run ./internal/tools/benchjson > $(BENCH_JSON)
-
 # The repository benchmark (BENCHMARK.json): seven workloads, each in its
 # own process, end-to-end metrics and oracles. bench/README.md has the
 # flags (-workload, -trace, -json, -seed).
@@ -56,9 +44,9 @@ ALLOC_PROFILE_DIR ?= .bench_build/alloc-profile
 alloc-profile:
 	mkdir -p $(ALLOC_PROFILE_DIR)
 	$(GO) test -run '^$$' -bench 'Figure8ProxiedRequest200Rules$$' -benchtime 20000x \
-		-memprofilerate=1 -memprofile $(ALLOC_PROFILE_DIR)/mem.out -o $(ALLOC_PROFILE_DIR)/gremlin.test .
+		-memprofilerate=1 -memprofile $(ALLOC_PROFILE_DIR)/mem.out -o $(ALLOC_PROFILE_DIR)/proxy.test ./internal/proxy
 	$(GO) tool pprof -sample_index=alloc_objects -top -nodecount=40 \
-		$(ALLOC_PROFILE_DIR)/gremlin.test $(ALLOC_PROFILE_DIR)/mem.out
+		$(ALLOC_PROFILE_DIR)/proxy.test $(ALLOC_PROFILE_DIR)/mem.out
 
 # Where a shipped record's allocations go: one campaign unit's store
 # traffic over HTTP (LogBatch 256 -> Select -> Count -> ClearMatching on a
@@ -69,9 +57,9 @@ alloc-profile:
 alloc-profile-store:
 	mkdir -p $(ALLOC_PROFILE_DIR)
 	$(GO) test -run '^$$' -bench 'StoreShipSelectClear$$' -benchtime 512x \
-		-memprofilerate=1 -memprofile $(ALLOC_PROFILE_DIR)/store-mem.out -o $(ALLOC_PROFILE_DIR)/gremlin.test .
+		-memprofilerate=1 -memprofile $(ALLOC_PROFILE_DIR)/store-mem.out -o $(ALLOC_PROFILE_DIR)/eventlog.test ./internal/eventlog
 	$(GO) tool pprof -sample_index=alloc_objects -top -nodecount=40 \
-		$(ALLOC_PROFILE_DIR)/gremlin.test $(ALLOC_PROFILE_DIR)/store-mem.out
+		$(ALLOC_PROFILE_DIR)/eventlog.test $(ALLOC_PROFILE_DIR)/store-mem.out
 
 # Where a campaign unit's store time goes: the same unit, CPU-profiled,
 # top 25 by cumulative time (EXPERIMENTS.md, "Where a campaign unit's
@@ -80,9 +68,9 @@ alloc-profile-store:
 cpu-profile-store:
 	mkdir -p $(ALLOC_PROFILE_DIR)
 	$(GO) test -run '^$$' -bench 'StoreShipSelectClear$$' -benchtime 2000x \
-		-cpuprofile $(ALLOC_PROFILE_DIR)/store-cpu.out -o $(ALLOC_PROFILE_DIR)/gremlin.test .
+		-cpuprofile $(ALLOC_PROFILE_DIR)/store-cpu.out -o $(ALLOC_PROFILE_DIR)/eventlog.test ./internal/eventlog
 	$(GO) tool pprof -top -cum -nodecount=25 \
-		$(ALLOC_PROFILE_DIR)/gremlin.test $(ALLOC_PROFILE_DIR)/store-cpu.out
+		$(ALLOC_PROFILE_DIR)/eventlog.test $(ALLOC_PROFILE_DIR)/store-cpu.out
 
 # The data path's allocation budgets and header-sharing invariants, under
 # the race detector: per-helper budgets in internal/trace, the

@@ -1,5 +1,5 @@
 // Command outages replays the historical outage scenarios of the paper's
-// Table 1 and §5 as Gremlin recipes against a simulated deployment:
+// Table 1 and §5 as Gremlin recipes against simulated deployments:
 //
 //   - Stackdriver 2013 / Parse.ly 2015: a Cassandra crash percolates
 //     through the message bus and blocks every publisher (the
@@ -8,179 +8,27 @@
 //     throttles requests; services without circuit breakers or timeouts
 //     pile on and fail completely.
 //
-// Each recipe is run twice: against the fragile deployment (assertions
-// fail, predicting the outage) and against a hardened deployment with
-// timeouts + breakers (assertions pass).
+// Each recipe runs twice: against the fragile deployment (assertions fail,
+// predicting the outage) and against a hardened deployment with timeouts
+// and breakers (assertions pass). The recipes live in experiments.Table1;
+// this program prints its matrix and exits non-zero unless the matrix has
+// that shape.
 package main
 
 import (
-	"context"
-	"fmt"
 	"log"
 	"os"
-	"time"
 
-	"gremlin"
-	"gremlin/internal/loadgen"
-	"gremlin/internal/resilience"
-	"gremlin/internal/topology"
+	"gremlin/internal/experiments"
 )
 
 func main() {
-	if err := run(); err != nil {
+	rows, err := experiments.Table1(experiments.Options{})
+	if err != nil {
 		log.Fatal(err)
 	}
-}
-
-func run() error {
-	if err := middlewareCascade(); err != nil {
-		return err
-	}
-	return databaseOverload()
-}
-
-// middlewareCascade replays the Stackdriver postmortem: "Data published by
-// various services into a message bus was being forwarded to the Cassandra
-// cluster. When the cluster failed, the failure percolated to the message
-// bus, filling the queues and blocking the publishers."
-//
-// Paper recipe:
-//
-//	Crash('cassandra')
-//	for s in dependents('messagebus'):
-//	    if not HasTimeouts(s, '1s') and not HasCircuitBreaker(s, 'messagebus', ...):
-//	        raise 'Will block on message bus'
-func middlewareCascade() error {
-	fmt.Println("=== Outage replay 1: middleware cascade (Stackdriver 2013, Parse.ly 2015) ===")
-	fmt.Println("frontend -> publisher -> messagebus -> cassandra")
-
-	check := func(app *topology.App, label string) error {
-		runner := gremlin.NewRunner(app.Graph, gremlin.NewOrchestrator(app.Registry), app.Store, app.Store)
-
-		// Crash cassandra, then check every dependent of the message bus
-		// for timeouts and breakers — the paper's recipe verbatim, with
-		// Go's for loop instead of Python's.
-		deps, err := app.Graph.Dependents(topology.MessageBusService)
-		if err != nil {
-			return err
-		}
-		var checks []gremlin.Check
-		for _, s := range deps {
-			checks = append(checks,
-				gremlin.ExpectTimeouts(s, time.Second),
-				gremlin.ExpectCircuitBreaker(s, topology.MessageBusService, 5, 5*time.Second),
-			)
-		}
-		report, err := runner.Run(context.Background(), gremlin.Recipe{
-			Name:      "cassandra-crash",
-			Scenarios: []gremlin.Scenario{gremlin.Crash{Service: topology.CassandraService}},
-			Checks:    checks,
-		}, gremlin.RunOptions{ClearLogs: true, Load: func() error {
-			_, err := loadgen.Run(app.EntryURL(), loadgen.Options{N: 30})
-			return err
-		}})
-		if err != nil {
-			return err
-		}
-		fmt.Printf("\n--- %s ---\n%s", label, report)
-		if !report.Passed() {
-			fmt.Println("  -> WILL BLOCK ON MESSAGE BUS (the 2013 outage, predicted in seconds)")
-		}
-		return nil
-	}
-
-	fragile, err := topology.Build(topology.MessageBus(topology.MessageBusOptions{}))
-	if err != nil {
-		return err
-	}
-	defer closeApp(fragile)
-	if err := check(fragile, "fragile deployment (no timeouts, no breakers)"); err != nil {
-		return err
-	}
-
-	hardened, err := topology.Build(topology.MessageBus(topology.MessageBusOptions{
-		PublisherTimeout: 200 * time.Millisecond,
-		PublisherBreaker: &resilience.BreakerConfig{FailureThreshold: 5, OpenTimeout: 10 * time.Second},
-	}))
-	if err != nil {
-		return err
-	}
-	defer closeApp(hardened)
-	return check(hardened, "hardened deployment (200ms timeout + breaker on the publisher)")
-}
-
-// databaseOverload replays the BBC Online postmortem: "When the database
-// backend was overloaded, it started to throttle requests from various
-// services. Services that had not cached the database responses locally
-// began timing out and eventually failed completely."
-//
-// Paper recipe:
-//
-//	Overload('database')
-//	for s in dependents('database'):
-//	    if not HasCircuitBreaker(s, 'database', ...):
-//	        raise 'Will overload database'
-func databaseOverload() error {
-	fmt.Println("\n=== Outage replay 2: datastore overload (BBC 2014, CircleCI 2015, Joyent 2015) ===")
-	fmt.Println("wordpress -> {elasticsearch, mysql}; mysql plays the overloaded database")
-
-	check := func(app *topology.App, label string) error {
-		runner := gremlin.NewRunner(app.Graph, gremlin.NewOrchestrator(app.Registry), app.Store, app.Store)
-		deps, err := app.Graph.Dependents(topology.ElasticsearchService)
-		if err != nil {
-			return err
-		}
-		var checks []gremlin.Check
-		for _, s := range deps {
-			checks = append(checks, gremlin.ExpectCircuitBreaker(s, topology.ElasticsearchService, 10, 2*time.Second))
-		}
-		report, err := runner.Run(context.Background(), gremlin.Recipe{
-			Name: "database-overload",
-			Scenarios: []gremlin.Scenario{gremlin.Overload{
-				Service:       topology.ElasticsearchService,
-				AbortFraction: 1, // fully throttling: every request rejected with 503
-				ErrorCode:     503,
-			}},
-			Checks: checks,
-		}, gremlin.RunOptions{ClearLogs: true, Load: func() error {
-			_, err := loadgen.Run(app.EntryURL(), loadgen.Options{N: 40})
-			return err
-		}})
-		if err != nil {
-			return err
-		}
-		fmt.Printf("\n--- %s ---\n%s", label, report)
-		if !report.Passed() {
-			fmt.Println("  -> WILL OVERLOAD DATABASE (requests keep piling on the throttled store)")
-		}
-		return nil
-	}
-
-	fragile, err := topology.Build(topology.WordPress(topology.WordPressOptions{}))
-	if err != nil {
-		return err
-	}
-	defer closeApp(fragile)
-	if err := check(fragile, "fragile deployment (plugin keeps hammering the throttled store)"); err != nil {
-		return err
-	}
-
-	hardened, err := topology.Build(topology.WordPress(topology.WordPressOptions{
-		SearchBreaker: &resilience.BreakerConfig{
-			FailureThreshold: 10,
-			OpenTimeout:      10 * time.Second,
-			Fallback:         resilience.StaticFallback(503, "breaker open"),
-		},
-	}))
-	if err != nil {
-		return err
-	}
-	defer closeApp(hardened)
-	return check(hardened, "hardened deployment (circuit breaker on the search path)")
-}
-
-func closeApp(app *topology.App) {
-	if err := app.Close(); err != nil {
-		fmt.Fprintln(os.Stderr, "close:", err)
+	experiments.PrintTable1(os.Stdout, rows)
+	if err := experiments.CheckTable1(rows); err != nil {
+		log.Fatal(err)
 	}
 }

@@ -5,12 +5,15 @@
 //
 // The program:
 //  1. verifies the fallback works under an Elasticsearch crash,
-//  2. sweeps injected delays (Figure 5) and prints the response-time CDFs,
-//     showing responses offset by exactly the injected delay (no timeout),
-//  3. runs the abort-then-delay sequence (Figure 6), showing that no
+//  2. prints Figure 5 (experiments.Figure5): response-time CDFs under
+//     injected delays, offset by exactly the delay (no timeout),
+//  3. prints Figure 6 (experiments.Figure6): after a run of aborts, no
 //     delayed request returns early (no circuit breaker), and
 //  4. re-runs the delay test against a *fixed* plugin (with a timeout) to
 //     show the assertions pass once the pattern is implemented.
+//
+// Figures 5 and 6 run at a tenth of the paper's delays (100–400 ms and
+// 300 ms).
 package main
 
 import (
@@ -21,6 +24,7 @@ import (
 	"time"
 
 	"gremlin"
+	"gremlin/internal/experiments"
 	"gremlin/internal/loadgen"
 	"gremlin/internal/topology"
 )
@@ -33,156 +37,88 @@ func main() {
 
 func run() error {
 	fmt.Println("=== Case study: WordPress + ElasticPress + Elasticsearch + MySQL ===")
-	app, err := topology.Build(topology.WordPress(topology.WordPressOptions{
-		BackendWorkTime: 5 * time.Millisecond,
-	}))
-	if err != nil {
-		return err
-	}
-	defer closeApp(app)
-	runner := gremlin.NewRunner(app.Graph, gremlin.NewOrchestrator(app.Registry), app.Store, app.Store)
 
 	// 1. The fallback path: crash Elasticsearch, expect MySQL to serve.
 	fmt.Println("\n--- 1. Crash(elasticsearch): does the plugin fall back to MySQL? ---")
-	report, err := runner.Run(context.Background(), gremlin.Recipe{
-		Name:      "es-crash-fallback",
-		Scenarios: []gremlin.Scenario{gremlin.Crash{Service: topology.ElasticsearchService}},
-		Checks:    []gremlin.Check{gremlin.ExpectFallback(topology.WordPressService, 0.99)},
-	}, gremlin.RunOptions{ClearLogs: true, Load: load(app, 20)})
-	if err != nil {
-		return err
-	}
-	fmt.Print(report)
-
-	// 2. Figure 5: inject 1..4s delays between WordPress and Elasticsearch
-	// and measure WordPress response-time CDFs at the edge. For a laptop
-	// run we scale the delays down 10x (100..400 ms); the shape is
-	// identical: the fastest response is never quicker than the injected
-	// delay, so the plugin has no timeout.
-	fmt.Println("\n--- 2. Figure 5: delayed Elasticsearch, WordPress response-time CDFs ---")
-	for _, delay := range []time.Duration{100, 200, 300, 400} {
-		d := delay * time.Millisecond
-		rep, res, err := delayedRun(runner, app, d, 50)
+	if err := withStack(0, func(runner *gremlin.Runner, app *topology.App) error {
+		report, err := runner.Run(context.Background(), gremlin.Recipe{
+			Name:      "es-crash-fallback",
+			Scenarios: []gremlin.Scenario{gremlin.Crash{Service: topology.ElasticsearchService}},
+			Checks:    []gremlin.Check{gremlin.ExpectFallback(topology.WordPressService, 0.99)},
+		}, gremlin.RunOptions{ClearLogs: true, Load: func() error {
+			_, err := loadgen.Run(app.EntryURL(), loadgen.Options{N: 20, Concurrency: 4})
+			return err
+		}})
 		if err != nil {
 			return err
 		}
-		min, _ := res.CDF().Min()
-		fmt.Printf("  injected delay %-6s -> fastest response %6.0f ms  (timeout check: %s)\n",
-			d, min*1000, passFail(rep))
-	}
-	fmt.Println("  responses are always offset by the injected delay: NO timeout pattern.")
-
-	// 3. Figure 6: 100 aborted, then 100 delayed requests. A tripped
-	// circuit breaker would answer some of the delayed requests
-	// immediately; without one, every delayed request waits out the delay.
-	fmt.Println("\n--- 3. Figure 6: 100 aborts then 100 delayed requests (circuit breaker?) ---")
-	if err := figure6(runner, app); err != nil {
+		fmt.Print(report)
+		return nil
+	}); err != nil {
 		return err
 	}
+
+	opts := experiments.Options{Scale: 0.1}
+	fmt.Println("\n--- 2. Figure 5: delayed Elasticsearch, WordPress response-time CDFs ---")
+	series, err := experiments.Figure5(opts)
+	if err != nil {
+		return err
+	}
+	experiments.PrintFigure5(os.Stdout, series)
+
+	fmt.Println("\n--- 3. Figure 6: aborts then delayed requests (circuit breaker?) ---")
+	fig6, err := experiments.Figure6(opts)
+	if err != nil {
+		return err
+	}
+	experiments.PrintFigure6(os.Stdout, fig6)
 
 	// 4. The fix: give the plugin a 50 ms search timeout and re-run the
 	// delay scenario — the HasTimeouts assertion now passes.
 	fmt.Println("\n--- 4. Fixed plugin (50 ms search timeout), same delay fault ---")
-	fixed, err := topology.Build(topology.WordPress(topology.WordPressOptions{
-		BackendWorkTime: 5 * time.Millisecond,
-		SearchTimeout:   50 * time.Millisecond,
-	}))
-	if err != nil {
-		return err
-	}
-	defer closeApp(fixed)
-	fixedRunner := gremlin.NewRunner(fixed.Graph, gremlin.NewOrchestrator(fixed.Registry), fixed.Store, fixed.Store)
-	rep, res, err := delayedRun(fixedRunner, fixed, 300*time.Millisecond, 50)
-	if err != nil {
-		return err
-	}
-	max, _ := res.CDF().Max()
-	fmt.Printf("  slowest response %.0f ms with a 300 ms injected delay (timeout check: %s)\n",
-		max*1000, passFail(rep))
-	return nil
-}
-
-// delayedRun stages Delay(wordpress->elasticsearch) and injects n requests,
-// returning the HasTimeouts report and the measured latencies.
-func delayedRun(runner *gremlin.Runner, app *topology.App, d time.Duration, n int) (*gremlin.Report, *loadgen.Result, error) {
-	var res *loadgen.Result
-	report, err := runner.Run(context.Background(), gremlin.Recipe{
-		Name: fmt.Sprintf("fig5-delay-%s", d),
-		Scenarios: []gremlin.Scenario{gremlin.Delay{
-			Src: topology.WordPressService, Dst: topology.ElasticsearchService, Interval: d,
-		}},
-		Checks: []gremlin.Check{gremlin.ExpectTimeouts(topology.WordPressService, d/2)},
-	}, gremlin.RunOptions{ClearLogs: true, Load: func() error {
-		var err error
-		res, err = loadgen.Run(app.EntryURL(), loadgen.Options{N: n, Concurrency: 4})
-		return err
-	}})
-	return report, res, err
-}
-
-func figure6(runner *gremlin.Runner, app *topology.App) error {
-	// Phase A: 100 aborted requests (fallback answers quickly).
-	abortRep, err := runner.Run(context.Background(), gremlin.Recipe{
-		Name:      "fig6-abort",
-		Scenarios: []gremlin.Scenario{gremlin.Disconnect{From: topology.WordPressService, To: topology.ElasticsearchService}},
-	}, gremlin.RunOptions{ClearLogs: true, Load: func() error {
-		res, err := loadgen.RunSequential(app.EntryURL(), 100, "/search", nil)
+	return withStack(50*time.Millisecond, func(runner *gremlin.Runner, app *topology.App) error {
+		const delay = 300 * time.Millisecond
+		var res *loadgen.Result
+		report, err := runner.Run(context.Background(), gremlin.Recipe{
+			Name: "fixed-plugin-delay",
+			Scenarios: []gremlin.Scenario{gremlin.Delay{
+				Src: topology.WordPressService, Dst: topology.ElasticsearchService, Interval: delay,
+			}},
+			Checks: []gremlin.Check{gremlin.ExpectTimeouts(topology.WordPressService, delay/2)},
+		}, gremlin.RunOptions{ClearLogs: true, Load: func() error {
+			var err error
+			res, err = loadgen.Run(app.EntryURL(), loadgen.Options{N: 50, Concurrency: 4})
+			return err
+		}})
 		if err != nil {
 			return err
 		}
 		max, _ := res.CDF().Max()
-		fmt.Printf("  aborted : all 100 via MySQL fallback, slowest %.0f ms\n", max*1000)
-		return nil
-	}})
-	if err != nil {
-		return err
-	}
-	_ = abortRep
-
-	// Phase B: immediately delay the next 100 by 300 ms (scaled from the
-	// paper's 3 s) and check for a breaker.
-	report, err := runner.Run(context.Background(), gremlin.Recipe{
-		Name: "fig6-delay",
-		Scenarios: []gremlin.Scenario{gremlin.Delay{
-			Src: topology.WordPressService, Dst: topology.ElasticsearchService, Interval: 300 * time.Millisecond,
-		}},
-		Checks: []gremlin.Check{
-			gremlin.ExpectCircuitBreaker(topology.WordPressService, topology.ElasticsearchService,
-				100, time.Second),
-		},
-	}, gremlin.RunOptions{Load: func() error {
-		res, err := loadgen.RunSequential(app.EntryURL(), 100, "/search", nil)
-		if err != nil {
-			return err
+		verdict := "FAIL"
+		if report.Passed() {
+			verdict = "PASS"
 		}
-		min, _ := res.CDF().Min()
-		fmt.Printf("  delayed : fastest of 100 delayed requests %.0f ms (injected 300 ms)\n", min*1000)
+		fmt.Printf("  slowest response %.0f ms with a %s injected delay (timeout check: %s)\n",
+			max*1000, delay, verdict)
 		return nil
-	}})
+	})
+}
+
+// withStack builds the WordPress stack with the given plugin search
+// timeout (0 = none, as ElasticPress ships), hands fn a runner over it and
+// tears the stack down.
+func withStack(searchTimeout time.Duration, fn func(*gremlin.Runner, *topology.App) error) error {
+	app, err := topology.Build(topology.WordPress(topology.WordPressOptions{
+		BackendWorkTime: 5 * time.Millisecond,
+		SearchTimeout:   searchTimeout,
+	}))
 	if err != nil {
 		return err
 	}
-	fmt.Printf("  breaker check after 100 consecutive failures: %s\n", passFail(report))
-	fmt.Println("  no delayed request returned early: NO circuit breaker (matches Figure 6).")
-	return nil
-}
-
-func load(app *topology.App, n int) func() error {
-	return func() error {
-		_, err := loadgen.Run(app.EntryURL(), loadgen.Options{N: n, Concurrency: 4})
-		return err
-	}
-}
-
-func passFail(r *gremlin.Report) string {
-	if r.Passed() {
-		return "PASS"
-	}
-	return "FAIL"
-}
-
-func closeApp(app *topology.App) {
-	if err := app.Close(); err != nil {
-		fmt.Fprintln(os.Stderr, "close:", err)
-	}
+	defer func() {
+		if err := app.Close(); err != nil {
+			fmt.Fprintln(os.Stderr, "close:", err)
+		}
+	}()
+	return fn(gremlin.NewRunner(app.Graph, gremlin.NewOrchestrator(app.Registry), app.Store, app.Store), app)
 }

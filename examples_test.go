@@ -30,7 +30,7 @@ var runnableExamples = []string{
 }
 
 var exemptExamples = map[string]string{
-	"wordpress": "its Figure 5/6 sweeps take ~45 s; internal/experiments covers the same flows",
+	"wordpress": "its Figures 5 and 6 take ~60 s at a tenth of the paper's delays; TestFigure5Shape and TestFigure6Shape run the same experiments at test scale",
 }
 
 // TestExamplesRun executes each example program end to end and requires a

@@ -1,13 +1,16 @@
-// Package experiments regenerates every figure of the paper's evaluation
-// (§7): the WordPress delay CDFs (Figure 5), the abort-then-delay circuit
-// breaker test (Figure 6), orchestration/assertion time vs. application
-// size (Figure 7), and the proxy rule-matching overhead CDFs (Figure 8).
+// Package experiments is the one implementation of the paper's evaluation
+// (§7): the outage replays (Table 1), the WordPress delay CDFs (Figure 5),
+// the abort-then-delay circuit breaker test (Figure 6),
+// orchestration/assertion time vs. application size (Figure 7), and the
+// proxy rule-matching overhead CDFs (Figure 8).
 //
-// Each experiment returns structured series so the benchmark harness
-// (bench_test.go) and the gremlin-bench binary can print the same rows the
-// paper plots. Absolute numbers differ from the paper's (their data plane
-// was measured on a 2016 container testbed); the reproduction target is
-// the *shape* of each result, documented in EXPERIMENTS.md.
+// Each experiment returns structured series that gremlin-bench, the
+// outages and wordpress examples and this package's shape tests all read.
+// Absolute numbers differ from the paper's (their data plane was measured
+// on a 2016 container testbed); the reproduction target is the *shape* of
+// each result, documented in EXPERIMENTS.md. The repository benchmark
+// (bench/) measures the data and control planes; it does not reproduce
+// these figures.
 package experiments
 
 import (

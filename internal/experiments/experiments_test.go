@@ -148,26 +148,46 @@ func TestTable1Shape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rows) != 4 {
-		t.Fatalf("rows = %d, want 4 (2 outages x 2 deployments)", len(rows))
-	}
-	for _, r := range rows {
-		switch r.Deployment {
-		case "fragile":
-			if r.Passed {
-				t.Fatalf("fragile deployment passed %q — the outage should be predicted", r.Outage)
-			}
-		case "hardened":
-			if !r.Passed {
-				t.Fatalf("hardened deployment failed %q: %s", r.Outage, r.Detail)
-			}
-		default:
-			t.Fatalf("unknown deployment %q", r.Deployment)
-		}
+	if err := CheckTable1(rows); err != nil {
+		t.Fatal(err)
 	}
 	var b strings.Builder
 	PrintTable1(&b, rows)
 	if !strings.Contains(b.String(), "Table 1") {
 		t.Fatal("printer output missing header")
+	}
+}
+
+func TestCheckTable1(t *testing.T) {
+	good := func() []Table1Row {
+		return []Table1Row{
+			{Outage: "cascade", Deployment: "fragile", Passed: false},
+			{Outage: "cascade", Deployment: "hardened", Passed: true},
+			{Outage: "overload", Deployment: "fragile", Passed: false},
+			{Outage: "overload", Deployment: "hardened", Passed: true},
+		}
+	}
+	for _, tc := range []struct {
+		name string
+		edit func([]Table1Row) []Table1Row
+		want string // substring of the error; "" = accepted
+	}{
+		{"correct matrix", func(rs []Table1Row) []Table1Row { return rs }, ""},
+		{"fragile passed", func(rs []Table1Row) []Table1Row { rs[2].Passed = true; return rs }, "fragile deployment passed"},
+		{"hardened failed", func(rs []Table1Row) []Table1Row { rs[1].Passed = false; return rs }, "hardened deployment failed"},
+		{"missing row", func(rs []Table1Row) []Table1Row { return rs[:3] }, "3 rows"},
+		{"unknown deployment", func(rs []Table1Row) []Table1Row { rs[3].Deployment = "patched"; return rs }, "unknown deployment"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			err := CheckTable1(tc.edit(good()))
+			switch {
+			case tc.want == "" && err != nil:
+				t.Fatalf("rejected the correct matrix: %v", err)
+			case tc.want != "" && err == nil:
+				t.Fatal("accepted")
+			case tc.want != "" && !strings.Contains(err.Error(), tc.want):
+				t.Fatalf("error %q does not mention %q", err, tc.want)
+			}
+		})
 	}
 }

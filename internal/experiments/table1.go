@@ -29,16 +29,36 @@ type Table1Row struct {
 	Detail string
 }
 
-// Table1 replays the paper's Table 1 outage classes as recipes against
-// fragile and hardened deployments:
+// Table1 replays the paper's Table 1 outage classes (§5) as recipes
+// against fragile and hardened deployments.
 //
-//   - middleware cascade (Stackdriver 2013, Parse.ly 2015): Crash of the
-//     datastore behind a message bus; dependents need timeouts+breakers;
-//   - datastore overload (BBC 2014, CircleCI 2015, Joyent 2015): Overload
-//     of a storage backend; dependents need circuit breakers.
+// Middleware cascade (Stackdriver 2013, Parse.ly 2015): "Data published by
+// various services into a message bus was being forwarded to the Cassandra
+// cluster. When the cluster failed, the failure percolated to the message
+// bus, filling the queues and blocking the publishers." The hardened
+// deployment gives the publisher a 200 ms timeout and a breaker. Paper
+// recipe:
 //
-// The expected shape: every fragile cell fails (Gremlin predicts the
-// outage in seconds) and every hardened cell passes.
+//	Crash('cassandra')
+//	for s in dependents('messagebus'):
+//	    if not HasTimeouts(s, '1s') and not HasCircuitBreaker(s, 'messagebus', ...):
+//	        raise 'Will block on message bus'
+//
+// Datastore overload (BBC 2014, CircleCI 2015, Joyent 2015): "When the
+// database backend was overloaded, it started to throttle requests from
+// various services. Services that had not cached the database responses
+// locally began timing out and eventually failed completely." Elasticsearch
+// plays the throttling store, rejecting every request with 503; the
+// hardened deployment puts a breaker on WordPress's search path. Paper
+// recipe:
+//
+//	Overload('database')
+//	for s in dependents('database'):
+//	    if not HasCircuitBreaker(s, 'database', ...):
+//	        raise 'Will overload database'
+//
+// The expected shape, which CheckTable1 enforces: every fragile cell fails
+// (Gremlin predicts the outage in seconds) and every hardened cell passes.
 func Table1(opts Options) ([]Table1Row, error) {
 	o := opts.withDefaults()
 	var rows []Table1Row
@@ -152,6 +172,26 @@ func Table1(opts Options) ([]Table1Row, error) {
 		}
 	}
 	return rows, nil
+}
+
+// CheckTable1 reports whether rows have Table 1's shape: two outages by two
+// deployments, every "fragile" row failing and every "hardened" row
+// passing.
+func CheckTable1(rows []Table1Row) error {
+	if len(rows) != 4 {
+		return fmt.Errorf("table 1: %d rows, want 4 (2 outages x 2 deployments)", len(rows))
+	}
+	for _, r := range rows {
+		switch {
+		case r.Deployment == "fragile" && r.Passed:
+			return fmt.Errorf("table 1: fragile deployment passed %q; the outage should be predicted", r.Outage)
+		case r.Deployment == "hardened" && !r.Passed:
+			return fmt.Errorf("table 1: hardened deployment failed %q: %s", r.Outage, r.Detail)
+		case r.Deployment != "fragile" && r.Deployment != "hardened":
+			return fmt.Errorf("table 1: unknown deployment %q", r.Deployment)
+		}
+	}
+	return nil
 }
 
 func verdictDetail(r *core.Report) string {

@@ -27,6 +27,8 @@ type Pattern struct {
 	// prefix comparison — the dominant shape in recipes ("test-*") and
 	// campaign namespaces ("camp-<run>-*"), and far cheaper than the regexp
 	// engine both to match and to compile: no regexp is built for them.
+	// This is the "structured (e.g., prefix-based) request IDs" optimization
+	// the paper suggests for reducing rule-matching overhead (§7.2).
 	prefixOnly bool
 	prefix     string
 }
@@ -91,10 +93,8 @@ func (p Pattern) Match(id string) bool {
 }
 
 // LiteralPrefix returns a literal string that every matching ID must start
-// with ("" when no useful prefix exists). Rule matchers use it as a cheap
-// pre-filter — the "structured (e.g., prefix-based) request IDs"
-// optimization the paper suggests for reducing rule-matching overhead
-// (§7.2).
+// with ("" when no useful prefix exists). The event store uses it to pin a
+// query to the one namespace, and so the one shard, its IDs can lie in.
 func (p Pattern) LiteralPrefix() string {
 	if p.prefixOnly {
 		return p.prefix
@@ -116,7 +116,7 @@ func (p Pattern) LiteralPrefix() string {
 	}
 	// Globs compile rune-by-rune, so invalid UTF-8 becomes U+FFFD in the
 	// regex and matches *any* invalid byte — the raw byte prefix would be
-	// unsound as a pre-filter. Disable the fast path for such patterns.
+	// unsound as a pre-filter. Report no prefix for such patterns.
 	if !utf8.ValidString(prefix) {
 		return ""
 	}

@@ -3,7 +3,6 @@ package rules
 import (
 	"fmt"
 	"math/rand"
-	"strings"
 	"sync"
 	"sync/atomic"
 
@@ -45,8 +44,7 @@ func (m Message) layer() Layer {
 type CompiledRule struct {
 	Rule
 
-	pat    pattern.Pattern
-	prefix string // literal prefix every matching ID must carry ("" = none)
+	pat pattern.Pattern
 }
 
 // Compile validates the rule and compiles its pattern.
@@ -58,7 +56,7 @@ func Compile(r Rule) (CompiledRule, error) {
 	if err != nil {
 		return CompiledRule{}, err
 	}
-	return CompiledRule{Rule: r, pat: p, prefix: p.LiteralPrefix()}, nil
+	return CompiledRule{Rule: r, pat: p}, nil
 }
 
 // Matches reports whether the message satisfies the rule's criteria
@@ -193,7 +191,6 @@ type Matcher struct {
 	// unchanged rule set leave it untouched (see ApplyRuleSet).
 	rebuilds atomic.Int64
 
-	fastPath   atomic.Bool
 	linearScan atomic.Bool
 
 	// seedRNG seeds the per-goroutine sampling RNGs in rngs; it is only
@@ -302,15 +299,6 @@ func (m *Matcher) RuleStats() []RuleStat {
 	return out
 }
 
-// UseLiteralPrefixFastPath toggles the "structured request IDs"
-// optimization the paper suggests for reducing rule-matching overhead
-// (§7.2): before running a rule's pattern, the matcher rejects it with a
-// cheap literal-prefix comparison when the pattern demands a prefix the
-// message ID does not carry. Semantics are unchanged — only non-matching
-// scans get cheaper. Off by default for fidelity with the paper's
-// measurements, which exclude such optimizations.
-func (m *Matcher) UseLiteralPrefixFastPath(on bool) { m.fastPath.Store(on) }
-
 // UseLinearScan toggles the paper-fidelity ablation: Decide scans every
 // installed rule in insertion order instead of consulting the (src, dst,
 // type) index, reproducing the linear-scan behaviour Figure 8 measures
@@ -329,12 +317,8 @@ func (m *Matcher) Decide(msg Message) Decision {
 	}
 
 	var d Decision
-	fast := m.fastPath.Load()
 	for _, i := range snap.index[routeKey{src: msg.Src, dst: msg.Dst, on: msg.Type, layer: msg.layer()}] {
 		r := &snap.rules[i]
-		if fast && r.prefix != "" && !strings.HasPrefix(msg.RequestID, r.prefix) {
-			continue
-		}
 		if r.CallPath != "" && r.CallPath != msg.CallPath {
 			continue
 		}
@@ -357,12 +341,8 @@ func (m *Matcher) Decide(msg Message) Decision {
 // in insertion order, as the paper's Figure 8 measures.
 func (m *Matcher) decideScan(snap *snapshot, msg Message) Decision {
 	var d Decision
-	fast := m.fastPath.Load()
 	for i := range snap.rules {
 		r := &snap.rules[i]
-		if fast && r.prefix != "" && !strings.HasPrefix(msg.RequestID, r.prefix) {
-			continue
-		}
 		if !r.Matches(msg) {
 			continue
 		}

@@ -289,37 +289,8 @@ func TestEmptyMatcherDecide(t *testing.T) {
 	}
 }
 
-func TestFastPathSemanticsUnchanged(t *testing.T) {
-	// Identical decisions with and without the prefix fast path.
-	mk := func(fast bool) *Matcher {
-		m := NewMatcher(rand.New(rand.NewSource(1)))
-		m.UseLiteralPrefixFastPath(fast)
-		r1 := validAbort() // pattern test-*
-		r2 := validDelay()
-		r2.Pattern = "re:^canary-[0-9]+$"
-		r3 := validModify()
-		r3.ID = "r3b"
-		r3.On = OnRequest
-		r3.Pattern = "" // match-all
-		if err := m.Install(r1, r2, r3); err != nil {
-			t.Fatal(err)
-		}
-		return m
-	}
-	plain, fast := mk(false), mk(true)
-	ids := []string{"test-1", "canary-5", "prod-9", "", "test-", "canary-x"}
-	for _, id := range ids {
-		msg := msg("serviceA", "serviceB", OnRequest, id)
-		a, b := plain.Decide(msg), fast.Decide(msg)
-		if a.Fired != b.Fired || a.Matched != b.Matched || a.Rule.ID != b.Rule.ID {
-			t.Fatalf("id %q: plain=%+v fast=%+v", id, a, b)
-		}
-	}
-}
-
 func TestFastPathSkipsNonMatchingPrefixes(t *testing.T) {
 	m := NewMatcher(nil)
-	m.UseLiteralPrefixFastPath(true)
 	r := validAbort() // test-*
 	if err := m.Install(r); err != nil {
 		t.Fatal(err)

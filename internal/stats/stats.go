@@ -2,9 +2,10 @@
 // evaluation figures and the live latency bound: empirical CDFs,
 // percentiles and summary statistics over latency samples, and a streaming
 // quantile histogram. The paper's evaluation reports response time CDFs
-// (Figures 5, 6, 8) and timing breakdowns (Figure 7); internal/experiments
-// and internal/loadgen compute those series here, and the checker's live
-// replyLatency bound reads its quantile from StreamingHistogram.
+// (Figures 5, 6 and 8); internal/experiments, the evaluation's one
+// implementation, builds them here from internal/loadgen's samples, and the
+// checker's live replyLatency bound reads its quantile from
+// StreamingHistogram.
 package stats
 
 import (
