@@ -212,11 +212,14 @@ func (b *BufferedSink) flush() error {
 
 	b.mu.Lock()
 	recs := b.buf
-	b.buf = make([]Record, 0, b.size)
-	b.mu.Unlock()
 	if len(recs) == 0 {
+		// Nothing buffered: keep the empty buffer rather than swap in a
+		// fresh one, so idle ticks and flush barriers allocate nothing.
+		b.mu.Unlock()
 		return nil
 	}
+	b.buf = make([]Record, 0, b.size)
+	b.mu.Unlock()
 
 	var err error
 	if b.batch != nil {

@@ -96,6 +96,23 @@ func TestBufferedSinkDefaultSize(t *testing.T) {
 	waitFor(t, "default-size flush at 128", func() bool { return store.Len() == 128 })
 }
 
+// TestBufferedSinkEmptyFlushAllocBudget: flushing a drained sink
+// allocates nothing. Every flush barrier (POST /v1/flush) and every idle
+// interval tick lands here, most of them with nothing buffered.
+func TestBufferedSinkEmptyFlushAllocBudget(t *testing.T) {
+	b := NewBufferedSinkOpts(NewStore(), BufferOptions{Interval: time.Hour})
+	defer b.Close()
+	if err := b.Log(Record{Src: "a", Dst: "b", Kind: KindRequest}); err != nil {
+		t.Fatal(err)
+	}
+	if err := b.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if got := testing.AllocsPerRun(100, func() { _ = b.Flush() }); got != 0 {
+		t.Errorf("Flush of an empty sink = %.0f allocs, want 0", got)
+	}
+}
+
 // slowSink delays every shipment, emulating a distant or overloaded store.
 type slowSink struct {
 	delay time.Duration

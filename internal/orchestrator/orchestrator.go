@@ -9,9 +9,20 @@
 // resolves logical services to physical agents through the registry,
 // computes the union rule set each agent should hold, and converges agents
 // that differ with versioned compare-and-swap PUTs (bounded retries with
-// backoff). Agents the pass cannot reach are reported, not fatal; an
-// optional anti-entropy loop re-syncs them — and restarted agents, which
-// come back empty at generation zero — on the next pass.
+// backoff). Agents the pass cannot reach are reported, not fatal.
+//
+// Passes come in two kinds. A targeted pass — SetOwner, RemoveOwner, and
+// so Apply and Revert — trusts each agent's last confirmed state (the
+// status its last PUT returned or its last GET read): it skips agents
+// already holding their desired set and PUTs the rest at the remembered
+// generation with If-Match, reading none of them first. A stale memory
+// costs one rejected PUT, whose reply carries the agent's current
+// generation. Anti-entropy passes (Reconcile, the periodic loop and
+// discovery) and Drift read every agent instead, so they find restarted
+// agents, which come back empty at generation zero, and out-of-band
+// edits. A targeted pass therefore does not repair drift on an agent
+// whose desired set it did not change; the next anti-entropy or discovery
+// pass does.
 //
 // Owners may hold a lease: desired state that expires unless renewed, so a
 // killed campaign process can never leak faults into the mesh. Leased rule
@@ -37,6 +48,12 @@ import (
 
 // AgentControl is the slice of the agent control API the orchestrator
 // needs. *agentapi.Client implements it; tests may substitute fakes.
+//
+// When an agent rejects a PutRuleSet (a stale generation or a failed
+// If-Match), the call returns the agent's current status beside the error,
+// as the 409/412 body and rules.Matcher do; the orchestrator retries the
+// PUT on that generation without a read. A status with an empty Hash means
+// the agent never judged the set (a transport or validation failure).
 type AgentControl interface {
 	GetRuleSet(ctx context.Context) (proxy.RuleSetBody, error)
 	PutRuleSet(ctx context.Context, set rules.RuleSet, ifMatch uint64) (rules.RuleSetStatus, error)
@@ -62,8 +79,9 @@ func WithDialer(dial func(url string) AgentControl) Option {
 }
 
 // WithRetry bounds the per-agent convergence loop: attempts tries per
-// reconcile pass, sleeping backoff, 2*backoff, ... between them. The
-// default is 3 attempts starting at 25 ms.
+// reconcile pass. A try that follows a failed call sleeps backoff,
+// 2*backoff, ... and reads the agent again; one that follows a rejected
+// PUT goes at once. The default is 3 attempts starting at 25 ms.
 func WithRetry(attempts int, backoff time.Duration) Option {
 	return optionFunc(func(o *Orchestrator) {
 		if attempts > 0 {
@@ -86,12 +104,15 @@ type Orchestrator struct {
 	// of a pass that started later.
 	syncMu sync.Mutex
 
-	mu         sync.Mutex
-	ncalls     int               // control-channel calls made, for benchmark accounting
-	owners     map[string]*owner // desired state, by owner name
-	version    uint64            // bumped whenever desired state changes
-	nextApply  int               // anonymous owner names for Apply
-	lastReport *Report           // most recent reconcile/drift outcome, for metrics
+	mu     sync.Mutex
+	owners map[string]*owner // desired state, by owner name
+	// seen is each agent's last confirmed state, by control URL, as of the
+	// last pass that reached it. It is replaced whole, never mutated, so a
+	// pass reads the map it snapshotted without holding mu.
+	seen       map[string]agentState
+	version    uint64  // bumped whenever desired state changes
+	nextApply  int     // anonymous owner names for Apply
+	lastReport *Report // most recent reconcile/drift outcome, for metrics
 
 	nRepairs     int64 // content pushes made by anti-entropy passes
 	nExpiries    int64 // owner leases lapsed
@@ -222,12 +243,17 @@ func (a *Applied) Revert(ctx context.Context) error {
 // every agent of the named services (all registered services when none are
 // named). It is the operator's big hammer — owners registered by live
 // recipe runs are withdrawn too. It returns the number of rules removed.
+// DELETE /v1/rules goes around the generation CAS, so ClearAll runs between
+// reconcile passes and forgets every agent's confirmed state.
 func (o *Orchestrator) ClearAll(ctx context.Context, services ...string) (int, error) {
+	o.syncMu.Lock()
+	defer o.syncMu.Unlock()
 	o.mu.Lock()
 	if len(o.owners) > 0 {
 		o.owners = make(map[string]*owner)
 		o.version++
 	}
+	o.seen = nil
 	o.mu.Unlock()
 
 	urls, err := o.resolveAgents(services)
@@ -244,7 +270,7 @@ func (o *Orchestrator) ClearAll(ctx context.Context, services ...string) (int, e
 		wg.Add(1)
 		go func(url string) {
 			defer wg.Done()
-			n, err := o.agent(url).ClearRules(ctx)
+			n, err := o.dial(url).ClearRules(ctx)
 			mu.Lock()
 			defer mu.Unlock()
 			if err != nil {
@@ -278,7 +304,7 @@ func (o *Orchestrator) FlushAll(ctx context.Context, services ...string) error {
 		wg.Add(1)
 		go func(url string) {
 			defer wg.Done()
-			if err := o.agent(url).Flush(ctx); err != nil {
+			if err := o.dial(url).Flush(ctx); err != nil {
 				mu.Lock()
 				errs = append(errs, fmt.Errorf("agent %s: %w", url, err))
 				mu.Unlock()
@@ -290,21 +316,6 @@ func (o *Orchestrator) FlushAll(ctx context.Context, services ...string) error {
 		return fmt.Errorf("orchestrator: flush failed: %w", errors.Join(errs...))
 	}
 	return nil
-}
-
-// ControlCalls reports how many agent control connections the orchestrator
-// has opened; the Figure 7 benchmark uses it to sanity-check fan-out.
-func (o *Orchestrator) ControlCalls() int {
-	o.mu.Lock()
-	defer o.mu.Unlock()
-	return o.ncalls
-}
-
-func (o *Orchestrator) agent(url string) AgentControl {
-	o.mu.Lock()
-	o.ncalls++
-	o.mu.Unlock()
-	return o.dial(url)
 }
 
 func (o *Orchestrator) resolveAgents(services []string) ([]string, error) {

@@ -23,6 +23,7 @@ type fakeAgent struct {
 	failing  error // when set, every control call fails with this error
 	flushes  int
 	puts     int // PutRuleSet calls that reached the matcher
+	gets     int // GetRuleSet calls that reached the matcher
 	lastTTL  int64
 	rebuilds int64
 }
@@ -37,6 +38,7 @@ func (f *fakeAgent) GetRuleSet(context.Context) (proxy.RuleSetBody, error) {
 	if f.failing != nil {
 		return proxy.RuleSetBody{}, f.failing
 	}
+	f.gets++
 	set := f.m.RuleSet()
 	return proxy.RuleSetBody{
 		Generation: set.Generation,
@@ -92,6 +94,12 @@ func (f *fakeAgent) putCount() int {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	return f.puts
+}
+
+func (f *fakeAgent) getCount() int {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	return f.gets
 }
 
 func (f *fakeAgent) fail(err error) {
@@ -316,16 +324,6 @@ func TestDescribe(t *testing.T) {
 	}
 }
 
-func TestControlCallsCounted(t *testing.T) {
-	f := newFixture()
-	if _, err := f.orch.Apply(context.Background(), []rules.Rule{delayRule("r1", "a")}); err != nil {
-		t.Fatal(err)
-	}
-	if f.orch.ControlCalls() == 0 {
-		t.Fatal("control calls should be counted")
-	}
-}
-
 // TestConcurrentApplyRevert stresses parallel apply/revert cycles against
 // the same agents; rules must never leak.
 func TestConcurrentApplyRevert(t *testing.T) {
@@ -395,9 +393,10 @@ func TestOwnersUnionAcrossAgents(t *testing.T) {
 	}
 }
 
-// TestReconcileIdempotent pins the converged fast path: a second pass with
-// unchanged desired state makes no PUTs at all (pure GETs), and repeated
-// SetOwner of identical content does not rebuild agent matchers.
+// TestReconcileIdempotent pins the converged fast path: an anti-entropy
+// pass over an unchanged fleet makes only GETs, and a targeted pass with
+// unchanged desired state (SetOwner of identical content) makes no calls
+// at all, so no agent matcher is rebuilt.
 func TestReconcileIdempotent(t *testing.T) {
 	f := newFixture()
 	ctx := context.Background()
@@ -419,9 +418,13 @@ func TestReconcileIdempotent(t *testing.T) {
 		t.Fatalf("idempotent reconcile made %d extra PUTs", a1.putCount()-puts)
 	}
 
-	// Re-registering identical desired state reconciles without rebuilding.
+	// Re-registering identical desired state reconciles without a call.
+	gets := a1.getCount()
 	if _, err := f.orch.SetOwner(ctx, "o", set, 0); err != nil {
 		t.Fatal(err)
+	}
+	if a1.putCount() != puts || a1.getCount() != gets {
+		t.Fatalf("unchanged targeted pass made %d PUTs, %d GETs", a1.putCount()-puts, a1.getCount()-gets)
 	}
 	if a1.rebuilds != rebuilds {
 		t.Fatalf("identical content rebuilt the matcher: %d -> %d", rebuilds, a1.rebuilds)
@@ -654,5 +657,192 @@ func TestWriteMetrics(t *testing.T) {
 		if !strings.Contains(out, want) {
 			t.Errorf("metrics missing %q in:\n%s", want, out)
 		}
+	}
+}
+
+// ---- targeted passes: round trips from confirmed state ----
+
+// calls sums the fleet's PUT and GET counts.
+func (f *fixture) calls() (puts, gets int) {
+	for _, a := range f.agents {
+		puts += a.putCount()
+		gets += a.getCount()
+	}
+	return puts, gets
+}
+
+// expectCalls fails unless the fleet made exactly the given PUTs and GETs
+// since the counts were last taken (before).
+func (f *fixture) expectCalls(t *testing.T, what string, before [2]int, puts, gets int) [2]int {
+	t.Helper()
+	p, g := f.calls()
+	if p-before[0] != puts || g-before[1] != gets {
+		t.Fatalf("%s: %d PUTs, %d GETs fleet-wide, want %d and %d", what, p-before[0], g-before[1], puts, gets)
+	}
+	return [2]int{p, g}
+}
+
+// TestTargetedPassRoundTrips: once every agent's state is confirmed, an
+// Apply of one rule on b PUTs to b's agent alone and reads nothing, and so
+// does its Revert. Anti-entropy still reads every agent.
+func TestTargetedPassRoundTrips(t *testing.T) {
+	f := newFixture()
+	ctx := context.Background()
+	warm, err := f.orch.Apply(ctx, []rules.Rule{delayRule("w", "b")})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := warm.Revert(ctx); err != nil {
+		t.Fatal(err)
+	}
+
+	n := f.expectCalls(t, "warm-up", [2]int{}, 2, 3)
+	applied, err := f.orch.Apply(ctx, []rules.Rule{delayRule("r1", "b")})
+	if err != nil {
+		t.Fatal(err)
+	}
+	n = f.expectCalls(t, "apply", n, 1, 0)
+	if f.agents["http://agent-b1"].count() != 1 {
+		t.Fatal("rule missing on b's agent")
+	}
+	if err := applied.Revert(ctx); err != nil {
+		t.Fatal(err)
+	}
+	n = f.expectCalls(t, "revert", n, 1, 0)
+	if f.agents["http://agent-b1"].count() != 0 {
+		t.Fatal("rule left on b's agent after revert")
+	}
+
+	rep, err := f.orch.Reconcile(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !rep.Converged() {
+		t.Fatalf("reconcile not converged: %+v", rep)
+	}
+	f.expectCalls(t, "reconcile", n, 0, 3)
+}
+
+// TestStaleStateConvergesWithoutRead: an agent that restarted behind the
+// orchestrator's back rejects the PUT at the remembered generation, and
+// the rejection's status is enough to retry: two PUTs, no read.
+func TestStaleStateConvergesWithoutRead(t *testing.T) {
+	f := newFixture()
+	ctx := context.Background()
+	warm, err := f.orch.Apply(ctx, []rules.Rule{delayRule("w", "a")})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := warm.Revert(ctx); err != nil {
+		t.Fatal(err)
+	}
+
+	restarted := newFakeAgent() // back empty at generation zero
+	f.agents["http://agent-a2"] = restarted
+	p, g := f.calls()
+	rep, err := f.orch.SetOwner(ctx, "o", []rules.Rule{delayRule("r1", "a")}, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !rep.Converged() {
+		t.Fatalf("stale state did not converge: %+v", rep)
+	}
+	if restarted.putCount() != 2 || restarted.getCount() != 0 {
+		t.Fatalf("restarted agent took %d PUTs, %d GETs, want 2 (412, then success) and 0",
+			restarted.putCount(), restarted.getCount())
+	}
+	if restarted.count() != 1 {
+		t.Fatal("restarted agent did not get its rule")
+	}
+	f.expectCalls(t, "stale pass", [2]int{p, g}, 3, 0)
+}
+
+// TestTargetedPassLeavesDriftToAntiEntropy pins the documented contract: a
+// targeted pass does not touch an agent whose desired set it did not
+// change, so an out-of-band edit there survives it; Reconcile repairs it.
+func TestTargetedPassLeavesDriftToAntiEntropy(t *testing.T) {
+	f := newFixture()
+	ctx := context.Background()
+	if _, err := f.orch.SetOwner(ctx, "o", []rules.Rule{delayRule("r1", "a")}, 0); err != nil {
+		t.Fatal(err)
+	}
+	b1 := f.agents["http://agent-b1"]
+	if _, err := b1.m.ApplyRuleSet(rules.RuleSet{Generation: b1.m.Generation() + 1, Rules: []rules.Rule{delayRule("oob", "b")}}, rules.NoMatch); err != nil {
+		t.Fatal(err)
+	}
+
+	if _, err := f.orch.SetOwner(ctx, "o2", []rules.Rule{delayRule("r2", "a")}, 0); err != nil {
+		t.Fatal(err)
+	}
+	if b1.count() != 1 {
+		t.Fatal("targeted pass touched an agent whose desired set did not change")
+	}
+
+	rep, err := f.orch.Reconcile(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !rep.Converged() || rep.Repaired() != 1 || b1.count() != 0 {
+		t.Fatalf("anti-entropy did not repair the edit: %+v, %d rules left", rep, b1.count())
+	}
+}
+
+// TestClearAllThenApplyConverges: ClearAll goes around the generation CAS,
+// so the confirmed state it leaves behind must not be trusted; the same
+// rules applied again land on every agent.
+func TestClearAllThenApplyConverges(t *testing.T) {
+	f := newFixture()
+	ctx := context.Background()
+	set := []rules.Rule{delayRule("r1", "a"), delayRule("r2", "b")}
+	if _, err := f.orch.Apply(ctx, set); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.orch.ClearAll(ctx); err != nil {
+		t.Fatal(err)
+	}
+	applied, err := f.orch.Apply(ctx, set)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for url, agent := range f.agents {
+		if agent.count() != 1 {
+			t.Fatalf("agent %s holds %d rules after ClearAll and Apply, want 1", url, agent.count())
+		}
+	}
+	if err := applied.Revert(ctx); err != nil {
+		t.Fatal(err)
+	}
+	if drift, _ := f.orch.Drift(ctx); !drift.Converged() {
+		t.Fatalf("fleet drifted: %+v", drift)
+	}
+}
+
+// TestLeaseSelfExpiryRestoredWithoutRead: an agent that cleared a leased
+// set itself (its generation moved) gets the rules back on the owner's
+// next SetOwner. Leased sets always PUT, and the rejection carries the
+// generation to retry on.
+func TestLeaseSelfExpiryRestoredWithoutRead(t *testing.T) {
+	f := newFixture()
+	ctx := context.Background()
+	set := []rules.Rule{delayRule("r1", "a")}
+	if _, err := f.orch.SetOwner(ctx, "campaign", set, time.Minute); err != nil {
+		t.Fatal(err)
+	}
+	a1 := f.agents["http://agent-a1"]
+	a1.m.Clear() // the agent-side TTL lapsed
+	puts, gets := a1.putCount(), a1.getCount()
+
+	rep, err := f.orch.SetOwner(ctx, "campaign", set, time.Minute)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !rep.Converged() || a1.count() != 1 {
+		t.Fatalf("self-expired agent not restored: %+v", rep)
+	}
+	if a1.putCount()-puts != 2 || a1.getCount() != gets {
+		t.Fatalf("restore took %d PUTs, %d GETs, want 2 and 0", a1.putCount()-puts, a1.getCount()-gets)
+	}
+	if a1.lastTTL <= 0 {
+		t.Fatal("restored rules must re-arm the agent-side TTL")
 	}
 }

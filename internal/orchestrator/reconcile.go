@@ -23,7 +23,37 @@ type AgentReport struct {
 	Attempts int                 `json:"attempts"` // round trips spent on this agent
 	Error    string              `json:"error,omitempty"`
 
-	err error
+	err    error
+	leased bool // the agent's TTL timer is armed, as of Observed
+}
+
+// agentState is what the orchestrator last confirmed about one agent: the
+// status a PUT returned or a GET read, and whether its TTL timer is armed.
+type agentState struct {
+	status rules.RuleSetStatus
+	leased bool
+}
+
+// settled reports whether an agent in state st needs no PUT to hold want:
+// the content matches, no lease must be (re)armed, and no stale
+// agent-side lease would expire rules we now want kept.
+func (st agentState) settled(hash string, want desiredAgent) bool {
+	return st.status.Hash == hash && want.ttl == 0 && !st.leased
+}
+
+// confirmed collects the agent state a pass's reports confirm: every agent
+// the pass reached, and none it did not — failed agents and agents no
+// longer registered are forgotten.
+func confirmed(reports []AgentReport) map[string]agentState {
+	seen := make(map[string]agentState, len(reports))
+	for _, a := range reports {
+		if a.err == nil {
+			st := a.Observed
+			st.Changed = false
+			seen[a.URL] = agentState{status: st, leased: a.leased}
+		}
+	}
+	return seen
 }
 
 // Report is the structured outcome of a reconcile or drift pass: one entry
@@ -105,11 +135,12 @@ func (r *Report) Describe() string {
 	return string(b)
 }
 
-// SetOwner registers (or replaces) one owner's desired rules and reconciles
-// the fleet. A non-zero ttl attaches a lease: unless renewed (by a later
-// SetOwner or RenewLease) the owner is withdrawn after ttl and its rules
-// converge away on the next pass — and, as a second line of defence, the
-// rules are shipped to agents with a matching self-expiry TTL.
+// SetOwner registers (or replaces) one owner's desired rules and runs a
+// targeted reconcile pass (see the package doc). A non-zero ttl attaches a
+// lease: unless renewed (by a later SetOwner or RenewLease) the owner is
+// withdrawn after ttl and its rules converge away on the next pass — and,
+// as a second line of defence, the rules are shipped to agents with a
+// matching self-expiry TTL.
 func (o *Orchestrator) SetOwner(ctx context.Context, name string, rs []rules.Rule, ttl time.Duration) (*Report, error) {
 	if err := o.StageOwner(name, rs, ttl); err != nil {
 		return nil, err
@@ -138,8 +169,8 @@ func (o *Orchestrator) StageOwner(name string, rs []rules.Rule, ttl time.Duratio
 	return nil
 }
 
-// RemoveOwner withdraws an owner's desired rules and reconciles the fleet.
-// Removing an unknown owner is a no-op pass.
+// RemoveOwner withdraws an owner's desired rules and runs a targeted
+// reconcile pass. Removing an unknown owner is a pass that changes nothing.
 func (o *Orchestrator) RemoveOwner(ctx context.Context, name string) (*Report, error) {
 	o.mu.Lock()
 	if _, ok := o.owners[name]; ok {
@@ -183,9 +214,9 @@ func (o *Orchestrator) Owners() []string {
 }
 
 // Reconcile runs one anti-entropy pass: lapsed leases are withdrawn, then
-// every registered agent is converged to its desired rule set — restarted
-// agents get their rules back, orphaned rules are removed. Content pushes
-// made here count as drift repairs.
+// every registered agent is read and converged to its desired rule set —
+// restarted agents get their rules back, orphaned rules and out-of-band
+// edits are removed. Content pushes made here count as drift repairs.
 func (o *Orchestrator) Reconcile(ctx context.Context) (*Report, error) {
 	return o.reconcile(ctx, true)
 }
@@ -222,8 +253,11 @@ func (o *Orchestrator) StartAntiEntropy(interval time.Duration) (stop func()) {
 
 // Drift reads every registered agent and compares it against desired state
 // without pushing anything: a read-only convergence check for operators
-// (`gremlin-ctl drift`) and tests.
+// (`gremlin-ctl drift`) and tests. What it reads becomes the agents'
+// confirmed state, so it runs between reconcile passes.
 func (o *Orchestrator) Drift(ctx context.Context) (*Report, error) {
+	o.syncMu.Lock()
+	defer o.syncMu.Unlock()
 	o.mu.Lock()
 	desired, unresolved := o.desiredLocked()
 	version := o.version
@@ -243,13 +277,14 @@ func (o *Orchestrator) Drift(ctx context.Context) (*Report, error) {
 		go func(i int, url string) {
 			want := desired[url]
 			ar := AgentReport{URL: url, Desired: desiredStatus(version, want.rules), Attempts: 1}
-			body, err := o.agent(url).GetRuleSet(ctx)
+			body, err := o.dial(url).GetRuleSet(ctx)
 			if err != nil {
 				ar.err = err
 				ar.Error = err.Error()
 			} else {
 				ar.Observed = rules.RuleSetStatus{Generation: body.Generation, Hash: body.Hash, Rules: len(body.Rules)}
 				ar.InSync = body.Hash == ar.Desired.Hash
+				ar.leased = body.Leased
 			}
 			results <- slot{i, ar}
 		}(i, url)
@@ -360,8 +395,9 @@ func (o *Orchestrator) expireLocked() []string {
 	return expired
 }
 
-// reconcile runs one convergence pass. antiEntropy marks pushes as drift
-// repairs (the pass was not triggered by a desired-state change).
+// reconcile runs one convergence pass. An antiEntropy pass reads every
+// agent and counts its pushes as drift repairs; any other pass was caused
+// by a desired-state change and trusts the agents' confirmed state.
 func (o *Orchestrator) reconcile(ctx context.Context, antiEntropy bool) (*Report, error) {
 	// Serialize passes; each recomputes desired state after acquiring the
 	// lock, so a queued pass always pushes the newest state.
@@ -372,6 +408,10 @@ func (o *Orchestrator) reconcile(ctx context.Context, antiEntropy bool) (*Report
 	expired := o.expireLocked()
 	desired, unresolved := o.desiredLocked()
 	version := o.version
+	var seen map[string]agentState
+	if !antiEntropy {
+		seen = o.seen
+	}
 	o.mu.Unlock()
 
 	urls := make([]string, 0, len(desired))
@@ -388,7 +428,8 @@ func (o *Orchestrator) reconcile(ctx context.Context, antiEntropy bool) (*Report
 	results := make(chan slot, len(urls))
 	for i, url := range urls {
 		go func(i int, url string) {
-			results <- slot{i, o.syncAgent(ctx, url, desired[url], version)}
+			prev, known := seen[url]
+			results <- slot{i, o.syncAgent(ctx, url, desired[url], version, prev, known)}
 		}(i, url)
 	}
 	rep.Agents = make([]AgentReport, len(urls))
@@ -409,16 +450,25 @@ func (o *Orchestrator) reconcile(ctx context.Context, antiEntropy bool) (*Report
 	return rep, nil
 }
 
-// syncAgent converges one agent to its desired rule set with a bounded
-// read–CAS–retry loop: observe the agent's generation, PUT the desired set
-// with If-Match on what was observed, and retry with backoff when the
-// generation moved underneath us or the agent was unreachable.
-func (o *Orchestrator) syncAgent(ctx context.Context, url string, want desiredAgent, version uint64) AgentReport {
+// syncAgent converges one agent to its desired rule set. When the pass
+// knows the agent's confirmed state (prev), a settled agent costs no call
+// and any other is PUT at once on prev's generation with If-Match.
+// Otherwise it reads first: observe the agent's generation, then PUT with
+// If-Match on what was observed. A rejected PUT carries the agent's
+// current status, so the retry goes out at once on that generation; a
+// failed call backs off and reads again. Attempts are bounded either way.
+func (o *Orchestrator) syncAgent(ctx context.Context, url string, want desiredAgent, version uint64, prev agentState, known bool) AgentReport {
 	ar := AgentReport{URL: url, Desired: desiredStatus(version, want.rules)}
-	c := o.agent(url)
+	if known && prev.settled(ar.Desired.Hash, want) {
+		ar.Observed = prev.status
+		ar.InSync = true
+		return ar
+	}
+	c := o.dial(url)
+	gen := prev.status.Generation
 	var lastErr error
 	for i := 0; i < o.attempts; i++ {
-		if i > 0 && o.backoff > 0 {
+		if i > 0 && !known && o.backoff > 0 {
 			select {
 			case <-ctx.Done():
 				lastErr = ctx.Err()
@@ -428,35 +478,41 @@ func (o *Orchestrator) syncAgent(ctx context.Context, url string, want desiredAg
 			}
 		}
 		ar.Attempts = i + 1
-		body, err := c.GetRuleSet(ctx)
-		if err != nil {
-			lastErr = err
-			continue
-		}
-		ar.Observed = rules.RuleSetStatus{Generation: body.Generation, Hash: body.Hash, Rules: len(body.Rules)}
-		// Already converged; skip the PUT unless a lease must be (re)armed
-		// or a stale agent-side lease would expire rules we now want kept.
-		if body.Hash == ar.Desired.Hash && want.ttl == 0 && !body.Leased {
-			ar.InSync = true
-			return ar
+		if !known {
+			body, err := c.GetRuleSet(ctx)
+			if err != nil {
+				lastErr = err
+				continue
+			}
+			ar.Observed = rules.RuleSetStatus{Generation: body.Generation, Hash: body.Hash, Rules: len(body.Rules)}
+			ar.leased = body.Leased
+			if (agentState{status: ar.Observed, leased: body.Leased}).settled(ar.Desired.Hash, want) {
+				ar.InSync = true
+				return ar
+			}
+			gen = body.Generation
 		}
 		set := rules.RuleSet{
-			Generation: body.Generation + 1,
+			Generation: gen + 1,
 			Rules:      want.rules,
 			TTLMillis:  want.ttl.Milliseconds(),
 		}
 		if want.ttl > 0 && set.TTLMillis == 0 {
 			set.TTLMillis = 1 // sub-millisecond remainder still expires
 		}
-		st, err := c.PutRuleSet(ctx, set, body.Generation)
+		st, err := c.PutRuleSet(ctx, set, gen)
 		if err != nil {
-			// Lost the CAS or hit a transient failure: re-observe and retry.
+			// A rejection names the agent's current generation: retry on
+			// it. Anything else: back off and read the agent again.
 			lastErr = err
+			gen, known = st.Generation, st.Hash != ""
 			continue
 		}
 		ar.Observed = st
 		ar.InSync = true
 		ar.Pushed = st.Changed
+		// The agent arms its timer exactly when a TTL ships with rules.
+		ar.leased = set.TTLMillis > 0 && len(set.Rules) > 0
 		return ar
 	}
 	ar.err = lastErr
@@ -477,9 +533,12 @@ func desiredStatus(version uint64, rs []rules.Rule) rules.RuleSetStatus {
 	}
 }
 
+// setLastReport records a pass's report and the agent state it confirmed.
 func (o *Orchestrator) setLastReport(rep *Report) {
+	seen := confirmed(rep.Agents)
 	o.mu.Lock()
 	o.lastReport = rep
+	o.seen = seen
 	o.mu.Unlock()
 }
 
