@@ -88,7 +88,7 @@ alloc-budget:
 
 # The paper's full evaluation series (Tables 1-3, Figures 5-8).
 bench-figures:
-	$(GO) run ./cmd/gremlin-bench
+	$(GO) run ./cmd/gremlin paper
 
 # A complete fault-space campaign on an in-process 7-service tree:
 # enumeration, parallel isolated runs, signature pruning, scorecard.
@@ -101,7 +101,7 @@ campaign-smoke:
 trace-smoke:
 	$(GO) run ./examples/tracing
 
-# Crash-recovery smoke: a real gremlin-logstore process is SIGKILLed
+# Crash-recovery smoke: a real gremlin logstore process is SIGKILLed
 # mid-stream; the restart must replay every acknowledged record
 # byte-exact, and compaction must reclaim cleared namespaces' WAL space.
 store-smoke:
@@ -127,7 +127,7 @@ explore-smoke:
 # 150ms delay unit whose fault-window p99 must land strictly above
 # baseline with a finite recovery time, a scrape-only quiet period that
 # must add zero event-log records, journal round-trip into the
-# scorecard's Telemetry section, and a gremlin-top frame over the live
+# scorecard's Telemetry section, and a gremlin top frame over the live
 # fleet. Self-verifying; exits non-zero on any missed claim.
 telemetry-smoke:
 	$(GO) run ./examples/telemetry

@@ -1,9 +1,22 @@
-// Command gremlin-agent runs a standalone Gremlin agent: the sidecar
-// Layer-7 proxy through which a microservice reaches its dependencies.
-// The agent injects faults on messages matching its installed rules and
-// ships observations to the event-log store.
-//
-// The agent is configured from a JSON file mirroring the paper's
+package main
+
+import (
+	"context"
+	"encoding/json"
+	"flag"
+	"fmt"
+	"log"
+	"os"
+	"strings"
+	"time"
+
+	"gremlin/internal/eventlog"
+	"gremlin/internal/httpx"
+	"gremlin/internal/proxy"
+	"gremlin/internal/registry"
+)
+
+// agentConfig is the agent verb's JSON config, mirroring the paper's
 // "localhost:<port> -> (list of remotehost[:remoteport])" dependency
 // mappings:
 //
@@ -25,31 +38,7 @@
 // dependencies (databases, caches) served by stream relays that inject
 // connection-level faults (sever, half-open, throttle, connect-refuse).
 // The -l4 flag appends ad-hoc relays without a config edit.
-//
-// Usage:
-//
-//	gremlin-agent -config agent.json
-//	gremlin-agent -config agent.json -l4 db=127.0.0.1:7002=10.0.0.4:5432
-package main
-
-import (
-	"encoding/json"
-	"flag"
-	"fmt"
-	"log"
-	"os"
-	"os/signal"
-	"strings"
-	"syscall"
-	"time"
-
-	"gremlin/internal/eventlog"
-	"gremlin/internal/httpx"
-	"gremlin/internal/proxy"
-	"gremlin/internal/registry"
-)
-
-type fileConfig struct {
+type agentConfig struct {
 	Service  string          `json:"service"`
 	AgentID  string          `json:"agentId,omitempty"`
 	Control  string          `json:"control"`
@@ -84,14 +73,15 @@ func (f *l4Flags) Set(v string) error {
 	return nil
 }
 
-func main() {
-	if err := run(os.Args[1:]); err != nil {
-		log.Fatal(err)
-	}
-}
-
-func run(args []string) error {
-	fs := flag.NewFlagSet("gremlin-agent", flag.ContinueOnError)
+// runAgent runs a standalone Gremlin agent until ctx is cancelled: the
+// sidecar Layer-7 proxy through which a microservice reaches its
+// dependencies. The agent injects faults on messages matching its
+// installed rules and ships observations to the event-log store.
+//
+//	gremlin agent -config agent.json
+//	gremlin agent -config agent.json -l4 db=127.0.0.1:7002=10.0.0.4:5432
+func runAgent(ctx context.Context, args []string) (err error) {
+	fs := flag.NewFlagSet("gremlin agent", flag.ContinueOnError)
 	configPath := fs.String("config", "", "path to the agent JSON config (required)")
 	flushEvery := fs.Duration("flush", 2*time.Second, "interval for flushing buffered observations")
 	pprofAddr := fs.String("pprof", "", "listen address for /debug/pprof/ endpoints (disabled when empty)")
@@ -104,21 +94,20 @@ func run(args []string) error {
 	}
 	if *configPath == "" {
 		fs.Usage()
-		return fmt.Errorf("gremlin-agent: -config is required")
+		return fmt.Errorf("gremlin agent: -config is required")
 	}
 	raw, err := os.ReadFile(*configPath)
 	if err != nil {
 		return err
 	}
-	var cfg fileConfig
+	var cfg agentConfig
 	if err := json.Unmarshal(raw, &cfg); err != nil {
-		return fmt.Errorf("gremlin-agent: parse %s: %w", *configPath, err)
+		return fmt.Errorf("gremlin agent: parse %s: %w", *configPath, err)
 	}
 
-	var (
-		sink     eventlog.Sink
-		buffered *eventlog.BufferedSink
-	)
+	// Deferred closes run in reverse: the agent stops logging before the
+	// sink ships what it still buffers.
+	var sink eventlog.Sink
 	if cfg.LogStore != "" {
 		client := eventlog.NewClient(cfg.LogStore, nil)
 		if !client.Healthy() {
@@ -127,10 +116,11 @@ func run(args []string) error {
 		// The sink's own background flusher ships on size or interval, so no
 		// extra plumbing is needed to get observations to the store promptly
 		// under light traffic.
-		buffered = eventlog.NewBufferedSinkOpts(client, eventlog.BufferOptions{
+		buffered := eventlog.NewBufferedSinkOpts(client, eventlog.BufferOptions{
 			Size:     256,
 			Interval: *flushEvery,
 		})
+		defer closeKeep(&err, buffered.Close)
 		sink = buffered
 	}
 
@@ -145,13 +135,13 @@ func run(args []string) error {
 	if err != nil {
 		return err
 	}
+	defer closeKeep(&err, agent.Close)
 	agent.Start()
-	fmt.Printf("gremlin-agent for service %q\n", cfg.Service)
+	fmt.Printf("gremlin agent for service %q\n", cfg.Service)
 	fmt.Printf("  control API: %s\n", agent.ControlURL())
 	if *pprofAddr != "" {
 		dbg, err := httpx.StartPprof(*pprofAddr)
 		if err != nil {
-			_ = agent.Close()
 			return err
 		}
 		defer dbg.Close()
@@ -172,7 +162,6 @@ func run(args []string) error {
 		fmt.Printf("  l4 relay %s -> %v via %s\n", r.Dst, r.Targets, addr)
 	}
 
-	var stopHeartbeat func()
 	if *registryURL != "" {
 		addr := cfg.ServiceAddr
 		if addr == "" {
@@ -180,33 +169,17 @@ func run(args []string) error {
 			// endpoint host so membership at least reflects the sidecar.
 			addr = strings.TrimPrefix(agent.ControlURL(), "http://")
 		}
-		stopHeartbeat = registry.NewClient(*registryURL, nil).Heartbeat(registry.Instance{
+		stopHeartbeat := registry.NewClient(*registryURL, nil).Heartbeat(registry.Instance{
 			Service:         cfg.Service,
 			Addr:            addr,
 			AgentControlURL: agent.ControlURL(),
 			Replica:         cfg.Replica,
 		}, *leaseTTL, *leaseTTL/3)
+		defer stopHeartbeat()
 		fmt.Printf("  registered with %s (lease %s, heartbeat %s)\n", *registryURL, *leaseTTL, *leaseTTL/3)
 	}
 
-	waitForSignal()
+	<-ctx.Done()
 	fmt.Println("shutting down")
-	if stopHeartbeat != nil {
-		stopHeartbeat()
-	}
-	err = agent.Close()
-	if buffered != nil {
-		if ferr := buffered.Close(); ferr != nil && err == nil {
-			err = ferr
-		}
-	}
-	return err
-}
-
-// waitForSignal blocks until SIGINT/SIGTERM. Tests replace it to drive the
-// binary's full lifecycle without signals.
-var waitForSignal = func() {
-	ch := make(chan os.Signal, 1)
-	signal.Notify(ch, os.Interrupt, syscall.SIGTERM)
-	<-ch
+	return nil
 }

@@ -5,12 +5,13 @@ import (
 	"encoding/json"
 
 	"io"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
-	"sync"
 	"testing"
 
 	"gremlin/internal/agentapi"
@@ -18,22 +19,22 @@ import (
 	"gremlin/internal/trace"
 )
 
-func TestRunRequiresConfig(t *testing.T) {
-	if err := run(nil); err == nil {
+func TestAgentRequiresConfig(t *testing.T) {
+	if err := gremlin("agent"); err == nil {
 		t.Fatal("want error without -config")
 	}
-	if err := run([]string{"-config", "/does/not/exist.json"}); err == nil {
+	if err := gremlin("agent", "-config", "/does/not/exist.json"); err == nil {
 		t.Fatal("want error for missing file")
 	}
 }
 
-func TestRunRejectsBadConfig(t *testing.T) {
+func TestAgentRejectsBadConfig(t *testing.T) {
 	dir := t.TempDir()
 	bad := filepath.Join(dir, "agent.json")
 	if err := os.WriteFile(bad, []byte("not json"), 0o600); err != nil {
 		t.Fatal(err)
 	}
-	if err := run([]string{"-config", bad}); err == nil {
+	if err := gremlin("agent", "-config", bad); err == nil {
 		t.Fatal("want parse error")
 	}
 
@@ -41,7 +42,7 @@ func TestRunRejectsBadConfig(t *testing.T) {
 	if err := os.WriteFile(bad, []byte(`{"service":"a","control":"127.0.0.1:0"}`), 0o600); err != nil {
 		t.Fatal(err)
 	}
-	if err := run([]string{"-config", bad}); err == nil {
+	if err := gremlin("agent", "-config", bad); err == nil {
 		t.Fatal("want config validation error")
 	}
 }
@@ -56,7 +57,7 @@ func freePort(t *testing.T) string {
 	return addr
 }
 
-func TestRunFullAgentLifecycle(t *testing.T) {
+func TestAgentLifecycle(t *testing.T) {
 	backend := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
 		_, _ = io.WriteString(w, "backend")
 	}))
@@ -96,22 +97,15 @@ func TestRunFullAgentLifecycle(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	started := make(chan struct{})
-	release := make(chan struct{})
-	var once sync.Once
-	waitForSignal = func() {
-		once.Do(func() { close(started) })
-		<-release
-	}
+	ctx, cancel := context.WithCancel(context.Background())
 	done := make(chan error, 1)
 	go func() {
-		done <- run([]string{"-config", cfgPath, "-flush", "10ms", "-pprof", pprofAddr})
+		done <- run(ctx, []string{"agent", "-config", cfgPath, "-flush", "10ms", "-pprof", pprofAddr})
 	}()
-	<-started
 
 	// The agent proxies and the control API answers.
 	ctl := agentapi.New("http://"+controlAddr, nil)
-	if !ctl.Healthy(context.Background()) {
+	if !waitUntil(func() bool { return ctl.Healthy(context.Background()) }) {
 		t.Fatal("control API not healthy")
 	}
 	req, err := http.NewRequest(http.MethodGet, "http://"+routeAddr+"/x", nil)
@@ -148,8 +142,44 @@ func TestRunFullAgentLifecycle(t *testing.T) {
 		t.Fatalf("pprof index: %d %q", dbg.StatusCode, dbgBody)
 	}
 
-	close(release)
+	cancel()
 	if err := <-done; err != nil {
 		t.Fatalf("run: %v", err)
 	}
+}
+
+// TestAgentReleasesOnBindFailure: an agent that cannot bind a route or
+// its -pprof listener returns an error and leaves nothing running — not
+// the buffered sink's flusher, not the agent's own listeners.
+func TestAgentReleasesOnBindFailure(t *testing.T) {
+	held, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer held.Close()
+	taken := held.Addr().String()
+
+	writeConfig := func(routeAddr string) string {
+		return writeJSON(t, t.TempDir(), "agent.json", map[string]any{
+			"service":  "client",
+			"control":  "127.0.0.1:0",
+			"logstore": "http://127.0.0.1:1", // never reached: no connection outlives the run
+			"routes": []map[string]any{{
+				"dst": "server", "listenAddr": routeAddr, "targets": []string{"127.0.0.1:1"},
+			}},
+		})
+	}
+	routeTaken := writeConfig(taken)
+	pprofTaken := writeConfig("127.0.0.1:0")
+
+	base := runtime.NumGoroutine()
+	for cycle := 0; cycle < 5; cycle++ {
+		if err := gremlin("agent", "-config", routeTaken); err == nil {
+			t.Fatal("want an error binding a route to a taken port")
+		}
+		if err := gremlin("agent", "-config", pprofTaken, "-pprof", taken); err == nil {
+			t.Fatal("want an error binding -pprof to a taken port")
+		}
+	}
+	checkNoGoroutinesLeft(t, base)
 }

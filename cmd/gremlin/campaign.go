@@ -1,57 +1,44 @@
-// Command gremlin-campaign explores a deployment's fault space
-// systematically: it enumerates scenario templates × targets × parameter
-// grids from the application graph, executes the resulting recipes through
-// a bounded worker pool (each run confined to its own request-ID
-// namespace), prunes redundant scenarios by coverage signature, and folds
-// the outcomes into an aggregate resilience scorecard.
-//
-// Progress appends to a JSONL journal, so an interrupted campaign (Ctrl-C,
-// crash) resumes where it left off:
-//
-//	gremlin-campaign \
-//	    -graph graph.json -registry registry.json \
-//	    -store http://127.0.0.1:9200 -load-url http://127.0.0.1:8080 \
-//	    -parallelism 4 -journal campaign.jsonl -out scorecard.json
 package main
 
 import (
 	"context"
-	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"log"
-	"math/rand"
 	"os"
-	"os/signal"
-	"strings"
-	"syscall"
+	"path/filepath"
+	"runtime/pprof"
+	"sync"
 	"time"
 
 	"gremlin/internal/agentapi"
 	"gremlin/internal/campaign"
 	"gremlin/internal/checker"
 	"gremlin/internal/core"
-	"gremlin/internal/eventlog"
-	"gremlin/internal/graph"
-	"gremlin/internal/loadgen"
-	"gremlin/internal/orchestrator"
 	"gremlin/internal/registry"
+	"gremlin/internal/rules"
 	"gremlin/internal/telemetry"
 )
 
-func main() {
-	if err := run(os.Args[1:]); err != nil {
-		log.Fatal(err)
-	}
-}
-
-func run(args []string) error {
-	fs := flag.NewFlagSet("gremlin-campaign", flag.ContinueOnError)
+// runCampaign explores a deployment's fault space systematically: it
+// enumerates scenario templates × targets × parameter grids from the
+// application graph, executes the resulting recipes through a bounded
+// worker pool (each run confined to its own request-ID namespace), prunes
+// redundant scenarios by coverage signature, and folds the outcomes into
+// an aggregate resilience scorecard.
+//
+// Progress appends to a JSONL journal, so an interrupted campaign (Ctrl-C,
+// crash) resumes where it left off:
+//
+//	gremlin campaign \
+//	    -graph graph.json -registry registry.json \
+//	    -store http://127.0.0.1:9200 -load-url http://127.0.0.1:8080 \
+//	    -parallelism 4 -journal campaign.jsonl -out scorecard.json
+func runCampaign(ctx context.Context, args []string) error {
+	fs := flag.NewFlagSet("gremlin campaign", flag.ContinueOnError)
+	d := deploymentFlags(fs, withLoad)
 	var (
-		graphPath    = fs.String("graph", "", "application graph JSON file: [{\"src\":..,\"dst\":..}] (required)")
-		registryPath = fs.String("registry", "", "registry JSON file: [{\"service\":..,\"addr\":..,\"agentControlUrl\":..}] (required)")
-		storeURL     = fs.String("store", "", "event store URL (required)")
-		loadURL      = fs.String("load-url", "", "URL to inject test load at (required)")
 		requests     = fs.Int("requests", 20, "test requests per run")
 		concurrency  = fs.Int("concurrency", 2, "load concurrency within one run")
 		parallelism  = fs.Int("parallelism", 4, "concurrent campaign runs")
@@ -69,7 +56,7 @@ func run(args []string) error {
 		liveAsserts  = fs.String("live-asserts", "", "JSON file of online assertions (checker specs); a live violation aborts that run's load early")
 		telemetryOn  = fs.Bool("telemetry", false, "scrape fleet metrics and add fault-window differentials to the scorecard")
 		scrapeEvery  = fs.Duration("scrape-interval", time.Second, "metric scrape interval (with -telemetry)")
-		telListen    = fs.String("telemetry-listen", "", "serve live snapshots (JSON + SSE) on this address for gremlin-top (implies -telemetry)")
+		telListen    = fs.String("telemetry-listen", "", "serve live snapshots (JSON + SSE) on this address for gremlin top (implies -telemetry)")
 		recoveryWait = fs.Duration("recovery-wait", 5*time.Second, "keep scraping this long after the last unit to measure recovery (with -telemetry)")
 		htmlPath     = fs.String("html", "", "write a static HTML telemetry report here (implies -telemetry)")
 		profileDir   = fs.String("profile-dir", "", "capture a CPU profile per run here, kept only for failed/error runs (<runID>.cpu.pprof)")
@@ -77,55 +64,19 @@ func run(args []string) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	for name, v := range map[string]string{
-		"-graph": *graphPath, "-registry": *registryPath, "-store": *storeURL, "-load-url": *loadURL,
-	} {
-		if v == "" {
-			return fmt.Errorf("gremlin-campaign: %s is required", name)
-		}
-	}
-	// A bad spec file fails before anything is contacted.
+	// A bad spec file fails before the store is contacted.
 	var specs []checker.Spec
 	if *liveAsserts != "" {
-		f, err := os.Open(*liveAsserts)
-		if err != nil {
+		var err error
+		if specs, err = loadSpecs(*liveAsserts); err != nil {
 			return err
 		}
-		specs, err = checker.LoadSpecs(f)
-		f.Close()
-		if err != nil {
-			return fmt.Errorf("%s: %w", *liveAsserts, err)
-		}
 	}
-
-	graphRaw, err := os.ReadFile(*graphPath)
-	if err != nil {
-		return err
-	}
-	var edges []graph.Edge
-	if err := json.Unmarshal(graphRaw, &edges); err != nil {
-		return fmt.Errorf("parse %s: %w", *graphPath, err)
-	}
-	g := graph.FromEdges(edges)
-
-	reg, err := registry.LoadFile(*registryPath)
-	if err != nil {
+	if err := d.open(); err != nil {
 		return err
 	}
 
-	storeClient := eventlog.NewClient(*storeURL, nil)
-	if !storeClient.Healthy() {
-		return fmt.Errorf("gremlin-campaign: event store %s not reachable", *storeURL)
-	}
-	runner := core.NewRunner(g, orchestrator.New(reg), storeClient, core.ClearerFunc(func() int {
-		n, err := storeClient.Clear()
-		if err != nil {
-			log.Printf("clear store: %v", err)
-		}
-		return n
-	}))
-
-	units, err := campaign.Enumerate(g, campaign.EnumerateOptions{
+	units, err := campaign.Enumerate(d.graph, campaign.EnumerateOptions{
 		Generate: core.GenerateOptions{
 			SkipServices: splitComma(*skip),
 			MaxLatency:   *maxLatency,
@@ -138,14 +89,14 @@ func run(args []string) error {
 		return err
 	}
 	if len(units) == 0 {
-		return fmt.Errorf("gremlin-campaign: the graph yields no testable units")
+		return fmt.Errorf("gremlin campaign: the graph yields no testable units")
 	}
 	fmt.Printf("campaign %s: %d units over %d edges, parallelism %d\n",
-		*id, len(units), len(g.Edges()), *parallelism)
+		*id, len(units), len(d.graph.Edges()), *parallelism)
 
 	// Shipping health across the data plane: campaigns flag runs during
 	// which any agent dropped observation records.
-	agentURLs, err := registry.AllAgentURLs(reg)
+	agentURLs, err := registry.AllAgentURLs(d.registry)
 	if err != nil {
 		return err
 	}
@@ -153,11 +104,6 @@ func run(args []string) error {
 	for _, u := range agentURLs {
 		agents = append(agents, agentapi.New(u, nil))
 	}
-
-	// Ctrl-C stops dispatching; in-flight runs drain and are journalled, so
-	// a re-run with the same -journal resumes instead of starting over.
-	ctx, cancel := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer cancel()
 
 	// Telemetry plane: out-of-band metric scraping plus fault-window
 	// bookkeeping. It reads agent /metrics endpoints only — it never
@@ -171,7 +117,7 @@ func run(args []string) error {
 		series   *telemetry.SeriesStore
 	)
 	if *telemetryOn {
-		targets, err := telemetry.FleetTargets(reg, *storeURL)
+		targets, err := telemetry.FleetTargets(d.registry, d.storeURL)
 		if err != nil {
 			return err
 		}
@@ -193,17 +139,20 @@ func run(args []string) error {
 				return err
 			}
 			defer tsrv.Close()
-			fmt.Printf("telemetry: serving snapshots at %s (gremlin-top -attach %s)\n", tsrv.URL(), tsrv.URL())
+			fmt.Printf("telemetry: serving snapshots at %s (gremlin top -attach %s)\n", tsrv.URL(), tsrv.URL())
 		}
 	}
 
-	var profObserver campaign.RunObserver
+	var observers []campaign.RunObserver
+	if recorder != nil {
+		observers = append(observers, recorder)
+	}
 	if *profileDir != "" {
 		p, err := newProfiler(*profileDir)
 		if err != nil {
 			return err
 		}
-		profObserver = p
+		observers = append(observers, p)
 	}
 
 	opts := campaign.Options{
@@ -211,14 +160,7 @@ func run(args []string) error {
 		Parallelism: *parallelism,
 		JournalPath: *journalPath,
 		LeaseTTL:    *lease,
-		Load: func(ctx context.Context, idPrefix string) error {
-			_, err := loadgen.Run(*loadURL, loadgen.Options{
-				N: *requests, Concurrency: *concurrency, IDPrefix: idPrefix,
-				Context: ctx,
-				RNG:     rand.New(rand.NewSource(time.Now().UnixNano())),
-			})
-			return err
-		},
+		Load:        d.load(*requests, *concurrency),
 		DroppedCount: func() int64 {
 			var sum int64
 			for _, a := range agents {
@@ -233,26 +175,15 @@ func run(args []string) error {
 		OnEntry: func(e campaign.Entry) {
 			fmt.Printf("  %-7s %-9s %s\n", e.Status, e.Kind, e.Unit)
 		},
+		RunObserver: campaign.CombineObservers(observers...),
 	}
-	var observers []campaign.RunObserver
-	if recorder != nil {
-		observers = append(observers, recorder)
-	}
-	if profObserver != nil {
-		observers = append(observers, profObserver)
-	}
-	opts.RunObserver = campaign.CombineObservers(observers...)
 	if !*keepLogs {
-		opts.Cleanup = func(pat string) {
-			if _, err := storeClient.ClearMatching(pat); err != nil {
-				log.Printf("reclaim %s: %v", pat, err)
-			}
-		}
+		opts.Cleanup = d.reclaim
 	}
 	if *liveAsserts != "" {
 		// Bounds are stateful, so each run builds its own set.
 		opts.Observe = &campaign.ObserveOptions{
-			Feed: checker.ClientFeed(storeClient),
+			Feed: checker.ClientFeed(d.store),
 			Checks: func(campaign.Unit, string) []*checker.Bound {
 				bounds, err := checker.BuildAll(specs)
 				if err != nil {
@@ -263,8 +194,12 @@ func run(args []string) error {
 		}
 	}
 
-	sc, runErr := campaign.Run(ctx, runner, units, opts)
-	if runErr != nil && runErr != context.Canceled {
+	// Cancelling ctx (Ctrl-C) stops dispatching; in-flight runs drain and
+	// are journalled, so a re-run with the same -journal resumes instead
+	// of starting over.
+	sc, runErr := campaign.Run(ctx, d.runner, units, opts)
+	interrupted := errors.Is(runErr, context.Canceled)
+	if runErr != nil && !interrupted {
 		return runErr
 	}
 
@@ -296,50 +231,95 @@ func run(args []string) error {
 			Units:         measured,
 		}
 		if *htmlPath != "" {
-			report := telemetry.HTMLReport("gremlin-campaign "+*id, series, recorder.Windows(), measured)
+			report := telemetry.HTMLReport("gremlin campaign "+*id, series, recorder.Windows(), measured)
 			if err := os.WriteFile(*htmlPath, []byte(report), 0o644); err != nil {
 				return err
 			}
 		}
 	}
 
-	md := sc.Markdown()
-	if *mdPath != "" {
-		if err := os.WriteFile(*mdPath, []byte(md), 0o644); err != nil {
-			return err
-		}
-	} else {
-		fmt.Print("\n" + md)
+	if err := writeScorecard(sc, *mdPath, *outPath); err != nil {
+		return err
 	}
-	if *outPath != "" {
-		b, err := sc.JSON()
-		if err != nil {
-			return err
-		}
-		if err := os.WriteFile(*outPath, b, 0o644); err != nil {
-			return err
-		}
-	}
-
-	if runErr == context.Canceled {
-		return fmt.Errorf("gremlin-campaign: interrupted with %d of %d units settled — rerun with the same -journal to resume",
+	if interrupted {
+		return fmt.Errorf("gremlin campaign: interrupted with %d of %d units settled — rerun with the same -journal to resume",
 			sc.Units, len(units))
 	}
 	if sc.Errors > 0 {
-		return fmt.Errorf("gremlin-campaign: %d units hit operational errors", sc.Errors)
+		return fmt.Errorf("gremlin campaign: %d units hit operational errors", sc.Errors)
 	}
 	if sc.Failed > 0 {
-		return fmt.Errorf("gremlin-campaign: %d of %d executed units failed assertions", sc.Failed, sc.Executed)
+		return fmt.Errorf("gremlin campaign: %d of %d executed units failed assertions", sc.Failed, sc.Executed)
 	}
 	return nil
 }
 
-func splitComma(s string) []string {
-	var out []string
-	for _, part := range strings.Split(s, ",") {
-		if p := strings.TrimSpace(part); p != "" {
-			out = append(out, p)
-		}
+// profiler is a campaign.RunObserver that captures a CPU profile of the
+// campaign process per run and keeps it only when the run fails (assertion
+// violation or operational error), named <dir>/<runID>.cpu.pprof — a
+// post-mortem of what the engine itself was doing while the unit went
+// wrong. The Go runtime allows one CPU profile at a time, so with
+// Parallelism > 1 overlapping runs are skipped rather than queued: the
+// profile must cover the run it is named after, not some later window.
+type profiler struct {
+	dir string
+
+	// profMu is held from StartCPUProfile to StopCPUProfile; TryLock in
+	// RunStarted is what skips overlapping runs.
+	profMu sync.Mutex
+
+	mu     sync.Mutex // guards active, f
+	active string
+	f      *os.File
+}
+
+func newProfiler(dir string) (*profiler, error) {
+	if err := os.MkdirAll(dir, 0o755); err != nil {
+		return nil, err
 	}
-	return out
+	return &profiler{dir: dir}, nil
+}
+
+func (p *profiler) RunStarted(u campaign.Unit, runID string, _ []rules.Rule) {
+	if !p.profMu.TryLock() {
+		return // another run's profile is in flight
+	}
+	path := filepath.Join(p.dir, runID+".cpu.pprof")
+	f, err := os.Create(path)
+	if err != nil {
+		p.profMu.Unlock()
+		log.Printf("profile %s: %v", runID, err)
+		return
+	}
+	if err := pprof.StartCPUProfile(f); err != nil {
+		f.Close()
+		os.Remove(path)
+		p.profMu.Unlock()
+		log.Printf("profile %s: %v", runID, err)
+		return
+	}
+	p.mu.Lock()
+	p.active, p.f = runID, f
+	p.mu.Unlock()
+}
+
+func (p *profiler) RunFinished(_ campaign.Unit, runID string, e campaign.Entry) {
+	p.mu.Lock()
+	if p.active != runID {
+		p.mu.Unlock()
+		return
+	}
+	f := p.f
+	p.active, p.f = "", nil
+	p.mu.Unlock()
+
+	pprof.StopCPUProfile()
+	path := f.Name()
+	if err := f.Close(); err != nil {
+		log.Printf("profile %s: %v", runID, err)
+	}
+	p.profMu.Unlock()
+	if e.Status != campaign.StatusFailed && e.Status != campaign.StatusError {
+		os.Remove(path) // healthy run: the profile is noise
+	}
 }

@@ -16,11 +16,11 @@ import (
 	"gremlin/internal/topology"
 )
 
-func TestRequiredFlags(t *testing.T) {
-	if err := run(nil); err == nil {
+func TestCampaignRequiredFlags(t *testing.T) {
+	if err := gremlin("campaign"); err == nil {
 		t.Fatal("missing flags should fail")
 	}
-	if err := run([]string{"-graph", "g.json"}); err == nil {
+	if err := gremlin("campaign", "-graph", "g.json"); err == nil {
 		t.Fatal("missing -registry/-store/-load-url should fail")
 	}
 }
@@ -33,24 +33,11 @@ func TestLiveAssertsRejectsBadSpec(t *testing.T) {
 	if err := os.WriteFile(specs, []byte(`[{"type": "checkStatus", "status": -1, "maximum": 0}]`), 0o600); err != nil {
 		t.Fatal(err)
 	}
-	err := run([]string{"-live-asserts", specs, "-graph", "missing.json", "-registry", "missing.json",
-		"-store", "http://127.0.0.1:1", "-load-url", "http://127.0.0.1:1"})
+	err := gremlin("campaign", "-live-asserts", specs, "-graph", "missing.json", "-registry", "missing.json",
+		"-store", "http://127.0.0.1:1", "-load-url", "http://127.0.0.1:1")
 	if err == nil || !strings.Contains(err.Error(), `unknown field "maximum"`) {
 		t.Fatalf("err = %v, want the misspelled field rejected", err)
 	}
-}
-
-func writeJSON(t *testing.T, dir, name string, v any) string {
-	t.Helper()
-	b, err := json.Marshal(v)
-	if err != nil {
-		t.Fatal(err)
-	}
-	path := filepath.Join(dir, name)
-	if err := os.WriteFile(path, b, 0o600); err != nil {
-		t.Fatal(err)
-	}
-	return path
 }
 
 // TestEndToEndCampaignAgainstLiveTopology sweeps a live two-service app
@@ -100,7 +87,7 @@ func TestEndToEndCampaignAgainstLiveTopology(t *testing.T) {
 	journal := filepath.Join(dir, "journal.jsonl")
 	outJSON := filepath.Join(dir, "scorecard.json")
 	outMD := filepath.Join(dir, "scorecard.md")
-	args := []string{
+	args := []string{"campaign",
 		"-graph", graphPath,
 		"-registry", registryPath,
 		"-store", storeServer.URL(),
@@ -113,7 +100,7 @@ func TestEndToEndCampaignAgainstLiveTopology(t *testing.T) {
 		"-id", "cli",
 	}
 
-	err = run(args)
+	err = gremlin(args...)
 	// serviceB's dependent serviceA has bounded retries but no breaker, so
 	// the crash unit fails its assertions: the CLI exits non-zero.
 	if err == nil || !strings.Contains(err.Error(), "failed assertions") {
@@ -154,7 +141,7 @@ func TestEndToEndCampaignAgainstLiveTopology(t *testing.T) {
 
 	// Resume: every unit is already settled, so the second invocation
 	// re-reports the verdicts without executing anything new.
-	err = run(args)
+	err = gremlin(args...)
 	if err == nil || !strings.Contains(err.Error(), "failed assertions") {
 		t.Fatalf("resumed err = %v", err)
 	}
@@ -174,7 +161,7 @@ func TestEndToEndCampaignAgainstLiveTopology(t *testing.T) {
 	// covers the abort itself.
 	liveJournal := filepath.Join(dir, "live-journal.jsonl")
 	liveOut := filepath.Join(dir, "live-scorecard.json")
-	err = run([]string{
+	err = gremlin("campaign",
 		"-live-asserts", writeJSON(t, dir, "live.json", []checker.Spec{{Type: "checkStatus", Status: -1}}),
 		"-graph", graphPath,
 		"-registry", registryPath,
@@ -187,7 +174,7 @@ func TestEndToEndCampaignAgainstLiveTopology(t *testing.T) {
 		"-out", liveOut,
 		"-markdown", filepath.Join(dir, "live-scorecard.md"),
 		"-id", "cli-live",
-	})
+	)
 	if err == nil || !strings.Contains(err.Error(), "failed assertions") {
 		t.Fatalf("live err = %v, want assertion failures reported", err)
 	}

@@ -1,37 +1,27 @@
-// Command gremlin-demo spins up one of the repository's demo applications
-// — services, sidecar Gremlin agents, a registry, and an event store — and
-// keeps it running so the operator can experiment with gremlin-ctl and
-// ad-hoc load.
-//
-// Usage:
-//
-//	gremlin-demo -topology wordpress
-//	gremlin-demo -topology tree -depth 3
-//	gremlin-demo -topology enterprise
-//	gremlin-demo -topology messagebus
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"log"
-	"os"
-	"os/signal"
-	"syscall"
 	"time"
 
 	"gremlin/internal/eventlog"
 	"gremlin/internal/topology"
 )
 
-func main() {
-	if err := run(os.Args[1:]); err != nil {
-		log.Fatal(err)
-	}
-}
-
-func run(args []string) error {
-	fs := flag.NewFlagSet("gremlin-demo", flag.ContinueOnError)
+// runDemo spins up one of the repository's demo applications — services,
+// sidecar Gremlin agents, a registry, and an event store — and keeps it
+// running until ctx is cancelled, so the operator can experiment with the
+// other verbs and ad-hoc load.
+//
+//	gremlin demo -topology wordpress
+//	gremlin demo -topology tree -depth 3
+//	gremlin demo -topology enterprise
+//	gremlin demo -topology messagebus
+func runDemo(ctx context.Context, args []string) error {
+	fs := flag.NewFlagSet("gremlin demo", flag.ContinueOnError)
 	topo := fs.String("topology", "wordpress", "tree | wordpress | enterprise | messagebus | twoservices")
 	depth := fs.Int("depth", 2, "binary tree depth (tree topology)")
 	storeAddr := fs.String("store-addr", "127.0.0.1:0", "listen address for the event store server")
@@ -52,7 +42,7 @@ func run(args []string) error {
 	case "twoservices":
 		spec = topology.TwoServices(5, 2*time.Millisecond)
 	default:
-		return fmt.Errorf("gremlin-demo: unknown topology %q", *topo)
+		return fmt.Errorf("gremlin demo: unknown topology %q", *topo)
 	}
 
 	app, err := topology.Build(spec)
@@ -96,17 +86,9 @@ func run(args []string) error {
 	fmt.Print(indent(app.Graph.DOT(), "    "))
 	fmt.Println("\nctrl-c to stop")
 
-	waitForSignal()
+	<-ctx.Done()
 	fmt.Println("shutting down")
 	return nil
-}
-
-// waitForSignal blocks until SIGINT/SIGTERM. Tests replace it to drive the
-// binary's full lifecycle without signals.
-var waitForSignal = func() {
-	ch := make(chan os.Signal, 1)
-	signal.Notify(ch, os.Interrupt, syscall.SIGTERM)
-	<-ch
 }
 
 func indent(s, prefix string) string {

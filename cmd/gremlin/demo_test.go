@@ -4,29 +4,22 @@ import (
 	"testing"
 )
 
-func TestRunUnknownTopology(t *testing.T) {
-	if err := run([]string{"-topology", "mystery"}); err == nil {
+func TestDemoUnknownTopology(t *testing.T) {
+	if err := gremlin("demo", "-topology", "mystery"); err == nil {
 		t.Fatal("want error for unknown topology")
 	}
 }
 
-func TestRunBadFlags(t *testing.T) {
-	if err := run([]string{"-depth"}); err == nil {
+func TestDemoBadFlags(t *testing.T) {
+	if err := gremlin("demo", "-depth"); err == nil {
 		t.Fatal("want flag error")
 	}
 }
 
-func TestRunEachTopologyLifecycle(t *testing.T) {
+func TestDemoEachTopologyLifecycle(t *testing.T) {
 	for _, topo := range []string{"twoservices", "wordpress", "enterprise", "messagebus", "tree"} {
 		t.Run(topo, func(t *testing.T) {
-			release := make(chan struct{})
-			waitForSignal = func() { <-release }
-			done := make(chan error, 1)
-			go func() {
-				done <- run([]string{"-topology", topo, "-depth", "1", "-store-addr", "127.0.0.1:0"})
-			}()
-			close(release)
-			if err := <-done; err != nil {
+			if err := serveOnce("demo", "-topology", topo, "-depth", "1", "-store-addr", "127.0.0.1:0"); err != nil {
 				t.Fatalf("run(%s): %v", topo, err)
 			}
 		})

@@ -1,34 +1,24 @@
-// Command gremlin-logstore runs the centralized event-log store that
-// Gremlin agents ship their observations to and the Assertion Checker
-// queries — the stand-in for the paper's logstash→Elasticsearch pipeline.
-//
-// Usage:
-//
-//	gremlin-logstore -addr 127.0.0.1:9200
-//	gremlin-logstore -shards 8 -data-dir /var/lib/gremlin -fsync interval
 package main
 
 import (
+	"context"
 	"errors"
 	"flag"
 	"fmt"
-	"log"
-	"os"
-	"os/signal"
-	"syscall"
 
 	"gremlin/internal/eventlog"
 	"gremlin/internal/httpx"
 )
 
-func main() {
-	if err := run(os.Args[1:]); err != nil {
-		log.Fatal(err)
-	}
-}
-
-func run(args []string) error {
-	fs := flag.NewFlagSet("gremlin-logstore", flag.ContinueOnError)
+// runLogstore runs the centralized event-log store that Gremlin agents
+// ship their observations to and the Assertion Checker queries — the
+// stand-in for the paper's logstash→Elasticsearch pipeline — until ctx is
+// cancelled.
+//
+//	gremlin logstore -addr 127.0.0.1:9200
+//	gremlin logstore -shards 8 -data-dir /var/lib/gremlin -fsync interval
+func runLogstore(ctx context.Context, args []string) (err error) {
+	fs := flag.NewFlagSet("gremlin logstore", flag.ContinueOnError)
 	addr := fs.String("addr", "127.0.0.1:9200", "listen address")
 	persist := fs.String("persist", "", "JSON Lines file to load at startup and save on shutdown")
 	shards := fs.Int("shards", 1, "number of store shards (request-ID namespaces hash across them)")
@@ -39,7 +29,7 @@ func run(args []string) error {
 		return err
 	}
 	if *persist != "" && *dataDir != "" {
-		return errors.New("gremlin-logstore: -persist and -data-dir are mutually exclusive; the WAL already persists every record")
+		return errors.New("gremlin logstore: -persist and -data-dir are mutually exclusive; the WAL already persists every record")
 	}
 
 	policy, err := eventlog.ParseFsyncPolicy(*fsyncMode)
@@ -54,6 +44,9 @@ func run(args []string) error {
 	if err != nil {
 		return err
 	}
+	// The store holds WAL segments and, under -fsync interval, a sync
+	// goroutine: it closes on every return path, after the server.
+	defer closeKeep(&err, store.Close)
 	if n := store.Len(); n > 0 {
 		fmt.Printf("replayed %d records from %s\n", n, *dataDir)
 	}
@@ -69,7 +62,7 @@ func run(args []string) error {
 	if err != nil {
 		return err
 	}
-	fmt.Printf("gremlin-logstore listening on %s (%d shard(s))\n", srv.URL(), store.NumShards())
+	fmt.Printf("gremlin logstore listening on %s (%d shard(s))\n", srv.URL(), store.NumShards())
 	fmt.Println("  POST   /v1/records  ingest observations (JSON array or NDJSON; ?shard=i&of=n hint)")
 	fmt.Println("  POST   /v1/query    query observations")
 	fmt.Println("  POST   /v1/count    count matching observations")
@@ -81,14 +74,13 @@ func run(args []string) error {
 		dbg, err := httpx.StartPprof(*pprofAddr)
 		if err != nil {
 			_ = srv.Close()
-			_ = store.Close()
 			return err
 		}
 		defer dbg.Close()
 		fmt.Printf("  pprof: %s/debug/pprof/\n", dbg.URL())
 	}
 
-	waitForSignal()
+	<-ctx.Done()
 	fmt.Println("shutting down")
 	err = srv.Close()
 	if *persist != "" {
@@ -99,16 +91,5 @@ func run(args []string) error {
 			fmt.Printf("saved %d records to %s\n", n, *persist)
 		}
 	}
-	if cerr := store.Close(); cerr != nil && err == nil {
-		err = cerr
-	}
 	return err
-}
-
-// waitForSignal blocks until SIGINT/SIGTERM. Tests replace it to drive the
-// binary's full lifecycle without signals.
-var waitForSignal = func() {
-	ch := make(chan os.Signal, 1)
-	signal.Notify(ch, os.Interrupt, syscall.SIGTERM)
-	<-ch
 }

@@ -1,38 +1,29 @@
 package main
 
 import (
+	"context"
 	"io"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 
 	"gremlin/internal/eventlog"
 )
 
-func TestRunLifecycleWithPersistence(t *testing.T) {
+func TestLogstoreLifecycleWithPersistence(t *testing.T) {
 	persist := filepath.Join(t.TempDir(), "events.jsonl")
 
 	// First run: start, ingest one record through the HTTP API, shut down.
-	started := make(chan struct{})
-	release := make(chan struct{})
-	waitForSignal = func() {
-		close(started)
-		<-release
-	}
-	done := make(chan error, 1)
-	go func() {
-		done <- run([]string{"-addr", "127.0.0.1:0", "-persist", persist})
-	}()
-	<-started
 	// The server address is ephemeral; find it by probing the persist file
 	// is impossible — instead reach the store through a second client after
 	// restart. For this first run just verify clean shutdown with an empty
 	// store.
-	close(release)
-	if err := <-done; err != nil {
+	if err := serveOnce("logstore", "-addr", "127.0.0.1:0", "-persist", persist); err != nil {
 		t.Fatalf("run: %v", err)
 	}
 
@@ -46,18 +37,7 @@ func TestRunLifecycleWithPersistence(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	started = make(chan struct{})
-	release = make(chan struct{})
-	waitForSignal = func() {
-		close(started)
-		<-release
-	}
-	go func() {
-		done <- run([]string{"-addr", "127.0.0.1:0", "-persist", persist})
-	}()
-	<-started
-	close(release)
-	if err := <-done; err != nil {
+	if err := serveOnce("logstore", "-addr", "127.0.0.1:0", "-persist", persist); err != nil {
 		t.Fatalf("second run: %v", err)
 	}
 
@@ -72,28 +52,26 @@ func TestRunLifecycleWithPersistence(t *testing.T) {
 	}
 }
 
-func TestRunPprofEndpoint(t *testing.T) {
+func TestLogstorePprofEndpoint(t *testing.T) {
 	// The store's own address is ephemeral, but -pprof takes a fixed one:
 	// ask the kernel for a free port by binding and releasing it.
 	probe := httptest.NewServer(http.NotFoundHandler())
 	pprofAddr := strings.TrimPrefix(probe.URL, "http://")
 	probe.Close()
 
-	started := make(chan struct{})
-	release := make(chan struct{})
-	waitForSignal = func() {
-		close(started)
-		<-release
-	}
+	ctx, cancel := context.WithCancel(context.Background())
 	done := make(chan error, 1)
 	go func() {
-		done <- run([]string{"-addr", "127.0.0.1:0", "-pprof", pprofAddr})
+		done <- run(ctx, []string{"logstore", "-addr", "127.0.0.1:0", "-pprof", pprofAddr})
 	}()
-	<-started
 
-	resp, err := http.Get("http://" + pprofAddr + "/debug/pprof/")
-	if err != nil {
-		t.Fatal(err)
+	var resp *http.Response
+	if !waitUntil(func() bool {
+		var err error
+		resp, err = http.Get("http://" + pprofAddr + "/debug/pprof/")
+		return err == nil
+	}) {
+		t.Fatal("pprof endpoint never answered")
 	}
 	body, _ := io.ReadAll(resp.Body)
 	_ = resp.Body.Close()
@@ -101,28 +79,28 @@ func TestRunPprofEndpoint(t *testing.T) {
 		t.Fatalf("pprof index: %d %q", resp.StatusCode, body)
 	}
 
-	close(release)
+	cancel()
 	if err := <-done; err != nil {
 		t.Fatalf("run: %v", err)
 	}
 }
 
-func TestRunBadFlags(t *testing.T) {
-	if err := run([]string{"-addr"}); err == nil {
+func TestLogstoreBadFlags(t *testing.T) {
+	if err := gremlin("logstore", "-addr"); err == nil {
 		t.Fatal("want flag parse error")
 	}
-	if err := run([]string{"-addr", "999.999.999.999:0"}); err == nil {
+	if err := gremlin("logstore", "-addr", "999.999.999.999:0"); err == nil {
 		t.Fatal("want listen error")
 	}
 }
 
-func TestRunBadPersistFile(t *testing.T) {
+func TestLogstoreBadPersistFile(t *testing.T) {
 	dir := t.TempDir()
 	bad := filepath.Join(dir, "corrupt.jsonl")
 	if err := writeFile(bad, "not json\n"); err != nil {
 		t.Fatal(err)
 	}
-	if err := run([]string{"-addr", "127.0.0.1:0", "-persist", bad}); err == nil {
+	if err := gremlin("logstore", "-addr", "127.0.0.1:0", "-persist", bad); err == nil {
 		t.Fatal("want load error for corrupt persistence file")
 	}
 }
@@ -131,23 +109,11 @@ func writeFile(path, content string) error {
 	return os.WriteFile(path, []byte(content), 0o600)
 }
 
-func TestRunShardedWithDataDir(t *testing.T) {
+func TestLogstoreShardedWithDataDir(t *testing.T) {
 	dataDir := filepath.Join(t.TempDir(), "wal")
 
 	// First run: ingest via HTTP, shut down cleanly.
-	started := make(chan struct{})
-	release := make(chan struct{})
-	waitForSignal = func() {
-		close(started)
-		<-release
-	}
-	done := make(chan error, 1)
-	go func() {
-		done <- run([]string{"-addr", "127.0.0.1:0", "-shards", "4", "-data-dir", dataDir, "-fsync", "never"})
-	}()
-	<-started
-	close(release)
-	if err := <-done; err != nil {
+	if err := serveOnce("logstore", "-addr", "127.0.0.1:0", "-shards", "4", "-data-dir", dataDir, "-fsync", "never"); err != nil {
 		t.Fatalf("run: %v", err)
 	}
 
@@ -163,18 +129,7 @@ func TestRunShardedWithDataDir(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	started = make(chan struct{})
-	release = make(chan struct{})
-	waitForSignal = func() {
-		close(started)
-		<-release
-	}
-	go func() {
-		done <- run([]string{"-addr", "127.0.0.1:0", "-shards", "4", "-data-dir", dataDir})
-	}()
-	<-started
-	close(release)
-	if err := <-done; err != nil {
+	if err := serveOnce("logstore", "-addr", "127.0.0.1:0", "-shards", "4", "-data-dir", dataDir); err != nil {
 		t.Fatalf("second run: %v", err)
 	}
 
@@ -188,20 +143,40 @@ func TestRunShardedWithDataDir(t *testing.T) {
 	}
 }
 
-func TestRunRejectsPersistWithDataDir(t *testing.T) {
+func TestLogstoreRejectsPersistWithDataDir(t *testing.T) {
 	dir := t.TempDir()
-	err := run([]string{
+	err := gremlin("logstore",
 		"-addr", "127.0.0.1:0",
 		"-persist", filepath.Join(dir, "e.jsonl"),
 		"-data-dir", filepath.Join(dir, "wal"),
-	})
+	)
 	if err == nil {
 		t.Fatal("-persist with -data-dir must be rejected")
 	}
 }
 
-func TestRunRejectsBadFsyncPolicy(t *testing.T) {
-	if err := run([]string{"-addr", "127.0.0.1:0", "-fsync", "sometimes"}); err == nil {
+func TestLogstoreRejectsBadFsyncPolicy(t *testing.T) {
+	if err := gremlin("logstore", "-addr", "127.0.0.1:0", "-fsync", "sometimes"); err == nil {
 		t.Fatal("want fsync policy error")
 	}
+}
+
+// TestLogstoreReleasesOnBindFailure: a WAL-backed store whose listen
+// address is taken returns an error and leaves nothing running: the
+// default -fsync interval policy's sync goroutine stops with the store.
+func TestLogstoreReleasesOnBindFailure(t *testing.T) {
+	held, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer held.Close()
+
+	base := runtime.NumGoroutine()
+	for cycle := 0; cycle < 5; cycle++ {
+		err := gremlin("logstore", "-addr", held.Addr().String(), "-shards", "2", "-data-dir", t.TempDir())
+		if err == nil {
+			t.Fatal("want an error binding a taken address")
+		}
+	}
+	checkNoGoroutinesLeft(t, base)
 }

@@ -1,20 +1,3 @@
-// gremlin-top is a live terminal dashboard over the telemetry plane:
-// per-service request rate, error ratio, and latency quantile columns,
-// active fault windows, and violation flashes for units that just failed.
-//
-// Two modes:
-//
-//	gremlin-top -attach http://127.0.0.1:9200
-//	    consume a running telemetry server's SSE snapshot stream
-//	    (gremlin-campaign -telemetry-listen starts one).
-//
-//	gremlin-top -registry registry.json [-store URL]
-//	    scrape the fleet's agents (and optionally the store) directly
-//	    and compute snapshots locally.
-//
-// -format html renders a static HTML report with inline SVG sparklines
-// instead of the live view (scrape mode only — the report needs the raw
-// series, which the SSE stream does not carry).
 package main
 
 import (
@@ -23,26 +6,35 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"net/http"
 	"os"
-	"os/signal"
 	"strings"
-	"syscall"
 	"time"
 
 	"gremlin/internal/registry"
 	"gremlin/internal/telemetry"
 )
 
-func main() {
-	if err := run(os.Args[1:], os.Stdout); err != nil {
-		fmt.Fprintln(os.Stderr, "gremlin-top:", err)
-		os.Exit(1)
-	}
-}
-
-func run(args []string, out *os.File) error {
-	fs := flag.NewFlagSet("gremlin-top", flag.ContinueOnError)
+// runTop is a live terminal dashboard over the telemetry plane:
+// per-service request rate, error ratio, and latency quantile columns,
+// active fault windows, and violation flashes for units that just failed.
+//
+// Two modes:
+//
+//	gremlin top -attach http://127.0.0.1:9200
+//	    consume a running telemetry server's SSE snapshot stream
+//	    (gremlin campaign -telemetry-listen starts one).
+//
+//	gremlin top -registry registry.json [-store URL]
+//	    scrape the fleet's agents (and optionally the store) directly
+//	    and compute snapshots locally.
+//
+// -format html renders a static HTML report with inline SVG sparklines
+// instead of the live view (scrape mode only — the report needs the raw
+// series, which the SSE stream does not carry).
+func runTop(ctx context.Context, args []string) error {
+	fs := flag.NewFlagSet("gremlin top", flag.ContinueOnError)
 	var (
 		attach       = fs.String("attach", "", "telemetry server base URL to stream snapshots from")
 		registryPath = fs.String("registry", "", "registry JSON file; scrape its agents directly")
@@ -58,18 +50,16 @@ func run(args []string, out *os.File) error {
 		return err
 	}
 	if (*attach == "") == (*registryPath == "") {
-		return fmt.Errorf("exactly one of -attach or -registry is required")
+		return fmt.Errorf("gremlin top: exactly one of -attach or -registry is required")
 	}
 	if *format != "text" && *format != "html" {
-		return fmt.Errorf("unknown -format %q", *format)
+		return fmt.Errorf("gremlin top: unknown -format %q", *format)
 	}
-
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
+	out := os.Stdout
 
 	if *attach != "" {
 		if *format == "html" {
-			return fmt.Errorf("-format html needs raw series: use -registry mode")
+			return fmt.Errorf("gremlin top: -format html needs raw series: use -registry mode")
 		}
 		return attachLoop(ctx, *attach, *frames, *plain, out)
 	}
@@ -85,28 +75,24 @@ func run(args []string, out *os.File) error {
 	store := telemetry.NewSeriesStore(0)
 	scraper := telemetry.NewScraper(store, targets, telemetry.ScrapeOptions{Interval: *interval})
 
-	frame := 0
-	for {
+scrape:
+	for frame := 1; ; frame++ {
 		scraper.ScrapeOnce(ctx)
-		frame++
 		if *format == "text" {
 			snap := telemetry.BuildSnapshot(store, nil, scraper, *window, 10*time.Second)
-			printFrame(out, renderSnapshot(snap, *plain), *plain, frame == 1)
+			printFrame(out, renderSnapshot(snap, *plain), *plain)
 		}
 		if *frames > 0 && frame >= *frames {
 			break
 		}
 		select {
 		case <-ctx.Done():
-			frame = -1
+			break scrape
 		case <-time.After(*interval):
-		}
-		if frame < 0 {
-			break
 		}
 	}
 	if *format == "html" {
-		report := telemetry.HTMLReport("gremlin-top — fleet telemetry", store, nil, nil)
+		report := telemetry.HTMLReport("gremlin top — fleet telemetry", store, nil, nil)
 		if *htmlOut == "" {
 			fmt.Fprint(out, report)
 			return nil
@@ -118,7 +104,7 @@ func run(args []string, out *os.File) error {
 
 // attachLoop consumes the telemetry server's SSE stream and renders each
 // pushed snapshot.
-func attachLoop(ctx context.Context, base string, frames int, plain bool, out *os.File) error {
+func attachLoop(ctx context.Context, base string, frames int, plain bool, out io.Writer) error {
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet,
 		strings.TrimRight(base, "/")+"/v1/stream", nil)
 	if err != nil {
@@ -145,7 +131,7 @@ func attachLoop(ctx context.Context, base string, frames int, plain bool, out *o
 			continue
 		}
 		frame++
-		printFrame(out, renderSnapshot(snap, plain), plain, frame == 1)
+		printFrame(out, renderSnapshot(snap, plain), plain)
 		if frames > 0 && frame >= frames {
 			return nil
 		}
@@ -159,12 +145,10 @@ func attachLoop(ctx context.Context, base string, frames int, plain bool, out *o
 	return nil
 }
 
-func printFrame(out *os.File, body string, plain, first bool) {
+func printFrame(out io.Writer, body string, plain bool) {
 	if !plain {
-		// Clear and home between frames; the first frame also clears
-		// whatever was on screen.
+		// Clear and home before every frame, the first one included.
 		fmt.Fprint(out, "\x1b[2J\x1b[H")
-		_ = first
 	}
 	fmt.Fprint(out, body)
 }
@@ -172,7 +156,7 @@ func printFrame(out *os.File, body string, plain, first bool) {
 // renderSnapshot renders one dashboard frame.
 func renderSnapshot(s telemetry.Snapshot, plain bool) string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "gremlin-top  %s  window=%s  targets=%d scrapes=%d errors=%d stale=%d\n",
+	fmt.Fprintf(&b, "gremlin top  %s  window=%s  targets=%d scrapes=%d errors=%d stale=%d\n",
 		s.At.Format("15:04:05"), time.Duration(s.WindowMillis)*time.Millisecond,
 		len(s.Scraper.Targets), s.Scraper.Scrapes, s.Scraper.Errors, s.Scraper.StaleTargets)
 	b.WriteString("\nSERVICE           RATE/s    ERR%   P50(ms)   P99(ms)\n")

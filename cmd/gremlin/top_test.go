@@ -37,7 +37,7 @@ func fixedSnapshot() telemetry.Snapshot {
 func TestRenderSnapshotPlain(t *testing.T) {
 	out := renderSnapshot(fixedSnapshot(), true)
 	for _, want := range []string{
-		"gremlin-top",
+		"gremlin top",
 		"targets=2 scrapes=42 errors=1",
 		"SERVICE",
 		"P99(ms)",
@@ -103,17 +103,17 @@ func TestFleetTargets(t *testing.T) {
 	}
 }
 
-func TestRunFlagValidation(t *testing.T) {
-	if err := run([]string{}, nil); err == nil {
+func TestTopFlagValidation(t *testing.T) {
+	if err := gremlin("top"); err == nil {
 		t.Fatal("want error when neither -attach nor -registry given")
 	}
-	if err := run([]string{"-attach", "x", "-registry", "y"}, nil); err == nil {
+	if err := gremlin("top", "-attach", "x", "-registry", "y"); err == nil {
 		t.Fatal("want error when both modes given")
 	}
-	if err := run([]string{"-attach", "x", "-format", "html"}, nil); err == nil {
+	if err := gremlin("top", "-attach", "x", "-format", "html"); err == nil {
 		t.Fatal("want error: html report needs scrape mode")
 	}
-	if err := run([]string{"-attach", "x", "-format", "csv"}, nil); err == nil {
+	if err := gremlin("top", "-attach", "x", "-format", "csv"); err == nil {
 		t.Fatal("want error for unknown format")
 	}
 }

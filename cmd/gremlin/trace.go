@@ -1,35 +1,25 @@
-// Command gremlin-trace assembles causal traces from a Gremlin event log
-// and renders them: ASCII waterfalls with critical-path and
-// fault-attribution analysis, or JSON/DOT for machine consumption.
-//
-// Records come from a JSONL dump (-file, as written by gremlin-logstore
-// -persist or Store.SaveFile) or a live store (-store URL).
-//
-// Usage:
-//
-//	gremlin-trace -file events.jsonl -pattern 'test-*'
-//	gremlin-trace -store http://127.0.0.1:9200 -format dot > traces.dot
 package main
 
 import (
 	"flag"
 	"fmt"
 	"io"
-	"log"
-	"os"
 
 	"gremlin/internal/eventlog"
 	"gremlin/internal/tracing"
 )
 
-func main() {
-	if err := run(os.Args[1:], os.Stdout); err != nil {
-		log.Fatal(err)
-	}
-}
-
-func run(args []string, out io.Writer) error {
-	fs := flag.NewFlagSet("gremlin-trace", flag.ContinueOnError)
+// runTrace assembles causal traces from a Gremlin event log and renders
+// them to out: ASCII waterfalls with critical-path and fault-attribution
+// analysis, or JSON/DOT for machine consumption.
+//
+// Records come from a JSONL dump (-file, as written by gremlin logstore
+// -persist or Store.SaveFile) or a live store (-store URL).
+//
+//	gremlin trace -file events.jsonl -pattern 'test-*'
+//	gremlin trace -store http://127.0.0.1:9200 -format dot > traces.dot
+func runTrace(args []string, out io.Writer) error {
+	fs := flag.NewFlagSet("gremlin trace", flag.ContinueOnError)
 	file := fs.String("file", "", "JSON Lines event-log dump to read")
 	storeURL := fs.String("store", "", "live event store URL to query (alternative to -file)")
 	patternFlag := fs.String("pattern", "", "request-ID pattern to select flows (glob or re:, empty for all)")
@@ -39,7 +29,7 @@ func run(args []string, out io.Writer) error {
 		return err
 	}
 	if (*file == "") == (*storeURL == "") {
-		return fmt.Errorf("gremlin-trace: exactly one of -file or -store is required")
+		return fmt.Errorf("gremlin trace: exactly one of -file or -store is required")
 	}
 
 	var source eventlog.Source
@@ -50,7 +40,7 @@ func run(args []string, out io.Writer) error {
 			return err
 		}
 		if n == 0 {
-			return fmt.Errorf("gremlin-trace: %s holds no records", *file)
+			return fmt.Errorf("gremlin trace: %s holds no records", *file)
 		}
 		source = store
 	} else {
@@ -62,7 +52,7 @@ func run(args []string, out io.Writer) error {
 		return err
 	}
 	if len(traces) == 0 {
-		return fmt.Errorf("gremlin-trace: no traces match pattern %q", *patternFlag)
+		return fmt.Errorf("gremlin trace: no traces match pattern %q", *patternFlag)
 	}
 
 	switch *format {
@@ -83,7 +73,7 @@ func run(args []string, out io.Writer) error {
 	case "dot":
 		fmt.Fprint(out, tracing.DOT(traces))
 	default:
-		return fmt.Errorf("gremlin-trace: unknown format %q (want waterfall, json, or dot)", *format)
+		return fmt.Errorf("gremlin trace: unknown format %q (want waterfall, json, or dot)", *format)
 	}
 
 	if *obsGraph {

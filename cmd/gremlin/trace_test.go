@@ -12,7 +12,7 @@ import (
 	"gremlin/internal/trace"
 )
 
-// TestTraceCLIEndToEnd is the acceptance path from ISSUE 4: run the
+// TestTraceCLIEndToEnd is the tracing plane's acceptance path: run the
 // quickstart app with an injected 100ms delay, dump the event log, and
 // assert the CLI's waterfall shows a critical path through the delayed
 // edge with the latency inflation attributed to the firing rule.
@@ -49,7 +49,7 @@ func TestTraceCLIEndToEnd(t *testing.T) {
 	}
 
 	var out strings.Builder
-	if err := run([]string{"-file", dump, "-pattern", "test-*"}, &out); err != nil {
+	if err := runTrace([]string{"-file", dump, "-pattern", "test-*"}, &out); err != nil {
 		t.Fatal(err)
 	}
 	got := out.String()
@@ -70,14 +70,14 @@ func TestTraceCLIEndToEnd(t *testing.T) {
 
 	// JSON and DOT formats render from the same dump.
 	var jsonOut strings.Builder
-	if err := run([]string{"-file", dump, "-format", "json"}, &jsonOut); err != nil {
+	if err := runTrace([]string{"-file", dump, "-format", "json"}, &jsonOut); err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(jsonOut.String(), `"requestId": "test-trace-1"`) {
 		t.Fatalf("json output:\n%s", jsonOut.String())
 	}
 	var dotOut strings.Builder
-	if err := run([]string{"-file", dump, "-format", "dot", "-obs-graph"}, &dotOut); err != nil {
+	if err := runTrace([]string{"-file", dump, "-format", "dot", "-obs-graph"}, &dotOut); err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(dotOut.String(), "digraph traces") ||
@@ -88,14 +88,14 @@ func TestTraceCLIEndToEnd(t *testing.T) {
 
 func TestTraceCLIFlagValidation(t *testing.T) {
 	var out strings.Builder
-	if err := run(nil, &out); err == nil {
+	if err := runTrace(nil, &out); err == nil {
 		t.Fatal("no source should error")
 	}
-	if err := run([]string{"-file", "x", "-store", "http://y"}, &out); err == nil {
+	if err := runTrace([]string{"-file", "x", "-store", "http://y"}, &out); err == nil {
 		t.Fatal("both sources should error")
 	}
 	dump := filepath.Join(t.TempDir(), "missing.jsonl")
-	if err := run([]string{"-file", dump}, &out); err == nil {
+	if err := runTrace([]string{"-file", dump}, &out); err == nil {
 		t.Fatal("missing file should error")
 	}
 }

@@ -39,7 +39,7 @@ func abortReply(id string) eventlog.Record {
 }
 
 // TestWatchDetectsAbortViolationLive is the subsystem's acceptance test:
-// while a faulted "run" is still emitting records, gremlin-watch trips its
+// while a faulted "run" is still emitting records, gremlin watch trips its
 // failure bound and exits non-zero — well before the run completes and a
 // batch check could have evaluated anything.
 func TestWatchDetectsAbortViolationLive(t *testing.T) {
@@ -47,10 +47,10 @@ func TestWatchDetectsAbortViolationLive(t *testing.T) {
 
 	done := make(chan error, 1)
 	go func() {
-		done <- run([]string{
+		done <- gremlin("watch",
 			"-store", srv.URL(), "-pattern", "camp-*",
 			"-max-failures", "2", "-quiet",
-		})
+		)
 	}()
 
 	// Wait for the watcher's subscription before injecting the run.
@@ -84,7 +84,7 @@ feed:
 		select {
 		case err = <-done:
 		case <-time.After(5 * time.Second):
-			t.Fatal("gremlin-watch never returned")
+			t.Fatal("gremlin watch never returned")
 		}
 	}
 
@@ -114,10 +114,10 @@ func TestWatchAssertFileCleanExit(t *testing.T) {
 
 	done := make(chan error, 1)
 	go func() {
-		done <- run([]string{
+		done <- gremlin("watch",
 			"-store", srv.URL(), "-pattern", "test-*",
 			"-assert", specs, "-duration", "400ms", "-quiet",
-		})
+		)
 	}()
 	deadline := time.Now().Add(5 * time.Second)
 	for store.Subscribers() == 0 {
@@ -157,7 +157,7 @@ func TestWatchBadInvocations(t *testing.T) {
 		"dead store":      {"-store", "http://127.0.0.1:1", "-max-failures", "0"},
 	}
 	for name, args := range cases {
-		if err := run(args); err == nil {
+		if err := gremlin(append([]string{"watch"}, args...)...); err == nil {
 			t.Errorf("%s: run(%v) returned nil, want error", name, args)
 		}
 	}

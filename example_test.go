@@ -82,7 +82,7 @@ func Example_generateRecipes() {
 }
 
 // Example_parseRecipe shows recipes-as-data: the JSON wire form executable
-// by gremlin-ctl run.
+// by gremlin run.
 func Example_parseRecipe() {
 	recipe, err := gremlin.ParseRecipe([]byte(`{
 	  "name": "db-overload",

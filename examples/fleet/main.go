@@ -19,7 +19,7 @@
 //     discovery loop immediately targets its agent in a reconcile pass,
 //     and once the lease lapses the reconciler stops targeting the dead
 //     agent — no rules are pushed to it again.
-//  6. gremlin-ctl fleet lists live membership against the registry server
+//  6. gremlin fleet lists live membership against the registry server
 //     and enforces an -expect floor, closing the loop from the operator's
 //     seat.
 //
@@ -367,24 +367,24 @@ func run() error {
 		return fmt.Errorf("discovery loop recorded no event-triggered reconcile passes")
 	}
 
-	// --- 6. the operator's view: gremlin-ctl fleet ---
-	fmt.Println("\n--- gremlin-ctl fleet against the live registry server ---")
+	// --- 6. the operator's view: gremlin fleet ---
+	fmt.Println("\n--- gremlin fleet against the live registry server ---")
 	srv, err := registry.NewServer("127.0.0.1:0", dyn)
 	if err != nil {
 		return err
 	}
 	defer srv.Close()
 
-	bin := filepath.Join(work, "gremlin-ctl")
-	build := exec.Command("go", "build", "-o", bin, "./cmd/gremlin-ctl")
+	bin := filepath.Join(work, "gremlin")
+	build := exec.Command("go", "build", "-o", bin, "./cmd/gremlin")
 	build.Stdout, build.Stderr = os.Stdout, os.Stderr
 	if err := build.Run(); err != nil {
-		return fmt.Errorf("build gremlin-ctl: %w", err)
+		return fmt.Errorf("build gremlin: %w", err)
 	}
 	live := len(dyn.Members())
 	out, err := exec.Command(bin, "fleet", "-registry", srv.URL(), "-expect", fmt.Sprint(live)).CombinedOutput()
 	if err != nil {
-		return fmt.Errorf("gremlin-ctl fleet: %w\n%s", err, out)
+		return fmt.Errorf("gremlin fleet: %w\n%s", err, out)
 	}
 	lines := strings.Split(strings.TrimSpace(string(out)), "\n")
 	fmt.Printf("%s\n...\n%s\n", lines[0], lines[len(lines)-1])

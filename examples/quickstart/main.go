@@ -109,6 +109,6 @@ func run() error {
 	for _, r := range recipes {
 		fmt.Printf("  %s (%d checks)\n", r.Name, len(r.Checks))
 	}
-	fmt.Println("run them as a chain with runner.RunChain(...) or `gremlin-ctl autorun`.")
+	fmt.Println("run them as a chain with runner.RunChain(...) or `gremlin autorun`.")
 	return nil
 }

@@ -1,7 +1,7 @@
 // Command storecrash demonstrates the sharded event store's crash
 // durability end to end, with a real process kill:
 //
-//  1. It builds the gremlin-logstore binary and starts it with 4 shards
+//  1. It builds the gremlin binary and starts it with 4 shards
 //     and a write-ahead-log data directory.
 //  2. A client batch-appends records across several request-ID
 //     namespaces; every append below is acknowledged — the store wrote
@@ -44,11 +44,11 @@ func run() error {
 		return err
 	}
 	defer os.RemoveAll(work)
-	bin := filepath.Join(work, "gremlin-logstore")
+	bin := filepath.Join(work, "gremlin")
 	dataDir := filepath.Join(work, "data")
 
-	fmt.Println("\n--- build gremlin-logstore ---")
-	build := exec.Command("go", "build", "-o", bin, "./cmd/gremlin-logstore")
+	fmt.Println("\n--- build gremlin ---")
+	build := exec.Command("go", "build", "-o", bin, "./cmd/gremlin")
 	build.Stdout, build.Stderr = os.Stdout, os.Stderr
 	if err := build.Run(); err != nil {
 		return fmt.Errorf("build: %w", err)
@@ -167,7 +167,7 @@ func run() error {
 
 // startStore launches the logstore binary and waits for /healthz.
 func startStore(bin, addr, dataDir string) (*exec.Cmd, error) {
-	cmd := exec.Command(bin, "-addr", addr, "-shards", "4", "-data-dir", dataDir, "-fsync", "interval")
+	cmd := exec.Command(bin, "logstore", "-addr", addr, "-shards", "4", "-data-dir", dataDir, "-fsync", "interval")
 	cmd.Stdout, cmd.Stderr = os.Stdout, os.Stderr
 	if err := cmd.Start(); err != nil {
 		return nil, err

@@ -15,7 +15,7 @@
 //     zero records to the event log the assertions run on.
 //  6. The differentials round-trip through the campaign journal into the
 //     scorecard's Telemetry section, render to a static HTML report with
-//     SVG sparklines, and the gremlin-top dashboard renders a frame
+//     SVG sparklines, and the gremlin top dashboard renders a frame
 //     against the live fleet.
 //
 // Everything runs in this process tree on loopback TCP.
@@ -249,29 +249,29 @@ func run() error {
 	}
 	fmt.Printf("HTML report: %d bytes with inline SVG sparklines\n", len(report))
 
-	// Finally, the live dashboard: gremlin-top scrapes the same fleet and
+	// Finally, the live dashboard: gremlin top scrapes the same fleet and
 	// renders one plain frame.
-	fmt.Println("\n--- gremlin-top: one dashboard frame over the live fleet ---")
+	fmt.Println("\n--- gremlin top: one dashboard frame over the live fleet ---")
 	regPath := filepath.Join(work, "registry.json")
 	if err := writeRegistry(regPath, app.Registry); err != nil {
 		return err
 	}
-	bin := filepath.Join(work, "gremlin-top")
-	build := exec.Command("go", "build", "-o", bin, "./cmd/gremlin-top")
+	bin := filepath.Join(work, "gremlin")
+	build := exec.Command("go", "build", "-o", bin, "./cmd/gremlin")
 	build.Stdout, build.Stderr = os.Stdout, os.Stderr
 	if err := build.Run(); err != nil {
-		return fmt.Errorf("build gremlin-top: %w", err)
+		return fmt.Errorf("build gremlin: %w", err)
 	}
-	top := exec.Command(bin, "-registry", regPath, "-store", storeSrv.URL(),
+	top := exec.Command(bin, "top", "-registry", regPath, "-store", storeSrv.URL(),
 		"-interval", "100ms", "-window", "10s", "-frames", "2", "-plain")
 	frame, err := top.CombinedOutput()
 	if err != nil {
-		return fmt.Errorf("gremlin-top: %w\n%s", err, frame)
+		return fmt.Errorf("gremlin top: %w\n%s", err, frame)
 	}
 	fmt.Print(string(frame))
 	for _, want := range []string{"SERVICE", "web"} {
 		if !strings.Contains(string(frame), want) {
-			return fmt.Errorf("gremlin-top frame missing %q:\n%s", want, frame)
+			return fmt.Errorf("gremlin top frame missing %q:\n%s", want, frame)
 		}
 	}
 

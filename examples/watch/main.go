@@ -3,7 +3,7 @@
 //
 //  1. The in-process event store is exposed over HTTP, including the
 //     /v1/stream SSE endpoint and /metrics.
-//  2. An online monitor (the engine behind gremlin-watch) tails the
+//  2. An online monitor (the engine behind gremlin watch) tails the
 //     stream with a failure-reply bound while a Crash(serviceB) recipe
 //     runs paced load through the faulted deployment.
 //  3. The first violation aborts the load early — the live verdict lands
@@ -50,7 +50,7 @@ func run() error {
 	}()
 
 	// Expose the store over HTTP: the stream the monitor tails is the same
-	// SSE endpoint `gremlin-watch -store <url>` would consume.
+	// SSE endpoint `gremlin watch -store <url>` would consume.
 	srv, err := eventlog.NewServer("127.0.0.1:0", app.Store)
 	if err != nil {
 		return err

@@ -153,7 +153,7 @@ func TestPublicAPIGraph(t *testing.T) {
 }
 
 // TestShippedRecipeFilesParse keeps the sample recipe files in
-// examples/recipes/ loadable by gremlin-ctl run.
+// examples/recipes/ loadable by gremlin run.
 func TestShippedRecipeFilesParse(t *testing.T) {
 	files, err := filepath.Glob("examples/recipes/*.json")
 	if err != nil {
@@ -179,7 +179,7 @@ func TestShippedRecipeFilesParse(t *testing.T) {
 
 // TestShippedAgentConfigParses keeps the example agent config valid.
 func TestShippedAgentConfigParses(t *testing.T) {
-	raw, err := os.ReadFile("cmd/gremlin-agent/agent.example.json")
+	raw, err := os.ReadFile("cmd/gremlin/agent.example.json")
 	if err != nil {
 		t.Fatal(err)
 	}
