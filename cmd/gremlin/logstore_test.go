@@ -6,7 +6,6 @@ import (
 	"net"
 	"net/http"
 	"net/http/httptest"
-	"os"
 	"path/filepath"
 	"runtime"
 	"strings"
@@ -14,43 +13,6 @@ import (
 
 	"gremlin/internal/eventlog"
 )
-
-func TestLogstoreLifecycleWithPersistence(t *testing.T) {
-	persist := filepath.Join(t.TempDir(), "events.jsonl")
-
-	// First run: start, ingest one record through the HTTP API, shut down.
-	// The server address is ephemeral; find it by probing the persist file
-	// is impossible — instead reach the store through a second client after
-	// restart. For this first run just verify clean shutdown with an empty
-	// store.
-	if err := serveOnce("logstore", "-addr", "127.0.0.1:0", "-persist", persist); err != nil {
-		t.Fatalf("run: %v", err)
-	}
-
-	// Seed the persistence file out of band and restart: the store must
-	// load it.
-	store := eventlog.NewStore()
-	if err := store.Log(eventlog.Record{Src: "a", Dst: "b", Kind: eventlog.KindRequest, RequestID: "test-1"}); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := store.SaveFile(persist); err != nil {
-		t.Fatal(err)
-	}
-
-	if err := serveOnce("logstore", "-addr", "127.0.0.1:0", "-persist", persist); err != nil {
-		t.Fatalf("second run: %v", err)
-	}
-
-	// The restart re-saved the loaded record.
-	reloaded := eventlog.NewStore()
-	n, err := reloaded.LoadFile(persist)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n != 1 {
-		t.Fatalf("persisted %d records across restart, want 1", n)
-	}
-}
 
 func TestLogstorePprofEndpoint(t *testing.T) {
 	// The store's own address is ephemeral, but -pprof takes a fixed one:
@@ -94,21 +56,6 @@ func TestLogstoreBadFlags(t *testing.T) {
 	}
 }
 
-func TestLogstoreBadPersistFile(t *testing.T) {
-	dir := t.TempDir()
-	bad := filepath.Join(dir, "corrupt.jsonl")
-	if err := writeFile(bad, "not json\n"); err != nil {
-		t.Fatal(err)
-	}
-	if err := gremlin("logstore", "-addr", "127.0.0.1:0", "-persist", bad); err == nil {
-		t.Fatal("want load error for corrupt persistence file")
-	}
-}
-
-func writeFile(path, content string) error {
-	return os.WriteFile(path, []byte(content), 0o600)
-}
-
 func TestLogstoreShardedWithDataDir(t *testing.T) {
 	dataDir := filepath.Join(t.TempDir(), "wal")
 
@@ -140,18 +87,6 @@ func TestLogstoreShardedWithDataDir(t *testing.T) {
 	defer re.Close()
 	if got := re.Len(); got != 1 {
 		t.Fatalf("replayed %d records across restart, want 1", got)
-	}
-}
-
-func TestLogstoreRejectsPersistWithDataDir(t *testing.T) {
-	dir := t.TempDir()
-	err := gremlin("logstore",
-		"-addr", "127.0.0.1:0",
-		"-persist", filepath.Join(dir, "e.jsonl"),
-		"-data-dir", filepath.Join(dir, "wal"),
-	)
-	if err == nil {
-		t.Fatal("-persist with -data-dir must be rejected")
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"os"
 
 	"gremlin/internal/eventlog"
 	"gremlin/internal/tracing"
@@ -13,8 +14,8 @@ import (
 // them to out: ASCII waterfalls with critical-path and fault-attribution
 // analysis, or JSON/DOT for machine consumption.
 //
-// Records come from a JSONL dump (-file, as written by gremlin logstore
-// -persist or Store.SaveFile) or a live store (-store URL).
+// Records come from a JSON Lines dump (-file: a saved /v1/query reply)
+// or a live store (-store URL).
 //
 //	gremlin trace -file events.jsonl -pattern 'test-*'
 //	gremlin trace -store http://127.0.0.1:9200 -format dot > traces.dot
@@ -34,13 +35,21 @@ func runTrace(args []string, out io.Writer) error {
 
 	var source eventlog.Source
 	if *file != "" {
-		store := eventlog.NewStore()
-		n, err := store.LoadFile(*file)
+		f, err := os.Open(*file)
 		if err != nil {
-			return err
+			return fmt.Errorf("gremlin trace: %w", err)
 		}
-		if n == 0 {
+		recs, err := eventlog.ReadJSONL(f)
+		f.Close()
+		if err != nil {
+			return fmt.Errorf("gremlin trace: %s: %w", *file, err)
+		}
+		if len(recs) == 0 {
 			return fmt.Errorf("gremlin trace: %s holds no records", *file)
+		}
+		store := eventlog.NewStore()
+		if err := store.Log(recs...); err != nil {
+			return err
 		}
 		source = store
 	} else {

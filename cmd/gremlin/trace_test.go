@@ -1,11 +1,20 @@
 package main
 
 import (
+	"bytes"
+	"errors"
+	"fmt"
+	"io"
 	"math/rand"
 	"net/http"
+	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
+	"time"
+
+	"gremlin/internal/eventlog"
 
 	"gremlin/internal/rules"
 	"gremlin/internal/topology"
@@ -43,8 +52,14 @@ func TestTraceCLIEndToEnd(t *testing.T) {
 	}
 	resp.Body.Close()
 
+	// The dump is the store's /v1/query reply, saved as it came.
+	srv, err := eventlog.NewServer("127.0.0.1:0", app.Store)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
 	dump := filepath.Join(t.TempDir(), "events.jsonl")
-	if _, err := app.Store.SaveFile(dump); err != nil {
+	if err := os.WriteFile(dump, queryDump(t, srv.URL()), 0o600); err != nil {
 		t.Fatal(err)
 	}
 
@@ -97,5 +112,130 @@ func TestTraceCLIFlagValidation(t *testing.T) {
 	dump := filepath.Join(t.TempDir(), "missing.jsonl")
 	if err := runTrace([]string{"-file", dump}, &out); err == nil {
 		t.Fatal("missing file should error")
+	}
+}
+
+// TestTraceMissingFile: a -file that does not exist is an error naming
+// it, not an empty dump.
+func TestTraceMissingFile(t *testing.T) {
+	dump := filepath.Join(t.TempDir(), "typo.jsonl")
+	err := runTrace([]string{"-file", dump}, io.Discard)
+	if !errors.Is(err, os.ErrNotExist) || !strings.Contains(err.Error(), dump) {
+		t.Fatalf("got %v; want an error naming %s that wraps os.ErrNotExist", err, dump)
+	}
+}
+
+// queryDump returns the store's /v1/query reply for every record: its
+// dump.
+func queryDump(t *testing.T, storeURL string) []byte {
+	t.Helper()
+	resp, err := http.Post(storeURL+"/v1/query", "application/json", strings.NewReader("{}"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	dump, err := io.ReadAll(resp.Body)
+	if err != nil || resp.StatusCode != http.StatusOK {
+		t.Fatalf("query: %d, %v", resp.StatusCode, err)
+	}
+	return dump
+}
+
+// hopRecords is two hops per request, gateway -> cart -> stock, with
+// spans, for requests in several namespaces.
+func hopRecords() []eventlog.Record {
+	var recs []eventlog.Record
+	at := time.Date(2026, 7, 4, 12, 0, 0, 0, time.UTC)
+	for i, ns := range []string{"test", "camp-r1", "camp-r2", "prod"} {
+		id := fmt.Sprintf("%s-%d", ns, i)
+		for j, e := range [][2]string{{"gateway", "cart"}, {"cart", "stock"}} {
+			req := eventlog.Record{
+				Timestamp: at.Add(time.Duration(10*i+j) * time.Millisecond),
+				RequestID: id, SpanID: fmt.Sprintf("%s-s%d", id, j),
+				Src: e[0], Dst: e[1], Kind: eventlog.KindRequest, Method: "GET", URI: "/item",
+			}
+			if j > 0 {
+				req.ParentSpanID = fmt.Sprintf("%s-s%d", id, j-1)
+			}
+			lat := time.Duration(8-4*j) * time.Millisecond
+			reply := req
+			reply.Timestamp, reply.Kind, reply.Status, reply.LatencyMillis = req.Timestamp.Add(lat), eventlog.KindReply, 200, float64(lat.Milliseconds())
+			recs = append(recs, req, reply)
+		}
+	}
+	return recs
+}
+
+// TestExportIsImport: a store's /v1/query reply is its dump. POSTed to a
+// fresh store's /v1/records it imports the same records, and gremlin
+// trace renders the same waterfalls from it saved to a file as from the
+// live store.
+func TestExportIsImport(t *testing.T) {
+	a, err := eventlog.NewShardedStore(eventlog.StoreOptions{Shards: 2, DataDir: t.TempDir()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer a.Close()
+	srvA, err := eventlog.NewServer("127.0.0.1:0", a)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srvA.Close()
+	b := eventlog.NewStore()
+	srvB, err := eventlog.NewServer("127.0.0.1:0", b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srvB.Close()
+
+	if err := eventlog.NewClient(srvA.URL(), nil).Log(hopRecords()...); err != nil {
+		t.Fatal(err)
+	}
+	for _, st := range a.ShardStats() {
+		if st.Records == 0 {
+			t.Fatalf("shard %d holds no records; the dump must gather both", st.Shard)
+		}
+	}
+	dump := queryDump(t, srvA.URL())
+	resp, err := http.Post(srvB.URL()+"/v1/records", "application/x-ndjson", bytes.NewReader(dump))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("import: status %d", resp.StatusCode)
+	}
+	want, err := a.Select(eventlog.Query{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := b.Select(eventlog.Query{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(got) != len(want) || len(want) != len(hopRecords()) {
+		t.Fatalf("imported %d records, exported %d, logged %d", len(got), len(want), len(hopRecords()))
+	}
+	for i := range want {
+		// Seq is store-local; compare everything else.
+		want[i].Seq, got[i].Seq = 0, 0
+		if !reflect.DeepEqual(got[i], want[i]) {
+			t.Fatalf("record %d: imported %+v, exported %+v", i, got[i], want[i])
+		}
+	}
+
+	file := filepath.Join(t.TempDir(), "dump.jsonl")
+	if err := os.WriteFile(file, dump, 0o600); err != nil {
+		t.Fatal(err)
+	}
+	var fromFile, fromStore strings.Builder
+	if err := runTrace([]string{"-file", file}, &fromFile); err != nil {
+		t.Fatal(err)
+	}
+	if err := runTrace([]string{"-store", srvA.URL()}, &fromStore); err != nil {
+		t.Fatal(err)
+	}
+	if fromFile.String() != fromStore.String() || !strings.Contains(fromFile.String(), "gateway -> cart") {
+		t.Fatalf("trace -file rendered\n%s\ntrace -store rendered\n%s", fromFile.String(), fromStore.String())
 	}
 }

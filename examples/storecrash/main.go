@@ -10,7 +10,9 @@
 //  4. A restarted store on the same data directory replays the WAL; the
 //     client re-reads everything and verifies the acknowledged records
 //     came back byte-exact.
-//  5. A campaign namespace is cleared and compacted away; the data
+//  5. The recovered store's /v1/query reply, its dump, is POSTed to a
+//     second, volatile store, which must then hold the same records.
+//  6. A campaign namespace is cleared and compacted away; the data
 //     directory shrinks, and a final restart still replays correctly.
 //
 // Everything runs in this process tree on loopback TCP.
@@ -24,6 +26,7 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"strings"
 	"syscall"
 	"time"
 
@@ -65,7 +68,8 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	defer proc.Process.Kill() //nolint:errcheck // belt and braces on early error paths
+	// Kill whichever run is current when an early error returns.
+	defer func() { _ = proc.Process.Kill() }()
 
 	client := eventlog.NewClient(url, nil)
 	var batch []eventlog.Record
@@ -112,6 +116,50 @@ func run() error {
 		}
 	}
 	fmt.Printf("all %d acknowledged records recovered byte-exact\n", len(recovered))
+
+	fmt.Println("\n--- export the recovered store, import the dump into a volatile one ---")
+	spareAddr, err := freeAddr()
+	if err != nil {
+		return err
+	}
+	spare, err := startStore(bin, spareAddr, "")
+	if err != nil {
+		return err
+	}
+	defer spare.Process.Kill() //nolint:errcheck // stopped below; this covers early returns
+	// The export's reply body is the import's request body, as it comes.
+	dump, err := http.Post(url+"/v1/query", "application/json", strings.NewReader("{}"))
+	if err != nil {
+		return err
+	}
+	resp, err := http.Post("http://"+spareAddr+"/v1/records", "application/x-ndjson", dump.Body)
+	dump.Body.Close()
+	if err != nil {
+		return err
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusAccepted {
+		return fmt.Errorf("import: %s", resp.Status)
+	}
+	imported, err := eventlog.NewClient("http://"+spareAddr, nil).Select(eventlog.Query{})
+	if err != nil {
+		return err
+	}
+	if len(imported) != len(recovered) {
+		return fmt.Errorf("imported %d records, exported %d", len(imported), len(recovered))
+	}
+	for i, rec := range imported {
+		// Seq is store-local; everything else must match.
+		rec.Seq = recovered[i].Seq
+		if rec != recovered[i] {
+			return fmt.Errorf("record %d differs after export and import:\n exported %+v\n imported %+v", i, recovered[i], imported[i])
+		}
+	}
+	fmt.Printf("the dump imported all %d records\n", len(imported))
+	if err := spare.Process.Signal(syscall.SIGTERM); err != nil {
+		return err
+	}
+	_ = spare.Wait()
 
 	fmt.Println("\n--- clear a campaign namespace; compaction reclaims its WAL space ---")
 	sizeBefore, err := dirSize(dataDir)
@@ -165,9 +213,14 @@ func run() error {
 	return nil
 }
 
-// startStore launches the logstore binary and waits for /healthz.
+// startStore launches the logstore binary and waits for /healthz: 4
+// shards on a WAL in dataDir, or a volatile store when dataDir is empty.
 func startStore(bin, addr, dataDir string) (*exec.Cmd, error) {
-	cmd := exec.Command(bin, "logstore", "-addr", addr, "-shards", "4", "-data-dir", dataDir, "-fsync", "interval")
+	args := []string{"logstore", "-addr", addr}
+	if dataDir != "" {
+		args = append(args, "-shards", "4", "-data-dir", dataDir, "-fsync", "interval")
+	}
+	cmd := exec.Command(bin, args...)
 	cmd.Stdout, cmd.Stderr = os.Stdout, os.Stderr
 	if err := cmd.Start(); err != nil {
 		return nil, err

@@ -25,7 +25,6 @@ import (
 // reading assertions to make all observations visible.
 type BufferedSink struct {
 	sink     Sink
-	batch    batchSink     // sink's batch fast path, nil when absent
 	size     int           // flush threshold
 	max      int           // buffer bound; overflow drops oldest records
 	interval time.Duration // background flush period
@@ -47,14 +46,6 @@ type BufferedSink struct {
 	kick chan struct{}
 	stop chan struct{}
 	done chan struct{}
-}
-
-// batchSink is the optional one-body batch surface of a Sink
-// (Client.LogBatch encodes a flush into a single pooled NDJSON body and
-// pre-routes it per shard). When the underlying sink has it, flushes go
-// through it instead of the record-slice Log call.
-type batchSink interface {
-	LogBatch(recs []Record) error
 }
 
 // BufferOptions tunes a BufferedSink. Zero values select defaults.
@@ -110,7 +101,6 @@ func NewBufferedSinkOpts(sink Sink, opts BufferOptions) *BufferedSink {
 		stop:     make(chan struct{}),
 		done:     make(chan struct{}),
 	}
-	b.batch, _ = sink.(batchSink)
 	go b.run()
 	return b
 }
@@ -221,13 +211,7 @@ func (b *BufferedSink) flush() error {
 	b.buf = make([]Record, 0, b.size)
 	b.mu.Unlock()
 
-	var err error
-	if b.batch != nil {
-		err = b.batch.LogBatch(recs)
-	} else {
-		err = b.sink.Log(recs...)
-	}
-	if err != nil {
+	if err := b.sink.Log(recs...); err != nil {
 		var partial *PartialBatchError
 		if errors.As(err, &partial) {
 			recs = partial.Unshipped

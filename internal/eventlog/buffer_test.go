@@ -272,39 +272,32 @@ func TestBufferedSinkCountsFlushesAndRetries(t *testing.T) {
 	}
 }
 
-// countingBatchSink records LogBatch calls so tests can verify the
-// buffered sink prefers the batch path over record-by-record Log.
-type countingBatchSink struct {
+// countingSink keeps each Log call's records as one shipment.
+type countingSink struct {
 	mu      sync.Mutex
 	batches [][]Record
-	logs    int
 }
 
-func (c *countingBatchSink) Log(recs ...Record) error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.logs++
-	return nil
-}
-
-func (c *countingBatchSink) LogBatch(recs []Record) error {
+func (c *countingSink) Log(recs ...Record) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.batches = append(c.batches, recs)
 	return nil
 }
 
-func (c *countingBatchSink) stats() (batches, logs, recs int) {
+func (c *countingSink) stats() (batches, recs int) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	for _, b := range c.batches {
 		recs += len(b)
 	}
-	return len(c.batches), c.logs, recs
+	return len(c.batches), recs
 }
 
+// TestBufferedSinkUsesBatchPath: a flush ships everything it took in one
+// Log call on the underlying sink, never record by record.
 func TestBufferedSinkUsesBatchPath(t *testing.T) {
-	sink := &countingBatchSink{}
+	sink := &countingSink{}
 	b := NewBufferedSinkOpts(sink, BufferOptions{Size: 4, Interval: time.Hour})
 	defer b.Close()
 
@@ -313,19 +306,16 @@ func TestBufferedSinkUsesBatchPath(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	// Flush waits out any background flush, so every shipment is done.
 	if err := b.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	waitFor(t, "batched flushes", func() bool {
-		_, _, recs := sink.stats()
-		return recs == 10
-	})
-	batches, logs, _ := sink.stats()
-	if logs != 0 {
-		t.Fatalf("%d record-by-record Log calls; all flushes should batch", logs)
+	batches, recs := sink.stats()
+	if recs != 10 {
+		t.Fatalf("sink took %d records, want 10", recs)
 	}
-	if batches == 0 {
-		t.Fatal("no LogBatch calls")
+	if batches == 0 || int64(batches) != b.Flushes() {
+		t.Fatalf("%d Log calls for %d flushes; want one per flush", batches, b.Flushes())
 	}
 	if got := b.BatchRecords(); got != 10 {
 		t.Fatalf("BatchRecords=%d, want 10", got)

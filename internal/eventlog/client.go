@@ -41,17 +41,12 @@ func NewClient(baseURL string, hc *http.Client) *Client {
 	return &Client{baseURL: baseURL, http: hc}
 }
 
-// Log ships records to the remote store.
-func (c *Client) Log(recs ...Record) error {
-	if len(recs) == 0 {
-		return nil
-	}
-	return c.postRecords("/v1/records", "application/json", recs, appendArray)
-}
+// Log ships records to the remote store through LogBatch.
+func (c *Client) Log(recs ...Record) error { return c.LogBatch(recs) }
 
-// PartialBatchError is LogBatch's failure on a batch split across shards:
-// the shard groups posted before the failing one were acknowledged,
-// Unshipped holds the rest. Retrying Unshipped — and only that — keeps
+// PartialBatchError is how Log and LogBatch fail on a batch split across
+// shards: the shard groups posted before the failing one were
+// acknowledged, Unshipped holds the rest. Retrying Unshipped — and only that — keeps
 // the store free of duplicates.
 type PartialBatchError struct {
 	Unshipped []Record
@@ -66,9 +61,8 @@ func (e *PartialBatchError) Unwrap() error { return e.Err }
 // (learned once from /v1/stats and re-learned when it drifts), encoded
 // into a pooled buffer, and sent with an advisory ?shard= hint; a body
 // bound for one shard is appended under that shard's lock alone, without
-// a copy. BufferedSink
-// uses this instead of Log when its sink is a Client. When one of several
-// groups fails the error is a *PartialBatchError.
+// a copy. When one of several groups fails the error is a
+// *PartialBatchError.
 func (c *Client) LogBatch(recs []Record) error {
 	if len(recs) == 0 {
 		return nil
@@ -146,17 +140,12 @@ func (c *Client) Info() (StoreInfo, error) {
 	return out, nil
 }
 
-// postBatch sends records as one application/x-ndjson body.
+// postBatch sends recs as one JSON Lines body, encoded into a pooled
+// buffer — one request, one encoder pass, zero per-record HTTP overhead.
 func (c *Client) postBatch(path string, recs []Record) error {
-	return c.postRecords(path, "application/x-ndjson", recs, appendLines)
-}
-
-// postRecords sends recs as one body, encoded into a pooled buffer — one
-// request, one encoder pass, zero per-record HTTP overhead.
-func (c *Client) postRecords(path, contentType string, recs []Record, encode func([]byte, []Record) ([]byte, error)) error {
 	bp := bufPool.Get().(*[]byte)
 	defer bufPool.Put(bp)
-	body, err := encode((*bp)[:0], recs)
+	body, err := appendLines((*bp)[:0], recs)
 	*bp = body
 	if err != nil {
 		return fmt.Errorf("eventlog: encode %d records: %w", len(recs), err)
@@ -165,7 +154,7 @@ func (c *Client) postRecords(path, contentType string, recs []Record, encode fun
 	if err != nil {
 		return fmt.Errorf("eventlog: ship %d records: %w", len(recs), err)
 	}
-	req.Header.Set("Content-Type", contentType)
+	req.Header.Set("Content-Type", "application/x-ndjson")
 	if err := c.do(req, nil); err != nil {
 		return fmt.Errorf("eventlog: ship %d records: %w", len(recs), err)
 	}
@@ -190,7 +179,7 @@ func (c *Client) Select(q Query) ([]Record, error) {
 	if err != nil {
 		return nil, fmt.Errorf("eventlog: query: read response: %w", err)
 	}
-	recs, err := decodeArray(body, false)
+	recs, err := decodeLines(body)
 	if err != nil {
 		return nil, fmt.Errorf("eventlog: query: decode response: %w", err)
 	}

@@ -22,7 +22,8 @@ import (
 // recordDecoder reads them back in one pass. Whatever the decoder does not
 // recognise as AppendRecord's own output is handed to encoding/json, so
 // what is accepted, what is rejected and with which error stay the
-// standard library's decisions.
+// standard library's decisions. A list of records, wherever it travels,
+// is JSON Lines: one record and a newline each.
 
 const hexDigits = "0123456789abcdef"
 
@@ -45,22 +46,6 @@ func readAll(dst []byte, r io.Reader) ([]byte, error) {
 			return dst, err
 		}
 	}
-}
-
-// readLine returns br's next line with its newline, valid until the next
-// read; at the end of input it returns what is left with io.EOF. A line
-// br's buffer cannot hold is assembled in *long.
-func readLine(br *bufio.Reader, long *[]byte) ([]byte, error) {
-	line, err := br.ReadSlice('\n')
-	if err != bufio.ErrBufferFull {
-		return line, err
-	}
-	*long = append((*long)[:0], line...)
-	for err == bufio.ErrBufferFull {
-		line, err = br.ReadSlice('\n')
-		*long = append(*long, line...)
-	}
-	return *long, err
 }
 
 // AppendRecord appends the JSON encoding of r to dst — byte for byte what
@@ -114,7 +99,7 @@ func AppendRecord(dst []byte, r *Record) ([]byte, error) {
 }
 
 // appendLines appends recs as JSON Lines, one record and a newline each:
-// the NDJSON ingest body, a WAL segment, a JSONL dump.
+// an ingest body, a query reply (which is a dump), a WAL batch.
 func appendLines(dst []byte, recs []Record) ([]byte, error) {
 	var err error
 	for i := range recs {
@@ -139,25 +124,6 @@ func writeLines(bw *bufio.Writer, recs []Record) (int, error) {
 		}
 	}
 	return len(recs), nil
-}
-
-// appendArray appends recs as json.Marshal would a []Record: a JSON array,
-// or null for a nil slice.
-func appendArray(dst []byte, recs []Record) ([]byte, error) {
-	if recs == nil {
-		return append(dst, "null"...), nil
-	}
-	dst = append(dst, '[')
-	var err error
-	for i := range recs {
-		if i > 0 {
-			dst = append(dst, ',')
-		}
-		if dst, err = AppendRecord(dst, &recs[i]); err != nil {
-			return dst, err
-		}
-	}
-	return append(dst, ']'), nil
 }
 
 // appendTime appends t as Time.MarshalJSON renders it: quoted RFC 3339
@@ -606,7 +572,7 @@ func scanNumber(data []byte, p int) int {
 }
 
 // line decodes a buffer holding one record and at most a trailing newline
-// — a WAL or JSONL line, an SSE event's data — into the zero rec,
+// — a WAL line, an SSE event's data — into the zero rec,
 // reporting whether it was canonical.
 func (d *recordDecoder) line(data []byte, rec *Record) bool {
 	n, ok := d.object(data, rec)
@@ -624,16 +590,20 @@ func (d *recordDecoder) unmarshal(data []byte, rec *Record) error {
 	return json.Unmarshal(data, rec)
 }
 
-// sizeFor turns a record count read off a body of size bytes into a slice
-// capacity, bounded by what a body that size can hold so that a body of
-// nothing but separators reserves no more than a real one would fill.
-func sizeFor(count, size int) int { return min(count, size/64) + 1 }
+// errNotLines is why a body framed as a JSON array is refused: a list of
+// records is JSON Lines wherever it travels.
+var errNotLines = errors.New("records must be JSON Lines, one object per line, not a JSON array")
 
-// decodeLines decodes an in-memory JSON Lines body. The first line that
-// is not canonical hands the rest of the body to a json.Decoder, which
-// also accepts values split or joined across lines.
+// decodeLines decodes an in-memory JSON Lines body: an ingest body, a
+// query reply, a dump. The first line that is not canonical hands the
+// rest of the body to a json.Decoder, which also accepts values split or
+// joined across lines and, like the canonical path, refuses a field that
+// Record does not have.
 func decodeLines(data []byte) ([]Record, error) {
-	recs := make([]Record, 0, sizeFor(bytes.Count(data, []byte{'\n'}), len(data)))
+	// Capacity for a record a line, bounded by what a body this size can
+	// hold so that one of nothing but newlines reserves no more than a
+	// real one would fill.
+	recs := make([]Record, 0, min(bytes.Count(data, []byte{'\n'}), len(data)/64)+1)
 	var d recordDecoder
 	for len(data) > 0 {
 		var rec Record
@@ -643,16 +613,19 @@ func decodeLines(data []byte) ([]Record, error) {
 			n++
 		}
 		if !ok {
-			return decodeRest(json.NewDecoder(bytes.NewReader(data)), recs)
+			break
 		}
 		recs = append(recs, rec)
 		data = data[n:]
 	}
-	return recs, nil
-}
-
-// decodeRest appends the records dec still holds to recs.
-func decodeRest(dec *json.Decoder, recs []Record) ([]Record, error) {
+	if len(data) == 0 {
+		return recs, nil
+	}
+	if rest := bytes.TrimLeft(data, " \t\r\n"); len(rest) > 0 && rest[0] == '[' {
+		return nil, fmt.Errorf("decode record %d: %w", len(recs), errNotLines)
+	}
+	dec := json.NewDecoder(bytes.NewReader(data))
+	dec.DisallowUnknownFields()
 	for {
 		var rec Record
 		err := dec.Decode(&rec)
@@ -666,53 +639,12 @@ func decodeRest(dec *json.Decoder, recs []Record) ([]Record, error) {
 	}
 }
 
-// decodeArray decodes an in-memory JSON array of records (an ingest body,
-// a query reply). Anything but a canonical array, optionally newline
-// terminated, goes through a json.Decoder — one that rejects unknown
-// fields when strict is set, as the ingest endpoint always has.
-func decodeArray(data []byte, strict bool) ([]Record, error) {
-	if recs, ok := canonicalArray(data); ok {
-		return recs, nil
+// ReadJSONL reads a JSON Lines dump — a /v1/query reply body saved to a
+// file — whole and decodes it as the store decodes an ingest body.
+func ReadJSONL(r io.Reader) ([]Record, error) {
+	body, err := io.ReadAll(r)
+	if err != nil {
+		return nil, fmt.Errorf("eventlog: read records: %w", err)
 	}
-	dec := json.NewDecoder(bytes.NewReader(data))
-	if strict {
-		dec.DisallowUnknownFields()
-	}
-	var recs []Record
-	if err := dec.Decode(&recs); err != nil {
-		return nil, err
-	}
-	return recs, nil
-}
-
-func canonicalArray(data []byte) ([]Record, bool) {
-	data = bytes.TrimSuffix(data, []byte{'\n'})
-	if len(data) < 2 || data[0] != '[' {
-		return nil, false
-	}
-	if len(data) == 2 {
-		return []Record{}, data[1] == ']'
-	}
-	// Every record after the first follows a "},{" in canonical output
-	// (string values may hold the sequence too, which only oversizes).
-	recs := make([]Record, 0, sizeFor(bytes.Count(data, []byte("},{")), len(data)))
-	var d recordDecoder
-	p := 1
-	for {
-		var rec Record
-		n, ok := d.object(data[p:], &rec)
-		p += n
-		if !ok || p >= len(data) {
-			return nil, false
-		}
-		recs = append(recs, rec)
-		switch {
-		case data[p] == ',':
-			p++
-		case data[p] == ']' && p == len(data)-1:
-			return recs, true
-		default:
-			return nil, false
-		}
-	}
+	return decodeLines(body)
 }

@@ -4,7 +4,9 @@ import (
 	"bytes"
 	"encoding/binary"
 	"encoding/json"
+	"errors"
 	"fmt"
+	"io"
 	"io/fs"
 	"math"
 	"os"
@@ -94,23 +96,23 @@ func checkDecode(t *testing.T, data []byte) {
 		t.Fatalf("unmarshal(%q):\n got %+v, %v\nwant %+v, %v", data, got, gerr, want, werr)
 	}
 
+	// decodeLines is a json.Decoder that refuses unknown fields, read
+	// value by value to the end of the body.
 	gotLines, gerr := decodeLines(data)
-	wantLines, werr := decodeRest(json.NewDecoder(bytes.NewReader(data)), []Record{})
-	if (gerr != nil) != (werr != nil) || !sameRecords(gotLines, wantLines) {
-		t.Fatalf("decodeLines(%q):\n got %+v, %v\nwant %+v, %v", data, gotLines, gerr, wantLines, werr)
+	dec := json.NewDecoder(bytes.NewReader(data))
+	dec.DisallowUnknownFields()
+	wantLines, werr := []Record{}, error(nil)
+	for werr == nil {
+		var rec Record
+		if werr = dec.Decode(&rec); werr == nil {
+			wantLines = append(wantLines, rec)
+		}
 	}
-
-	for _, strict := range []bool{false, true} {
-		gotArr, gerr := decodeArray(data, strict)
-		dec := json.NewDecoder(bytes.NewReader(data))
-		if strict {
-			dec.DisallowUnknownFields()
-		}
-		var wantArr []Record
-		werr := dec.Decode(&wantArr)
-		if (gerr != nil) != (werr != nil) || (werr == nil && !sameRecords(gotArr, wantArr)) {
-			t.Fatalf("decodeArray(%q, %v):\n got %+v, %v\nwant %+v, %v", data, strict, gotArr, gerr, wantArr, werr)
-		}
+	if errors.Is(werr, io.EOF) {
+		werr = nil
+	}
+	if (gerr != nil) != (werr != nil) || (werr == nil && !sameRecords(gotLines, wantLines)) {
+		t.Fatalf("decodeLines(%q):\n got %+v, %v\nwant %+v, %v", data, gotLines, gerr, wantLines, werr)
 	}
 }
 
@@ -244,21 +246,11 @@ func TestAppendRecordRejects(t *testing.T) {
 			if _, err := AppendRecord(nil, &rec); err == nil {
 				t.Fatal("AppendRecord accepted it")
 			}
-			// One bad record fails its batch, whichever framing.
+			// One bad record fails its batch.
 			if _, err := appendLines(nil, []Record{ok, rec}); err == nil {
 				t.Fatal("appendLines accepted it")
 			}
-			if _, err := appendArray(nil, []Record{ok, rec}); err == nil {
-				t.Fatal("appendArray accepted it")
-			}
 		})
-	}
-	for _, recs := range [][]Record{nil, {}, {ok}, {ok, ok}} {
-		got, err := appendArray(nil, recs)
-		want, _ := json.Marshal(recs)
-		if err != nil || !bytes.Equal(got, want) {
-			t.Fatalf("appendArray(%d records) = %s, %v; json.Marshal gives %s", len(recs), got, err, want)
-		}
 	}
 }
 
@@ -296,22 +288,13 @@ func TestRecordCodecAllocBudget(t *testing.T) {
 	if allocs := testing.AllocsPerRun(20, func() { body, _ = appendLines(body[:0], recs) }); allocs != 0 {
 		t.Errorf("encoding %d records made %.0f allocations, want 0", len(recs), allocs)
 	}
-	arr, err := appendArray(nil, recs)
-	if err != nil {
-		t.Fatal(err)
-	}
 
 	var got []Record
-	for name, decode := range map[string]func() ([]Record, error){
-		"lines": func() ([]Record, error) { return decodeLines(body) },
-		"array": func() ([]Record, error) { return decodeArray(arr, true) },
-	} {
-		allocs := testing.AllocsPerRun(20, func() { got, err = decode() })
-		if err != nil || !sameRecords(got, recs) {
-			t.Fatalf("%s: decoded batch differs from the one encoded (%v)", name, err)
-		}
-		if per := allocs / float64(len(recs)); per > 3 {
-			t.Errorf("%s: decoding made %.1f allocations per record, want at most 3", name, per)
-		}
+	allocs := testing.AllocsPerRun(20, func() { got, err = decodeLines(body) })
+	if err != nil || !sameRecords(got, recs) {
+		t.Fatalf("decoded batch differs from the one encoded (%v)", err)
+	}
+	if per := allocs / float64(len(recs)); per > 3 {
+		t.Errorf("decoding made %.1f allocations per record, want at most 3", per)
 	}
 }

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"net/http"
 	"strconv"
-	"strings"
 	"time"
 
 	"gremlin/internal/httpx"
@@ -14,12 +13,13 @@ import (
 // Server exposes a store over HTTP — the stand-in for the paper's
 // logstash→Elasticsearch pipeline. Endpoints:
 //
-//	POST   /v1/records   ingest records: a JSON array, or JSON Lines with
-//	                     Content-Type application/x-ndjson; a shard-aware
+//	POST   /v1/records   ingest records as JSON Lines; a shard-aware
 //	                     client's ?shard=i&of=N hint is advisory — the
 //	                     store routes every record itself
-//	POST   /v1/query     run a Query, returning matching records
+//	POST   /v1/query     run a Query, returning matching records as JSON
+//	                     Lines (a dump: POST it to /v1/records to import)
 //	POST   /v1/count     run a Query, returning only the match count
+//	POST   /v1/compact   compact the write-ahead logs (no-op if volatile)
 //	DELETE /v1/records   clear the store (?pattern= clears only matching
 //	                     request IDs, for per-campaign-run cleanup)
 //	GET    /v1/stats     store statistics (record count, shard count)
@@ -145,9 +145,8 @@ func (s *Server) handleRecords(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-// decodeRecords reads an ingest body: a JSON array (the default), or JSON
-// Lines when the client announces application/x-ndjson — the encoding the
-// BufferedSink batches flushes in, identical to the WAL segment format.
+// decodeRecords reads an ingest body: JSON Lines, the framing of every
+// list of records — the BufferedSink's flushes, a query reply, the WAL.
 func decodeRecords(w http.ResponseWriter, r *http.Request) ([]Record, error) {
 	bp := bufPool.Get().(*[]byte)
 	defer bufPool.Put(bp)
@@ -156,10 +155,7 @@ func decodeRecords(w http.ResponseWriter, r *http.Request) ([]Record, error) {
 	if err != nil {
 		return nil, fmt.Errorf("read request body: %w", err)
 	}
-	if strings.Contains(r.Header.Get("Content-Type"), "x-ndjson") {
-		return decodeLines(body)
-	}
-	recs, err := decodeArray(body, true)
+	recs, err := decodeLines(body)
 	if err != nil {
 		return nil, fmt.Errorf("decode request body: %w", err)
 	}
@@ -213,14 +209,13 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	}
 	bp := bufPool.Get().(*[]byte)
 	defer bufPool.Put(bp)
-	body, err := appendArray((*bp)[:0], recs)
-	body = append(body, '\n')
+	body, err := appendLines((*bp)[:0], recs)
 	*bp = body
 	if err != nil {
 		httpx.WriteError(w, http.StatusInternalServerError, "%v", err)
 		return
 	}
-	w.Header().Set("Content-Type", "application/json")
+	w.Header().Set("Content-Type", "application/x-ndjson")
 	w.WriteHeader(http.StatusOK)
 	_, _ = w.Write(body)
 }

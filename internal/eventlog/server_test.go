@@ -1,7 +1,9 @@
 package eventlog
 
 import (
+	"bytes"
 	"fmt"
+	"io"
 	"net/http"
 	"strings"
 	"testing"
@@ -289,6 +291,94 @@ func TestServerNDJSONIngest(t *testing.T) {
 	}
 	if n != 2 {
 		t.Fatalf("stats=%d, want 2", n)
+	}
+}
+
+// TestIngestRejectsUnknownFields: one ingest policy, whatever the body
+// looks like. A record with a field Record does not have fails its whole
+// body, and a body framed as a JSON array is refused as not JSON Lines;
+// the Content-Type header changes neither.
+func TestIngestRejectsUnknownFields(t *testing.T) {
+	srv, _ := newTestServer(t)
+	for _, tc := range []struct{ name, contentType, body, reason string }{
+		{"unknown field", "application/x-ndjson",
+			`{"requestId":"test-1","src":"a","dst":"b","kind":"request"}` + "\n" +
+				`{"requestId":"test-2","src":"a","dst":"b","kind":"request","colour":"red"}` + "\n",
+			"unknown field"},
+		{"array", "application/json",
+			`[{"requestId":"test-1","src":"a","dst":"b","kind":"request"}]`,
+			"must be JSON Lines"},
+	} {
+		resp, err := http.Post(srv.URL()+"/v1/records", tc.contentType, strings.NewReader(tc.body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		msg, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(msg), tc.reason) {
+			t.Fatalf("%s: %d %s; want 400 saying %s", tc.name, resp.StatusCode, msg, tc.reason)
+		}
+		if n := srv.store.Len(); n != 0 {
+			t.Fatalf("%s: store took %d records from a refused body", tc.name, n)
+		}
+	}
+}
+
+// TestJSONLRoundTrip: a /v1/query reply is a dump, JSON Lines with one
+// record a line, and ReadJSONL reads it back to the records the store
+// holds.
+func TestJSONLRoundTrip(t *testing.T) {
+	srv, c := newTestServer(t)
+	if err := c.Log(
+		Record{Timestamp: t0, RequestID: "test-1", Src: "a", Dst: "b",
+			Kind: KindRequest, Method: "GET", URI: "/x"},
+		Record{Timestamp: t0.Add(time.Millisecond), RequestID: "test-1", Src: "a", Dst: "b",
+			Kind: KindReply, Status: 503, LatencyMillis: 1.5,
+			FaultAction: "abort", FaultRuleID: "r1", GremlinGenerated: true},
+	); err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.Post(srv.URL()+"/v1/query", "application/json", strings.NewReader("{}"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	dump, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ct := resp.Header.Get("Content-Type"); ct != "application/x-ndjson" {
+		t.Fatalf("query reply Content-Type %q", ct)
+	}
+	if lines := bytes.Count(dump, []byte{'\n'}); lines != 2 {
+		t.Fatalf("dump has %d lines, want 2:\n%s", lines, dump)
+	}
+	got, err := ReadJSONL(bytes.NewReader(dump))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := srv.store.Select(Query{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !sameRecords(got, want) {
+		t.Fatalf("dump read back as\n%+v\nwant\n%+v", got, want)
+	}
+}
+
+// TestReadJSONLMalformed: a dump is read like an ingest body, whole or
+// not at all.
+func TestReadJSONLMalformed(t *testing.T) {
+	recs, err := ReadJSONL(strings.NewReader("{\"src\":\"a\"}\nnot json\n"))
+	if err == nil || recs != nil {
+		t.Fatalf("got (%v, %v), want a decode error and no records", recs, err)
+	}
+}
+
+func TestReadJSONLEmpty(t *testing.T) {
+	recs, err := ReadJSONL(strings.NewReader(""))
+	if err != nil || len(recs) != 0 {
+		t.Fatalf("got (%v, %v)", recs, err)
 	}
 }
 

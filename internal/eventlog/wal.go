@@ -249,6 +249,22 @@ func (w *wal) replaySegment(idx int, recs []Record, lastClearAll *int) ([]Record
 	return recs, nil
 }
 
+// readLine returns br's next line with its newline, valid until the next
+// read; at the end of input it returns what is left with io.EOF. A line
+// br's buffer cannot hold is assembled in *long.
+func readLine(br *bufio.Reader, long *[]byte) ([]byte, error) {
+	line, err := br.ReadSlice('\n')
+	if err != bufio.ErrBufferFull {
+		return line, err
+	}
+	*long = append((*long)[:0], line...)
+	for err == bufio.ErrBufferFull {
+		line, err = br.ReadSlice('\n')
+		*long = append(*long, line...)
+	}
+	return *long, err
+}
+
 // openSegment opens segment idx for appending, creating it if absent.
 func (w *wal) openSegment(idx int) error {
 	f, err := os.OpenFile(filepath.Join(w.dir, segName(idx)), os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)

@@ -1,6 +1,9 @@
 package tracing
 
 import (
+	"bytes"
+	"io"
+	"net/http"
 	"strings"
 	"testing"
 	"time"
@@ -247,8 +250,9 @@ func TestFromSource(t *testing.T) {
 }
 
 func TestRoundTripThroughJSONL(t *testing.T) {
-	// Spanful and legacy records survive a JSONL save/load cycle and
-	// assemble identically — the backward-compatibility contract.
+	// Spanful and legacy records survive a JSONL dump (a store's
+	// /v1/query reply) and its reload, and assemble identically — the
+	// backward-compatibility contract.
 	store := eventlog.NewStore()
 	legacy := chain("test-old")
 	for i := range legacy {
@@ -257,15 +261,29 @@ func TestRoundTripThroughJSONL(t *testing.T) {
 	if err := store.Log(append(chain("test-new"), legacy...)...); err != nil {
 		t.Fatal(err)
 	}
-	var buf strings.Builder
-	if _, err := store.WriteJSONL(&buf); err != nil {
+	srv, err := eventlog.NewServer("127.0.0.1:0", store)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(buf.String(), `"spanId":"sp-a-1"`) {
+	defer srv.Close()
+	resp, err := http.Post(srv.URL()+"/v1/query", "application/json", strings.NewReader("{}"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	dump, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(string(dump), `"spanId":"sp-a-1"`) {
 		t.Fatal("span fields not persisted")
 	}
+	recs, err := eventlog.ReadJSONL(bytes.NewReader(dump))
+	if err != nil {
+		t.Fatal(err)
+	}
 	reloaded := eventlog.NewStore()
-	if _, err := reloaded.ReadJSONL(strings.NewReader(buf.String())); err != nil {
+	if err := reloaded.Log(recs...); err != nil {
 		t.Fatal(err)
 	}
 	traces, err := FromSource(reloaded, eventlog.Query{})
