@@ -77,9 +77,11 @@ cpu-profile-store:
 # whole-exchange budget and shared-header forwarding in internal/proxy,
 # the record codec's budget and its fuzz seed corpus, a volatile store's
 # allocation-free Log and cheap constructors (StoreLogAllocBudget),
-# copy-free WAL compaction (budget and unordered-shard replay) in
-# internal/eventlog, the L4 relay's per-connection budget, passed
-# through and throttled (RelayAllocBudget), in internal/streamproxy, and
+# copy-free WAL compaction (budget and unordered-shard replay), a durable
+# Log and an ingest POST that copy no batch (DurableLogAllocBudget,
+# IngestAllocBudget) in internal/eventlog, the L4 relay's per-connection
+# budget, passed through and throttled (RelayAllocBudget), in
+# internal/streamproxy, and
 # the orchestrator's registry fan-out read (RegistryReadAllocBudget) in
 # internal/registry.
 alloc-budget:

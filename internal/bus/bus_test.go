@@ -100,6 +100,9 @@ func TestPublishDeliver(t *testing.T) {
 	if id != "test-1" {
 		t.Fatalf("request id not propagated: %q", id)
 	}
+	// The collector records the body before it replies, and the bus
+	// counts the delivery only after the reply.
+	waitFor(t, func() bool { return b.Stats().Delivered == 1 }, "delivery counted")
 	st := b.Stats()
 	if st.Published != 1 || st.Delivered != 1 || st.Rejected != 0 {
 		t.Fatalf("stats = %+v", st)
@@ -162,6 +165,9 @@ func TestDeadSubscriberFillsQueueAndBlocksPublishers(t *testing.T) {
 	if !errors.Is(rejected, ErrQueueFull) {
 		t.Fatalf("want ErrQueueFull backpressure, got %v", rejected)
 	}
+	// A retry is counted once the first attempt has failed, which can
+	// take longer than filling the queue does.
+	waitFor(t, func() bool { return b.Stats().Redelivered > 0 }, "redelivery counted")
 	if st := b.Stats(); st.Rejected == 0 || st.Redelivered == 0 {
 		t.Fatalf("stats = %+v, want rejections and redeliveries", st)
 	}

@@ -179,7 +179,7 @@ func (c *Client) Select(q Query) ([]Record, error) {
 	if err != nil {
 		return nil, fmt.Errorf("eventlog: query: read response: %w", err)
 	}
-	recs, err := decodeLines(body)
+	recs, err := decodeLines(nil, body)
 	if err != nil {
 		return nil, fmt.Errorf("eventlog: query: decode response: %w", err)
 	}

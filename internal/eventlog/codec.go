@@ -10,6 +10,7 @@ import (
 	"math"
 	"net/http"
 	"reflect"
+	"slices"
 	"strconv"
 	"sync"
 	"time"
@@ -99,7 +100,7 @@ func AppendRecord(dst []byte, r *Record) ([]byte, error) {
 }
 
 // appendLines appends recs as JSON Lines, one record and a newline each:
-// an ingest body, a query reply (which is a dump), a WAL batch.
+// an ingest body, a query reply (which is a dump).
 func appendLines(dst []byte, recs []Record) ([]byte, error) {
 	var err error
 	for i := range recs {
@@ -594,16 +595,22 @@ func (d *recordDecoder) unmarshal(data []byte, rec *Record) error {
 // records is JSON Lines wherever it travels.
 var errNotLines = errors.New("records must be JSON Lines, one object per line, not a JSON array")
 
-// decodeLines decodes an in-memory JSON Lines body: an ingest body, a
-// query reply, a dump. The first line that is not canonical hands the
-// rest of the body to a json.Decoder, which also accepts values split or
-// joined across lines and, like the canonical path, refuses a field that
-// Record does not have.
-func decodeLines(data []byte) ([]Record, error) {
-	// Capacity for a record a line, bounded by what a body this size can
-	// hold so that one of nothing but newlines reserves no more than a
-	// real one would fill.
-	recs := make([]Record, 0, min(bytes.Count(data, []byte{'\n'}), len(data)/64)+1)
+// decodeLines appends the records of an in-memory JSON Lines body — an
+// ingest body, a query reply, a dump — to dst. The first line that is not
+// canonical hands the rest of the body to a json.Decoder, which also
+// accepts values split or joined across lines and, like the canonical
+// path, refuses a field that Record does not have. On error it returns
+// dst's own records alone, having cleared what it decoded past them.
+func decodeLines(dst []Record, data []byte) ([]Record, error) {
+	// Room for a record a line, bounded by what a body this size can hold
+	// so that one of nothing but newlines reserves no more than a real one
+	// would fill.
+	recs := slices.Grow(dst, min(bytes.Count(data, []byte{'\n'}), len(data)/64)+1)
+	fail := func(err error) ([]Record, error) {
+		n := len(recs) - len(dst)
+		clear(recs[len(dst):])
+		return recs[:len(dst)], fmt.Errorf("decode record %d: %w", n, err)
+	}
 	var d recordDecoder
 	for len(data) > 0 {
 		var rec Record
@@ -622,7 +629,7 @@ func decodeLines(data []byte) ([]Record, error) {
 		return recs, nil
 	}
 	if rest := bytes.TrimLeft(data, " \t\r\n"); len(rest) > 0 && rest[0] == '[' {
-		return nil, fmt.Errorf("decode record %d: %w", len(recs), errNotLines)
+		return fail(errNotLines)
 	}
 	dec := json.NewDecoder(bytes.NewReader(data))
 	dec.DisallowUnknownFields()
@@ -633,7 +640,7 @@ func decodeLines(data []byte) ([]Record, error) {
 			return recs, nil
 		}
 		if err != nil {
-			return nil, fmt.Errorf("decode record %d: %w", len(recs), err)
+			return fail(err)
 		}
 		recs = append(recs, rec)
 	}
@@ -646,5 +653,9 @@ func ReadJSONL(r io.Reader) ([]Record, error) {
 	if err != nil {
 		return nil, fmt.Errorf("eventlog: read records: %w", err)
 	}
-	return decodeLines(body)
+	recs, err := decodeLines(nil, body)
+	if err != nil {
+		return nil, err
+	}
+	return recs, nil
 }

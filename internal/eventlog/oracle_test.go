@@ -264,7 +264,15 @@ func TestStoreOracle(t *testing.T) {
 
 			// Reopen the WAL-backed store: replay must rebuild each shard
 			// exactly — same records in the same order, same sorted prefix.
+			// Compaction must have run often enough on the way to count.
 			wal := targets[2]
+			var compactions uint64
+			for _, st := range wal.st.ShardStats() {
+				compactions += st.WALCompactions
+			}
+			if compactions < 10 {
+				t.Fatalf("the WAL-backed store compacted %d times, want at least 10", compactions)
+			}
 			var before [][]Record
 			for _, s := range wal.st.shards {
 				before = append(before, append([]Record(nil), s.recs...))

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"net/http"
 	"strconv"
+	"sync"
 	"time"
 
 	"gremlin/internal/httpx"
@@ -119,7 +120,11 @@ func (s *Server) Close() error { return s.http.Close() }
 func (s *Server) handleRecords(w http.ResponseWriter, r *http.Request) {
 	switch r.Method {
 	case http.MethodPost:
-		recs, err := decodeRecords(w, r)
+		rp := recordPool.Get().(*[]Record)
+		defer recordPool.Put(rp)
+		recs, err := decodeRecords(w, r, (*rp)[:0])
+		*rp = recs[:0]
+		defer clear(recs) // release the records' strings before the slice is reused
 		if err != nil {
 			httpx.WriteError(w, http.StatusBadRequest, "%v", err)
 			return
@@ -145,19 +150,24 @@ func (s *Server) handleRecords(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-// decodeRecords reads an ingest body: JSON Lines, the framing of every
-// list of records — the BufferedSink's flushes, a query reply, the WAL.
-func decodeRecords(w http.ResponseWriter, r *http.Request) ([]Record, error) {
+// recordPool recycles the slices ingest bodies are decoded into, which
+// Store.Log never retains.
+var recordPool = sync.Pool{New: func() any { return new([]Record) }}
+
+// decodeRecords appends the records of an ingest body to dst: JSON Lines,
+// the framing of every list of records — the BufferedSink's flushes, a
+// query reply, the WAL. On error it returns dst's own records alone.
+func decodeRecords(w http.ResponseWriter, r *http.Request, dst []Record) ([]Record, error) {
 	bp := bufPool.Get().(*[]byte)
 	defer bufPool.Put(bp)
 	body, err := readAll((*bp)[:0], http.MaxBytesReader(w, r.Body, httpx.MaxBodyBytes))
 	*bp = body
 	if err != nil {
-		return nil, fmt.Errorf("read request body: %w", err)
+		return dst, fmt.Errorf("read request body: %w", err)
 	}
-	recs, err := decodeLines(body)
+	recs, err := decodeLines(dst, body)
 	if err != nil {
-		return nil, fmt.Errorf("decode request body: %w", err)
+		return recs, fmt.Errorf("decode request body: %w", err)
 	}
 	return recs, nil
 }
@@ -343,6 +353,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		mw.Gauge("gremlin_store_wal_bytes", "Write-ahead-log bytes on disk, per shard.", float64(st.WALBytes), "shard", shard)
 		mw.Gauge("gremlin_store_wal_replayed_records", "Records recovered from the write-ahead log at startup, per shard.", float64(st.WALReplayed), "shard", shard)
 		mw.Counter("gremlin_store_wal_compactions_total", "Write-ahead-log compactions run, per shard.", float64(st.WALCompactions), "shard", shard)
+		mw.Gauge("gremlin_store_wal_garbage_records", "Cleared records the write-ahead log still holds until its next compaction, per shard.", float64(st.WALGarbage), "shard", shard)
 	}
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 	w.WriteHeader(http.StatusOK)

@@ -5,9 +5,11 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"net/http/httptest"
 	"strings"
 	"testing"
 	"time"
+	"unsafe"
 )
 
 func newTestServer(t *testing.T) (*Server, *Client) {
@@ -442,5 +444,90 @@ func TestServerInfoMethodNotAllowed(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusMethodNotAllowed {
 		t.Fatalf("status = %d", resp.StatusCode)
+	}
+}
+
+// TestIngestAllocBudget: one POST of a 256-record batch to a WAL-backed
+// store decodes into a pooled slice and is logged without a stamped copy,
+// so what it allocates — the records' strings, the store's index growth —
+// stays under two batches of records, what the decode and a stamped copy
+// would cost on their own.
+func TestIngestAllocBudget(t *testing.T) {
+	ss := warmedWALStore(t)
+	srv := &Server{store: ss}
+	batch := hopBatch(256)
+	body, err := appendLines(nil, batch)
+	if err != nil {
+		t.Fatal(err)
+	}
+	budget := 2 * uint64(len(batch)) * uint64(unsafe.Sizeof(Record{}))
+	var req *http.Request
+	var w *httptest.ResponseRecorder
+	reset := func() {
+		clearHops(t, ss)
+		req = httptest.NewRequest(http.MethodPost, "/v1/records", bytes.NewReader(body))
+		w = httptest.NewRecorder()
+	}
+	reset()
+	got := minAllocBytes(8, func() {
+		srv.handleRecords(w, req)
+		if w.Code != http.StatusAccepted {
+			t.Fatalf("POST /v1/records = %d: %s", w.Code, w.Body)
+		}
+	}, reset)
+	if got >= budget {
+		t.Fatalf("ingesting %d records allocated %d bytes, want under %d (two batches of records)", len(batch), got, budget)
+	}
+}
+
+// TestIngestReusesNoRecord: ingest bodies are decoded into pooled slices,
+// which is safe only because Store.Log keeps copies. Overwriting the
+// logged slice, and ingesting more bodies through the pool, leaves what
+// the store holds as it was logged.
+func TestIngestReusesNoRecord(t *testing.T) {
+	for name, st := range map[string]*Store{
+		"volatile": NewStore(),
+		"wal":      newSharded(t, StoreOptions{Shards: 2, DataDir: t.TempDir(), Fsync: FsyncNever}),
+	} {
+		batch := hopBatch(64)
+		want := append([]Record(nil), batch...)
+		if err := st.Log(batch...); err != nil {
+			t.Fatal(err)
+		}
+		for i := range batch {
+			batch[i] = Record{RequestID: "camp-r1-overwritten", Src: "x", Dst: "y"}
+		}
+		got := selectAll(t, st)
+		for i := range got {
+			got[i].Seq = 0
+		}
+		if !sameRecords(got, want) {
+			t.Fatalf("%s: Select after the logged slice was overwritten returns %+v", name, got[:1])
+		}
+
+		srv := &Server{store: st}
+		for i := 0; i < 3; i++ {
+			body, err := appendLines(nil, hopBatch(64+2*i))
+			if err != nil {
+				t.Fatal(err)
+			}
+			body = bytes.ReplaceAll(body, []byte("camp-r1-"), []byte(fmt.Sprintf("camp-post%d-", i)))
+			w := httptest.NewRecorder()
+			srv.handleRecords(w, httptest.NewRequest(http.MethodPost, "/v1/records", bytes.NewReader(body)))
+			if w.Code != http.StatusAccepted {
+				t.Fatalf("%s: POST %d = %d: %s", name, i, w.Code, w.Body)
+			}
+		}
+		for i := 0; i < 3; i++ {
+			recs, err := st.Select(Query{IDPattern: fmt.Sprintf("camp-post%d-*", i)})
+			if err != nil || len(recs) != 64+2*i {
+				t.Fatalf("%s: body %d: %d records, %v; want %d", name, i, len(recs), err, 64+2*i)
+			}
+			for _, r := range recs {
+				if !strings.HasPrefix(r.RequestID, fmt.Sprintf("camp-post%d-", i)) {
+					t.Fatalf("%s: body %d holds %q", name, i, r.RequestID)
+				}
+			}
+		}
 	}
 }

@@ -33,9 +33,8 @@ type shard struct {
 	// compaction — so the write-ahead log and memory change in one order,
 	// replay order always equals memory order, and a writer holding it may
 	// read recs without mu.
-	gate    sync.Mutex
-	wal     *wal // nil for a volatile store
-	garbage int  // records cleared since the last compaction; under gate
+	gate sync.Mutex
+	wal  *wal // nil for a volatile store
 
 	mu       sync.RWMutex
 	recs     []Record
@@ -85,19 +84,12 @@ func stamp(r *Record, seq uint64, now time.Time) {
 // write appends a batch; the caller holds sh.gate. A non-zero base stamps
 // record i with seq base+i (and now when it has no timestamp); base 0
 // keeps the seqs the records carry. The batch reaches the write-ahead log,
-// when there is one, before memory — which is why only that path copies
-// the batch to stamp it — and then the subscriptions.
+// when there is one, before memory, and then the subscriptions. Neither
+// copies the batch to stamp it: the log stamps each line as it encodes
+// it, memory each record as it copies it in, with the same base and now.
 func (sh *shard) write(recs []Record, base uint64, now time.Time) error {
 	if sh.wal != nil {
-		if base > 0 {
-			stamped := make([]Record, len(recs))
-			for i, r := range recs {
-				stamp(&r, base+uint64(i), now)
-				stamped[i] = r
-			}
-			recs, base = stamped, 0
-		}
-		if err := sh.wal.append(recs); err != nil {
+		if err := sh.wal.append(recs, base, now); err != nil {
 			return err
 		}
 	}
@@ -185,9 +177,10 @@ func (sh *shard) len() int {
 	return len(sh.recs)
 }
 
-// clearMatching removes the records whose request ID matches pat and
-// returns how many were dropped. The caller holds sh.gate.
-func (sh *shard) clearMatching(pat pattern.Pattern) int {
+// clearMatching removes the records whose request ID matches pat, the
+// first of them at position first (see firstMatch), and returns how many
+// were dropped. The caller holds sh.gate, so first still holds.
+func (sh *shard) clearMatching(pat pattern.Pattern, first int) int {
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
 	if pat.MatchAll() {
@@ -199,10 +192,6 @@ func (sh *shard) clearMatching(pat pattern.Pattern) int {
 		sh.byDst = make(map[string][]int32)
 		sh.byNS = make(map[string][]int32)
 		return n
-	}
-	first := sh.firstMatch(pat)
-	if first < 0 {
-		return 0
 	}
 
 	// Records before first neither move nor change position, so only the
@@ -238,8 +227,14 @@ func (sh *shard) clearMatching(pat pattern.Pattern) int {
 
 // firstMatch returns the lowest position whose request ID matches pat, or
 // -1. A pattern pinned to one namespace reads only that namespace's
-// posting list. Caller holds sh.mu.
+// posting list. The caller holds sh.gate, which keeps recs still.
 func (sh *shard) firstMatch(pat pattern.Pattern) int {
+	if pat.MatchAll() {
+		if len(sh.recs) == 0 {
+			return -1
+		}
+		return 0
+	}
 	if ns, ok := patternNamespace(pat); ok {
 		for _, pos := range sh.byNS[ns] {
 			if pat.Match(sh.recs[pos].RequestID) {
@@ -264,11 +259,7 @@ func (sh *shard) compact() error {
 	if sh.wal == nil {
 		return nil
 	}
-	if err := sh.wal.compact(sh.recs); err != nil {
-		return err
-	}
-	sh.garbage = 0
-	return nil
+	return sh.wal.compact(sh.recs)
 }
 
 // selectMatching returns the shard's records matching q (pat is

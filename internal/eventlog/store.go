@@ -97,11 +97,17 @@ type StoreOptions struct {
 	// size (default 64 MiB).
 	MaxSegmentBytes int64
 
-	// CompactAfter triggers a shard's WAL compaction once that many
-	// records have been cleared from it since the last compaction
-	// (default 8192; negative disables automatic compaction). Compaction
-	// rewrites the live set into a single snapshot segment, reclaiming
-	// the space of cleared campaign namespaces.
+	// CompactAfter is the floor of a shard's WAL compaction trigger: a
+	// shard compacts once the records cleared from it since its last
+	// compaction reach CompactAfter or its live record count, whichever
+	// is larger (default 8192; negative disables automatic compaction).
+	// Compaction rewrites the live set into a single snapshot segment,
+	// reclaiming the space of cleared campaign namespaces; since it
+	// rewrites no more records than were cleared, it costs amortized
+	// O(1) per cleared record, and a shard's log holds at most about
+	// twice its live records plus CompactAfter. A reopened shard counts
+	// the cleared records its log still holds. A clear that matches
+	// nothing writes nothing to the log.
 	CompactAfter int
 }
 
@@ -134,6 +140,10 @@ type ShardStats struct {
 	WALBytes       int64  `json:"walBytes,omitempty"`
 	WALReplayed    int    `json:"walReplayed,omitempty"`
 	WALCompactions uint64 `json:"walCompactions,omitempty"`
+
+	// WALGarbage is the compaction debt: record lines in the log that
+	// are no longer live, which the next compaction reclaims.
+	WALGarbage int `json:"walGarbage,omitempty"`
 }
 
 // Store is the event store. It partitions the log across N shards, each
@@ -250,11 +260,8 @@ func (s *Store) Durability() (FsyncPolicy, time.Duration, string) {
 // logs when the store was opened.
 func (s *Store) Replayed() int {
 	n := 0
-	for _, sh := range s.shards {
-		if sh.wal != nil {
-			_, _, r, _ := sh.wal.stats()
-			n += r
-		}
+	for _, st := range s.ShardStats() {
+		n += st.WALReplayed
 	}
 	return n
 }
@@ -297,6 +304,10 @@ func (s *Store) shardOfPattern(pat pattern.Pattern) int {
 // non-blocking sends, so subscribers never slow the append path down. A
 // batch bound for one shard — a volatile single-shard store's always, a
 // shard-aware client's usually — is appended without being copied.
+//
+// Log never retains recs: the store keeps copies, and the caller may
+// reuse or overwrite the slice as soon as Log returns (the server decodes
+// every ingest body into a pooled slice on that promise).
 func (s *Store) Log(recs ...Record) error {
 	if len(recs) == 0 {
 		return nil
@@ -531,9 +542,9 @@ func (s *Store) Clear() int {
 // namespaced records ("camp-<runID>-*") without disturbing concurrent
 // runs sharing the store; an empty pattern clears everything. Only the
 // owning shard is touched when the pattern pins a namespace, as campaign
-// cleanup's always does. With persistence on, the clear is journalled as
-// a tombstone first, and a shard that has accumulated CompactAfter
-// cleared records compacts its log.
+// cleanup's always does. With persistence on, a clear that matches
+// records is journalled as a tombstone first, and a shard whose cleared
+// records reach the CompactAfter trigger compacts its log.
 func (s *Store) ClearMatching(idPattern string) (int, error) {
 	pat, err := pattern.Compile(idPattern)
 	if err != nil {
@@ -554,17 +565,24 @@ func (s *Store) ClearMatching(idPattern string) (int, error) {
 	return total, nil
 }
 
+// clearShard clears one shard under its gate, so no append lands between
+// finding the first match and the clear: a clear that matches nothing
+// leaves memory and log as they are, and replay's result with them.
 func (s *Store) clearShard(sh *shard, idPattern string, pat pattern.Pattern) (int, error) {
 	sh.gate.Lock()
 	defer sh.gate.Unlock()
+	first := sh.firstMatch(pat)
+	if first < 0 {
+		return 0, nil
+	}
 	if sh.wal != nil {
 		if err := sh.wal.appendClear(idPattern); err != nil {
 			return 0, err
 		}
 	}
-	n := sh.clearMatching(pat)
-	if sh.wal != nil && n > 0 && s.opts.CompactAfter >= 0 {
-		if sh.garbage += n; sh.garbage >= s.opts.CompactAfter {
+	n := sh.clearMatching(pat, first)
+	if sh.wal != nil && s.opts.CompactAfter >= 0 {
+		if sh.wal.addGarbage(n) >= max(s.opts.CompactAfter, len(sh.recs)) {
 			_ = sh.compact() // the tombstone is durable; a failed compaction retries on the next clear
 		}
 	}
@@ -604,7 +622,7 @@ func (s *Store) ShardStats() []ShardStats {
 		st := ShardStats{Shard: i, Records: len(sh.recs), Appended: sh.appended}
 		sh.mu.RUnlock()
 		if sh.wal != nil {
-			st.WALSegments, st.WALBytes, st.WALReplayed, st.WALCompactions = sh.wal.stats()
+			sh.wal.stats(&st)
 		}
 		out[i] = st
 	}

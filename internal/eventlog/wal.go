@@ -12,6 +12,7 @@ import (
 	"strconv"
 	"strings"
 	"sync"
+	"time"
 
 	"gremlin/internal/pattern"
 )
@@ -99,6 +100,7 @@ type wal struct {
 
 	dirty       bool // unsynced writes under FsyncInterval
 	replayed    int  // records recovered at open
+	garbage     int  // record lines on disk that are no longer live
 	compactions uint64
 }
 
@@ -121,20 +123,25 @@ func openWAL(dir string, policy FsyncPolicy, maxSeg int64) (*wal, []Record, erro
 	}
 	var recs []Record
 	lastClearAll := -1
-	for _, idx := range segs {
-		recs, err = w.replaySegment(idx, recs, &lastClearAll)
+	lines := make([]int, len(segs)) // record lines per segment
+	for i, idx := range segs {
+		recs, lines[i], err = w.replaySegment(idx, recs, &lastClearAll)
 		if err != nil {
 			return nil, nil, err
 		}
 	}
 	// Segments wholly before the last clear-all marker can never affect
 	// replay again — a crash between a compaction's rename and its
-	// deletes leaves exactly these behind.
-	for _, idx := range segs {
+	// deletes leaves exactly these behind. The record lines of the
+	// segments that stay and are not live are the log's garbage.
+	for i, idx := range segs {
 		if idx < lastClearAll {
 			_ = os.Remove(filepath.Join(dir, segName(idx)))
+		} else {
+			w.garbage += lines[i]
 		}
 	}
+	w.garbage -= len(recs)
 
 	// Append into the newest segment (or a fresh first one), rotating
 	// immediately if it is already over the size bound.
@@ -179,13 +186,14 @@ func (w *wal) listSegments() ([]int, error) {
 	return segs, nil
 }
 
-// replaySegment applies one segment's lines to recs. lastClearAll is
-// updated to this segment's index whenever a clear-all tombstone is seen.
-func (w *wal) replaySegment(idx int, recs []Record, lastClearAll *int) ([]Record, error) {
+// replaySegment applies one segment's lines to recs and counts its record
+// lines. lastClearAll is updated to this segment's index whenever a
+// clear-all tombstone is seen.
+func (w *wal) replaySegment(idx int, recs []Record, lastClearAll *int) (_ []Record, lines int, _ error) {
 	path := filepath.Join(w.dir, segName(idx))
 	f, err := os.Open(path)
 	if err != nil {
-		return recs, fmt.Errorf("eventlog: wal: %w", err)
+		return recs, 0, fmt.Errorf("eventlog: wal: %w", err)
 	}
 	defer f.Close()
 
@@ -198,18 +206,19 @@ func (w *wal) replaySegment(idx int, recs []Record, lastClearAll *int) ([]Record
 	for {
 		line, err := readLine(br, &long)
 		if err != nil && !errors.Is(err, io.EOF) {
-			return recs, fmt.Errorf("eventlog: wal: read %s: %w", path, err)
+			return recs, lines, fmt.Errorf("eventlog: wal: read %s: %w", path, err)
 		}
 		torn := err != nil // EOF before the terminating newline
 		if len(line) > 0 && !torn {
 			var rec Record
 			if d.line(line, &rec) {
 				recs = append(recs, rec)
+				lines++
 			} else if wl, derr := unmarshalWALLine(line); derr != nil {
 				// A malformed line mid-file means the segment itself is
 				// corrupt; a malformed final line is a torn write.
 				if _, perr := br.Peek(1); perr == nil {
-					return recs, fmt.Errorf("eventlog: wal: %s offset %d: %w", path, offset, derr)
+					return recs, lines, fmt.Errorf("eventlog: wal: %s offset %d: %w", path, offset, derr)
 				}
 				torn = true
 			} else if wl.Clear != nil {
@@ -219,7 +228,7 @@ func (w *wal) replaySegment(idx int, recs []Record, lastClearAll *int) ([]Record
 				} else {
 					pat, perr := pattern.Compile(*wl.Clear)
 					if perr != nil {
-						return recs, fmt.Errorf("eventlog: wal: %s offset %d: %w", path, offset, perr)
+						return recs, lines, fmt.Errorf("eventlog: wal: %s offset %d: %w", path, offset, perr)
 					}
 					kept := recs[:0]
 					for _, r := range recs {
@@ -231,13 +240,14 @@ func (w *wal) replaySegment(idx int, recs []Record, lastClearAll *int) ([]Record
 				}
 			} else {
 				recs = append(recs, wl.Record)
+				lines++
 			}
 		}
 		if torn && len(line) > 0 {
 			// Truncate the torn tail so the next append starts on a clean
 			// line boundary.
 			if terr := os.Truncate(path, offset); terr != nil {
-				return recs, fmt.Errorf("eventlog: wal: truncate torn line in %s: %w", path, terr)
+				return recs, lines, fmt.Errorf("eventlog: wal: truncate torn line in %s: %w", path, terr)
 			}
 			break
 		}
@@ -246,7 +256,7 @@ func (w *wal) replaySegment(idx int, recs []Record, lastClearAll *int) ([]Record
 			break
 		}
 	}
-	return recs, nil
+	return recs, lines, nil
 }
 
 // readLine returns br's next line with its newline, valid until the next
@@ -297,16 +307,27 @@ func (w *wal) recount() error {
 }
 
 // append writes one batch of records as JSONL with a single write(),
-// rotating and fsyncing per policy. The caller has already stamped
-// timestamps and sequence numbers.
-func (w *wal) append(recs []Record) error {
+// rotating and fsyncing per policy. A non-zero base stamps each line as
+// stamp does record i with seq base+i, on a copy, so the batch is left as
+// it came; base 0 writes the records as they are.
+func (w *wal) append(recs []Record, base uint64, now time.Time) error {
 	bp := bufPool.Get().(*[]byte)
 	defer bufPool.Put(bp)
-	b, err := appendLines((*bp)[:0], recs)
-	*bp = b
-	if err != nil {
-		return fmt.Errorf("eventlog: wal: encode: %w", err)
+	b := (*bp)[:0]
+	for i := range recs {
+		r := &recs[i]
+		if base > 0 {
+			stamped := *r
+			stamp(&stamped, base+uint64(i), now)
+			r = &stamped
+		}
+		var err error
+		if b, err = AppendRecord(b, r); err != nil {
+			return fmt.Errorf("eventlog: wal: encode: %w", err)
+		}
+		b = append(b, '\n')
 	}
+	*bp = b
 	return w.write(b)
 }
 
@@ -447,6 +468,7 @@ func (w *wal) compact(snapshot []Record) error {
 		return err
 	}
 	w.dirty = false
+	w.garbage = 0
 	w.compactions++
 	return w.recount()
 }
@@ -468,9 +490,19 @@ func (w *wal) close() error {
 	return nil
 }
 
-// stats returns the log's observability counters.
-func (w *wal) stats() (segments int, bytes int64, replayed int, compactions uint64) {
+// addGarbage counts n more record lines as no longer live and returns the
+// log's garbage.
+func (w *wal) addGarbage(n int) int {
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	return w.segCount, w.allBytes, w.replayed, w.compactions
+	w.garbage += n
+	return w.garbage
+}
+
+// stats fills st's write-ahead-log counters.
+func (w *wal) stats(st *ShardStats) {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	st.WALSegments, st.WALBytes, st.WALReplayed = w.segCount, w.allBytes, w.replayed
+	st.WALGarbage, st.WALCompactions = w.garbage, w.compactions
 }

@@ -11,6 +11,9 @@ import (
 	"strings"
 	"testing"
 	"time"
+	"unsafe"
+
+	"gremlin/internal/pattern"
 )
 
 func logN(t *testing.T, s Sink, n int, ns string) {
@@ -315,6 +318,172 @@ func TestWALAutoCompaction(t *testing.T) {
 	}
 }
 
+// walBytes sums the store's write-ahead-log bytes over its shards.
+func walBytes(s *Store) int64 {
+	var n int64
+	for _, st := range s.ShardStats() {
+		n += st.WALBytes
+	}
+	return n
+}
+
+// maxLine is the longest WAL line among recs.
+func maxLine(t *testing.T, recs []Record) int64 {
+	t.Helper()
+	longest := 0
+	for i := range recs {
+		line, err := AppendRecord(nil, &recs[i])
+		if err != nil {
+			t.Fatal(err)
+		}
+		longest = max(longest, len(line)+1)
+	}
+	return int64(longest)
+}
+
+// TestWALCompactionAmortized: a shard whose live set dwarfs CompactAfter
+// compacts once per live set's worth of cleared records, not once per
+// CompactAfter of them, and its log stays within twice its live records
+// plus CompactAfter (and the tombstones in between).
+func TestWALCompactionAmortized(t *testing.T) {
+	const compactAfter = 64
+	const live = 4 * compactAfter
+	ss := newSharded(t, StoreOptions{Shards: 1, DataDir: t.TempDir(), Fsync: FsyncNever, CompactAfter: compactAfter})
+	logN(t, ss, live, "keep")
+	lineBytes := maxLine(t, selectAll(t, ss))
+	tomb, err := clearLine("camp-r000-*")
+	if err != nil {
+		t.Fatal(err)
+	}
+	cleared, sinceCompaction := 0, 0
+	for round := 1; round <= 40; round++ {
+		ns := fmt.Sprintf("camp-r%03d", round)
+		logN(t, ss, compactAfter/4, ns)
+		lineBytes = max(lineBytes, maxLine(t, selectAll(t, ss)))
+		n, err := ss.ClearMatching(ns + "-*")
+		if err != nil || n != compactAfter/4 {
+			t.Fatalf("round %d: cleared %d, %v; want %d", round, n, err, compactAfter/4)
+		}
+		cleared += n
+		sinceCompaction++
+		st := ss.ShardStats()[0]
+		if limit := (cleared + live - 1) / live; int(st.WALCompactions) > limit {
+			t.Fatalf("round %d: %d compactions after %d cleared records, want at most %d", round, st.WALCompactions, cleared, limit)
+		}
+		if st.WALGarbage != cleared-int(st.WALCompactions)*live {
+			t.Fatalf("round %d: WALGarbage = %d after %d cleared and %d compactions", round, st.WALGarbage, cleared, st.WALCompactions)
+		}
+		if st.WALGarbage == 0 {
+			sinceCompaction = 0
+		}
+		if bound := (2*live+compactAfter)*lineBytes + int64(sinceCompaction*len(tomb)); st.WALBytes > bound {
+			t.Fatalf("round %d: WALBytes = %d, want at most %d (2 × %d live + %d records of %d bytes)", round, st.WALBytes, bound, live, compactAfter, lineBytes)
+		}
+	}
+	if got := ss.ShardStats()[0].WALCompactions; got != uint64(cleared/live) {
+		t.Fatalf("%d compactions after %d cleared records, want %d", got, cleared, cleared/live)
+	}
+}
+
+// TestWALCompactionDebtSurvivesReopen: a reopened shard counts the cleared
+// records its log still holds, so compaction fires when the records
+// cleared since the last compaction — before and after the restart —
+// reach the threshold.
+func TestWALCompactionDebtSurvivesReopen(t *testing.T) {
+	const c = 64
+	opts := StoreOptions{Shards: 1, DataDir: t.TempDir(), Fsync: FsyncNever, CompactAfter: c}
+	ss, err := NewShardedStore(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	logN(t, ss, 2*c, "keep")
+	for r := 1; r <= 4; r++ {
+		logN(t, ss, c, fmt.Sprintf("camp-r%d", r))
+	}
+	clearNS := func(s *Store, ns string) ShardStats {
+		t.Helper()
+		if n, err := s.ClearMatching(ns + "-*"); err != nil || n != c {
+			t.Fatalf("ClearMatching(%s) = %d, %v; want %d", ns, n, err, c)
+		}
+		return s.ShardStats()[0]
+	}
+	clearNS(ss, "camp-r1")
+	if st := clearNS(ss, "camp-r2"); st.WALCompactions != 0 || st.WALGarbage != 2*c {
+		t.Fatalf("2c of 6c cleared: %d compactions, garbage %d; want 0 and %d", st.WALCompactions, st.WALGarbage, 2*c)
+	}
+	if err := ss.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	re := newSharded(t, opts)
+	if st := re.ShardStats()[0]; st.WALGarbage != 2*c || st.Records != 4*c {
+		t.Fatalf("reopened: garbage %d, %d records; want %d and %d", st.WALGarbage, st.Records, 2*c, 4*c)
+	}
+	// 3c cleared against 3c live: the threshold.
+	if st := clearNS(re, "camp-r3"); st.WALCompactions != 1 || st.WALGarbage != 0 {
+		t.Fatalf("3c cleared, 3c live: %d compactions, garbage %d; want 1 and 0", st.WALCompactions, st.WALGarbage)
+	}
+	if st := clearNS(re, "camp-r4"); st.WALCompactions != 1 || st.WALGarbage != c {
+		t.Fatalf("c cleared since, 2c live: %d compactions, garbage %d; want 1 and %d", st.WALCompactions, st.WALGarbage, c)
+	}
+	want := selectAll(t, re)
+	if err := re.Close(); err != nil {
+		t.Fatal(err)
+	}
+	again := newSharded(t, opts)
+	if got := selectAll(t, again); !sameRecords(got, want) || len(got) != 2*c {
+		t.Fatalf("second reopen: %d records, want the %d kept", len(got), len(want))
+	}
+	if st := again.ShardStats()[0]; st.WALGarbage != c {
+		t.Fatalf("second reopen: garbage %d, want %d", st.WALGarbage, c)
+	}
+}
+
+// TestWALNoOpClearWritesNothing: a clear that matches no record — of a
+// namespace already cleared, of an empty store — leaves the log as it is.
+func TestWALNoOpClearWritesNothing(t *testing.T) {
+	opts := StoreOptions{Shards: 2, DataDir: t.TempDir(), Fsync: FsyncNever}
+	ss, err := NewShardedStore(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 1000; i++ {
+		if n, err := ss.ClearMatching("camp-ghost-*"); err != nil || n != 0 {
+			t.Fatalf("pinned clear of an empty store = %d, %v", n, err)
+		}
+		if n := ss.Clear(); n != 0 {
+			t.Fatalf("Clear of an empty store = %d", n)
+		}
+	}
+	if got := walBytes(ss); got != 0 {
+		t.Fatalf("no-op clears grew an empty store's WAL to %d bytes", got)
+	}
+
+	logN(t, ss, 100, "test")
+	logN(t, ss, 100, "camp-run1")
+	if _, err := ss.ClearMatching("camp-run1-*"); err != nil {
+		t.Fatal(err)
+	}
+	start := walBytes(ss)
+	for i := 0; i < 1000; i++ {
+		for _, p := range []string{"camp-run1-*", "camp-ghost-*", "test-x*", "re:^nobody-"} {
+			if n, err := ss.ClearMatching(p); err != nil || n != 0 {
+				t.Fatalf("ClearMatching(%q) = %d, %v; want 0", p, n, err)
+			}
+		}
+	}
+	if got := walBytes(ss); got != start {
+		t.Fatalf("no-op clears grew the WAL from %d to %d bytes", start, got)
+	}
+	want := selectAll(t, ss)
+	if err := ss.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if got := selectAll(t, newSharded(t, opts)); !sameRecords(got, want) {
+		t.Fatalf("reopened store holds %d records, want %d", len(got), len(want))
+	}
+}
+
 // TestWALClearTombstoneWithoutCompaction: a clear whose garbage stays under
 // the threshold must still replay correctly (tombstone honored).
 func TestWALClearTombstoneWithoutCompaction(t *testing.T) {
@@ -471,6 +640,100 @@ func TestWALReplaysParentSegment(t *testing.T) {
 	}
 }
 
+// replayReference replays one segment as the WAL format defines it, with
+// encoding/json line by line. corrupt reports a line that does not decode
+// with more bytes after it, or a tombstone whose pattern does not
+// compile; a bad or unterminated last line is a torn write and ends the
+// replay.
+func replayReference(data []byte) (recs []Record, corrupt bool) {
+	for len(data) > 0 {
+		i := bytes.IndexByte(data, '\n')
+		if i < 0 {
+			return recs, false
+		}
+		line, rest := data[:i+1], data[i+1:]
+		var wl walLine
+		if err := json.Unmarshal(line, &wl); err != nil {
+			return recs, len(rest) > 0
+		}
+		switch {
+		case wl.Clear == nil:
+			recs = append(recs, wl.Record)
+		case *wl.Clear == "" || *wl.Clear == "*":
+			recs = recs[:0]
+		default:
+			pat, err := pattern.Compile(*wl.Clear)
+			if err != nil {
+				return nil, true
+			}
+			kept := recs[:0]
+			for _, r := range recs {
+				if !pat.Match(r.RequestID) {
+					kept = append(kept, r)
+				}
+			}
+			recs = kept
+		}
+		data = rest
+	}
+	return recs, false
+}
+
+// FuzzWALReplay: whatever bytes a shard's one segment holds, opening it
+// never panics. It fails with the corruption error, naming an offset,
+// exactly when the reference replay finds corruption; otherwise it
+// replays the reference's records, truncates a torn last line away, and
+// a second open replays the same records from what is left.
+func FuzzWALReplay(f *testing.F) {
+	fixture, err := os.ReadFile(filepath.Join("testdata", "wal-parent", "00000001.wal"))
+	if err != nil {
+		f.Fatal(err)
+	}
+	mid := len(fixture)/2 + bytes.IndexByte(fixture[len(fixture)/2:], '\n') + 1
+	f.Add(fixture)
+	f.Add(fixture[:len(fixture)-9])                                                                // torn tail
+	f.Add(append(append(append([]byte(nil), fixture[:mid]...), "garbage\n"...), fixture[mid:]...)) // mid-file garbage
+	f.Fuzz(func(t *testing.T, data []byte) {
+		dir := t.TempDir()
+		seg := filepath.Join(dir, segName(1))
+		if err := os.WriteFile(seg, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		want, corrupt := replayReference(data)
+		w, recs, err := openWAL(dir, FsyncNever, 64<<20)
+		if corrupt {
+			if err == nil || !strings.Contains(err.Error(), "offset") {
+				t.Fatalf("open of a corrupt segment = %v, want the corruption error", err)
+			}
+			return
+		}
+		if err != nil {
+			t.Fatalf("open: %v", err)
+		}
+		if err := w.close(); err != nil {
+			t.Fatal(err)
+		}
+		if len(recs) != len(want) || len(want) > 0 && !sameRecords(recs, want) {
+			t.Fatalf("replayed %d records, the reference %d:\n got %+v\nwant %+v", len(recs), len(want), recs, want)
+		}
+		left, err := os.ReadFile(seg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.HasPrefix(data, left) || len(left) > 0 && left[len(left)-1] != '\n' {
+			t.Fatalf("open left %q of %q: want a prefix ending on a line boundary", left, data)
+		}
+		w, again, err := openWAL(dir, FsyncNever, 64<<20)
+		if err != nil {
+			t.Fatalf("second open: %v", err)
+		}
+		defer w.close()
+		if len(again) != len(recs) || len(recs) > 0 && !sameRecords(again, recs) {
+			t.Fatalf("second open replayed %d records, the first %d", len(again), len(recs))
+		}
+	})
+}
+
 // TestCompactShardAllocBudget: compaction writes the shard's own records.
 // Copying them out first cost a 25k-record shard 6.8 MB; what is left is
 // the snapshot's write buffer and file bookkeeping.
@@ -491,6 +754,65 @@ func TestCompactShardAllocBudget(t *testing.T) {
 	}
 	if got := ss.ShardStats()[0].WALCompactions; got != 1 {
 		t.Fatalf("WALCompactions = %d, want 1", got)
+	}
+}
+
+// minAllocBytes reports the fewest bytes any of runs calls of f
+// allocated; between calls it runs reset, unmeasured. The minimum filters
+// out the sync.Pool misses the race detector provokes on purpose.
+func minAllocBytes(runs int, f, reset func()) uint64 {
+	var least uint64
+	for i := 0; i < runs; i++ {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		f()
+		runtime.ReadMemStats(&after)
+		if d := after.TotalAlloc - before.TotalAlloc; i == 0 || d < least {
+			least = d
+		}
+		reset()
+	}
+	return least
+}
+
+// warmedWALStore is a one-shard WAL-backed store whose record slice has
+// room for several batches of hopBatch(256), so that appending one
+// allocates only what the append itself needs.
+func warmedWALStore(t *testing.T) *Store {
+	t.Helper()
+	ss := newSharded(t, StoreOptions{Shards: 1, DataDir: t.TempDir(), Fsync: FsyncNever, CompactAfter: -1})
+	for i := 0; i < 4; i++ {
+		if err := ss.Log(hopBatch(256)...); err != nil {
+			t.Fatal(err)
+		}
+	}
+	clearHops(t, ss)
+	return ss
+}
+
+// clearHops clears hopBatch's namespace, keeping the shard's capacity.
+func clearHops(t *testing.T, s *Store) {
+	t.Helper()
+	if _, err := s.ClearMatching("camp-r1-*"); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestDurableLogAllocBudget: logging a batch into a WAL-backed store
+// stamps each record as it encodes it into a pooled buffer and as it
+// copies it into memory, so it allocates less than one batch of records —
+// what copying the batch to stamp it would cost on its own.
+func TestDurableLogAllocBudget(t *testing.T) {
+	ss := warmedWALStore(t)
+	batch := hopBatch(256)
+	budget := uint64(len(batch)) * uint64(unsafe.Sizeof(Record{}))
+	got := minAllocBytes(8, func() {
+		if err := ss.Log(batch...); err != nil {
+			t.Fatal(err)
+		}
+	}, func() { clearHops(t, ss) })
+	if got >= budget {
+		t.Fatalf("logging %d records into a WAL-backed store allocated %d bytes, want under %d (one batch of records)", len(batch), got, budget)
 	}
 }
 
