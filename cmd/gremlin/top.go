@@ -1,9 +1,9 @@
 package main
 
 import (
-	"bufio"
 	"context"
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -12,6 +12,7 @@ import (
 	"strings"
 	"time"
 
+	"gremlin/internal/httpx"
 	"gremlin/internal/registry"
 	"gremlin/internal/telemetry"
 )
@@ -102,47 +103,35 @@ scrape:
 	return nil
 }
 
+// errFramesDone ends attachLoop's stream once -frames are rendered.
+var errFramesDone = errors.New("frames rendered")
+
 // attachLoop consumes the telemetry server's SSE stream and renders each
 // pushed snapshot.
 func attachLoop(ctx context.Context, base string, frames int, plain bool, out io.Writer) error {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet,
-		strings.TrimRight(base, "/")+"/v1/stream", nil)
-	if err != nil {
-		return err
-	}
-	resp, err := http.DefaultClient.Do(req)
+	c := httpx.Client{BaseURL: strings.TrimRight(base, "/"), HTTP: http.DefaultClient}
+	resp, err := c.Do(ctx, http.MethodGet, "/v1/stream", nil)
 	if err != nil {
 		return fmt.Errorf("attach %s: %w", base, err)
 	}
 	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return fmt.Errorf("attach %s: status %d", base, resp.StatusCode)
-	}
-	sc := bufio.NewScanner(resp.Body)
-	sc.Buffer(make([]byte, 0, 64*1024), 4*1024*1024)
 	frame := 0
-	for sc.Scan() {
-		line := sc.Text()
-		if !strings.HasPrefix(line, "data: ") {
-			continue
-		}
+	err = httpx.ReadEvents(resp.Body, func(_ string, data []byte) error {
 		var snap telemetry.Snapshot
-		if err := json.Unmarshal([]byte(strings.TrimPrefix(line, "data: ")), &snap); err != nil {
-			continue
+		if json.Unmarshal(data, &snap) != nil {
+			return nil
 		}
 		frame++
 		printFrame(out, renderSnapshot(snap, plain), plain)
 		if frames > 0 && frame >= frames {
-			return nil
+			return errFramesDone
 		}
+		return nil
+	})
+	if err == nil || errors.Is(err, errFramesDone) || ctx.Err() != nil {
+		return nil // the server closed, -frames were shown, or interrupted
 	}
-	if ctx.Err() != nil {
-		return nil // interrupted: a clean exit
-	}
-	if err := sc.Err(); err != nil {
-		return fmt.Errorf("stream: %w", err)
-	}
-	return nil
+	return fmt.Errorf("stream: %w", err)
 }
 
 func printFrame(out io.Writer, body string, plain bool) {

@@ -1,7 +1,10 @@
 package main
 
 import (
+	"context"
+	"runtime"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -116,4 +119,52 @@ func TestTopFlagValidation(t *testing.T) {
 	if err := gremlin("top", "-attach", "x", "-format", "csv"); err == nil {
 		t.Fatal("want error for unknown format")
 	}
+}
+
+// TestAttachLoopEndsWithContext: gremlin top -attach returns nil once its
+// ctx ends mid-stream, and leaves no goroutine behind, the telemetry
+// server's stream handler included.
+func TestAttachLoopEndsWithContext(t *testing.T) {
+	srv, err := telemetry.NewServer("127.0.0.1:0", fixedSnapshot, telemetry.ServerOptions{Interval: 10 * time.Millisecond})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	base := runtime.NumGoroutine()
+	ctx, cancel := context.WithCancel(context.Background())
+	out := &firstWrite{seen: make(chan struct{})}
+	done := make(chan error, 1)
+	go func() { done <- attachLoop(ctx, srv.URL(), 0, true, out) }()
+	select {
+	case <-out.seen:
+	case <-time.After(5 * time.Second):
+		t.Fatal("no frame rendered")
+	}
+	cancel()
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatalf("attachLoop = %v, want nil on interrupt", err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("attachLoop outlived its ctx")
+	}
+	if !waitUntil(func() bool {
+		buf := make([]byte, 1<<20)
+		return !strings.Contains(string(buf[:runtime.Stack(buf, true)]), "telemetry.(*Server).handleStream")
+	}) {
+		t.Fatal("the server still streams to a client that went away")
+	}
+	checkNoGoroutinesLeft(t, base)
+}
+
+// firstWrite discards what it is given and closes seen on the first write.
+type firstWrite struct {
+	once sync.Once
+	seen chan struct{}
+}
+
+func (w *firstWrite) Write(p []byte) (int, error) {
+	w.once.Do(func() { close(w.seen) })
+	return len(p), nil
 }

@@ -170,7 +170,7 @@ func TestPutRuleSetIfMatchHeader(t *testing.T) {
 
 func TestDefaultClientTimeout(t *testing.T) {
 	c := New("http://127.0.0.1:1", nil)
-	if c.http.Timeout != 10*time.Second {
-		t.Fatalf("default timeout = %v", c.http.Timeout)
+	if c.wire.HTTP.Timeout != 10*time.Second {
+		t.Fatalf("default timeout = %v", c.wire.HTTP.Timeout)
 	}
 }

@@ -144,9 +144,7 @@ func New(cfg Config) (*Bus, error) {
 	mux.HandleFunc("POST /v1/topics/{topic}/publish", b.handlePublish)
 	mux.HandleFunc("POST /v1/topics/{topic}/subscribe", b.handleSubscribe)
 	mux.HandleFunc("GET /v1/stats", b.handleStats)
-	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, _ *http.Request) {
-		httpx.WriteJSON(w, http.StatusOK, map[string]string{"status": "ok"})
-	})
+	mux.HandleFunc("GET /healthz", httpx.Healthz)
 	srv, err := httpx.NewServer(b.cfg.ListenAddr, mux)
 	if err != nil {
 		return nil, fmt.Errorf("bus: bind: %w", err)

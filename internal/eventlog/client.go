@@ -1,25 +1,21 @@
 package eventlog
 
 import (
-	"bufio"
 	"bytes"
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"net/http"
 	"net/url"
-	"strings"
 	"sync/atomic"
-	"time"
+
+	"gremlin/internal/httpx"
 )
 
 // Client talks to a remote event-log Server. It implements both Sink (for
 // agents shipping observations) and Source (for the Assertion Checker).
 type Client struct {
-	baseURL string
-	http    *http.Client
+	wire httpx.Client
 
 	// shards caches the server's shard topology (0 = not yet learned) so
 	// LogBatch can pre-route batches; see topology().
@@ -35,10 +31,7 @@ var (
 // "http://127.0.0.1:9200"). If hc is nil a default client with a 10 s
 // timeout is used.
 func NewClient(baseURL string, hc *http.Client) *Client {
-	if hc == nil {
-		hc = &http.Client{Timeout: 10 * time.Second}
-	}
-	return &Client{baseURL: baseURL, http: hc}
+	return &Client{wire: httpx.NewClient(baseURL, hc)}
 }
 
 // Log ships records to the remote store through LogBatch.
@@ -114,12 +107,8 @@ func (c *Client) topology() int {
 	if n := c.shards.Load(); n > 0 {
 		return int(n)
 	}
-	req, err := http.NewRequest(http.MethodGet, c.baseURL+"/v1/stats", nil)
-	if err != nil {
-		return 1
-	}
 	var out statsBody
-	if err := c.do(req, &out); err != nil || out.Shards < 1 {
+	if err := c.wire.JSON(context.TODO(), http.MethodGet, "/v1/stats", nil, &out); err != nil || out.Shards < 1 {
 		return 1
 	}
 	c.shards.Store(int32(out.Shards))
@@ -129,12 +118,8 @@ func (c *Client) topology() int {
 // Info fetches the server's store topology and WAL durability
 // configuration (GET /v1/info).
 func (c *Client) Info() (StoreInfo, error) {
-	req, err := http.NewRequest(http.MethodGet, c.baseURL+"/v1/info", nil)
-	if err != nil {
-		return StoreInfo{}, fmt.Errorf("eventlog: store info: %w", err)
-	}
 	var out StoreInfo
-	if err := c.do(req, &out); err != nil {
+	if err := c.wire.JSON(context.TODO(), http.MethodGet, "/v1/info", nil, &out); err != nil {
 		return StoreInfo{}, fmt.Errorf("eventlog: store info: %w", err)
 	}
 	return out, nil
@@ -150,28 +135,22 @@ func (c *Client) postBatch(path string, recs []Record) error {
 	if err != nil {
 		return fmt.Errorf("eventlog: encode %d records: %w", len(recs), err)
 	}
-	req, err := http.NewRequest(http.MethodPost, c.baseURL+path, bytes.NewReader(body))
+	resp, err := c.wire.Do(context.TODO(), http.MethodPost, path, bytes.NewReader(body),
+		"Content-Type", "application/x-ndjson")
 	if err != nil {
 		return fmt.Errorf("eventlog: ship %d records: %w", len(recs), err)
 	}
-	req.Header.Set("Content-Type", "application/x-ndjson")
-	if err := c.do(req, nil); err != nil {
-		return fmt.Errorf("eventlog: ship %d records: %w", len(recs), err)
-	}
+	httpx.DrainClose(resp)
 	return nil
 }
 
 // Select runs a query against the remote store.
 func (c *Client) Select(q Query) ([]Record, error) {
-	req, err := newPost(c.baseURL+"/v1/query", q)
+	resp, err := c.wire.Do(context.TODO(), http.MethodPost, "/v1/query", q)
 	if err != nil {
 		return nil, fmt.Errorf("eventlog: query: %w", err)
 	}
-	resp, err := c.send(req)
-	if err != nil {
-		return nil, fmt.Errorf("eventlog: query: %w", err)
-	}
-	defer drainClose(resp.Body)
+	defer httpx.DrainClose(resp)
 	bp := bufPool.Get().(*[]byte)
 	defer bufPool.Put(bp)
 	body, err := readAll((*bp)[:0], resp.Body)
@@ -190,7 +169,7 @@ func (c *Client) Select(q Query) ([]Record, error) {
 // /v1/count), so totals never ship the matching records over the wire.
 func (c *Client) Count(q Query) (int, error) {
 	var out countBody
-	if err := c.post("/v1/count", q, &out); err != nil {
+	if err := c.wire.JSON(context.TODO(), http.MethodPost, "/v1/count", q, &out); err != nil {
 		return 0, fmt.Errorf("eventlog: count: %w", err)
 	}
 	return out.Count, nil
@@ -199,12 +178,8 @@ func (c *Client) Count(q Query) (int, error) {
 // Clear drops all records in the remote store and returns how many were
 // dropped.
 func (c *Client) Clear() (int, error) {
-	req, err := http.NewRequest(http.MethodDelete, c.baseURL+"/v1/records", nil)
-	if err != nil {
-		return 0, fmt.Errorf("eventlog: clear: %w", err)
-	}
 	var out clearBody
-	if err := c.do(req, &out); err != nil {
+	if err := c.wire.JSON(context.TODO(), http.MethodDelete, "/v1/records", nil, &out); err != nil {
 		return 0, fmt.Errorf("eventlog: clear: %w", err)
 	}
 	return out.Dropped, nil
@@ -213,13 +188,9 @@ func (c *Client) Clear() (int, error) {
 // ClearMatching drops the remote records whose request ID matches
 // idPattern and returns how many were dropped.
 func (c *Client) ClearMatching(idPattern string) (int, error) {
-	req, err := http.NewRequest(http.MethodDelete,
-		c.baseURL+"/v1/records?pattern="+url.QueryEscape(idPattern), nil)
-	if err != nil {
-		return 0, fmt.Errorf("eventlog: clear matching: %w", err)
-	}
 	var out clearBody
-	if err := c.do(req, &out); err != nil {
+	err := c.wire.JSON(context.TODO(), http.MethodDelete, "/v1/records?pattern="+url.QueryEscape(idPattern), nil, &out)
+	if err != nil {
 		return 0, fmt.Errorf("eventlog: clear matching: %w", err)
 	}
 	return out.Dropped, nil
@@ -229,7 +200,7 @@ func (c *Client) ClearMatching(idPattern string) (int, error) {
 // rewriting each shard's live set into a single snapshot segment. A
 // volatile store treats it as a no-op.
 func (c *Client) Compact() error {
-	if err := c.post("/v1/compact", nil, nil); err != nil {
+	if err := c.wire.JSON(context.TODO(), http.MethodPost, "/v1/compact", nil, nil); err != nil {
 		return fmt.Errorf("eventlog: compact: %w", err)
 	}
 	return nil
@@ -237,12 +208,8 @@ func (c *Client) Compact() error {
 
 // Stats returns the number of records held by the remote store.
 func (c *Client) Stats() (int, error) {
-	req, err := http.NewRequest(http.MethodGet, c.baseURL+"/v1/stats", nil)
-	if err != nil {
-		return 0, fmt.Errorf("eventlog: stats: %w", err)
-	}
 	var out statsBody
-	if err := c.do(req, &out); err != nil {
+	if err := c.wire.JSON(context.TODO(), http.MethodGet, "/v1/stats", nil, &out); err != nil {
 		return 0, fmt.Errorf("eventlog: stats: %w", err)
 	}
 	return out.Records, nil
@@ -263,154 +230,49 @@ var ErrStreamStopped = errors.New("eventlog: stream stopped")
 // at the server rather than buffered without limit (the drop count is
 // reported on the wire as "drop" events, visible in the store's metrics).
 func (c *Client) Stream(ctx context.Context, pattern string, fn func(Record) error) error {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet,
-		c.baseURL+"/v1/stream?pattern="+url.QueryEscape(pattern), nil)
+	resp, err := c.wire.Long().Do(ctx, http.MethodGet, "/v1/stream?pattern="+url.QueryEscape(pattern), nil,
+		"Accept", "text/event-stream")
 	if err != nil {
 		return fmt.Errorf("eventlog: stream: %w", err)
 	}
-	req.Header.Set("Accept", "text/event-stream")
-	// The default client enforces an overall request timeout, which would
-	// kill a long-lived stream; use the same transport without it. ctx
-	// still cancels the request.
-	hc := &http.Client{Transport: c.http.Transport}
-	resp, err := hc.Do(req)
-	if err != nil {
-		return fmt.Errorf("eventlog: stream: %w", err)
-	}
-	defer drainClose(resp.Body)
-	if resp.StatusCode != http.StatusOK {
-		b, _ := io.ReadAll(io.LimitReader(resp.Body, 4096))
-		return fmt.Errorf("eventlog: stream: server returned %d: %s", resp.StatusCode, bytes.TrimSpace(b))
-	}
-
-	sc := bufio.NewScanner(resp.Body)
-	sc.Buffer(make([]byte, 0, 64<<10), 1<<20)
+	defer resp.Body.Close()
 	var (
 		d    recordDecoder
-		data []string
+		stop error // the decoder's or fn's error, which ends the stream
 	)
-	event := ""
-	for sc.Scan() {
-		line := sc.Text()
-		switch {
-		case line == "":
-			// Blank line dispatches the accumulated event. Only unnamed
-			// (record) events carry store records; "drop" events carry a
-			// counter the client surfaces via the error path only if asked.
-			if event == "" && len(data) > 0 {
-				var rec Record
-				if err := d.unmarshal([]byte(strings.Join(data, "\n")), &rec); err != nil {
-					return fmt.Errorf("eventlog: stream: decode record: %w", err)
-				}
-				if err := fn(rec); err != nil {
-					if errors.Is(err, ErrStreamStopped) {
-						return nil
-					}
-					return err
-				}
-			}
-			data, event = data[:0], ""
-		case strings.HasPrefix(line, ":"):
-			// Comment / keepalive.
-		case strings.HasPrefix(line, "event:"):
-			event = strings.TrimSpace(strings.TrimPrefix(line, "event:"))
-		case strings.HasPrefix(line, "data:"):
-			data = append(data, strings.TrimSpace(strings.TrimPrefix(line, "data:")))
+	err = httpx.ReadEvents(resp.Body, func(name string, data []byte) error {
+		if name != "" {
+			return nil // a "drop" event: the loss shows in the store's metrics
 		}
-	}
-	if err := sc.Err(); err != nil {
-		if ctx.Err() != nil {
-			return ctx.Err()
+		var rec Record
+		if stop = d.unmarshal(data, &rec); stop != nil {
+			stop = fmt.Errorf("eventlog: stream: decode record: %w", stop)
+		} else {
+			stop = fn(rec)
 		}
+		return stop
+	})
+	switch {
+	case errors.Is(stop, ErrStreamStopped):
+		return nil
+	case stop != nil:
+		return stop
+	case err != nil && ctx.Err() == nil:
 		return fmt.Errorf("eventlog: stream: %w", err)
 	}
 	return ctx.Err()
 }
 
-// Healthy reports whether the remote store responds to its liveness probe.
 // Metrics fetches the server's raw Prometheus text exposition.
 func (c *Client) Metrics() (string, error) {
-	resp, err := c.http.Get(c.baseURL + "/metrics")
+	text, err := c.wire.Text(context.TODO(), "/metrics")
 	if err != nil {
-		return "", err
+		return "", fmt.Errorf("eventlog: metrics: %w", err)
 	}
-	defer resp.Body.Close()
-	body, err := io.ReadAll(io.LimitReader(resp.Body, 4<<20))
-	if err != nil {
-		return "", err
-	}
-	if resp.StatusCode != http.StatusOK {
-		return "", fmt.Errorf("eventlog: metrics: %s: %s", resp.Status, body)
-	}
-	return string(body), nil
+	return text, nil
 }
 
+// Healthy reports whether the remote store responds to its liveness probe.
 func (c *Client) Healthy() bool {
-	resp, err := c.http.Get(c.baseURL + "/healthz")
-	if err != nil {
-		return false
-	}
-	defer drainClose(resp.Body)
-	return resp.StatusCode == http.StatusOK
-}
-
-func (c *Client) post(path string, in, out any) error {
-	req, err := newPost(c.baseURL+path, in)
-	if err != nil {
-		return err
-	}
-	return c.do(req, out)
-}
-
-// newPost builds a POST of in as a JSON body.
-func newPost(url string, in any) (*http.Request, error) {
-	body, err := json.Marshal(in)
-	if err != nil {
-		return nil, fmt.Errorf("marshal: %w", err)
-	}
-	req, err := http.NewRequest(http.MethodPost, url, bytes.NewReader(body))
-	if err != nil {
-		return nil, err
-	}
-	req.Header.Set("Content-Type", "application/json")
-	return req, nil
-}
-
-// do performs req and decodes the reply's JSON body into out (nil: the
-// body is discarded).
-func (c *Client) do(req *http.Request, out any) error {
-	resp, err := c.send(req)
-	if err != nil {
-		return err
-	}
-	defer drainClose(resp.Body)
-	if out == nil {
-		return nil
-	}
-	if err := json.NewDecoder(resp.Body).Decode(out); err != nil {
-		return fmt.Errorf("decode response: %w", err)
-	}
-	return nil
-}
-
-// send performs req and returns the reply for the caller to read, drain
-// and close; a reply with an error status becomes an error.
-func (c *Client) send(req *http.Request) (*http.Response, error) {
-	resp, err := c.http.Do(req)
-	if err != nil {
-		return nil, err
-	}
-	if resp.StatusCode >= 400 {
-		b, _ := io.ReadAll(io.LimitReader(resp.Body, 4096))
-		drainClose(resp.Body)
-		return nil, fmt.Errorf("server returned %d: %s", resp.StatusCode, bytes.TrimSpace(b))
-	}
-	return resp, nil
-}
-
-// drainClose drains and closes a response body so the underlying connection
-// can be reused.
-func drainClose(rc io.ReadCloser) {
-	_, _ = io.Copy(io.Discard, io.LimitReader(rc, 64<<10))
-	_ = rc.Close()
+	return c.wire.JSON(context.TODO(), http.MethodGet, "/healthz", nil, nil) == nil
 }

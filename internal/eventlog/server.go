@@ -91,17 +91,16 @@ type clearBody struct {
 func NewServer(addr string, store *Store) (*Server, error) {
 	s := &Server{store: store}
 	mux := http.NewServeMux()
-	mux.HandleFunc("/v1/records", s.handleRecords)
-	mux.HandleFunc("/v1/query", s.handleQuery)
-	mux.HandleFunc("/v1/count", s.handleCount)
-	mux.HandleFunc("/v1/compact", s.handleCompact)
-	mux.HandleFunc("/v1/stats", s.handleStats)
-	mux.HandleFunc("/v1/info", s.handleInfo)
-	mux.HandleFunc("/v1/stream", s.handleStream)
-	mux.HandleFunc("/metrics", s.handleMetrics)
-	mux.HandleFunc("/healthz", func(w http.ResponseWriter, _ *http.Request) {
-		httpx.WriteJSON(w, http.StatusOK, map[string]string{"status": "ok"})
-	})
+	mux.HandleFunc("POST /v1/records", s.handleRecords)
+	mux.HandleFunc("DELETE /v1/records", s.handleClear)
+	mux.HandleFunc("POST /v1/query", s.handleQuery)
+	mux.HandleFunc("POST /v1/count", s.handleCount)
+	mux.HandleFunc("POST /v1/compact", s.handleCompact)
+	mux.HandleFunc("GET /v1/stats", s.handleStats)
+	mux.HandleFunc("GET /v1/info", s.handleInfo)
+	mux.HandleFunc("GET /v1/stream", s.handleStream)
+	mux.HandleFunc("GET /metrics", s.handleMetrics)
+	mux.HandleFunc("GET /healthz", httpx.Healthz)
 	hs, err := httpx.NewServer(addr, mux)
 	if err != nil {
 		return nil, err
@@ -117,37 +116,35 @@ func (s *Server) URL() string { return s.http.URL() }
 // Close shuts the server down.
 func (s *Server) Close() error { return s.http.Close() }
 
+// handleRecords ingests a JSON Lines body.
 func (s *Server) handleRecords(w http.ResponseWriter, r *http.Request) {
-	switch r.Method {
-	case http.MethodPost:
-		rp := recordPool.Get().(*[]Record)
-		defer recordPool.Put(rp)
-		recs, err := decodeRecords(w, r, (*rp)[:0])
-		*rp = recs[:0]
-		defer clear(recs) // release the records' strings before the slice is reused
+	rp := recordPool.Get().(*[]Record)
+	defer recordPool.Put(rp)
+	recs, err := decodeRecords(w, r, (*rp)[:0])
+	*rp = recs[:0]
+	defer clear(recs) // release the records' strings before the slice is reused
+	if err != nil {
+		httpx.WriteError(w, http.StatusBadRequest, "%v", err)
+		return
+	}
+	if err := s.store.Log(recs...); err != nil {
+		httpx.WriteError(w, http.StatusInternalServerError, "%v", err)
+		return
+	}
+	httpx.WriteJSON(w, http.StatusAccepted, map[string]int{"accepted": len(recs)})
+}
+
+func (s *Server) handleClear(w http.ResponseWriter, r *http.Request) {
+	if pat := r.URL.Query().Get("pattern"); pat != "" {
+		dropped, err := s.store.ClearMatching(pat)
 		if err != nil {
 			httpx.WriteError(w, http.StatusBadRequest, "%v", err)
 			return
 		}
-		if err := s.store.Log(recs...); err != nil {
-			httpx.WriteError(w, http.StatusInternalServerError, "%v", err)
-			return
-		}
-		httpx.WriteJSON(w, http.StatusAccepted, map[string]int{"accepted": len(recs)})
-	case http.MethodDelete:
-		if pat := r.URL.Query().Get("pattern"); pat != "" {
-			dropped, err := s.store.ClearMatching(pat)
-			if err != nil {
-				httpx.WriteError(w, http.StatusBadRequest, "%v", err)
-				return
-			}
-			httpx.WriteJSON(w, http.StatusOK, clearBody{Dropped: dropped})
-			return
-		}
-		httpx.WriteJSON(w, http.StatusOK, clearBody{Dropped: s.store.Clear()})
-	default:
-		httpx.WriteError(w, http.StatusMethodNotAllowed, "method %s not allowed", r.Method)
+		httpx.WriteJSON(w, http.StatusOK, clearBody{Dropped: dropped})
+		return
 	}
+	httpx.WriteJSON(w, http.StatusOK, clearBody{Dropped: s.store.Clear()})
 }
 
 // recordPool recycles the slices ingest bodies are decoded into, which
@@ -173,10 +170,6 @@ func decodeRecords(w http.ResponseWriter, r *http.Request, dst []Record) ([]Reco
 }
 
 func (s *Server) handleCount(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		httpx.WriteError(w, http.StatusMethodNotAllowed, "method %s not allowed", r.Method)
-		return
-	}
 	var q Query
 	if err := httpx.ReadJSON(w, r, &q); err != nil {
 		httpx.WriteError(w, http.StatusBadRequest, "%v", err)
@@ -190,11 +183,7 @@ func (s *Server) handleCount(w http.ResponseWriter, r *http.Request) {
 	httpx.WriteJSON(w, http.StatusOK, countBody{Count: n})
 }
 
-func (s *Server) handleCompact(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		httpx.WriteError(w, http.StatusMethodNotAllowed, "method %s not allowed", r.Method)
-		return
-	}
+func (s *Server) handleCompact(w http.ResponseWriter, _ *http.Request) {
 	if err := s.store.Compact(); err != nil {
 		httpx.WriteError(w, http.StatusInternalServerError, "%v", err)
 		return
@@ -203,10 +192,6 @@ func (s *Server) handleCompact(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		httpx.WriteError(w, http.StatusMethodNotAllowed, "method %s not allowed", r.Method)
-		return
-	}
 	var q Query
 	if err := httpx.ReadJSON(w, r, &q); err != nil {
 		httpx.WriteError(w, http.StatusBadRequest, "%v", err)
@@ -230,19 +215,11 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	_, _ = w.Write(body)
 }
 
-func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		httpx.WriteError(w, http.StatusMethodNotAllowed, "method %s not allowed", r.Method)
-		return
-	}
+func (s *Server) handleStats(w http.ResponseWriter, _ *http.Request) {
 	httpx.WriteJSON(w, http.StatusOK, statsBody{Records: s.store.Len(), Shards: s.store.NumShards()})
 }
 
-func (s *Server) handleInfo(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		httpx.WriteError(w, http.StatusMethodNotAllowed, "method %s not allowed", r.Method)
-		return
-	}
+func (s *Server) handleInfo(w http.ResponseWriter, _ *http.Request) {
 	info := StoreInfo{
 		Records:           s.store.Len(),
 		Shards:            s.store.NumShards(),
@@ -265,15 +242,6 @@ func (s *Server) handleInfo(w http.ResponseWriter, r *http.Request) {
 // and a `drop` event whenever the subscriber's buffer lost records. The
 // stream runs until the client disconnects.
 func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		httpx.WriteError(w, http.StatusMethodNotAllowed, "method %s not allowed", r.Method)
-		return
-	}
-	flusher, ok := w.(http.Flusher)
-	if !ok {
-		httpx.WriteError(w, http.StatusInternalServerError, "streaming unsupported")
-		return
-	}
 	buffer := DefaultSubscriberBuffer
 	if b := r.URL.Query().Get("buffer"); b != "" {
 		n, err := strconv.Atoi(b)
@@ -289,16 +257,14 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	defer sub.Close()
-
-	w.Header().Set("Content-Type", "text/event-stream")
-	w.Header().Set("Cache-Control", "no-cache")
-	w.Header().Set("X-Accel-Buffering", "no")
-	w.WriteHeader(http.StatusOK)
-	flusher.Flush()
+	ev, ok := httpx.StartEvents(w)
+	if !ok {
+		return
+	}
 
 	heartbeat := time.NewTicker(streamHeartbeat)
 	defer heartbeat.Stop()
-	var event []byte
+	var data []byte
 	var reportedDrops int64
 	for {
 		select {
@@ -306,38 +272,28 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 			if !ok {
 				return
 			}
-			event, err = AppendRecord(append(event[:0], "data: "...), &rec)
-			if err != nil {
+			if data, err = AppendRecord(data[:0], &rec); err != nil || ev.Send("", data) != nil {
 				return
 			}
-			event = append(event, "\n\n"...)
-			if _, err := w.Write(event); err != nil {
-				return
-			}
-			flusher.Flush()
 		case <-heartbeat.C:
 			// Surface buffer overflow to the client so it knows its view
 			// is lossy, then keep the connection warm.
 			if d := sub.Dropped(); d > reportedDrops {
 				reportedDrops = d
-				if _, err := fmt.Fprintf(w, "event: drop\ndata: %d\n\n", d); err != nil {
-					return
-				}
-			} else if _, err := w.Write([]byte(": keepalive\n\n")); err != nil {
+				err = ev.Send("drop", strconv.AppendInt(data[:0], d, 10))
+			} else {
+				err = ev.Comment("keepalive")
+			}
+			if err != nil {
 				return
 			}
-			flusher.Flush()
 		case <-r.Context().Done():
 			return
 		}
 	}
 }
 
-func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		httpx.WriteError(w, http.StatusMethodNotAllowed, "method %s not allowed", r.Method)
-		return
-	}
+func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	mw := metrics.NewWriter()
 	mw.Gauge("gremlin_store_records", "Records currently held by the store.", float64(s.store.Len()))
 	mw.Counter("gremlin_store_appended_total", "Records ever appended to the store.", float64(s.store.Appended()))
@@ -355,7 +311,5 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		mw.Counter("gremlin_store_wal_compactions_total", "Write-ahead-log compactions run, per shard.", float64(st.WALCompactions), "shard", shard)
 		mw.Gauge("gremlin_store_wal_garbage_records", "Cleared records the write-ahead log still holds until its next compaction, per shard.", float64(st.WALGarbage), "shard", shard)
 	}
-	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	w.WriteHeader(http.StatusOK)
-	_, _ = mw.WriteTo(w)
+	mw.Serve(w)
 }

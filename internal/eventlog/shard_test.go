@@ -376,7 +376,7 @@ func TestLogShardVerifiesRouting(t *testing.T) {
 		body := `{"requestId":"test-1","src":"a","dst":"b","kind":"request"}
 {"requestId":"` + otherID + `","src":"a","dst":"b","kind":"request"}
 `
-		resp, err := http.Post(c.baseURL+"/v1/records?"+hint, "application/x-ndjson", strings.NewReader(body))
+		resp, err := http.Post(c.wire.BaseURL+"/v1/records?"+hint, "application/x-ndjson", strings.NewReader(body))
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -1,11 +1,13 @@
 package eventlog
 
 import (
+	"bufio"
 	"context"
 	"fmt"
 	"io"
 	"net"
 	"net/http"
+	"regexp"
 	"runtime"
 	"strings"
 	"sync"
@@ -383,7 +385,7 @@ func TestSubscriptionCloseLeaksNoGoroutines(t *testing.T) {
 func TestSubscriptionServerDisconnectLeaksNoGoroutines(t *testing.T) {
 	ss, c := newShardedTestServer(t, 4)
 	base := runtime.NumGoroutine()
-	conn, err := net.Dial("tcp", strings.TrimPrefix(c.baseURL, "http://"))
+	conn, err := net.Dial("tcp", strings.TrimPrefix(c.wire.BaseURL, "http://"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -418,6 +420,80 @@ func TestSubscriptionServerDisconnectLeaksNoGoroutines(t *testing.T) {
 		t.Fatal("subscription outlived its client")
 	}
 	checkNoGoroutinesLeft(t, base)
+}
+
+// TestServerStreamWireFrames pins the feed's frames byte for byte: an
+// idle feed sends a keepalive comment, a record is one "data:" line of
+// its JSON encoding, and a feed that lost records sends a "drop" event
+// with the count.
+func TestServerStreamWireFrames(t *testing.T) {
+	old := streamHeartbeat
+	streamHeartbeat = 20 * time.Millisecond
+	defer func() { streamHeartbeat = old }()
+	ss, c := newShardedTestServer(t, 1)
+	// A small receive window, so the handler's writes block once the test
+	// stops reading.
+	hc := &http.Client{Transport: &http.Transport{DialContext: func(ctx context.Context, network, addr string) (net.Conn, error) {
+		conn, err := (&net.Dialer{}).DialContext(ctx, network, addr)
+		if err == nil {
+			err = conn.(*net.TCPConn).SetReadBuffer(4096)
+		}
+		return conn, err
+	}}}
+	defer hc.CloseIdleConnections()
+	resp, err := hc.Get(c.wire.BaseURL + "/v1/stream?buffer=2")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	br := bufio.NewReader(resp.Body)
+	frame := func() string {
+		var b strings.Builder
+		for {
+			line, err := br.ReadString('\n')
+			if err != nil {
+				t.Fatalf("read frame: %v", err)
+			}
+			b.WriteString(line)
+			if line == "\n" {
+				return b.String()
+			}
+		}
+	}
+	if got := frame(); got != ": keepalive\n\n" {
+		t.Fatalf("idle frame = %q", got)
+	}
+	rec := Record{RequestID: "f-1", Src: "a", Dst: "b", Kind: KindRequest, Timestamp: time.Unix(1700000000, 5).UTC()}
+	if err := ss.Log(rec); err != nil {
+		t.Fatal(err)
+	}
+	rec.Seq = 1 // the store numbers what it appends
+	enc, err := AppendRecord(nil, &rec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := frame()
+	for got == ": keepalive\n\n" {
+		got = frame()
+	}
+	if want := "data: " + string(enc) + "\n\n"; got != want {
+		t.Fatalf("record frame = %q, want %q", got, want)
+	}
+	uri := strings.Repeat("x", 64<<10)
+	for i := 0; ss.SubscriberDropped() == 0; i++ {
+		if i == 1000 {
+			t.Fatal("feed never overflowed")
+		}
+		if err := ss.Log(Record{RequestID: fmt.Sprintf("f-%d", i), Src: "a", Dst: "b", URI: uri}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	drop := regexp.MustCompile("^event: drop\ndata: [1-9][0-9]*\n\n$")
+	for got = frame(); !drop.MatchString(got); got = frame() {
+		if !strings.HasPrefix(got, "data: {") && got != ": keepalive\n\n" {
+			t.Fatalf("frame = %.80q, want a record, a keepalive or a drop event", got)
+		}
+	}
 }
 
 // TestSubscriptionConservation holds a feed to the records it was owed:

@@ -1,6 +1,7 @@
-// Package httpx contains small HTTP helpers shared by the Gremlin servers:
-// JSON encoding/decoding with limits, error payloads, and graceful server
-// lifecycle management.
+// Package httpx is the wire toolkit the Gremlin servers and their clients
+// share: JSON encoding/decoding with limits, error payloads, the liveness
+// probe, graceful server lifecycle management, one client path (Client)
+// and one Server-Sent Events framing (StartEvents, ReadEvents).
 package httpx
 
 import (
@@ -34,6 +35,11 @@ func WriteJSON(w http.ResponseWriter, status int, v any) {
 // WriteError writes a JSON error payload.
 func WriteError(w http.ResponseWriter, status int, format string, args ...any) {
 	WriteJSON(w, status, ErrorBody{Error: fmt.Sprintf(format, args...)})
+}
+
+// Healthz answers a liveness probe.
+func Healthz(w http.ResponseWriter, _ *http.Request) {
+	WriteJSON(w, http.StatusOK, map[string]string{"status": "ok"})
 }
 
 // ReadJSON decodes the request body into v, enforcing MaxBodyBytes and

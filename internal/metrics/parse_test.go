@@ -124,3 +124,45 @@ func TestParseExpositionErrors(t *testing.T) {
 		t.Error("Lint: expected error, got none")
 	}
 }
+
+// FuzzParseExposition: the parser never panics on arbitrary input, and
+// whatever a Writer renders from valid names — any help text, label value
+// and sample value — parses back to the same samples.
+func FuzzParseExposition(f *testing.F) {
+	f.Add("# HELP x_total A counter.\n# TYPE x_total counter\nx_total{a=\"b\"} 1\n", "req", "Help \\ text\n", "svc", "a\"b,c}", 1.5)
+	f.Add("# TYPE h histogram\nh_bucket{le=\"+Inf\"} 2\nh_sum 3\nh_count 2\n", "h", "", "le", "", math.Inf(1))
+	f.Add("x{a=\"\\u00e9\"} NaN\n", "n:s", "\x00", "k", "\xff\u2028", math.NaN())
+	f.Fuzz(func(t *testing.T, text, name, help, label, value string, v float64) {
+		_, _ = ParseExposition(strings.NewReader(text))
+		if !validMetricName(name) || !validMetricName(label) || label == "le" {
+			return
+		}
+		mw := NewWriter()
+		mw.Counter(name+"_total", help, v, label, value)
+		mw.Gauge(name+"_g", help, v)
+		h := NewHistogram([]float64{1, 2})
+		h.Observe(1.5)
+		mw.Histogram(name+"_h", help, h.Snapshot(), label, value)
+		fams, err := ParseExposition(strings.NewReader(mw.String()))
+		if err != nil {
+			t.Fatalf("rendered exposition does not parse: %v\n%s", err, mw.String())
+		}
+		if len(fams) != 3 {
+			t.Fatalf("parsed %d families, want 3", len(fams))
+		}
+		s := fams[0].Samples[0]
+		if s.Name != name+"_total" || s.Labels[label] != value || !sameFloat(s.Value, v) {
+			t.Fatalf("counter sample = %+v, want %s{%s=%q} %v", s, name+"_total", label, value, v)
+		}
+		if g := fams[1].Samples[0]; !sameFloat(g.Value, v) {
+			t.Fatalf("gauge value = %v, want %v", g.Value, v)
+		}
+		for _, hs := range fams[2].Samples {
+			if hs.Labels[label] != value {
+				t.Fatalf("histogram sample %+v lost label %s=%q", hs, label, value)
+			}
+		}
+	})
+}
+
+func sameFloat(a, b float64) bool { return a == b || (math.IsNaN(a) && math.IsNaN(b)) }

@@ -16,6 +16,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"net/http"
 	"sort"
 	"strconv"
 	"strings"
@@ -97,6 +98,13 @@ func (w *Writer) String() string { return w.b.String() }
 func (w *Writer) WriteTo(wr io.Writer) (int64, error) {
 	n, err := io.WriteString(wr, w.b.String())
 	return int64(n), err
+}
+
+// Serve answers a scrape with the accumulated exposition text.
+func (w *Writer) Serve(rw http.ResponseWriter) {
+	rw.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
+	rw.WriteHeader(http.StatusOK)
+	_, _ = w.WriteTo(rw)
 }
 
 func formatFloat(v float64) string {

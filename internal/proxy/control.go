@@ -61,9 +61,7 @@ type RouteInfo struct {
 // /v1/ruleset); DELETE /v1/rules clears them all.
 func (a *Agent) controlHandler() http.Handler {
 	mux := http.NewServeMux()
-	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, _ *http.Request) {
-		httpx.WriteJSON(w, http.StatusOK, map[string]string{"status": "ok"})
-	})
+	mux.HandleFunc("GET /healthz", httpx.Healthz)
 	mux.HandleFunc("GET /v1/info", a.handleInfo)
 	mux.HandleFunc("GET /v1/ruleset", a.handleGetRuleSet)
 	mux.HandleFunc("PUT /v1/ruleset", a.handlePutRuleSet)
@@ -206,9 +204,7 @@ func (a *Agent) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	} {
 		mw.Counter("gremlin_agent_l4_faults_total", "Stream faults actuated by the L4 plane, by action.", float64(fam.count), "service", svc, "action", fam.action)
 	}
-	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	w.WriteHeader(http.StatusOK)
-	_, _ = mw.WriteTo(w)
+	mw.Serve(w)
 }
 
 // InstallRules validates and installs rules on an in-process agent, at the

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"net/http"
 	"strings"
 	"sync"
 	"testing"
@@ -408,6 +409,31 @@ func TestDynamicServerWatchLongPoll(t *testing.T) {
 		}
 	case <-time.After(5 * time.Second):
 		t.Fatal("long-poll never returned")
+	}
+}
+
+// TestClientWaitEventsOutlivesClientTimeout: a pending watch on an idle
+// registry is bounded by its ctx and the server's poll window, not by the
+// client's overall timeout, so a registration that lands after that
+// timeout is still delivered.
+func TestClientWaitEventsOutlivesClientTimeout(t *testing.T) {
+	d := NewDynamic(DynamicOptions{})
+	srv, err := NewServer("127.0.0.1:0", d)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	c := NewClient(srv.URL(), &http.Client{Timeout: 100 * time.Millisecond})
+	ctx, cancel := context.WithTimeout(context.Background(), time.Second)
+	defer cancel()
+	since := d.Version()
+	time.AfterFunc(300*time.Millisecond, func() { _ = d.Register(Instance{Service: "late", Addr: "l:1"}, 0) })
+	evs, v, err := c.WaitEvents(ctx, since)
+	if err != nil {
+		t.Fatalf("WaitEvents = %v, want the registration at 300ms", err)
+	}
+	if len(evs) != 1 || evs[0].Instance.Service != "late" || v <= since {
+		t.Fatalf("events = %+v at version %d (since %d)", evs, v, since)
 	}
 }
 

@@ -1,11 +1,9 @@
 package registry
 
 import (
-	"bytes"
 	"context"
-	"encoding/json"
+	"errors"
 	"fmt"
-	"io"
 	"net/http"
 	"net/url"
 	"strconv"
@@ -44,9 +42,7 @@ func NewServer(addr string, reg *Dynamic) (*Server, error) {
 	mux.HandleFunc("GET /v1/members", s.handleMembers)
 	mux.HandleFunc("GET /v1/watch", s.handleWatch)
 	mux.HandleFunc("GET /metrics", s.handleMetrics)
-	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, _ *http.Request) {
-		httpx.WriteJSON(w, http.StatusOK, map[string]string{"status": "ok"})
-	})
+	mux.HandleFunc("GET /healthz", httpx.Healthz)
 	hs, err := httpx.NewServer(addr, mux)
 	if err != nil {
 		return nil, err
@@ -160,8 +156,7 @@ func (s *Server) handleWatch(w http.ResponseWriter, r *http.Request) {
 func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	mw := metrics.NewWriter()
 	s.reg.WriteMetrics(mw)
-	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	_, _ = mw.WriteTo(w)
+	mw.Serve(w)
 }
 
 func (s *Server) handleDeregister(w http.ResponseWriter, r *http.Request) {
@@ -219,8 +214,7 @@ func ttlParam(r *http.Request) (time.Duration, error) {
 
 // Client is a Registry backed by a remote registry Server.
 type Client struct {
-	baseURL string
-	http    *http.Client
+	wire httpx.Client
 }
 
 var _ Registry = (*Client)(nil)
@@ -228,10 +222,7 @@ var _ Registry = (*Client)(nil)
 // NewClient creates a registry client. If hc is nil a default client with a
 // 10 s timeout is used.
 func NewClient(baseURL string, hc *http.Client) *Client {
-	if hc == nil {
-		hc = &http.Client{Timeout: 10 * time.Second}
-	}
-	return &Client{baseURL: baseURL, http: hc}
+	return &Client{wire: httpx.NewClient(baseURL, hc)}
 }
 
 // Register adds an instance to the remote registry under the server's
@@ -242,49 +233,34 @@ func (c *Client) Register(in Instance) error {
 
 // RegisterTTL adds an instance under an explicit lease TTL.
 func (c *Client) RegisterTTL(in Instance, ttl time.Duration) error {
-	b, err := json.Marshal(in)
-	if err != nil {
-		return fmt.Errorf("registry: marshal instance: %w", err)
-	}
-	u := c.baseURL + "/v1/instances"
+	path := "/v1/instances"
 	if ttl > 0 {
-		u += "?ttlMillis=" + strconv.FormatInt(ttl.Milliseconds(), 10)
+		path += "?ttlMillis=" + strconv.FormatInt(ttl.Milliseconds(), 10)
 	}
-	resp, err := c.http.Post(u, "application/json", bytes.NewReader(b))
-	if err != nil {
+	if err := c.wire.JSON(context.TODO(), http.MethodPost, path, in, nil); err != nil {
 		return fmt.Errorf("registry: register: %w", err)
 	}
-	return checkAndClose(resp)
+	return nil
 }
 
 // Renew heartbeats an instance's lease. A failed renewal (lease already
 // expired server-side) is an error; the instance must re-register.
 func (c *Client) Renew(service, addr string, ttl time.Duration) error {
-	u := fmt.Sprintf("%s/v1/renew?service=%s&addr=%s",
-		c.baseURL, url.QueryEscape(service), url.QueryEscape(addr))
+	path := "/v1/renew?" + instanceQuery(service, addr)
 	if ttl > 0 {
-		u += "&ttlMillis=" + strconv.FormatInt(ttl.Milliseconds(), 10)
+		path += "&ttlMillis=" + strconv.FormatInt(ttl.Milliseconds(), 10)
 	}
-	resp, err := c.http.Post(u, "application/json", nil)
-	if err != nil {
+	if err := c.wire.JSON(context.TODO(), http.MethodPost, path, nil, nil); err != nil {
 		return fmt.Errorf("registry: renew: %w", err)
 	}
-	return checkAndClose(resp)
+	return nil
 }
 
 // Members lists the server's live members with lease bookkeeping.
 func (c *Client) Members() ([]Member, error) {
-	resp, err := c.http.Get(c.baseURL + "/v1/members")
-	if err != nil {
-		return nil, fmt.Errorf("registry: members: %w", err)
-	}
-	defer drainClose(resp.Body)
-	if resp.StatusCode >= 400 {
-		return nil, fmt.Errorf("registry: members: server returned %d", resp.StatusCode)
-	}
 	var out []Member
-	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
-		return nil, fmt.Errorf("registry: decode members: %w", err)
+	if err := c.wire.JSON(context.TODO(), http.MethodGet, "/v1/members", nil, &out); err != nil {
+		return nil, fmt.Errorf("registry: members: %w", err)
 	}
 	return out, nil
 }
@@ -293,24 +269,13 @@ func (c *Client) Members() ([]Member, error) {
 // server's poll window) until the membership version exceeds since, then
 // returns the new events and the version to resume from. A resync signal
 // (cursor fell off the ring) is surfaced as ErrWatchGap with the current
-// version; the consumer should re-list members and resume from it.
+// version; the consumer should re-list members and resume from it. The
+// poll outlives the client's overall timeout: only ctx ends it early.
 func (c *Client) WaitEvents(ctx context.Context, since uint64) ([]Event, uint64, error) {
-	u := fmt.Sprintf("%s/v1/watch?since=%d&timeoutMillis=%d", c.baseURL, since, 30000)
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, u, nil)
-	if err != nil {
-		return nil, since, err
-	}
-	resp, err := c.http.Do(req)
-	if err != nil {
-		return nil, since, fmt.Errorf("registry: watch: %w", err)
-	}
-	defer drainClose(resp.Body)
-	if resp.StatusCode >= 400 {
-		return nil, since, fmt.Errorf("registry: watch: server returned %d", resp.StatusCode)
-	}
 	var wr WatchResponse
-	if err := json.NewDecoder(resp.Body).Decode(&wr); err != nil {
-		return nil, since, fmt.Errorf("registry: decode watch: %w", err)
+	path := fmt.Sprintf("/v1/watch?since=%d&timeoutMillis=%d", since, 30000)
+	if err := c.wire.Long().JSON(ctx, http.MethodGet, path, nil, &wr); err != nil {
+		return nil, since, fmt.Errorf("registry: watch: %w", err)
 	}
 	if wr.Resync {
 		return nil, wr.Version, ErrWatchGap
@@ -320,52 +285,37 @@ func (c *Client) WaitEvents(ctx context.Context, since uint64) ([]Event, uint64,
 
 // Deregister removes an instance from the remote registry.
 func (c *Client) Deregister(service, addr string) error {
-	u := fmt.Sprintf("%s/v1/instances?service=%s&addr=%s",
-		c.baseURL, url.QueryEscape(service), url.QueryEscape(addr))
-	req, err := http.NewRequest(http.MethodDelete, u, nil)
-	if err != nil {
-		return err
-	}
-	resp, err := c.http.Do(req)
-	if err != nil {
+	path := "/v1/instances?" + instanceQuery(service, addr)
+	if err := c.wire.JSON(context.TODO(), http.MethodDelete, path, nil, nil); err != nil {
 		return fmt.Errorf("registry: deregister: %w", err)
 	}
-	return checkAndClose(resp)
+	return nil
+}
+
+// instanceQuery names one instance in a query string.
+func instanceQuery(service, addr string) string {
+	return "service=" + url.QueryEscape(service) + "&addr=" + url.QueryEscape(addr)
 }
 
 // Instances implements Registry.
 func (c *Client) Instances(service string) ([]Instance, error) {
-	resp, err := c.http.Get(c.baseURL + "/v1/instances?service=" + url.QueryEscape(service))
-	if err != nil {
-		return nil, fmt.Errorf("registry: instances: %w", err)
-	}
-	defer drainClose(resp.Body)
-	if resp.StatusCode == http.StatusNotFound {
-		return nil, fmt.Errorf("%w: %q", ErrUnknownService, service)
-	}
-	if resp.StatusCode >= 400 {
-		return nil, fmt.Errorf("registry: instances: server returned %d", resp.StatusCode)
-	}
 	var out []Instance
-	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
-		return nil, fmt.Errorf("registry: decode instances: %w", err)
+	err := c.wire.JSON(context.TODO(), http.MethodGet, "/v1/instances?service="+url.QueryEscape(service), nil, &out)
+	var se *httpx.StatusError
+	switch {
+	case errors.As(err, &se) && se.Code == http.StatusNotFound:
+		return nil, fmt.Errorf("%w: %q", ErrUnknownService, service)
+	case err != nil:
+		return nil, fmt.Errorf("registry: instances: %w", err)
 	}
 	return out, nil
 }
 
 // Services implements Registry.
 func (c *Client) Services() ([]string, error) {
-	resp, err := c.http.Get(c.baseURL + "/v1/services")
-	if err != nil {
-		return nil, fmt.Errorf("registry: services: %w", err)
-	}
-	defer drainClose(resp.Body)
-	if resp.StatusCode >= 400 {
-		return nil, fmt.Errorf("registry: services: server returned %d", resp.StatusCode)
-	}
 	var out []string
-	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
-		return nil, fmt.Errorf("registry: decode services: %w", err)
+	if err := c.wire.JSON(context.TODO(), http.MethodGet, "/v1/services", nil, &out); err != nil {
+		return nil, fmt.Errorf("registry: services: %w", err)
 	}
 	return out, nil
 }
@@ -401,18 +351,4 @@ func (c *Client) Heartbeat(in Instance, ttl, interval time.Duration) (stop func(
 			<-stopped
 		})
 	}
-}
-
-func checkAndClose(resp *http.Response) error {
-	defer drainClose(resp.Body)
-	if resp.StatusCode >= 400 {
-		b, _ := io.ReadAll(io.LimitReader(resp.Body, 4096))
-		return fmt.Errorf("registry: server returned %d: %s", resp.StatusCode, bytes.TrimSpace(b))
-	}
-	return nil
-}
-
-func drainClose(rc io.ReadCloser) {
-	_, _ = io.Copy(io.Discard, io.LimitReader(rc, 64<<10))
-	_ = rc.Close()
 }

@@ -2,13 +2,12 @@ package telemetry
 
 import (
 	"context"
-	"fmt"
-	"io"
 	"net/http"
 	"sort"
 	"sync"
 	"time"
 
+	"gremlin/internal/httpx"
 	"gremlin/internal/metrics"
 )
 
@@ -181,21 +180,11 @@ func (s *Scraper) scrapeTarget(ctx context.Context, t *target) {
 }
 
 func (s *Scraper) fetch(ctx context.Context, url string) ([]metrics.Family, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, url, nil)
+	resp, err := httpx.Client{BaseURL: url, HTTP: s.opts.Client}.Do(ctx, http.MethodGet, "", nil)
 	if err != nil {
 		return nil, err
 	}
-	resp, err := s.opts.Client.Do(req)
-	if err != nil {
-		return nil, err
-	}
-	defer func() {
-		io.Copy(io.Discard, io.LimitReader(resp.Body, 1<<20))
-		resp.Body.Close()
-	}()
-	if resp.StatusCode != http.StatusOK {
-		return nil, fmt.Errorf("status %d", resp.StatusCode)
-	}
+	defer httpx.DrainClose(resp)
 	return metrics.ParseExposition(resp.Body)
 }
 

@@ -4,8 +4,11 @@ import (
 	"bufio"
 	"context"
 	"encoding/json"
+	"io"
+	"net"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -161,6 +164,54 @@ func TestTelemetryServerSnapshotAndStream(t *testing.T) {
 	if !strings.HasPrefix(line, "data: ") || !strings.Contains(line, `"web"`) {
 		t.Fatalf("stream line = %q", line)
 	}
+}
+
+// TestTelemetryStreamDisconnectLeaksNoGoroutines: a /v1/stream client
+// that vanishes mid-stream leaves no server goroutine behind.
+func TestTelemetryStreamDisconnectLeaksNoGoroutines(t *testing.T) {
+	srv, err := NewServer("127.0.0.1:0", func() Snapshot { return Snapshot{} }, ServerOptions{Interval: 10 * time.Millisecond})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	base := runtime.NumGoroutine()
+	conn, err := net.Dial("tcp", strings.TrimPrefix(srv.URL(), "http://"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	if _, err := io.WriteString(conn, "GET /v1/stream HTTP/1.1\r\nHost: telemetry\r\n\r\n"); err != nil {
+		t.Fatal(err)
+	}
+	// Read up to the first frame: the handler is then streaming.
+	br := bufio.NewReader(conn)
+	for {
+		line, err := br.ReadString('\n')
+		if err != nil {
+			t.Fatalf("stream ended before its first frame: %v", err)
+		}
+		if strings.HasPrefix(line, "data: ") {
+			break
+		}
+	}
+	if !inStreamHandler() {
+		t.Fatal("no goroutine is serving the stream")
+	}
+	conn.Close()
+	deadline := time.Now().Add(5 * time.Second)
+	for inStreamHandler() || runtime.NumGoroutine() > base {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines left behind (%d at start), stream handler running: %v",
+				runtime.NumGoroutine()-base, base, inStreamHandler())
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+}
+
+// inStreamHandler reports whether any goroutine is inside handleStream.
+func inStreamHandler() bool {
+	buf := make([]byte, 1<<20)
+	return strings.Contains(string(buf[:runtime.Stack(buf, true)]), "telemetry.(*Server).handleStream")
 }
 
 func jsonDecode(resp *http.Response, v any) error {

@@ -2,7 +2,6 @@ package telemetry
 
 import (
 	"encoding/json"
-	"fmt"
 	"net/http"
 	"sort"
 	"time"
@@ -118,9 +117,7 @@ func NewServer(addr string, snap func() Snapshot, opts ServerOptions) (*Server, 
 	mux.HandleFunc("GET /v1/snapshot", s.handleSnapshot)
 	mux.HandleFunc("GET /v1/stream", s.handleStream)
 	mux.HandleFunc("GET /metrics", s.handleMetrics)
-	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, r *http.Request) {
-		httpx.WriteJSON(w, http.StatusOK, map[string]string{"status": "ok"})
-	})
+	mux.HandleFunc("GET /healthz", httpx.Healthz)
 	hs, err := httpx.NewServer(addr, mux)
 	if err != nil {
 		return nil, err
@@ -141,51 +138,31 @@ func (s *Server) handleSnapshot(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleStream pushes one snapshot immediately and then one per
-// interval, in the SSE wire format, until the client goes away.
+// interval, as Server-Sent Events, until the client goes away.
 func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
-	fl, ok := w.(http.Flusher)
+	ev, ok := httpx.StartEvents(w)
 	if !ok {
-		httpx.WriteError(w, http.StatusInternalServerError, "streaming unsupported")
-		return
-	}
-	w.Header().Set("Content-Type", "text/event-stream")
-	w.Header().Set("Cache-Control", "no-cache")
-	w.WriteHeader(http.StatusOK)
-
-	push := func() bool {
-		b, err := json.Marshal(s.snap())
-		if err != nil {
-			return false
-		}
-		if _, err := fmt.Fprintf(w, "data: %s\n\n", b); err != nil {
-			return false
-		}
-		fl.Flush()
-		return true
-	}
-	if !push() {
 		return
 	}
 	tick := time.NewTicker(s.opts.Interval)
 	defer tick.Stop()
 	for {
+		b, err := json.Marshal(s.snap())
+		if err != nil || ev.Send("", b) != nil {
+			return
+		}
 		select {
 		case <-r.Context().Done():
 			return
 		case <-tick.C:
-			if !push() {
-				return
-			}
 		}
 	}
 }
 
-func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
+func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	mw := metrics.NewWriter()
 	if s.opts.Metrics != nil {
 		s.opts.Metrics(mw)
 	}
-	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	w.WriteHeader(http.StatusOK)
-	mw.WriteTo(w)
+	mw.Serve(w)
 }
