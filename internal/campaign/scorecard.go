@@ -1,8 +1,10 @@
 package campaign
 
 import (
+	"cmp"
 	"encoding/json"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
@@ -121,6 +123,7 @@ func BuildScorecard(campaignID string, g *graph.Graph, entries []Entry) *Scoreca
 	sc := &Scorecard{Campaign: campaignID}
 	edgeIdx := make(map[graph.Edge]*EdgeScore)
 	edgeOrder := g.Edges()
+	graphEdges := len(edgeOrder)
 	for _, e := range edgeOrder {
 		edgeIdx[e] = &EdgeScore{Src: e.Src, Dst: e.Dst}
 	}
@@ -209,6 +212,15 @@ func BuildScorecard(campaignID string, g *graph.Graph, entries []Entry) *Scoreca
 		}
 	}
 
+	// Edges outside the graph come in the order runs finished: sort them
+	// after the graph's own, which Edges already sorts.
+	extra := edgeOrder[graphEdges:]
+	sort.Slice(extra, func(i, j int) bool {
+		if extra[i].Src != extra[j].Src {
+			return extra[i].Src < extra[j].Src
+		}
+		return extra[i].Dst < extra[j].Dst
+	})
 	covered := 0
 	for _, e := range edgeOrder {
 		es := edgeIdx[e]
@@ -240,15 +252,54 @@ func BuildScorecard(campaignID string, g *graph.Graph, entries []Entry) *Scoreca
 			PointsExercised:  len(exercisedEIs),
 		}
 	}
+	// Parallel units finish in any order, and the journal holds them so:
+	// every table gets a total order, so that the same entries render the
+	// same report whatever order they came in.
 	sort.Strings(sc.FailedUnits)
 	sort.Strings(sc.ErrorUnits)
-	sort.SliceStable(sc.Blast, func(i, j int) bool {
-		if len(sc.Blast[i].Failed) != len(sc.Blast[j].Failed) {
-			return len(sc.Blast[i].Failed) > len(sc.Blast[j].Failed)
-		}
-		return sc.Blast[i].Reached > sc.Blast[j].Reached
+	slices.SortFunc(sc.Blast, func(a, b BlastScore) int {
+		return cmp.Or(
+			cmp.Compare(len(b.Failed), len(a.Failed)), // widest first
+			cmp.Compare(b.Reached, a.Reached),
+			strings.Compare(a.Unit, b.Unit),
+			slices.Compare(a.Failed, b.Failed),
+		)
 	})
+	if sc.Telemetry != nil {
+		slices.SortFunc(sc.Telemetry.Units, compareUnitTelemetry)
+	}
 	return sc
+}
+
+// compareUnitTelemetry orders telemetry rows by unit, service and target,
+// and rows that share all three by the rest of their fields.
+func compareUnitTelemetry(a, b UnitTelemetry) int {
+	return cmp.Or(
+		strings.Compare(a.Unit, b.Unit),
+		strings.Compare(a.Service, b.Service),
+		strings.Compare(a.Target, b.Target),
+		cmp.Compare(a.BaselineRate, b.BaselineRate),
+		cmp.Compare(a.FaultRate, b.FaultRate),
+		cmp.Compare(a.BaselineErrorRatio, b.BaselineErrorRatio),
+		cmp.Compare(a.FaultErrorRatio, b.FaultErrorRatio),
+		cmp.Compare(a.BaselineP50Millis, b.BaselineP50Millis),
+		cmp.Compare(a.FaultP50Millis, b.FaultP50Millis),
+		cmp.Compare(a.BaselineP99Millis, b.BaselineP99Millis),
+		cmp.Compare(a.FaultP99Millis, b.FaultP99Millis),
+		cmp.Compare(a.DropsDelta, b.DropsDelta),
+		compareBool(a.Recovered, b.Recovered),
+		cmp.Compare(a.RecoveryMillis, b.RecoveryMillis),
+	)
+}
+
+func compareBool(a, b bool) int {
+	switch {
+	case a == b:
+		return 0
+	case a:
+		return 1
+	}
+	return -1
 }
 
 // Covered reports whether every edge was faulted by at least one run.

@@ -2,6 +2,8 @@ package campaign
 
 import (
 	"flag"
+	"fmt"
+	"math/rand"
 	"os"
 	"path/filepath"
 	"testing"
@@ -100,5 +102,41 @@ func TestScorecardMarkdownGolden(t *testing.T) {
 	}
 	if got != string(want) {
 		t.Errorf("markdown drifted from golden:\n--- got ---\n%s\n--- want ---\n%s", got, want)
+	}
+}
+
+// TestScorecardIgnoresEntryOrder: parallel units settle in any order, and
+// the journal holds them in that order. The same entries, shuffled, must
+// render the same report: blast radii that tie on failed and reached
+// services, edges outside the graph, telemetry rows and failed units
+// included.
+func TestScorecardIgnoresEntryOrder(t *testing.T) {
+	g := graph.FromEdges([]graph.Edge{{Src: "user", Dst: "web"}, {Src: "web", Dst: "db"}})
+	var entries []Entry
+	for i := 0; i < 12; i++ {
+		unit := fmt.Sprintf("delay-%02d", i)
+		e := Entry{
+			Unit: unit, Kind: "delay", Service: "db", Status: StatusPassed,
+			Edges:        []graph.Edge{{Src: "web", Dst: "db"}, {Src: fmt.Sprintf("stale-%d", i%3), Dst: "db"}},
+			BlastReached: []string{"db", "web"},
+		}
+		if i%4 == 0 {
+			e.Status = StatusFailed
+			e.Results = []checker.Result{{Check: "bounded-latency", Passed: false}}
+			e.BlastFailed = []string{"user"}
+		}
+		entries = append(entries, e, Entry{
+			Unit: unit, Status: StatusTelemetry,
+			Telemetry: &UnitTelemetry{Unit: unit, Service: "web", BaselineRate: 50, FaultRate: float64(40 + i%2)},
+		})
+	}
+	want := BuildScorecard("order", g, entries).Markdown()
+	rng := rand.New(rand.NewSource(1))
+	for round := 0; round < 8; round++ {
+		shuffled := append([]Entry(nil), entries...)
+		rng.Shuffle(len(shuffled), func(i, j int) { shuffled[i], shuffled[j] = shuffled[j], shuffled[i] })
+		if got := BuildScorecard("order", g, shuffled).Markdown(); got != want {
+			t.Fatalf("shuffled entries render another report:\n%s\nin journal order:\n%s", got, want)
+		}
 	}
 }

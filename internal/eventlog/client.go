@@ -158,7 +158,7 @@ func (c *Client) Select(q Query) ([]Record, error) {
 	if err != nil {
 		return nil, fmt.Errorf("eventlog: query: read response: %w", err)
 	}
-	recs, err := decodeLines(nil, body)
+	recs, err := decodeLines(nil, body, nil)
 	if err != nil {
 		return nil, fmt.Errorf("eventlog: query: decode response: %w", err)
 	}

@@ -12,6 +12,7 @@ import (
 	"reflect"
 	"slices"
 	"strconv"
+	"strings"
 	"sync"
 	"time"
 	"unicode/utf8"
@@ -158,6 +159,20 @@ func appendOptString(dst []byte, key, s string) []byte {
 	return appendString(append(dst, key...), s)
 }
 
+// encPlain and scanPlain mark the bytes appendString copies through
+// unescaped and scanString passes over: printable ASCII but for the quote,
+// the backslash and, when encoding, the HTML-sensitive <, > and & — the
+// bytes encoding/json's own htmlSafeSet marks. Indexed by any byte, they
+// cost one load and no bounds check.
+var encPlain, scanPlain = asciiSet(`"\<>&`), asciiSet(`"\`)
+
+func asciiSet(except string) (set [256]bool) {
+	for c := ' '; c < utf8.RuneSelf; c++ {
+		set[c] = !strings.ContainsRune(except, c)
+	}
+	return set
+}
+
 // appendString appends s as a JSON string with encoding/json's default
 // escaping: quote, backslash and control characters, the HTML-sensitive
 // <, > and &, U+2028/U+2029, and U+FFFD for bytes that are not UTF-8.
@@ -165,11 +180,12 @@ func appendString(dst []byte, s string) []byte {
 	dst = append(dst, '"')
 	start := 0
 	for i := 0; i < len(s); {
-		if b := s[i]; b < utf8.RuneSelf {
-			if b >= ' ' && b != '"' && b != '\\' && b != '<' && b != '>' && b != '&' {
-				i++
-				continue
-			}
+		b := s[i]
+		if encPlain[b] {
+			i++
+			continue
+		}
+		if b < utf8.RuneSelf {
 			dst = append(dst, s[start:i]...)
 			switch b {
 			case '\\', '"':
@@ -502,7 +518,11 @@ func scanString(data []byte, p int) (val []byte, end int, ok bool) {
 	}
 	ascii := true
 	for q := p + 1; q < len(data); q++ {
-		switch c := data[q]; {
+		c := data[q]
+		if scanPlain[c] {
+			continue
+		}
+		switch {
 		case c == '"':
 			val = data[p+1 : q]
 			return val, q + 1, ascii || utf8.Valid(val)
@@ -599,9 +619,12 @@ var errNotLines = errors.New("records must be JSON Lines, one object per line, n
 // ingest body, a query reply, a dump — to dst. The first line that is not
 // canonical hands the rest of the body to a json.Decoder, which also
 // accepts values split or joined across lines and, like the canonical
-// path, refuses a field that Record does not have. On error it returns
-// dst's own records alone, having cleared what it decoded past them.
-func decodeLines(dst []Record, data []byte) ([]Record, error) {
+// path, refuses a field that Record does not have. With lines non-nil,
+// every record decoded in canonical form also appends its line, without
+// the newline, to *lines; those records come first, so the i-th line
+// appended is that of the i-th record appended. On error it returns dst's
+// own records alone, having cleared what it decoded past them.
+func decodeLines(dst []Record, data []byte, lines *[][]byte) ([]Record, error) {
 	// Room for a record a line, bounded by what a body this size can hold
 	// so that one of nothing but newlines reserves no more than a real one
 	// would fill.
@@ -615,6 +638,7 @@ func decodeLines(dst []Record, data []byte) ([]Record, error) {
 	for len(data) > 0 {
 		var rec Record
 		n, ok := d.object(data, &rec)
+		end := n
 		if ok && n < len(data) {
 			ok = data[n] == '\n'
 			n++
@@ -623,6 +647,9 @@ func decodeLines(dst []Record, data []byte) ([]Record, error) {
 			break
 		}
 		recs = append(recs, rec)
+		if lines != nil {
+			*lines = append(*lines, data[:end])
+		}
 		data = data[n:]
 	}
 	if len(data) == 0 {
@@ -653,7 +680,7 @@ func ReadJSONL(r io.Reader) ([]Record, error) {
 	if err != nil {
 		return nil, fmt.Errorf("eventlog: read records: %w", err)
 	}
-	recs, err := decodeLines(nil, body)
+	recs, err := decodeLines(nil, body, nil)
 	if err != nil {
 		return nil, err
 	}

@@ -98,7 +98,7 @@ func checkDecode(t *testing.T, data []byte) {
 
 	// decodeLines is a json.Decoder that refuses unknown fields, read
 	// value by value to the end of the body.
-	gotLines, gerr := decodeLines(nil, data)
+	gotLines, gerr := decodeLines(nil, data, nil)
 	dec := json.NewDecoder(bytes.NewReader(data))
 	dec.DisallowUnknownFields()
 	wantLines, werr := []Record{}, error(nil)
@@ -290,7 +290,7 @@ func TestRecordCodecAllocBudget(t *testing.T) {
 	}
 
 	var got []Record
-	allocs := testing.AllocsPerRun(20, func() { got, err = decodeLines(nil, body) })
+	allocs := testing.AllocsPerRun(20, func() { got, err = decodeLines(nil, body, nil) })
 	if err != nil || !sameRecords(got, recs) {
 		t.Fatalf("decoded batch differs from the one encoded (%v)", err)
 	}

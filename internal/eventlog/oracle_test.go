@@ -3,6 +3,7 @@ package eventlog
 import (
 	"fmt"
 	"math/rand"
+	"net/http"
 	"reflect"
 	"sort"
 	"testing"
@@ -33,12 +34,43 @@ func logStamped(t *testing.T, s *Store, recs []Record) {
 	for si, g := range groups {
 		sh := s.shards[si]
 		sh.gate.Lock()
-		err := sh.write(g, 0, time.Time{})
+		err := sh.write(g, nil, 0, time.Time{})
 		sh.gate.Unlock()
 		if err != nil {
 			t.Fatal(err)
 		}
 	}
+}
+
+// oracleBody encodes batch as an ingest body whose lines take the forms
+// senders use: most canonical, some carrying a seq of their own for the
+// store to replace, some without a timestamp for the store to stamp, and
+// now and then one that is not canonical, which hands the rest of the body
+// to encoding/json. The records sent without a timestamp lose it in batch
+// too.
+func oracleBody(t *testing.T, rng *rand.Rand, batch []Record) []byte {
+	t.Helper()
+	var body []byte
+	for i := range batch {
+		r := batch[i]
+		form := rng.Intn(10)
+		switch form {
+		case 0:
+			r.Seq = uint64(1 + rng.Intn(1000))
+		case 1:
+			batch[i].Timestamp = time.Time{}
+			r.Timestamp = time.Time{}
+		}
+		line, err := AppendRecord(nil, &r)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if form == 2 {
+			line = append([]byte("{ "), line[1:]...)
+		}
+		body = append(append(body, line...), '\n')
+	}
+	return body
 }
 
 // oracleRef is the naive reference: every live record in append order;
@@ -190,14 +222,19 @@ func checkStoreIndex(t *testing.T, name string, s *shard) {
 // answer exactly what the naive reference does, and every shard's index
 // must equal a rebuild after every step.
 func TestStoreOracle(t *testing.T) {
-	for seed := int64(1); seed <= 3; seed++ {
+	for seed := int64(1); seed <= 6; seed++ {
+		// Seeds past 3 stamp batches in seq order, as every log the store
+		// writes itself is: there compaction copies live lines, where
+		// shuffled seqs make it encode them.
+		shuffle := seed <= 3
 		t.Run(fmt.Sprint(seed), func(t *testing.T) {
 			dir := t.TempDir()
 			walOpts := StoreOptions{Shards: 4, DataDir: dir, Fsync: FsyncNever, CompactAfter: 16}
+			wal := &oracleTarget{"wal", newSharded(t, walOpts)}
 			targets := []*oracleTarget{
 				{"store", NewStore()},
 				{"sharded", newSharded(t, StoreOptions{Shards: 4})},
-				{"wal", newSharded(t, walOpts)},
+				wal,
 			}
 			rng := rand.New(rand.NewSource(seed))
 			var ref oracleRef
@@ -230,17 +267,37 @@ func TestStoreOracle(t *testing.T) {
 						}
 					}
 					// Log stamps seqs in batch order; a stamped batch carries
-					// the same seqs shuffled.
+					// the same seqs shuffled. Half the Log batches reach the
+					// WAL-backed store as an ingest body instead, whose
+					// lines it journals as they came; it stamps the records
+					// sent without a timestamp, and the others log them with
+					// its stamp.
 					useLog := op < 7
+					ingest := useLog && rng.Intn(2) == 0
+					if ingest {
+						if w := postRecords(&Server{store: wal.st}, oracleBody(t, rng, batch)); w.Code != http.StatusAccepted {
+							t.Fatalf("step %d: POST /v1/records = %d: %s", step, w.Code, w.Body)
+						}
+						for _, sh := range wal.st.shards {
+							for _, r := range sh.recs {
+								if r.Seq > seq && r.Seq <= seq+uint64(len(batch)) {
+									batch[r.Seq-seq-1].Timestamp = r.Timestamp
+								}
+							}
+						}
+					}
 					order := rng.Perm(len(batch))
 					stamped := append([]Record(nil), batch...)
 					for i := range stamped {
-						if useLog {
+						if useLog || !shuffle {
 							order[i] = i
 						}
 						stamped[i].Seq = seq + uint64(order[i]) + 1
 					}
 					for _, tg := range targets {
+						if ingest && tg == wal {
+							continue
+						}
 						if useLog {
 							if err := tg.st.Log(batch...); err != nil {
 								t.Fatal(err)
@@ -264,14 +321,15 @@ func TestStoreOracle(t *testing.T) {
 
 			// Reopen the WAL-backed store: replay must rebuild each shard
 			// exactly — same records in the same order, same sorted prefix.
-			// Compaction must have run often enough on the way to count.
-			wal := targets[2]
-			var compactions uint64
-			for _, st := range wal.st.ShardStats() {
-				compactions += st.WALCompactions
+			// Compaction must have run often enough on the way to count,
+			// copying the live lines often enough too.
+			var compactions, copies uint64
+			for _, sh := range wal.st.shards {
+				compactions += sh.wal.compactions
+				copies += sh.wal.copies
 			}
-			if compactions < 10 {
-				t.Fatalf("the WAL-backed store compacted %d times, want at least 10", compactions)
+			if compactions < 10 || !shuffle && copies < 10 {
+				t.Fatalf("the WAL-backed store compacted %d times, %d of them by copying, want at least 10 of each", compactions, copies)
 			}
 			var before [][]Record
 			for _, s := range wal.st.shards {

@@ -35,9 +35,12 @@ const (
 // forwarded from Src to Dst, or the corresponding reply as delivered back
 // to Src.
 type Record struct {
-	// Seq is a store-assigned monotonically increasing sequence number.
-	// Zero until the record is appended; used to break timestamp ties so
-	// queries have a stable total order.
+	// Seq is a store-assigned sequence number, increasing in append order
+	// within a shard and never issued twice by a store: a durable store
+	// reopens past the highest seq its log ever held, cleared records'
+	// included. Zero until the record is appended; a seq a sender sets is
+	// replaced. It breaks timestamp ties so queries have a stable total
+	// order.
 	Seq uint64 `json:"seq,omitempty"`
 
 	// Timestamp is when the agent observed the message.

@@ -1,7 +1,6 @@
 package eventlog
 
 import (
-	"fmt"
 	"net/http"
 	"strconv"
 	"sync"
@@ -116,18 +115,32 @@ func (s *Server) URL() string { return s.http.URL() }
 // Close shuts the server down.
 func (s *Server) Close() error { return s.http.Close() }
 
-// handleRecords ingests a JSON Lines body.
+// handleRecords ingests a JSON Lines body. The body stays in its pooled
+// buffer until the store has logged it, so that a durable store journals
+// the lines it decoded in canonical form as they arrived instead of
+// encoding their records again.
 func (s *Server) handleRecords(w http.ResponseWriter, r *http.Request) {
-	rp := recordPool.Get().(*[]Record)
-	defer recordPool.Put(rp)
-	recs, err := decodeRecords(w, r, (*rp)[:0])
-	*rp = recs[:0]
-	defer clear(recs) // release the records' strings before the slice is reused
+	in := ingestPool.Get().(*ingestBuf)
+	defer ingestPool.Put(in)
+	body, err := readAll(in.body[:0], http.MaxBytesReader(w, r.Body, httpx.MaxBodyBytes))
+	in.body = body
 	if err != nil {
-		httpx.WriteError(w, http.StatusBadRequest, "%v", err)
+		httpx.WriteError(w, http.StatusBadRequest, "read request body: %v", err)
 		return
 	}
-	if err := s.store.Log(recs...); err != nil {
+	in.lines = in.lines[:0]
+	var lines *[][]byte
+	if s.store.durable() {
+		lines = &in.lines
+	}
+	recs, err := decodeLines(in.recs[:0], body, lines)
+	in.recs = recs[:0]
+	defer clear(recs) // release the records' strings before the slice is reused
+	if err != nil {
+		httpx.WriteError(w, http.StatusBadRequest, "decode request body: %v", err)
+		return
+	}
+	if err := s.store.logLines(recs, in.lines); err != nil {
 		httpx.WriteError(w, http.StatusInternalServerError, "%v", err)
 		return
 	}
@@ -147,27 +160,16 @@ func (s *Server) handleClear(w http.ResponseWriter, r *http.Request) {
 	httpx.WriteJSON(w, http.StatusOK, clearBody{Dropped: s.store.Clear()})
 }
 
-// recordPool recycles the slices ingest bodies are decoded into, which
-// Store.Log never retains.
-var recordPool = sync.Pool{New: func() any { return new([]Record) }}
-
-// decodeRecords appends the records of an ingest body to dst: JSON Lines,
-// the framing of every list of records — the BufferedSink's flushes, a
-// query reply, the WAL. On error it returns dst's own records alone.
-func decodeRecords(w http.ResponseWriter, r *http.Request, dst []Record) ([]Record, error) {
-	bp := bufPool.Get().(*[]byte)
-	defer bufPool.Put(bp)
-	body, err := readAll((*bp)[:0], http.MaxBytesReader(w, r.Body, httpx.MaxBodyBytes))
-	*bp = body
-	if err != nil {
-		return dst, fmt.Errorf("read request body: %w", err)
-	}
-	recs, err := decodeLines(dst, body)
-	if err != nil {
-		return recs, fmt.Errorf("decode request body: %w", err)
-	}
-	return recs, nil
+// ingestBuf is one ingest's pooled working set: the body read whole, the
+// records decoded from it and, for a durable store, the lines it decoded
+// them from. Store.Log retains none of them.
+type ingestBuf struct {
+	body  []byte
+	recs  []Record
+	lines [][]byte
 }
+
+var ingestPool = sync.Pool{New: func() any { return new(ingestBuf) }}
 
 func (s *Server) handleCount(w http.ResponseWriter, r *http.Request) {
 	var q Query

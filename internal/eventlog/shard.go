@@ -83,13 +83,15 @@ func stamp(r *Record, seq uint64, now time.Time) {
 
 // write appends a batch; the caller holds sh.gate. A non-zero base stamps
 // record i with seq base+i (and now when it has no timestamp); base 0
-// keeps the seqs the records carry. The batch reaches the write-ahead log,
-// when there is one, before memory, and then the subscriptions. Neither
-// copies the batch to stamp it: the log stamps each line as it encodes
-// it, memory each record as it copies it in, with the same base and now.
-func (sh *shard) write(recs []Record, base uint64, now time.Time) error {
+// keeps the seqs the records carry. lines, which may be shorter than recs
+// or nil, holds the ingest lines records were decoded from (see
+// Store.logLines). The batch reaches the write-ahead log, when there is
+// one, before memory, and then the subscriptions. Neither copies the batch
+// to stamp it: the log stamps each line as it writes it, memory each
+// record as it copies it in, with the same base and now.
+func (sh *shard) write(recs []Record, lines [][]byte, base uint64, now time.Time) error {
 	if sh.wal != nil {
-		if err := sh.wal.append(recs, base, now); err != nil {
+		if err := sh.wal.append(recs, lines, base, now); err != nil {
 			return err
 		}
 	}

@@ -203,13 +203,13 @@ func NewShardedStore(opts StoreOptions) (*Store, error) {
 			return nil, err
 		}
 		// Replayed records keep their seqs and must not be journalled
-		// again, so they go in before the log is attached.
+		// again, so they go in before the log is attached. Seqs go on
+		// from the highest the log ever held, cleared records' included,
+		// so none is issued twice.
 		sh.add(recs, 0, time.Time{})
 		sh.wal = w
-		for _, r := range recs {
-			if r.Seq > s.seq.Load() {
-				s.seq.Store(r.Seq)
-			}
+		if w.hiSeq > s.seq.Load() {
+			s.seq.Store(w.hiSeq)
 		}
 	}
 	if o.Fsync == FsyncInterval {
@@ -308,7 +308,17 @@ func (s *Store) shardOfPattern(pat pattern.Pattern) int {
 // Log never retains recs: the store keeps copies, and the caller may
 // reuse or overwrite the slice as soon as Log returns (the server decodes
 // every ingest body into a pooled slice on that promise).
-func (s *Store) Log(recs ...Record) error {
+func (s *Store) Log(recs ...Record) error { return s.logLines(recs, nil) }
+
+// durable reports whether the store keeps a write-ahead log.
+func (s *Store) durable() bool { return s.opts.DataDir != "" }
+
+// logLines is Log for a batch decoded from an ingest body: lines[i], for
+// i < len(lines), is the line record i was decoded from in canonical form,
+// which the write-ahead log journals under the record's seq instead of
+// encoding the record again (see wal.append). Like recs, lines is not
+// retained.
+func (s *Store) logLines(recs []Record, lines [][]byte) error {
 	if len(recs) == 0 {
 		return nil
 	}
@@ -320,7 +330,7 @@ func (s *Store) Log(recs ...Record) error {
 		si = s.shardFor(recs[0].RequestID)
 		for _, r := range recs[1:] {
 			if s.shardFor(r.RequestID) != si {
-				return s.logScattered(recs)
+				return s.logScattered(recs, lines)
 			}
 		}
 	}
@@ -328,17 +338,27 @@ func (s *Store) Log(recs ...Record) error {
 	sh.gate.Lock()
 	defer sh.gate.Unlock()
 	n := uint64(len(recs))
-	return sh.write(recs, s.seq.Add(n)-n+1, time.Now())
+	return sh.write(recs, lines, s.seq.Add(n)-n+1, time.Now())
 }
 
 // logScattered appends a batch that spans shards. It holds every involved
 // shard's gate — taken in shard order, so concurrent batches cannot
 // deadlock — while it reserves the batch's seqs, so seqs follow the batch
-// order and each shard still appends in seq order.
-func (s *Store) logScattered(recs []Record) error {
+// order and each shard still appends in seq order. Each shard's group
+// takes along its records' lines, but not those of records the store
+// stamps with a timestamp: once stamped, the log cannot tell them apart.
+func (s *Store) logScattered(recs []Record, lines [][]byte) error {
 	groups := make([][]Record, len(s.shards))
+	lineGroups := make([][][]byte, len(s.shards))
 	for i, r := range recs {
 		si := s.shardFor(r.RequestID)
+		if i < len(lines) {
+			line := lines[i]
+			if r.Timestamp.IsZero() {
+				line = nil
+			}
+			lineGroups[si] = append(lineGroups[si], line)
+		}
 		r.Seq = uint64(i) // batch position until the seqs are reserved
 		groups[si] = append(groups[si], r)
 	}
@@ -358,7 +378,7 @@ func (s *Store) logScattered(recs []Record) error {
 			stamp(&g[i], base+g[i].Seq, now)
 		}
 		if err == nil {
-			err = s.shards[si].write(g, 0, time.Time{})
+			err = s.shards[si].write(g, lineGroups[si], 0, time.Time{})
 		}
 		s.shards[si].gate.Unlock()
 	}

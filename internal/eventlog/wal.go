@@ -2,10 +2,12 @@ package eventlog
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"path/filepath"
 	"sort"
@@ -68,7 +70,7 @@ func unmarshalWALLine(line []byte) (walLine, error) {
 	return wl, err
 }
 
-// clearLine encodes a tombstone for idPattern ("*" = clear all).
+// clearLine encodes a tombstone for idPattern.
 func clearLine(idPattern string) ([]byte, error) {
 	b, err := json.Marshal(struct {
 		Clear string `json:"clear"`
@@ -79,12 +81,87 @@ func clearLine(idPattern string) ([]byte, error) {
 	return append(b, '\n'), nil
 }
 
+// clearAllLine encodes the tombstone that clears everything, which is also
+// the marker a compacted snapshot opens with. It carries the log's
+// high-water seq hi: replay may drop the segments before it, and with
+// them the last lines that held hi.
+func clearAllLine(hi uint64) []byte {
+	line := []byte(`{"clear":"*"`)
+	if hi > 0 {
+		line = strconv.AppendUint(append(line, `,"seq":`...), hi, 10)
+	}
+	return append(line, "}\n"...)
+}
+
+// seqKey opens every record line that carries a seq, and clearKey every
+// tombstone the store writes.
+var seqKey, clearKey = []byte(`{"seq":`), []byte(`{"clear":`)
+
+// leadingSeq returns the seq a line opens with — seqKey, then a decimal
+// without leading zeros, then a comma — or ok=false.
+func leadingSeq(line []byte) (seq uint64, ok bool) {
+	digits, found := bytes.CutPrefix(line, seqKey)
+	if !found || len(digits) == 0 || digits[0] == '0' {
+		return 0, false
+	}
+	for _, c := range digits {
+		if c == ',' {
+			return seq, true
+		}
+		if c < '0' || c > '9' || seq > (math.MaxUint64-9)/10 {
+			return 0, false
+		}
+		seq = seq*10 + uint64(c-'0')
+	}
+	return 0, false
+}
+
+// appendJournal appends, as the WAL line of the record decoded from line
+// in canonical form, that line under seq: seqKey, seq and a comma, then
+// the line past its '{' and past the seq it may carry. It decodes to the
+// record with seq as its seq, and for a line AppendRecord wrote it is what
+// AppendRecord writes for that record. A canonical seq is plain digits,
+// and the record has a timestamp, so a comma ends the seq the line carries.
+func appendJournal(dst []byte, seq uint64, line []byte) []byte {
+	rest := line[1:]
+	if bytes.HasPrefix(line, seqKey) {
+		rest = line[bytes.IndexByte(line, ',')+1:]
+	}
+	dst = strconv.AppendUint(append(dst, seqKey...), seq, 10)
+	return append(append(dst, ','), rest...)
+}
+
+// segIO is a pooled pair of segment buffers: replay reads a segment
+// through r, and compaction reads the old segments through r and writes
+// the snapshot through w.
+type segIO struct {
+	r *bufio.Reader
+	w *bufio.Writer
+}
+
+var segIOPool = sync.Pool{New: func() any {
+	return &segIO{r: bufio.NewReaderSize(nil, 256<<10), w: bufio.NewWriterSize(nil, 256<<10)}
+}}
+
+func getSegIO() *segIO { return segIOPool.Get().(*segIO) }
+
+// put returns the buffers to the pool, letting go of their files.
+func (sio *segIO) put() {
+	sio.r.Reset(nil)
+	sio.w.Reset(nil)
+	segIOPool.Put(sio)
+}
+
 // wal is one shard's write-ahead log: append-only JSONL segment files
 // (`00000001.wal`, `00000002.wal`, ...) in a directory, size-rotated, with
-// compaction rewriting the live set behind a `{"clear":"*"}` marker so
-// replay of the segment sequence always reproduces the exact pre-crash
-// state. Record lines use the store's ordinary Record JSON, so segments
-// double as plain JSONL dumps readable by standard log tooling.
+// compaction rewriting the live set behind a `{"clear":"*","seq":N}`
+// marker so replay of the segment sequence always reproduces the exact
+// pre-crash state. Record lines use the store's ordinary Record JSON, so
+// segments double as plain JSONL dumps readable by standard log tooling.
+//
+// Every record line the store writes opens with its seq, and within a
+// shard seqs rise, so compaction finds each live record's line by its seq
+// and copies it; see compact.
 type wal struct {
 	dir    string
 	policy FsyncPolicy
@@ -102,6 +179,16 @@ type wal struct {
 	replayed    int  // records recovered at open
 	garbage     int  // record lines on disk that are no longer live
 	compactions uint64
+	copies      uint64 // compactions that copied the live lines
+
+	// hiSeq is the highest seq the log has held, on a record line or a
+	// clear-all tombstone, cleared records' included. opaque reports a
+	// replayed record line not known to open with the seq it decodes to
+	// — one without a seq, or one only encoding/json decodes — whose
+	// record compaction cannot find by seq, so the next snapshot is
+	// encoded. The shard's gate guards both.
+	hiSeq  uint64
+	opaque bool
 }
 
 func segName(idx int) string { return fmt.Sprintf("%08d.wal", idx) }
@@ -197,7 +284,10 @@ func (w *wal) replaySegment(idx int, recs []Record, lastClearAll *int) (_ []Reco
 	}
 	defer f.Close()
 
-	br := bufio.NewReaderSize(f, 256<<10)
+	sio := getSegIO()
+	defer sio.put()
+	br := sio.r
+	br.Reset(f)
 	var (
 		d      recordDecoder
 		long   []byte
@@ -214,6 +304,7 @@ func (w *wal) replaySegment(idx int, recs []Record, lastClearAll *int) (_ []Reco
 			if d.line(line, &rec) {
 				recs = append(recs, rec)
 				lines++
+				w.noteReplayed(rec.Seq, bytes.HasPrefix(line, seqKey))
 			} else if wl, derr := unmarshalWALLine(line); derr != nil {
 				// A malformed line mid-file means the segment itself is
 				// corrupt; a malformed final line is a torn write.
@@ -222,6 +313,7 @@ func (w *wal) replaySegment(idx int, recs []Record, lastClearAll *int) (_ []Reco
 				}
 				torn = true
 			} else if wl.Clear != nil {
+				w.hiSeq = max(w.hiSeq, wl.Seq)
 				if *wl.Clear == "" || *wl.Clear == "*" {
 					recs = recs[:0]
 					*lastClearAll = idx
@@ -241,6 +333,7 @@ func (w *wal) replaySegment(idx int, recs []Record, lastClearAll *int) (_ []Reco
 			} else {
 				recs = append(recs, wl.Record)
 				lines++
+				w.noteReplayed(wl.Seq, false)
 			}
 		}
 		if torn && len(line) > 0 {
@@ -257,6 +350,15 @@ func (w *wal) replaySegment(idx int, recs []Record, lastClearAll *int) (_ []Reco
 		}
 	}
 	return recs, lines, nil
+}
+
+// noteReplayed notes a replayed record line that decoded to seq and, when
+// opensWithSeq, is known to open with it.
+func (w *wal) noteReplayed(seq uint64, opensWithSeq bool) {
+	w.hiSeq = max(w.hiSeq, seq)
+	if !opensWithSeq {
+		w.opaque = true
+	}
 }
 
 // readLine returns br's next line with its newline, valid until the next
@@ -309,23 +411,35 @@ func (w *wal) recount() error {
 // append writes one batch of records as JSONL with a single write(),
 // rotating and fsyncing per policy. A non-zero base stamps each line as
 // stamp does record i with seq base+i, on a copy, so the batch is left as
-// it came; base 0 writes the records as they are.
-func (w *wal) append(recs []Record, base uint64, now time.Time) error {
+// it came; base 0 writes the records with the seqs they carry. Record i,
+// for i < len(lines), was decoded from lines[i] in canonical form; unless
+// that is nil or the record has no timestamp, which stamping changes, its
+// WAL line is that line under its seq (appendJournal), not encoded again.
+func (w *wal) append(recs []Record, lines [][]byte, base uint64, now time.Time) error {
 	bp := bufPool.Get().(*[]byte)
 	defer bufPool.Put(bp)
 	b := (*bp)[:0]
 	for i := range recs {
 		r := &recs[i]
+		seq := r.Seq
 		if base > 0 {
-			stamped := *r
-			stamp(&stamped, base+uint64(i), now)
-			r = &stamped
+			seq = base + uint64(i)
 		}
-		var err error
-		if b, err = AppendRecord(b, r); err != nil {
-			return fmt.Errorf("eventlog: wal: encode: %w", err)
+		if i < len(lines) && lines[i] != nil && !r.Timestamp.IsZero() {
+			b = appendJournal(b, seq, lines[i])
+		} else {
+			if base > 0 {
+				stamped := *r
+				stamp(&stamped, seq, now)
+				r = &stamped
+			}
+			var err error
+			if b, err = AppendRecord(b, r); err != nil {
+				return fmt.Errorf("eventlog: wal: encode: %w", err)
+			}
 		}
 		b = append(b, '\n')
+		w.hiSeq = max(w.hiSeq, seq)
 	}
 	*bp = b
 	return w.write(b)
@@ -333,6 +447,9 @@ func (w *wal) append(recs []Record, base uint64, now time.Time) error {
 
 // appendClear writes a tombstone for idPattern.
 func (w *wal) appendClear(idPattern string) error {
+	if idPattern == "" || idPattern == "*" {
+		return w.write(clearAllLine(w.hiSeq))
+	}
 	line, err := clearLine(idPattern)
 	if err != nil {
 		return fmt.Errorf("eventlog: wal: encode tombstone: %w", err)
@@ -404,6 +521,10 @@ func (w *wal) sync() error {
 // if the process dies before the deletes, replay drops the stale prefix at
 // the marker and open removes the leftover files.
 //
+// The live records' lines are already in the log, in order: compaction
+// copies them (copyLive) and encodes the snapshot only where it cannot
+// vouch for a copy.
+//
 // The caller must have quiesced appends to this shard (ShardedStore holds
 // the shard's append gate), so the snapshot is exactly the log's tail
 // state.
@@ -436,16 +557,28 @@ func (w *wal) compact(snapshot []Record) error {
 		_ = os.Remove(tmpName)
 		return fmt.Errorf("eventlog: wal: compact: %w", err)
 	}
-	bw := bufio.NewWriterSize(tmp, 256<<10)
-	marker, err := clearLine("*")
-	if err != nil {
-		return fail(err)
-	}
-	if _, err := bw.Write(marker); err != nil {
-		return fail(err)
-	}
-	if _, err := writeLines(bw, snapshot); err != nil {
-		return fail(err)
+	sio := getSegIO()
+	defer sio.put()
+	bw := sio.w
+	bw.Reset(tmp)
+	marker := clearAllLine(w.hiSeq)
+	_, err = bw.Write(marker)
+	copied := err == nil && !w.opaque && w.copyLive(old, snapshot, sio.r, bw)
+	if !copied {
+		// Start the snapshot over, encoding its records.
+		if _, err := tmp.Seek(0, io.SeekStart); err != nil {
+			return fail(err)
+		}
+		if err := tmp.Truncate(0); err != nil {
+			return fail(err)
+		}
+		bw.Reset(tmp)
+		if _, err := bw.Write(marker); err != nil {
+			return fail(err)
+		}
+		if _, err := writeLines(bw, snapshot); err != nil {
+			return fail(err)
+		}
 	}
 	if err := bw.Flush(); err != nil {
 		return fail(err)
@@ -469,8 +602,68 @@ func (w *wal) compact(snapshot []Record) error {
 	}
 	w.dirty = false
 	w.garbage = 0
+	w.opaque = false // every line left opens with its seq, or with no seq
 	w.compactions++
+	if copied {
+		w.copies++
+	}
 	return w.recount()
+}
+
+// copyLive streams the segments old through br and copies to bw the line
+// of each snapshot record, found by the seq it opens with, and reports
+// whether the lines copied are the whole snapshot. It gives up, leaving
+// the caller to encode the snapshot, on a line that neither is a
+// tombstone nor opens with a seq, on seqs that do not rise strictly
+// through the log, and on any read or write error; a snapshot record
+// whose line it does not meet leaves the copy short.
+//
+// Each seq then names one line, and a live record's line is one that
+// opens with its seq: the store writes every record line so, and replay
+// flags (w.opaque) a log that holds another kind.
+func (w *wal) copyLive(old []int, snapshot []Record, br *bufio.Reader, bw *bufio.Writer) bool {
+	var (
+		long []byte
+		last uint64
+		j    int
+	)
+	copySegment := func(idx int) bool {
+		f, err := os.Open(filepath.Join(w.dir, segName(idx)))
+		if err != nil {
+			return false
+		}
+		defer f.Close()
+		br.Reset(f)
+		for {
+			line, err := readLine(br, &long)
+			if err == io.EOF && len(line) == 0 {
+				return true
+			}
+			if err != nil {
+				return false // a read error, or a last line without its newline
+			}
+			if bytes.HasPrefix(line, clearKey) {
+				continue
+			}
+			seq, ok := leadingSeq(line)
+			if !ok || seq <= last {
+				return false
+			}
+			last = seq
+			if j < len(snapshot) && seq == snapshot[j].Seq {
+				if _, err := bw.Write(line); err != nil {
+					return false
+				}
+				j++
+			}
+		}
+	}
+	for _, idx := range old {
+		if !copySegment(idx) {
+			return false
+		}
+	}
+	return j == len(snapshot)
 }
 
 // close seals the log.
