@@ -178,7 +178,7 @@ func runCampaign(ctx context.Context, args []string) error {
 		RunObserver: campaign.CombineObservers(observers...),
 	}
 	if !*keepLogs {
-		opts.Cleanup = d.reclaim
+		opts.Cleanup = func(_ campaign.Unit, pat string) { d.reclaim(pat) }
 	}
 	if *liveAsserts != "" {
 		// Bounds are stateful, so each run builds its own set.

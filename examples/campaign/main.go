@@ -106,7 +106,7 @@ func run() error {
 			}
 			return sum
 		},
-		Cleanup: func(pat string) { _, _ = app.Store.ClearMatching(pat) },
+		Cleanup: func(_ gremlin.CampaignUnit, pat string) { _, _ = app.Store.ClearMatching(pat) },
 		OnEntry: func(e gremlin.CampaignEntry) {
 			fmt.Printf("  [%2d/%d] %-7s %-9s %s\n", n.Add(1), len(units), e.Status, e.Kind, e.Unit)
 		},

@@ -154,7 +154,7 @@ func run() error {
 			})
 			return err
 		},
-		Cleanup: func(pat string) { _, _ = app.Store.ClearMatching(pat) },
+		Cleanup: func(_ campaign.Unit, pat string) { _, _ = app.Store.ClearMatching(pat) },
 		OnEntry: func(e campaign.Entry) {
 			fmt.Printf("  %-7s %-9s %s\n", e.Status, e.Kind, e.Unit)
 		},

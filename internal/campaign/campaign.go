@@ -74,10 +74,11 @@ type Options struct {
 	// which the count grows are journalled as lossy.
 	DroppedCount func() int64
 
-	// Cleanup, when set, is called after each run with the run's
-	// request-ID pattern — typically Store.ClearMatching, reclaiming the
-	// run's records without disturbing concurrent runs.
-	Cleanup func(idPattern string)
+	// Cleanup, when set, is called after each run with the unit and the
+	// run's request-ID pattern — typically Store.ClearMatching of the
+	// pattern, reclaiming the run's records without disturbing concurrent
+	// runs.
+	Cleanup func(u Unit, idPattern string)
 
 	// OnEntry, when set, observes each journal entry as it settles
 	// (progress reporting; called from worker goroutines).
@@ -215,11 +216,8 @@ func runUnit(ctx context.Context, runner *core.Runner, u Unit, idx int, o Option
 		RunID: runID, Signature: u.Signature, Edges: u.Edges, EIs: u.EIs,
 	}
 
-	recipe, err := u.Build(pat)
-	if err != nil {
-		e.Status, e.Reason = StatusError, err.Error()
-		return e
-	}
+	recipe := u.Recipe
+	recipe.Pattern = pat
 
 	// Live observation: a monitor over the run's namespaced records whose
 	// first violation cancels the load context, aborting the experiment
@@ -256,7 +254,7 @@ func runUnit(ctx context.Context, runner *core.Runner, u Unit, idx int, o Option
 	}
 	// The observer's window opens when the translated rules are about to
 	// install and closes when the entry settles; runs that never reach
-	// installation (Build errors) open no window.
+	// installation (translation errors) open no window.
 	observing := false
 	finishRun := func(e Entry) {
 		if observing {
@@ -326,7 +324,7 @@ func runUnit(ctx context.Context, runner *core.Runner, u Unit, idx int, o Option
 		e.RecordCount = n
 	}
 	if o.Cleanup != nil {
-		o.Cleanup(pat)
+		o.Cleanup(u, pat)
 	}
 	if o.DroppedCount != nil {
 		e.LogsDropped = o.DroppedCount() - droppedBefore

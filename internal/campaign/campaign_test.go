@@ -120,7 +120,7 @@ func TestCampaignSystematicSweep(t *testing.T) {
 			}
 			return sum
 		},
-		Cleanup: func(pat string) { _, _ = app.Store.ClearMatching(pat) },
+		Cleanup: func(_ campaign.Unit, pat string) { _, _ = app.Store.ClearMatching(pat) },
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -513,10 +513,8 @@ func TestEnumerateStreamGrid(t *testing.T) {
 		if u.Kind != "stream" || u.Service != "db" {
 			t.Fatalf("unit = %+v", u)
 		}
-		r, err := u.Build("camp-1-*")
-		if err != nil {
-			t.Fatal(err)
-		}
+		r := u.Recipe
+		r.Pattern = "camp-1-*"
 		rs, err := r.Translate(g)
 		if err != nil {
 			t.Fatalf("%s: %v", want, err)

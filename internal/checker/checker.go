@@ -43,7 +43,8 @@ type RList []eventlog.Record
 
 // Checker runs queries and assertions against an event-log source.
 type Checker struct {
-	source eventlog.Source
+	source  eventlog.Source
+	pattern string
 }
 
 // New creates a Checker reading from the given source (an in-process
@@ -56,6 +57,16 @@ func New(source eventlog.Source) *Checker {
 // holding only a Checker (e.g. campaign blast-radius analysis via
 // internal/tracing) can run their own queries against the same records.
 func (c *Checker) Source() eventlog.Source { return c.source }
+
+// Scoped returns a checker over the same source whose Pattern is pattern:
+// the request-ID pattern of the run whose checks it evaluates.
+func (c *Checker) Scoped(pattern string) *Checker {
+	return &Checker{source: c.source, pattern: pattern}
+}
+
+// Pattern is the request-ID pattern the checker is scoped to; "" (an
+// unscoped checker) matches every ID.
+func (c *Checker) Pattern() string { return c.pattern }
 
 // GetRequests returns all observed requests from src to dst whose request
 // ID matches idPattern (Table 3). Empty src, dst, or idPattern match
@@ -277,6 +288,24 @@ func RequestRate(rl RList) float64 {
 	return float64(len(rl)) / span.Seconds()
 }
 
+// faulted reports whether an injected fault landed on a record: an action
+// fired, Gremlin synthesized the reply, or it added a delay.
+func faulted(r *eventlog.Record) bool {
+	return r.FaultAction != "" || r.GremlinGenerated || r.InjectedDelayMillis > 0
+}
+
+// CountFaulted counts the records in rl that carry an injected fault — the
+// minimal evidence that a staged outage reached the data plane.
+func CountFaulted(rl RList) int {
+	n := 0
+	for i := range rl {
+		if faulted(&rl[i]) {
+			n++
+		}
+	}
+	return n
+}
+
 // CountFaultedAt counts the records in rl that carry an injected fault and
 // whose execution index equals ei. Explore units attribute point-scoped
 // faults this way: a rule pinned to one call path must be observed firing
@@ -284,11 +313,8 @@ func RequestRate(rl RList) float64 {
 // the targeted point.
 func CountFaultedAt(rl RList, ei string) int {
 	n := 0
-	for _, r := range rl {
-		if r.EI != ei {
-			continue
-		}
-		if r.FaultAction != "" || r.GremlinGenerated || r.InjectedDelayMillis > 0 {
+	for i := range rl {
+		if rl[i].EI == ei && faulted(&rl[i]) {
 			n++
 		}
 	}

@@ -5,7 +5,6 @@ import (
 	"sort"
 	"time"
 
-	"gremlin/internal/checker"
 	"gremlin/internal/graph"
 )
 
@@ -29,13 +28,6 @@ type GenerateOptions struct {
 	// SkipServices names services to exclude as fault targets — typically
 	// the synthetic edge caller and pure entry points.
 	SkipServices []string
-
-	// Pattern confines generated recipes and their checks to request IDs
-	// matching it (default DefaultPattern). Campaigns generate each run's
-	// plan with a distinct pattern ("camp-<runID>-*") so concurrent runs
-	// sharing one event store neither fault nor assert on each other's
-	// traffic.
-	Pattern string
 }
 
 // WithDefaults returns o with zero-valued fields replaced by their
@@ -56,9 +48,6 @@ func (o GenerateOptions) withDefaults() GenerateOptions {
 	}
 	if o.BreakerQuiet <= 0 {
 		o.BreakerQuiet = 10 * time.Second
-	}
-	if o.Pattern == "" {
-		o.Pattern = DefaultPattern
 	}
 	return o
 }
@@ -88,59 +77,30 @@ func (o GenerateOptions) withDefaults() GenerateOptions {
 // application that already failed the gentler test.
 func GenerateRecipes(g GraphView, opts GenerateOptions) ([]Recipe, error) {
 	o := opts.withDefaults()
-	skip := make(map[string]bool, len(o.SkipServices))
-	for _, s := range o.SkipServices {
-		skip[s] = true
+	targets, err := FaultTargets(g, o.SkipServices)
+	if err != nil {
+		return nil, fmt.Errorf("core: generate recipes: %w", err)
 	}
-
-	targets := make([]string, 0, len(g.Services()))
-	for _, svc := range g.Services() {
-		if skip[svc] {
-			continue
-		}
-		deps, err := g.Dependents(svc)
-		if err != nil {
-			return nil, fmt.Errorf("core: generate recipes: %w", err)
-		}
-		var realDeps []string
-		for _, d := range deps {
-			if !skip[d] {
-				realDeps = append(realDeps, d)
-			}
-		}
-		if len(realDeps) == 0 {
-			continue
-		}
-		targets = append(targets, svc)
-	}
-	sort.Strings(targets)
+	skip := skipSet(o.SkipServices)
 
 	var recipes []Recipe
-	for _, svc := range targets {
-		deps, err := g.Dependents(svc)
-		if err != nil {
-			return nil, err
-		}
+	for _, t := range targets {
 		overload := Recipe{
-			Name:      "auto-overload-" + svc,
-			Scenarios: []Scenario{Overload{Service: svc}},
-			Pattern:   o.Pattern,
+			Name:      "auto-overload-" + t.Service,
+			Scenarios: []Scenario{Overload{Service: t.Service}},
 		}
-		for _, d := range deps {
-			if skip[d] {
-				continue
-			}
+		for _, d := range t.Dependents {
 			// Stream dependents carry no HTTP records to assert retry or
 			// timeout patterns over; assert instead that the L4 faults the
 			// scenario stages on their edge were actually actuated.
-			if edgeProtocol(g, d, svc) == graph.ProtocolTCP {
+			if edgeProtocol(g, d, t.Service) == graph.ProtocolTCP {
 				overload.Checks = append(overload.Checks,
-					ExpectStreamFaults(d, svc, overload.Name, 1))
+					ExpectStreamFaults(d, t.Service, overload.Name, 1))
 				continue
 			}
 			overload.Checks = append(overload.Checks,
-				ExpectBoundedRetriesOpts(d, svc, o.MaxRetries, o.Pattern, checker.BoundedRetriesOptions{}),
-				ExpectTimeoutsOn(d, o.MaxLatency, o.Pattern),
+				ExpectBoundedRetries(d, t.Service, o.MaxRetries),
+				ExpectTimeouts(d, o.MaxLatency),
 			)
 		}
 		recipes = append(recipes, overload)
@@ -152,31 +112,22 @@ func GenerateRecipes(g GraphView, opts GenerateOptions) ([]Recipe, error) {
 			Scenarios: []Scenario{StreamThrottle{
 				Src: e.Src, Dst: e.Dst, BytesPerSec: DefaultThrottleRate, Probability: 1,
 			}},
-			Pattern: o.Pattern,
-			Checks:  []Check{ExpectStreamFaults(e.Src, e.Dst, name, 1)},
+			Checks: []Check{ExpectStreamFaults(e.Src, e.Dst, name, 1)},
 		})
 	}
-	for _, svc := range targets {
-		deps, err := g.Dependents(svc)
-		if err != nil {
-			return nil, err
-		}
+	for _, t := range targets {
 		crash := Recipe{
-			Name:      "auto-crash-" + svc,
-			Scenarios: []Scenario{Crash{Service: svc}},
-			Pattern:   o.Pattern,
+			Name:      "auto-crash-" + t.Service,
+			Scenarios: []Scenario{Crash{Service: t.Service}},
 		}
-		for _, d := range deps {
-			if skip[d] {
-				continue
-			}
-			if edgeProtocol(g, d, svc) == graph.ProtocolTCP {
+		for _, d := range t.Dependents {
+			if edgeProtocol(g, d, t.Service) == graph.ProtocolTCP {
 				crash.Checks = append(crash.Checks,
-					ExpectStreamFaults(d, svc, crash.Name, 1))
+					ExpectStreamFaults(d, t.Service, crash.Name, 1))
 				continue
 			}
 			crash.Checks = append(crash.Checks,
-				ExpectCircuitBreakerOn(d, svc, o.BreakerThreshold, o.BreakerQuiet, o.Pattern))
+				ExpectCircuitBreaker(d, t.Service, o.BreakerThreshold, o.BreakerQuiet))
 		}
 		recipes = append(recipes, crash)
 	}
@@ -187,11 +138,55 @@ func GenerateRecipes(g GraphView, opts GenerateOptions) ([]Recipe, error) {
 			Scenarios: []Scenario{StreamSever{
 				Src: e.Src, Dst: e.Dst, Probability: 1,
 			}},
-			Pattern: o.Pattern,
-			Checks:  []Check{ExpectStreamFaults(e.Src, e.Dst, name, 1)},
+			Checks: []Check{ExpectStreamFaults(e.Src, e.Dst, name, 1)},
 		})
 	}
 	return recipes, nil
+}
+
+// FaultTarget is a service worth failing and the unskipped dependents that
+// would observe its failure.
+type FaultTarget struct {
+	Service    string
+	Dependents []string
+}
+
+// FaultTargets returns the services worth failing in g: every service not
+// in skip with at least one dependent not in skip (someone must be there
+// to observe the failure), sorted by name, each with those dependents in
+// graph order. Recipe generation, chaos draws and campaign templates all
+// target these services.
+func FaultTargets(g GraphView, skip []string) ([]FaultTarget, error) {
+	skipped := skipSet(skip)
+	var out []FaultTarget
+	for _, svc := range g.Services() {
+		if skipped[svc] {
+			continue
+		}
+		deps, err := g.Dependents(svc)
+		if err != nil {
+			return nil, err
+		}
+		t := FaultTarget{Service: svc}
+		for _, d := range deps {
+			if !skipped[d] {
+				t.Dependents = append(t.Dependents, d)
+			}
+		}
+		if len(t.Dependents) > 0 {
+			out = append(out, t)
+		}
+	}
+	sort.Slice(out, func(i, j int) bool { return out[i].Service < out[j].Service })
+	return out, nil
+}
+
+func skipSet(names []string) map[string]bool {
+	m := make(map[string]bool, len(names))
+	for _, s := range names {
+		m[s] = true
+	}
+	return m
 }
 
 // DefaultThrottleRate is the bandwidth generated throttle recipes pace tcp

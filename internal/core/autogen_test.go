@@ -236,13 +236,14 @@ func TestGenerateRecipesDeterministic(t *testing.T) {
 	}
 }
 
-// TestGenerateRecipesPatternPropagation: a custom request-ID pattern (a
-// campaign run's namespace) reaches every recipe and every translated
-// rule, so concurrent runs stay confined to their own traffic.
+// TestGenerateRecipesPatternPropagation: a request-ID pattern set on a
+// generated recipe (a campaign run's namespace) reaches every translated
+// rule, so concurrent runs stay confined to their own traffic; unset, the
+// rules keep the test-traffic default.
 func TestGenerateRecipesPatternPropagation(t *testing.T) {
 	g := appGraph()
 	const pat = "camp-run-7-*"
-	recipes, err := GenerateRecipes(g, GenerateOptions{Pattern: pat})
+	recipes, err := GenerateRecipes(g, GenerateOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -250,26 +251,20 @@ func TestGenerateRecipesPatternPropagation(t *testing.T) {
 		t.Fatal("no recipes generated")
 	}
 	for _, r := range recipes {
-		if r.Pattern != pat {
-			t.Fatalf("recipe %s pattern = %q, want %q", r.Name, r.Pattern, pat)
-		}
-		rs, err := r.Translate(g)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, rule := range rs {
-			if rule.Pattern != pat {
-				t.Fatalf("recipe %s rule %s pattern = %q, want %q", r.Name, rule.ID, rule.Pattern, pat)
+		for _, want := range []string{"", pat} {
+			r.Pattern = want
+			rs, err := r.Translate(g)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if want == "" {
+				want = DefaultPattern
+			}
+			for _, rule := range rs {
+				if rule.Pattern != want {
+					t.Fatalf("recipe %s rule %s pattern = %q, want %q", r.Name, rule.ID, rule.Pattern, want)
+				}
 			}
 		}
-	}
-
-	// Default stays the test-traffic pattern.
-	plain, err := GenerateRecipes(g, GenerateOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if plain[0].Pattern != DefaultPattern {
-		t.Fatalf("default pattern = %q", plain[0].Pattern)
 	}
 }

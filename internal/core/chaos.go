@@ -45,33 +45,14 @@ func RandomScenario(g *graph.Graph, rng *rand.Rand, opts ChaosOptions) (Scenario
 		return nil, errors.New("core: RandomScenario needs a rand.Rand")
 	}
 	o := opts.withDefaults()
-	skip := make(map[string]bool, len(o.SkipServices))
-	for _, s := range o.SkipServices {
-		skip[s] = true
-	}
-
-	// Candidate targets: services with at least one unskipped dependent
-	// (someone must be there to feel the failure).
-	var targets []string
-	for _, svc := range g.Services() {
-		if skip[svc] {
-			continue
-		}
-		deps, err := g.Dependents(svc)
-		if err != nil {
-			return nil, err
-		}
-		for _, d := range deps {
-			if !skip[d] {
-				targets = append(targets, svc)
-				break
-			}
-		}
+	targets, err := FaultTargets(g, o.SkipServices)
+	if err != nil {
+		return nil, err
 	}
 	if len(targets) == 0 {
 		return nil, errors.New("core: RandomScenario: no services with dependents to fail")
 	}
-	target := targets[rng.Intn(len(targets))]
+	t := targets[rng.Intn(len(targets))]
 
 	pattern := "" // recipe default (test traffic)
 	if o.AllTraffic {
@@ -81,25 +62,15 @@ func RandomScenario(g *graph.Graph, rng *rand.Rand, opts ChaosOptions) (Scenario
 
 	switch rng.Intn(4) {
 	case 0:
-		return chaosWrapped{Crash{Service: target, Probability: randProb(rng)}, pattern}, nil
+		return chaosWrapped{Crash{Service: t.Service, Probability: randProb(rng)}, pattern}, nil
 	case 1:
-		return chaosWrapped{Overload{Service: target, Delay: delay}, pattern}, nil
+		return chaosWrapped{Overload{Service: t.Service, Delay: delay}, pattern}, nil
 	case 2:
-		return chaosWrapped{Hang{Service: target, Interval: delay * 10}, pattern}, nil
+		return chaosWrapped{Hang{Service: t.Service, Interval: delay * 10}, pattern}, nil
 	default:
 		// A degraded edge into the target.
-		deps, err := g.Dependents(target)
-		if err != nil {
-			return nil, err
-		}
-		var candidates []string
-		for _, d := range deps {
-			if !skip[d] {
-				candidates = append(candidates, d)
-			}
-		}
-		src := candidates[rng.Intn(len(candidates))]
-		return chaosWrapped{Delay{Src: src, Dst: target, Interval: delay, Probability: randProb(rng)}, pattern}, nil
+		src := t.Dependents[rng.Intn(len(t.Dependents))]
+		return chaosWrapped{Delay{Src: src, Dst: t.Service, Interval: delay, Probability: randProb(rng)}, pattern}, nil
 	}
 }
 

@@ -11,7 +11,9 @@ import (
 )
 
 // Check is one assertion evaluated against the event logs after the
-// failure has been staged and test load injected.
+// failure has been staged and test load injected. The checker it is handed
+// is scoped to the run's request-ID pattern (checker.Pattern), so a check
+// sees the flows its recipe faulted and no others.
 type Check func(c *checker.Checker) (checker.Result, error)
 
 // Recipe is a complete test description: the outage scenario to create and
@@ -26,8 +28,8 @@ type Recipe struct {
 	// Checks are evaluated after load injection.
 	Checks []Check
 
-	// Pattern confines fault injection to request IDs matching it.
-	// Defaults to DefaultPattern ("test-*").
+	// Pattern confines fault injection, and the checks' queries, to
+	// request IDs matching it. Defaults to DefaultPattern ("test-*").
 	Pattern string
 }
 
@@ -37,14 +39,10 @@ func (r Recipe) Translate(g *graph.Graph) ([]rules.Rule, error) {
 	if len(r.Scenarios) == 0 {
 		return nil, errors.New("core: recipe has no scenarios")
 	}
-	pattern := r.Pattern
-	if pattern == "" {
-		pattern = DefaultPattern
-	}
 	ids := NewIDGen(r.name())
 	var out []rules.Rule
 	for _, s := range r.Scenarios {
-		rs, err := s.Translate(g, ids, pattern)
+		rs, err := s.Translate(g, ids, r.pattern())
 		if err != nil {
 			return nil, fmt.Errorf("core: translate %s: %w", s.Describe(), err)
 		}
@@ -54,6 +52,15 @@ func (r Recipe) Translate(g *graph.Graph) ([]rules.Rule, error) {
 		return nil, fmt.Errorf("core: recipe %s produced invalid rules: %w", r.name(), err)
 	}
 	return out, nil
+}
+
+// pattern is the request-ID pattern the recipe's faults and checks are
+// confined to.
+func (r Recipe) pattern() string {
+	if r.Pattern != "" {
+		return r.Pattern
+	}
+	return DefaultPattern
 }
 
 func (r Recipe) name() string {
@@ -66,41 +73,30 @@ func (r Recipe) name() string {
 // ExpectTimeouts asserts that the service answers its upstreams within
 // maxLatency during the outage (HasTimeouts, Table 3).
 func ExpectTimeouts(service string, maxLatency time.Duration) Check {
-	return ExpectTimeoutsOn(service, maxLatency, DefaultPattern)
-}
-
-// ExpectTimeoutsOn is ExpectTimeouts with an explicit request-ID pattern.
-func ExpectTimeoutsOn(service string, maxLatency time.Duration, pattern string) Check {
 	return func(c *checker.Checker) (checker.Result, error) {
-		return c.HasTimeouts(service, maxLatency, pattern)
+		return c.HasTimeouts(service, maxLatency, c.Pattern())
 	}
 }
 
 // ExpectBoundedRetries asserts that src retries failed calls to dst at most
 // maxTries times (HasBoundedRetries, Table 3).
 func ExpectBoundedRetries(src, dst string, maxTries int) Check {
-	return ExpectBoundedRetriesOpts(src, dst, maxTries, DefaultPattern, checker.BoundedRetriesOptions{})
+	return ExpectBoundedRetriesOpts(src, dst, maxTries, checker.BoundedRetriesOptions{})
 }
 
-// ExpectBoundedRetriesOpts is ExpectBoundedRetries with explicit pattern
-// and thresholds.
-func ExpectBoundedRetriesOpts(src, dst string, maxTries int, pattern string, opts checker.BoundedRetriesOptions) Check {
+// ExpectBoundedRetriesOpts is ExpectBoundedRetries with explicit
+// thresholds.
+func ExpectBoundedRetriesOpts(src, dst string, maxTries int, opts checker.BoundedRetriesOptions) Check {
 	return func(c *checker.Checker) (checker.Result, error) {
-		return c.HasBoundedRetries(src, dst, maxTries, pattern, opts)
+		return c.HasBoundedRetries(src, dst, maxTries, c.Pattern(), opts)
 	}
 }
 
 // ExpectCircuitBreaker asserts that src stops calling dst for tdelta after
 // threshold failures (HasCircuitBreaker, Table 3).
 func ExpectCircuitBreaker(src, dst string, threshold int, tdelta time.Duration) Check {
-	return ExpectCircuitBreakerOn(src, dst, threshold, tdelta, DefaultPattern)
-}
-
-// ExpectCircuitBreakerOn is ExpectCircuitBreaker with an explicit
-// request-ID pattern.
-func ExpectCircuitBreakerOn(src, dst string, threshold int, tdelta time.Duration, pattern string) Check {
 	return func(c *checker.Checker) (checker.Result, error) {
-		return c.HasCircuitBreaker(src, dst, threshold, tdelta, pattern, checker.CircuitBreakerOptions{})
+		return c.HasCircuitBreaker(src, dst, threshold, tdelta, c.Pattern(), checker.CircuitBreakerOptions{})
 	}
 }
 
@@ -108,32 +104,22 @@ func ExpectCircuitBreakerOn(src, dst string, threshold int, tdelta time.Duration
 // >= rate req/s while slowDst is degraded (HasBulkhead, Table 3).
 func ExpectBulkhead(src, slowDst string, rate float64) Check {
 	return func(c *checker.Checker) (checker.Result, error) {
-		return c.HasBulkhead(src, slowDst, rate, DefaultPattern)
+		return c.HasBulkhead(src, slowDst, rate, c.Pattern())
 	}
 }
 
 // ExpectNoCalls asserts that src never called dst on test flows.
 func ExpectNoCalls(src, dst string) Check {
-	return ExpectNoCallsOn(src, dst, DefaultPattern)
-}
-
-// ExpectNoCallsOn is ExpectNoCalls with an explicit request-ID pattern.
-func ExpectNoCallsOn(src, dst, pattern string) Check {
 	return func(c *checker.Checker) (checker.Result, error) {
-		return c.NoCallsTo(src, dst, pattern)
+		return c.NoCallsTo(src, dst, c.Pattern())
 	}
 }
 
 // ExpectFallback asserts that the service kept succeeding for at least
 // okFraction of its replies during the outage.
 func ExpectFallback(service string, okFraction float64) Check {
-	return ExpectFallbackOn(service, okFraction, DefaultPattern)
-}
-
-// ExpectFallbackOn is ExpectFallback with an explicit request-ID pattern.
-func ExpectFallbackOn(service string, okFraction float64, pattern string) Check {
 	return func(c *checker.Checker) (checker.Result, error) {
-		return c.HasFallback(service, okFraction, pattern)
+		return c.HasFallback(service, okFraction, c.Pattern())
 	}
 }
 
@@ -176,6 +162,6 @@ func ExpectStreamFaults(src, dst, ruleIDPrefix string, minFired int) Check {
 // exponential-backoff recommendation).
 func ExpectExponentialBackoff(src, dst string, growthFactor float64) Check {
 	return func(c *checker.Checker) (checker.Result, error) {
-		return c.HasExponentialBackoff(src, dst, growthFactor, DefaultPattern)
+		return c.HasExponentialBackoff(src, dst, growthFactor, c.Pattern())
 	}
 }

@@ -223,8 +223,9 @@ func (r *Runner) Run(ctx context.Context, recipe Recipe, opts RunOptions) (*Repo
 		_ = revert()
 		return nil, fmt.Errorf("core: flush observations for %s: %w", recipe.name(), err)
 	}
+	scoped := r.check.Scoped(recipe.pattern())
 	for _, check := range recipe.Checks {
-		res, err := check(r.check)
+		res, err := check(scoped)
 		if err != nil {
 			_ = revert()
 			return nil, fmt.Errorf("core: assertion in %s: %w", recipe.name(), err)

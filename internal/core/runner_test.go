@@ -61,7 +61,7 @@ func TestExample1BoundedRetries(t *testing.T) {
 		Name:      "example1",
 		Scenarios: []core.Scenario{core.Disconnect{From: "serviceA", To: "serviceB"}},
 		Checks: []core.Check{
-			core.ExpectBoundedRetriesOpts("serviceA", "serviceB", 5, core.DefaultPattern,
+			core.ExpectBoundedRetriesOpts("serviceA", "serviceB", 5,
 				checker.BoundedRetriesOptions{FailureThreshold: 5, Window: time.Minute}),
 		},
 	}
@@ -107,6 +107,53 @@ func TestExample1UnboundedRetriesFails(t *testing.T) {
 	}
 	if len(report.Failed()) != 1 {
 		t.Fatalf("failed = %v", report.Failed())
+	}
+}
+
+// TestRecipePatternScopesChecks: a recipe's pattern confines its checks as
+// well as its faults. The same JSON recipe, run once on the default
+// pattern with test- traffic and once on "load-*" with load- traffic,
+// must reach the same verdicts: each check sees the flows its recipe
+// faulted.
+func TestRecipePatternScopesChecks(t *testing.T) {
+	verdicts := func(pattern, idPrefix string) []checker.Result {
+		h := newHarness(t, topology.TwoServices(20, time.Millisecond))
+		recipe, err := core.ParseRecipe([]byte(`{
+			"name": "scoped", "pattern": "` + pattern + `",
+			"scenarios": [{"type": "disconnect", "from": "serviceA", "to": "serviceB"}],
+			"checks": [
+				{"type": "boundedRetries", "src": "serviceA", "dst": "serviceB", "maxTries": 5},
+				{"type": "timeouts", "service": "serviceA", "maxLatencyMillis": 2000},
+				{"type": "noCalls", "src": "serviceA", "dst": "serviceB"},
+				{"type": "fallback", "service": "serviceA", "okFraction": 0.5}
+			]}`))
+		if err != nil {
+			t.Fatal(err)
+		}
+		load := func() error {
+			_, err := loadgen.Run(h.app.EntryURL(), loadgen.Options{N: 1, IDPrefix: idPrefix, RNG: rand.New(rand.NewSource(2))})
+			return err
+		}
+		report, err := h.runner.Run(context.Background(), recipe, core.RunOptions{Load: load, ClearLogs: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return report.Results
+	}
+	want := verdicts("", "test-")
+	got := verdicts("load-*", "load-")
+	if len(got) != len(want) {
+		t.Fatalf("got %d results, want %d", len(got), len(want))
+	}
+	for i := range want {
+		if got[i].Check != want[i].Check || got[i].Passed != want[i].Passed {
+			t.Errorf("load-* check %d = %s, default pattern gave %s", i, got[i], want[i])
+		}
+	}
+	// The 20-retry caller breaks the retry bound and calls the faulted
+	// edge: both verdicts need the run's flows in view.
+	if want[0].Passed || want[2].Passed {
+		t.Fatalf("default-pattern run did not see its flows: %v", want)
 	}
 }
 

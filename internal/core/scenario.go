@@ -22,7 +22,8 @@ import (
 	"gremlin/internal/trace"
 )
 
-// DefaultPattern confines fault injection to synthetic test traffic.
+// DefaultPattern confines a recipe's faults and checks to synthetic test
+// traffic when the recipe sets no pattern of its own.
 const DefaultPattern = trace.TestIDPrefix + "*"
 
 // Scenario is a high-level failure scenario. Translate decomposes it into

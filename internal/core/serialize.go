@@ -168,7 +168,7 @@ func (c checkSpec) toCheck() (Check, error) {
 		}
 		return ExpectTimeouts(c.Service, millis(c.MaxLatencyMillis)), nil
 	case "boundedRetries":
-		return ExpectBoundedRetriesOpts(c.Src, c.Dst, c.MaxTries, DefaultPattern,
+		return ExpectBoundedRetriesOpts(c.Src, c.Dst, c.MaxTries,
 			checker.BoundedRetriesOptions{
 				FailureThreshold: c.Threshold,
 				Window:           millis(c.TdeltaMillis),

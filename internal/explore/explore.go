@@ -31,8 +31,6 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
-	"strconv"
-	"strings"
 	"time"
 
 	"gremlin/internal/campaign"
@@ -264,10 +262,8 @@ func (e *explorer) runRound(ctx context.Context, runner *core.Runner, round int,
 		JournalPath: e.o.JournalPath,
 		Load:        e.o.Load,
 		LeaseTTL:    e.o.LeaseTTL,
-		Cleanup: func(pat string) {
-			if u, ok := unitForPattern(roundID, pat, units); ok {
-				e.harvest(pat, faults[u.Key], round)
-			}
+		Cleanup: func(u campaign.Unit, pat string) {
+			e.harvest(pat, faults[u.Key], round)
 			if e.o.Cleanup != nil {
 				e.o.Cleanup(pat)
 			}
@@ -283,19 +279,4 @@ func (e *explorer) runRound(ctx context.Context, runner *core.Runner, round int,
 		return fmt.Errorf("explore: round %d: %w", round, err)
 	}
 	return nil
-}
-
-// unitForPattern maps a run's request-ID pattern ("camp-<roundID>-<idx>-*")
-// back to the unit that owns it, recovering the fault context the campaign
-// engine's Cleanup hook does not carry.
-func unitForPattern(roundID, pat string, units []campaign.Unit) (campaign.Unit, bool) {
-	prefix := "camp-" + roundID + "-"
-	if !strings.HasPrefix(pat, prefix) || !strings.HasSuffix(pat, "-*") {
-		return campaign.Unit{}, false
-	}
-	idx, err := strconv.Atoi(strings.TrimSuffix(strings.TrimPrefix(pat, prefix), "-*"))
-	if err != nil || idx < 0 || idx >= len(units) {
-		return campaign.Unit{}, false
-	}
-	return units[idx], true
 }

@@ -78,27 +78,29 @@ func (e *explorer) pointUnit(p *Point, prereqs []pointFault) (campaign.Unit, []p
 	for _, f := range fs {
 		eis = append(eis, f.ei)
 	}
-	key := "pt-" + p.EI
-	src, dst, ei := p.Src, p.Dst, p.EI
-	code := e.o.ErrorCode
+	rec := e.abortRecipe("pt-"+p.EI, fs)
+	rec.Checks = []core.Check{expectFaultAt(p.Src, p.Dst, p.EI)}
 	return campaign.Unit{
-		Key:     key,
+		Key:     rec.Name,
 		Kind:    "explore",
-		Service: dst,
-		Target:  ei,
+		Service: p.Dst,
+		Target:  p.EI,
 		EIs:     eis,
-		Build: func(pattern string) (core.Recipe, error) {
-			rec := core.Recipe{Name: key, Pattern: pattern}
-			for _, f := range fs {
-				rec.Scenarios = append(rec.Scenarios, core.Abort{
-					Src: f.src, Dst: f.dst, ErrorCode: code,
-					Probability: 1, On: f.on, CallPath: f.ei,
-				})
-			}
-			rec.Checks = []core.Check{expectFaultAt(src, dst, ei, pattern)}
-			return rec, nil
-		},
+		Recipe:  rec,
 	}, fs
+}
+
+// abortRecipe stages an abort pinned to each fault's execution index, on
+// the fault's message phase.
+func (e *explorer) abortRecipe(name string, fs []pointFault) core.Recipe {
+	rec := core.Recipe{Name: name}
+	for _, f := range fs {
+		rec.Scenarios = append(rec.Scenarios, core.Abort{
+			Src: f.src, Dst: f.dst, ErrorCode: e.o.ErrorCode,
+			Probability: 1, On: f.on, CallPath: f.ei,
+		})
+	}
+	return rec
 }
 
 // comboSeqsLocked expands the observed critical paths into bounded
@@ -144,26 +146,17 @@ func (e *explorer) comboUnit(seq []string) (campaign.Unit, []pointFault, bool) {
 	if e.builtCombo(key) {
 		return campaign.Unit{}, nil, false
 	}
-	eis := append([]string(nil), seq...)
-	code := e.o.ErrorCode
-	deepest := fs[len(fs)-1]
+	rec := e.abortRecipe(key, fs)
+	for _, f := range fs {
+		rec.Checks = append(rec.Checks, expectFaultAt(f.src, f.dst, f.ei))
+	}
 	return campaign.Unit{
 		Key:     key,
 		Kind:    "explore-combo",
-		Service: deepest.dst,
+		Service: fs[len(fs)-1].dst,
 		Target:  strings.Join(seq, "+"),
-		EIs:     eis,
-		Build: func(pattern string) (core.Recipe, error) {
-			rec := core.Recipe{Name: key, Pattern: pattern}
-			for _, f := range fs {
-				rec.Scenarios = append(rec.Scenarios, core.Abort{
-					Src: f.src, Dst: f.dst, ErrorCode: code,
-					Probability: 1, On: f.on, CallPath: f.ei,
-				})
-				rec.Checks = append(rec.Checks, expectFaultAt(f.src, f.dst, f.ei, pattern))
-			}
-			return rec, nil
-		},
+		EIs:     append([]string(nil), seq...),
+		Recipe:  rec,
 	}, fs, true
 }
 
@@ -190,10 +183,10 @@ func (e *explorer) builtCombo(key string) bool {
 // injected fault at exactly the given execution index — the evidence that
 // the point-pinned rule fired where it was aimed, not merely somewhere on
 // the edge.
-func expectFaultAt(src, dst, ei, pattern string) core.Check {
+func expectFaultAt(src, dst, ei string) core.Check {
 	name := fmt.Sprintf("FaultAt(%s)", ei)
 	return core.ExpectCustom(name, func(c *checker.Checker) (bool, string, error) {
-		rl, err := c.GetReplies(src, dst, pattern)
+		rl, err := c.GetReplies(src, dst, c.Pattern())
 		if err != nil {
 			return false, "", err
 		}
