@@ -309,6 +309,7 @@ func FuzzIngestReplay(f *testing.F) {
 		f.Add(body)
 		f.Add(bytes.Replace(body, []byte(`{"ts"`), []byte(`{"seq":77,"ts"`), 2))
 		f.Add(bytes.Replace(body, []byte(`"ts":"2026`), []byte(`"ts":"0001`), 1))
+		f.Add(bytes.Replace(body, []byte(`"uri":"/item"`), []byte(`"uri":"/q?a=1\u0026b=2"`), 1))
 	}
 	f.Fuzz(func(t *testing.T, body []byte) {
 		opts := StoreOptions{Shards: 2, DataDir: t.TempDir(), Fsync: FsyncNever, CompactAfter: -1}

@@ -316,7 +316,8 @@ func (s *Store) durable() bool { return s.opts.DataDir != "" }
 // logLines is Log for a batch decoded from an ingest body: lines[i], for
 // i < len(lines), is the line record i was decoded from in canonical form,
 // which the write-ahead log journals under the record's seq instead of
-// encoding the record again (see wal.append). Like recs, lines is not
+// encoding the record again (see wal.append), or nil for a record
+// encoding/json decoded, which the log encodes. Like recs, lines is not
 // retained.
 func (s *Store) logLines(recs []Record, lines [][]byte) error {
 	if len(recs) == 0 {
