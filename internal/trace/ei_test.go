@@ -71,18 +71,15 @@ func TestEIByteBound(t *testing.T) {
 
 func TestEIMalformedFramesDropped(t *testing.T) {
 	cases := map[string]string{
-		"a#0/garbage/b#1":   "a#0/b#1",  // no separator
-		"a#0/#3/b#1":        "a#0/b#1",  // empty service
-		"a#0/b#x":           "a#0",      // non-numeric ordinal
-		"a#0/b#-2":          "a#0",      // negative ordinal
-		"a#0/…/b#9":         "a#0/…",    // frames after marker dropped
-		"…":                 "…",        // bare marker
-		"":                  "",         // empty
-		"svc#1#2":           "",         // ordinal is not numeric after last '#'... actually "2" parses; service "svc#1"
+		"a#0/garbage/b#1": "a#0/b#1", // no separator
+		"a#0/#3/b#1":      "a#0/b#1", // empty service
+		"a#0/b#x":         "a#0",     // non-numeric ordinal
+		"a#0/b#-2":        "a#0",     // negative ordinal
+		"a#0/…/b#9":       "a#0/…",   // frames after marker dropped
+		"…":               "…",       // bare marker
+		"":                "",        // empty
+		"svc#1#2":         "svc#1#2", // split at the last '#': service "svc#1", ordinal 2
 	}
-	// The svc#1#2 case: LastIndexByte splits at the final '#', so the
-	// service is "svc#1" and the ordinal 2 — legal, if ugly.
-	cases["svc#1#2"] = "svc#1#2"
 	for in, want := range cases {
 		if got := CanonicalEI(in); got != want {
 			t.Errorf("CanonicalEI(%q) = %q, want %q", in, got, want)
