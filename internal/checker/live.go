@@ -9,8 +9,8 @@ import (
 	"time"
 
 	"gremlin/internal/eventlog"
+	"gremlin/internal/metrics"
 	"gremlin/internal/pattern"
-	"gremlin/internal/stats"
 )
 
 // Spec is the JSON form of one live bound, as consumed by gremlin-watch's
@@ -95,8 +95,8 @@ func BuildAll(specs []Spec) ([]*Bound, error) {
 // Per Spec.Type it bounds, within the window, the count of src→dst
 // requests (numRequests), the count of replies with a status (checkStatus;
 // -1 counts every IsFailureStatus reply), the request rate (requestRate),
-// or a reply-latency quantile (replyLatency, estimated by a streaming
-// histogram). A Bound is not safe for concurrent use; a Monitor
+// or a reply-latency quantile (replyLatency, estimated by a
+// metrics.Histogram). A Bound is not safe for concurrent use; a Monitor
 // serializes it.
 type Bound struct {
 	spec  Spec
@@ -110,8 +110,9 @@ type Bound struct {
 
 // Build constructs the bound a spec describes, rejecting a spec whose
 // bound would be meaningless: a negative window, a negative or fractional
-// count, a non-positive rate or latency ceiling, a window or ceiling too
-// long for a time.Duration, or a quantile outside (0,1].
+// count, a non-positive rate or latency ceiling, a window too long for a
+// time.Duration, a latency ceiling at or above the histogram's top bound
+// (it could never fire), or a quantile outside (0,1].
 func Build(s Spec) (*Bound, error) {
 	pat, err := pattern.Compile(s.Pattern)
 	if err != nil {
@@ -158,7 +159,10 @@ func Build(s Spec) (*Bound, error) {
 			return nil, fmt.Errorf("checker: replyLatency maxLatencyMillis %v is not positive or out of range", s.MaxLatencyMillis)
 		}
 		b.limit = millis(s.MaxLatencyMillis).Seconds()
-		b.w.hist = stats.NewStreamingHistogram()
+		if b.limit >= metrics.TopBound {
+			return nil, fmt.Errorf("checker: replyLatency maxLatencyMillis %v could never fire: latency quantiles read at most %v", s.MaxLatencyMillis, time.Duration(metrics.TopBound)*time.Second)
+		}
+		b.w.hist = new(metrics.Histogram)
 	default:
 		return nil, fmt.Errorf("checker: unknown assertion type %q", s.Type)
 	}
@@ -236,7 +240,7 @@ type window struct {
 	samples []sample      // samples[head:] are live; in timestamp order when span > 0
 	head    int
 	// hist, when set, mirrors the live values so a quantile can be read.
-	hist *stats.StreamingHistogram
+	hist *metrics.Histogram
 }
 
 type sample struct {

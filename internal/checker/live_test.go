@@ -374,7 +374,10 @@ var loadSpecsCases = []struct {
 	{"latency without bound", `[{"type": "replyLatency"}]`, false},
 	{"bad pattern", `[{"type": "numRequests", "pattern": "re:("}]`, false},
 	{"window overflow", `[{"type": "numRequests", "windowMillis": 1e300}]`, false},
-	{"large latency", `[{"type": "replyLatency", "maxLatencyMillis": 1e12}]`, true},
+	{"large latency", `[{"type": "replyLatency", "maxLatencyMillis": 1e8}]`, true},
+	{"latency under the histogram top", `[{"type": "replyLatency", "maxLatencyMillis": 131071999}]`, true},
+	{"latency at the histogram top", `[{"type": "replyLatency", "maxLatencyMillis": 131072000}]`, false},
+	{"latency beyond the histogram top", `[{"type": "replyLatency", "maxLatencyMillis": 1e12}]`, false},
 	{"latency overflow", `[{"type": "replyLatency", "maxLatencyMillis": 1e300}]`, false},
 	{"second spec bad", `[{"type": "numRequests"}, {"type": "numRequests", "max": -2}]`, false},
 }
@@ -512,7 +515,7 @@ func TestLiveMatchesBatch(t *testing.T) {
 
 				for _, withRule := range []bool{false, true} {
 					rl := sel
-					rl.Type, rl.MaxLatencyMillis, rl.WithRule = "replyLatency", 1e9, withRule
+					rl.Type, rl.MaxLatencyMillis, rl.WithRule = "replyLatency", 1e8, withRule
 					lives = append(lives, live{b: mustBuild(t, rl), lats: ReplyLatency(reps, withRule)})
 				}
 			}

@@ -65,10 +65,10 @@ func TestParseExpositionEscapedLabels(t *testing.T) {
 
 func TestParseExpositionHistogram(t *testing.T) {
 	w := NewWriter()
-	h := NewHistogram(nil)
+	var h Histogram
 	h.Observe(0.004)
 	h.Observe(0.2)
-	h.Observe(30) // beyond the last finite bound, lands only in +Inf
+	h.Observe(1e6) // beyond the last finite bound, lands only in +Inf
 	w.Histogram("req_seconds", "Latency.", h.Snapshot(), "service", "web")
 	fams, err := ParseExposition(strings.NewReader(w.String()))
 	if err != nil {
@@ -78,7 +78,7 @@ func TestParseExpositionHistogram(t *testing.T) {
 		t.Fatalf("families = %+v", fams)
 	}
 	// _bucket/_sum/_count fold into the base family.
-	want := len(DefaultLatencyBounds) + 1 + 2
+	want := gridBuckets + 2
 	if len(fams[0].Samples) != want {
 		t.Fatalf("got %d samples, want %d", len(fams[0].Samples), want)
 	}
@@ -140,7 +140,7 @@ func FuzzParseExposition(f *testing.F) {
 		mw := NewWriter()
 		mw.Counter(name+"_total", help, v, label, value)
 		mw.Gauge(name+"_g", help, v)
-		h := NewHistogram([]float64{1, 2})
+		var h Histogram
 		h.Observe(1.5)
 		mw.Histogram(name+"_h", help, h.Snapshot(), label, value)
 		fams, err := ParseExposition(strings.NewReader(mw.String()))

@@ -4,11 +4,18 @@
 // GET /metrics endpoint built from a Writer, so any Prometheus-compatible
 // scraper can watch a live test run.
 //
-// The package also provides Histogram, a fixed-bucket cumulative histogram
-// whose Observe is a few atomic adds — cheap enough for the proxy data
-// path — and ParseExposition, a strict parser for the same dialect our
-// writers emit. The telemetry plane scrapes with it; Lint wraps it as the
-// format checker tests use to keep the hand-rolled exposition parseable.
+// The package also owns Gremlin's one latency histogram and its one
+// quantile rule. Histogram counts samples on a fixed log-bucket grid
+// (2^(k/8) s, 7.6 µs to 36.4 h, 9.05 % wide) with an atomic add per
+// Observe, cheap enough for the proxy data path; Remove lets the checker's
+// live bound slide a window over it. Quantile is Prometheus'
+// histogram_quantile over any cumulative bucket set, so the agent's
+// histogram, the live bound, the telemetry scraper's series and the
+// Differ read a p99 the same way.
+//
+// ParseExposition is a strict parser for the same dialect our writers
+// emit. The telemetry plane scrapes with it; Lint wraps it as the format
+// checker tests use to keep the hand-rolled exposition parseable.
 package metrics
 
 import (
@@ -20,7 +27,6 @@ import (
 	"sort"
 	"strconv"
 	"strings"
-	"sync/atomic"
 )
 
 // Writer accumulates one scrape's worth of metric families and renders
@@ -60,14 +66,25 @@ func (w *Writer) Gauge(name, help string, value float64, labels ...string) {
 	w.sample(name, labels, value)
 }
 
-// Histogram emits a histogram family (cumulative _bucket series plus _sum
-// and _count) from a snapshot.
+// Histogram emits a histogram family (cumulative _bucket series on the
+// latency grid plus _sum and _count) from a snapshot. The le values are
+// formatted once per process, and the label set once per call.
 func (w *Writer) Histogram(name, help string, snap HistogramSnapshot, labels ...string) {
 	w.header(name, help, "histogram")
-	for i, bound := range snap.Bounds {
-		w.sample(name+"_bucket", append(append([]string{}, labels...), "le", formatFloat(bound)), float64(snap.Cumulative[i]))
+	open := append([]byte(name), "_bucket{"...)
+	if len(labels) > 0 {
+		open = append(appendLabels(open, labels), ',')
 	}
-	w.sample(name+"_bucket", append(append([]string{}, labels...), "le", "+Inf"), float64(snap.Count))
+	open = append(open, `le="`...)
+	w.b.Grow(len(snap.Cumulative) * (len(open) + 32)) // le, count and punctuation fit in 32
+	var num [20]byte
+	for i, c := range snap.Cumulative {
+		w.b.Write(open)
+		w.b.WriteString(gridLE[i])
+		w.b.WriteString(`"} `)
+		w.b.Write(strconv.AppendInt(num[:0], c, 10))
+		w.b.WriteByte('\n')
+	}
 	w.sample(name+"_sum", labels, snap.Sum)
 	w.sample(name+"_count", labels, float64(snap.Count))
 }
@@ -76,19 +93,27 @@ func (w *Writer) sample(name string, labels []string, value float64) {
 	w.b.WriteString(name)
 	if len(labels) > 0 {
 		w.b.WriteByte('{')
-		for i := 0; i+1 < len(labels); i += 2 {
-			if i > 0 {
-				w.b.WriteByte(',')
-			}
-			// %q escapes quotes, backslashes, and newlines as the
-			// exposition format requires.
-			fmt.Fprintf(&w.b, "%s=%q", labels[i], labels[i+1])
-		}
+		w.b.Write(appendLabels(nil, labels))
 		w.b.WriteByte('}')
 	}
 	w.b.WriteByte(' ')
 	w.b.WriteString(formatFloat(value))
 	w.b.WriteByte('\n')
+}
+
+// appendLabels appends the pairs in labels (name, value, ...) as
+// name="value" joined by commas, quoting values as the exposition format
+// requires (backslashes, quotes and newlines escaped).
+func appendLabels(b []byte, labels []string) []byte {
+	for i := 0; i+1 < len(labels); i += 2 {
+		if i > 0 {
+			b = append(b, ',')
+		}
+		b = append(b, labels[i]...)
+		b = append(b, '=')
+		b = strconv.AppendQuote(b, labels[i+1])
+	}
+	return b
 }
 
 // String returns the accumulated exposition text.
@@ -122,91 +147,6 @@ func escapeHelp(help string) string {
 	return strings.ReplaceAll(help, "\n", `\n`)
 }
 
-// DefaultLatencyBounds are the upper bucket bounds, in seconds, used for
-// request-latency histograms (Prometheus' conventional DefBuckets).
-var DefaultLatencyBounds = []float64{
-	.005, .01, .025, .05, .1, .25, .5, 1, 2.5, 5, 10,
-}
-
-// Histogram is a fixed-bucket cumulative histogram safe for concurrent
-// use. Observe costs two atomic adds plus an atomic CAS for the sum, so it
-// can sit on the proxy data path.
-type Histogram struct {
-	bounds  []float64 // ascending upper bounds; +Inf is implicit
-	counts  []atomic.Int64
-	count   atomic.Int64
-	sumBits atomic.Uint64
-}
-
-// NewHistogram creates a histogram with the given ascending upper bucket
-// bounds. Nil bounds select DefaultLatencyBounds.
-func NewHistogram(bounds []float64) *Histogram {
-	if bounds == nil {
-		bounds = DefaultLatencyBounds
-	}
-	for i := 1; i < len(bounds); i++ {
-		if bounds[i] <= bounds[i-1] {
-			panic(fmt.Sprintf("metrics: histogram bounds not ascending at %d", i))
-		}
-	}
-	return &Histogram{bounds: bounds, counts: make([]atomic.Int64, len(bounds))}
-}
-
-// Observe records one sample.
-func (h *Histogram) Observe(v float64) {
-	// Latency buckets are front-loaded: a linear scan beats binary search
-	// for the common small values and costs the same worst case at n=11.
-	for i, b := range h.bounds {
-		if v <= b {
-			h.counts[i].Add(1)
-			break
-		}
-	}
-	h.count.Add(1)
-	for {
-		old := h.sumBits.Load()
-		next := math.Float64bits(math.Float64frombits(old) + v)
-		if h.sumBits.CompareAndSwap(old, next) {
-			return
-		}
-	}
-}
-
-// HistogramSnapshot is a consistent-enough view of a Histogram for one
-// scrape: per-bound cumulative counts, total count, and sum.
-type HistogramSnapshot struct {
-	Bounds     []float64
-	Cumulative []int64
-	Count      int64
-	Sum        float64
-}
-
-// Snapshot captures the histogram's current state. Concurrent Observe
-// calls may tear count against buckets by a few samples; scrape output
-// remains monotone and well-formed.
-func (h *Histogram) Snapshot() HistogramSnapshot {
-	snap := HistogramSnapshot{
-		Bounds:     h.bounds,
-		Cumulative: make([]int64, len(h.bounds)),
-		Count:      h.count.Load(),
-		Sum:        math.Float64frombits(h.sumBits.Load()),
-	}
-	var cum int64
-	for i := range h.counts {
-		cum += h.counts[i].Load()
-		snap.Cumulative[i] = cum
-	}
-	// Guard the exposition invariant bucket{le=b} <= count under torn
-	// concurrent reads.
-	if n := len(snap.Cumulative); n > 0 && snap.Cumulative[n-1] > snap.Count {
-		snap.Count = snap.Cumulative[n-1]
-	}
-	return snap
-}
-
-// Count reports the number of observed samples.
-func (h *Histogram) Count() int64 { return h.count.Load() }
-
 // Sample is one parsed exposition sample. Name keeps any histogram
 // suffix (_bucket, _sum, _count); the owning Family carries the base name.
 type Sample struct {
@@ -232,7 +172,7 @@ type Family struct {
 // le="+Inf" bucket — so it doubles as the format checker behind Lint.
 func ParseExposition(r io.Reader) ([]Family, error) {
 	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 64*1024), 1<<20)
+	sc.Buffer(nil, 1<<20)
 	byName := make(map[string]*Family)
 	var order []string
 	infSeen := make(map[string]bool)
@@ -336,7 +276,8 @@ func parseSample(line string) (name string, labels map[string]string, value floa
 		if end < i {
 			return "", nil, 0, fmt.Errorf("unterminated label set in %q", line)
 		}
-		for _, pair := range splitLabels(rest[i+1 : end]) {
+		var pairs [8]string // a sample's few labels; more spill to the heap
+		for _, pair := range splitLabels(pairs[:0], rest[i+1:end]) {
 			eq := strings.IndexByte(pair, '=')
 			if eq < 0 {
 				return "", nil, 0, fmt.Errorf("malformed label %q", pair)
@@ -373,10 +314,10 @@ func parseSample(line string) (name string, labels map[string]string, value floa
 	return name, labels, value, nil
 }
 
-// splitLabels splits a label body on commas outside quoted values.
-func splitLabels(s string) []string {
+// splitLabels appends to out the pairs of a label body, split on commas
+// outside quoted values.
+func splitLabels(out []string, s string) []string {
 	var (
-		out      []string
 		start    int
 		inQuote  bool
 		escaping bool

@@ -37,18 +37,15 @@ func TestWriterRendersFamilies(t *testing.T) {
 }
 
 func TestHistogramObserveAndRender(t *testing.T) {
-	h := NewHistogram([]float64{0.1, 1, 10})
+	var h Histogram
 	for _, v := range []float64{0.05, 0.5, 0.5, 5, 50} {
 		h.Observe(v)
 	}
 	snap := h.Snapshot()
-	if got, want := snap.Cumulative, []int64{1, 3, 4}; len(got) != len(want) {
-		t.Fatalf("cumulative %v, want %v", got, want)
-	} else {
-		for i := range want {
-			if got[i] != want[i] {
-				t.Fatalf("cumulative %v, want %v", got, want)
-			}
+	// Bounds 2^-4, 2^0 and 2^3 s sit at grid indexes 104, 136 and 160.
+	for i, want := range map[int]int64{104: 1, 136: 3, 160: 4, gridBuckets - 1: 5} {
+		if got := snap.Cumulative[i]; got != want {
+			t.Errorf("cumulative[%d] (le=%s) = %d, want %d", i, gridLE[i], got, want)
 		}
 	}
 	if snap.Count != 5 {
@@ -62,7 +59,9 @@ func TestHistogramObserveAndRender(t *testing.T) {
 	w.Histogram("gremlin_req_seconds", "Request latency.", snap)
 	out := w.String()
 	for _, want := range []string{
-		`gremlin_req_seconds_bucket{le="0.1"} 1`,
+		`gremlin_req_seconds_bucket{le="0.0625"} 1`,
+		`gremlin_req_seconds_bucket{le="1"} 3`,
+		`gremlin_req_seconds_bucket{le="8"} 4`,
 		`gremlin_req_seconds_bucket{le="+Inf"} 5`,
 		"gremlin_req_seconds_count 5",
 	} {
@@ -76,7 +75,7 @@ func TestHistogramObserveAndRender(t *testing.T) {
 }
 
 func TestHistogramConcurrentObserve(t *testing.T) {
-	h := NewHistogram(nil)
+	var h Histogram
 	var wg sync.WaitGroup
 	const workers, per = 8, 1000
 	for w := 0; w < workers; w++ {
@@ -89,10 +88,10 @@ func TestHistogramConcurrentObserve(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-	if got := h.Count(); got != workers*per {
+	snap := h.Snapshot()
+	if got := snap.Count; got != workers*per {
 		t.Fatalf("count %d, want %d", got, workers*per)
 	}
-	snap := h.Snapshot()
 	if math.Abs(snap.Sum-workers*per*0.01) > 1e-6 {
 		t.Fatalf("sum %v, want %v", snap.Sum, workers*per*0.01)
 	}

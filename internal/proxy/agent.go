@@ -297,7 +297,7 @@ func New(cfg Config) (*Agent, error) {
 		// keep span IDs unique across the deployment.
 		spanGen: trace.NewGenerator("sp-"+cfg.agentID()+"-", nil),
 		routes:  make(map[string]*routeProxy, len(cfg.Routes)),
-		latency: metrics.NewHistogram(metrics.DefaultLatencyBounds),
+		latency: new(metrics.Histogram),
 	}
 	for _, r := range cfg.Routes {
 		canaryPat, err := pattern.Compile(r.CanaryPattern)

@@ -1,11 +1,10 @@
 // Package stats provides the small statistical toolkit behind the
-// evaluation figures and the live latency bound: empirical CDFs,
-// percentiles and summary statistics over latency samples, and a streaming
-// quantile histogram. The paper's evaluation reports response time CDFs
-// (Figures 5, 6 and 8); internal/experiments, the evaluation's one
-// implementation, builds them here from internal/loadgen's samples, and the
-// checker's live replyLatency bound reads its quantile from
-// StreamingHistogram.
+// evaluation figures: empirical CDFs, exact nearest-rank percentiles and
+// summary statistics over latency samples. The paper's evaluation reports
+// response time CDFs (Figures 5, 6 and 8); internal/experiments, the
+// evaluation's one implementation, builds them here from internal/loadgen's
+// samples. A CDF keeps every sample, so it is also the exact reference the
+// streaming latency histogram (metrics.Histogram) is tested against.
 package stats
 
 import (

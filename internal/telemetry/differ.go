@@ -232,18 +232,26 @@ func (d *Differ) errorRatio(match map[string]string, ivs []Interval) float64 {
 }
 
 // recovery steps through the scrape instants after the window closed,
-// computing the windowed p99 over (End, t] at each, and reports the first
-// instant the service is back inside the tolerance band of baseline.
-// Scrapes that saw no new observations are skipped — recovery needs
-// traffic to witness it.
+// computing the p99 over (first, t] at each, where first is the first
+// scrape after End, and reports the first instant the service is back
+// inside the tolerance band of baseline. The scrape interval that spans
+// End belongs to neither side: the window closes only after the unit's
+// checks and revert, so the last scrape before End can predate the
+// fault load's final exchanges, and counting from End would charge them
+// to recovery. Scrapes that saw no new observations are skipped —
+// recovery needs traffic to witness it.
 func (d *Differ) recovery(w Window, match map[string]string, basP99 float64) (bool, int64) {
 	band := basP99*(1+d.opts.Tolerance) + d.opts.Slack.Seconds()
 	_, last, ok := d.store.Bounds()
 	if !ok {
 		return false, 0
 	}
-	for _, t := range d.store.Timestamps(familyDuration+"_count", match, w.End, last) {
-		iv := []Interval{{From: w.End, To: t}}
+	stamps := d.store.Timestamps(familyDuration+"_count", match, w.End, last)
+	if len(stamps) == 0 {
+		return false, 0
+	}
+	for _, t := range stamps[1:] {
+		iv := []Interval{{From: stamps[0], To: t}}
 		if d.store.IncreaseOver(familyDuration+"_count", match, iv) <= 0 {
 			continue
 		}

@@ -10,15 +10,15 @@ import (
 )
 
 // synthesize writes a scrape-per-second history for service web: fast
-// latencies before the fault window [10, 15], slow inside it, fast again
-// after. Counters are cumulative across the whole run, as real scrapes
-// are.
-func synthesize(st *SeriesStore) {
+// latencies up to the scrape at 10, slow ones in the scrapes after it
+// through lastSlow, fast again after. Counters are cumulative across the
+// whole run, as real scrapes are.
+func synthesize(st *SeriesStore, lastSlow int) {
 	var total, slow, aborted float64
 	for i := 0; i <= 25; i++ {
 		ts := at(float64(i))
 		total += 10 // 10 req/s
-		inWindow := i > 10 && i <= 15
+		inWindow := i > 10 && i <= lastSlow
 		if inWindow {
 			slow += 10 // every request delayed past 100ms
 			aborted += 2
@@ -42,7 +42,7 @@ func synthesize(st *SeriesStore) {
 
 func TestDifferDelayWindow(t *testing.T) {
 	st := NewSeriesStore(0)
-	synthesize(st)
+	synthesize(st, 15)
 	w := Window{
 		Unit:   "delay-web->db",
 		RunID:  "r1",
@@ -86,9 +86,30 @@ func TestDifferDelayWindow(t *testing.T) {
 	}
 }
 
+// TestDifferRecoveryFromFirstScrapeAfterWindow: the window closes at 15.5,
+// after the fault load's last slow exchanges, which only the scrape at 16
+// reports. Recovery counts from that scrape, so those exchanges do not
+// hold the recovery p99 up.
+func TestDifferRecoveryFromFirstScrapeAfterWindow(t *testing.T) {
+	st := NewSeriesStore(0)
+	synthesize(st, 16)
+	w := Window{
+		Unit: "delay-web->db", RunID: "r1",
+		Edges: []graph.Edge{{Src: "web", Dst: "db"}},
+		Start: at(10), End: at(15.5), Status: campaign.StatusPassed,
+	}
+	ut, ok := NewDiffer(st, []Window{w}, DiffOptions{}).Diff(w)
+	if !ok {
+		t.Fatal("no differential computed")
+	}
+	if !ut.Recovered || ut.RecoveryMillis != 1500 {
+		t.Fatalf("recovery = %v/%dms, want recovered at the second scrape after the window (1500ms)", ut.Recovered, ut.RecoveryMillis)
+	}
+}
+
 func TestDifferBaselineExcludesOtherWindows(t *testing.T) {
 	st := NewSeriesStore(0)
-	synthesize(st)
+	synthesize(st, 15)
 	// A second window covering the slow span: when diffing a later
 	// window, the slow span must be carved out of its baseline.
 	polluter := Window{

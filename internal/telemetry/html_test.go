@@ -10,7 +10,7 @@ import (
 
 func TestHTMLReport(t *testing.T) {
 	st := NewSeriesStore(0)
-	synthesize(st)
+	synthesize(st, 15)
 	windows := []Window{{
 		Unit: "delay-web->db", RunID: "r1",
 		Edges: []graph.Edge{{Src: "web", Dst: "db"}},

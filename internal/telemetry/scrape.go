@@ -151,8 +151,11 @@ func (s *Scraper) ScrapeOnce(ctx context.Context) {
 func (s *Scraper) scrapeTarget(ctx context.Context, t *target) {
 	fctx, cancel := context.WithTimeout(ctx, s.opts.Timeout)
 	defer cancel()
-	fams, err := s.fetch(fctx, t.URL)
+	// Stamp with the scrape's start, as Prometheus does: the target
+	// renders its counters at or after the stamp, so a point stamped
+	// after an instant holds every observation made before that instant.
 	now := time.Now()
+	fams, err := s.fetch(fctx, t.URL)
 	t.mu.Lock()
 	t.scrapes++
 	if err != nil {
@@ -166,15 +169,11 @@ func (s *Scraper) scrapeTarget(ctx context.Context, t *target) {
 	t.mu.Unlock()
 	for _, f := range fams {
 		for _, sm := range f.Samples {
-			labels := sm.Labels
-			if _, ok := labels["instance"]; !ok {
-				labels = make(map[string]string, len(sm.Labels)+1)
-				for k, v := range sm.Labels {
-					labels[k] = v
-				}
-				labels["instance"] = t.Name
+			// ParseExposition hands out one fresh label map per sample.
+			if _, ok := sm.Labels["instance"]; !ok {
+				sm.Labels["instance"] = t.Name
 			}
-			s.store.Append(now, sm.Name, labels, sm.Value)
+			s.store.Append(now, sm.Name, sm.Labels, sm.Value)
 		}
 	}
 }

@@ -11,11 +11,13 @@ package telemetry
 
 import (
 	"math"
+	"slices"
 	"sort"
 	"strconv"
-	"strings"
 	"sync"
 	"time"
+
+	"gremlin/internal/metrics"
 )
 
 // DefaultRetention is how many points each series ring keeps. At a one-
@@ -60,17 +62,19 @@ func (s *series) append(p Point, cap int) (evicted bool) {
 	return true
 }
 
-// snapshot returns the ring's points oldest-first.
-func (s *series) snapshot() []Point {
+// ordered returns the ring's points oldest-first, as two runs that share
+// the ring's storage.
+func (s *series) ordered() (older, newer []Point) {
 	if !s.full {
-		out := make([]Point, len(s.points))
-		copy(out, s.points)
-		return out
+		return s.points, nil
 	}
-	out := make([]Point, 0, len(s.points))
-	out = append(out, s.points[s.start:]...)
-	out = append(out, s.points[:s.start]...)
-	return out
+	return s.points[s.start:], s.points[:s.start]
+}
+
+// snapshot returns a copy of the ring's points oldest-first.
+func (s *series) snapshot() []Point {
+	older, newer := s.ordered()
+	return append(append(make([]Point, 0, len(s.points)), older...), newer...)
 }
 
 // SeriesStore retains scraped samples in fixed-size rings, one per
@@ -93,26 +97,23 @@ func NewSeriesStore(retention int) *SeriesStore {
 	return &SeriesStore{retention: retention, series: make(map[string]*series)}
 }
 
-// seriesKey is name plus sorted label pairs — one ring per distinct
-// labeled series.
-func seriesKey(name string, labels map[string]string) string {
-	if len(labels) == 0 {
-		return name
-	}
-	keys := make([]string, 0, len(labels))
+// appendSeriesKey appends name plus the sorted label pairs to dst: one
+// ring per distinct labeled series.
+func appendSeriesKey(dst []byte, name string, labels map[string]string) []byte {
+	var buf [8]string // scraped series carry a few labels; more spill to the heap
+	keys := buf[:0]
 	for k := range labels {
 		keys = append(keys, k)
 	}
-	sort.Strings(keys)
-	var b strings.Builder
-	b.WriteString(name)
+	slices.Sort(keys)
+	dst = append(dst, name...)
 	for _, k := range keys {
-		b.WriteByte(0xff)
-		b.WriteString(k)
-		b.WriteByte('=')
-		b.WriteString(labels[k])
+		dst = append(dst, 0xff)
+		dst = append(dst, k...)
+		dst = append(dst, '=')
+		dst = append(dst, labels[k]...)
 	}
-	return b.String()
+	return dst
 }
 
 // Append records one sample. NaN values are dropped.
@@ -120,17 +121,20 @@ func (st *SeriesStore) Append(t time.Time, name string, labels map[string]string
 	if math.IsNaN(v) {
 		return
 	}
-	key := seriesKey(name, labels)
+	// A scrape appends every sample of every target: build the key on the
+	// stack, so only a new series allocates one.
+	var kb [256]byte
+	key := appendSeriesKey(kb[:0], name, labels)
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	s := st.series[key]
+	s := st.series[string(key)]
 	if s == nil {
 		lcopy := make(map[string]string, len(labels))
 		for k, val := range labels {
 			lcopy[k] = val
 		}
 		s = &series{name: name, labels: lcopy}
-		st.series[key] = s
+		st.series[string(key)] = s
 	}
 	if s.append(Point{T: t, V: v}, st.retention) {
 		st.evictions++
@@ -159,6 +163,20 @@ func matches(have, want map[string]string) bool {
 		}
 	}
 	return true
+}
+
+// each calls fn, under the read lock, for every series named name whose
+// labels are a superset of match. The evaluators read the rings in place:
+// a histogram family is hundreds of bucket series, too many to copy per
+// quantile.
+func (st *SeriesStore) each(name string, match map[string]string, fn func(*series)) {
+	st.mu.RLock()
+	defer st.mu.RUnlock()
+	for _, s := range st.series {
+		if s.name == name && matches(s.labels, match) {
+			fn(s)
+		}
+	}
 }
 
 // Match returns snapshots of every series named name whose labels are a
@@ -214,37 +232,36 @@ type Interval struct {
 
 func (iv Interval) seconds() float64 { return iv.To.Sub(iv.From).Seconds() }
 
-// increaseIn computes the counter-reset-aware increase of one series over
+// increase computes the counter-reset-aware increase of the series over
 // (from, to]: the sum of positive deltas, with a reset (value dropping)
 // counted as the post-reset value. The anchor is the last point at or
 // before from; a series first seen inside the window anchors at its first
 // in-window point, which therefore contributes nothing (its prior value
 // is unknown).
-func increaseIn(pts []Point, from, to time.Time) float64 {
+func (s *series) increase(from, to time.Time) float64 {
 	var (
 		inc      float64
 		prev     float64
 		anchored bool
 	)
-	for _, p := range pts {
-		if p.T.After(to) {
-			break
+	older, newer := s.ordered()
+	for _, run := range [2][]Point{older, newer} {
+		for _, p := range run {
+			if p.T.After(to) {
+				return inc
+			}
+			if !p.T.After(from) || !anchored {
+				prev, anchored = p.V, true
+				continue
+			}
+			if p.V >= prev {
+				inc += p.V - prev
+			} else {
+				// Counter reset: the new value is the increase since.
+				inc += p.V
+			}
+			prev = p.V
 		}
-		if !p.T.After(from) {
-			prev, anchored = p.V, true
-			continue
-		}
-		if !anchored {
-			prev, anchored = p.V, true
-			continue
-		}
-		if p.V >= prev {
-			inc += p.V - prev
-		} else {
-			// Counter reset: the new value is the increase since.
-			inc += p.V
-		}
-		prev = p.V
 	}
 	return inc
 }
@@ -253,9 +270,7 @@ func increaseIn(pts []Point, from, to time.Time) float64 {
 // series over (from, to].
 func (st *SeriesStore) Increase(name string, match map[string]string, from, to time.Time) float64 {
 	var total float64
-	for _, sd := range st.Match(name, match) {
-		total += increaseIn(sd.Points, from, to)
-	}
+	st.each(name, match, func(s *series) { total += s.increase(from, to) })
 	return total
 }
 
@@ -292,84 +307,37 @@ func (st *SeriesStore) RateOver(name string, match map[string]string, ivs []Inte
 
 // Quantile computes histogram_quantile(q) for the histogram family base
 // over the window: per-le bucket increases are summed across matching
-// series (all instances), then the quantile is read off the cumulative
-// distribution with linear interpolation inside the bucket. The second
+// series (all instances), then metrics.Quantile reads the quantile off
+// the cumulative distribution, interpolating inside the bucket. The second
 // return is false when the window holds no observations. Values beyond
 // the last finite bound clamp to it, as Prometheus does.
 func (st *SeriesStore) Quantile(base string, match map[string]string, q float64, from, to time.Time) (float64, bool) {
 	return st.QuantileOver(base, match, q, []Interval{{From: from, To: to}})
 }
 
-// QuantileOver is Quantile over a set of disjoint intervals.
+// QuantileOver is Quantile over a set of disjoint intervals. Any le set
+// works, not only the agent's grid.
 func (st *SeriesStore) QuantileOver(base string, match map[string]string, q float64, ivs []Interval) (float64, bool) {
-	type bucket struct {
-		le  float64
-		inc float64
-	}
-	byLE := make(map[float64]*bucket)
-	for _, sd := range st.Match(base+"_bucket", match) {
-		leStr, ok := sd.Labels["le"]
-		if !ok {
-			continue
-		}
-		le, err := parseLE(leStr)
+	byLE := make(map[float64]float64)
+	st.each(base+"_bucket", match, func(s *series) {
+		le, err := parseLE(s.labels["le"])
 		if err != nil {
-			continue
-		}
-		b := byLE[le]
-		if b == nil {
-			b = &bucket{le: le}
-			byLE[le] = b
+			return
 		}
 		for _, iv := range ivs {
-			b.inc += increaseIn(sd.Points, iv.From, iv.To)
+			byLE[le] += s.increase(iv.From, iv.To)
 		}
+	})
+	bounds := make([]float64, 0, len(byLE))
+	for le := range byLE {
+		bounds = append(bounds, le)
 	}
-	if len(byLE) == 0 {
-		return 0, false
+	sort.Float64s(bounds)
+	cum := make([]float64, len(bounds))
+	for i, le := range bounds {
+		cum[i] = byLE[le]
 	}
-	buckets := make([]bucket, 0, len(byLE))
-	for _, b := range byLE {
-		// Clamp torn negatives (buckets are cumulative counters; a torn
-		// scrape can briefly read one behind its neighbor).
-		if b.inc < 0 {
-			b.inc = 0
-		}
-		buckets = append(buckets, *b)
-	}
-	sort.Slice(buckets, func(i, j int) bool { return buckets[i].le < buckets[j].le })
-	total := buckets[len(buckets)-1].inc
-	if total <= 0 {
-		return 0, false
-	}
-	rank := q * total
-	var (
-		lower   float64
-		prevCum float64
-	)
-	for _, b := range buckets {
-		if math.IsInf(b.le, 1) {
-			// Beyond the last finite bound: clamp to it.
-			return lower, true
-		}
-		if b.inc >= rank {
-			in := b.inc - prevCum
-			if in <= 0 {
-				return b.le, true
-			}
-			pos := (rank - prevCum) / in
-			if pos < 0 {
-				pos = 0
-			}
-			if pos > 1 {
-				pos = 1
-			}
-			return lower + (b.le-lower)*pos, true
-		}
-		lower = b.le
-		prevCum = b.inc
-	}
-	return lower, true
+	return metrics.Quantile(q, bounds, cum)
 }
 
 // Timestamps returns the sorted distinct point timestamps of matching
@@ -377,13 +345,13 @@ func (st *SeriesStore) QuantileOver(base string, match map[string]string, q floa
 // steps through.
 func (st *SeriesStore) Timestamps(name string, match map[string]string, from, to time.Time) []time.Time {
 	seen := make(map[int64]time.Time)
-	for _, sd := range st.Match(name, match) {
-		for _, p := range sd.Points {
+	st.each(name, match, func(s *series) {
+		for _, p := range s.points {
 			if p.T.After(from) && !p.T.After(to) {
 				seen[p.T.UnixNano()] = p.T
 			}
 		}
-	}
+	})
 	out := make([]time.Time, 0, len(seen))
 	for _, t := range seen {
 		out = append(out, t)
@@ -398,7 +366,7 @@ func (st *SeriesStore) Bounds() (first, last time.Time, ok bool) {
 	st.mu.RLock()
 	defer st.mu.RUnlock()
 	for _, s := range st.series {
-		for _, p := range s.snapshot() {
+		for _, p := range s.points {
 			if !ok || p.T.Before(first) {
 				first = p.T
 			}
