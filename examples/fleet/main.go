@@ -147,7 +147,10 @@ func run() error {
 		return err
 	}
 	series := telemetry.NewSeriesStore(0)
-	scraper := telemetry.NewScraper(series, targets, telemetry.ScrapeOptions{Interval: 500 * time.Millisecond})
+	// The scraper shares this process's CPUs with the fleet whose reply
+	// latencies the campaign bounds at 10s: one sweep of every agent each
+	// 2s keeps the plane observing without starving the fleet it watches.
+	scraper := telemetry.NewScraper(series, targets, telemetry.ScrapeOptions{Interval: 2 * time.Second})
 	scrapeCtx, stopScraping := context.WithCancel(context.Background())
 	defer stopScraping()
 	go scraper.Run(scrapeCtx)
