@@ -74,7 +74,8 @@ cpu-profile-store:
 
 # The data path's allocation budgets and header-sharing invariants, under
 # the race detector: per-helper budgets in internal/trace, the
-# whole-exchange budget and shared-header forwarding in internal/proxy,
+# whole-exchange budget, a streamed 1 MiB reply's byte budget
+# (StreamedBodyAllocBudget) and shared-header forwarding in internal/proxy,
 # the record codec's budget and its fuzz seed corpus, a volatile store's
 # allocation-free Log and cheap constructors (StoreLogAllocBudget),
 # copy-free WAL compaction (budget and unordered-shard replay), a durable

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"log"
 	"os"
 	"strings"
@@ -76,11 +77,13 @@ func (f *l4Flags) Set(v string) error {
 // runAgent runs a standalone Gremlin agent until ctx is cancelled: the
 // sidecar Layer-7 proxy through which a microservice reaches its
 // dependencies. The agent injects faults on messages matching its
-// installed rules and ships observations to the event-log store.
+// installed rules and ships observations to the event-log store. Once
+// every listener is bound it writes a banner with their addresses to
+// out, so a config that asks for port 0 learns the ports it got.
 //
 //	gremlin agent -config agent.json
 //	gremlin agent -config agent.json -l4 db=127.0.0.1:7002=10.0.0.4:5432
-func runAgent(ctx context.Context, args []string) (err error) {
+func runAgent(ctx context.Context, args []string, out io.Writer) (err error) {
 	fs := flag.NewFlagSet("gremlin agent", flag.ContinueOnError)
 	configPath := fs.String("config", "", "path to the agent JSON config (required)")
 	flushEvery := fs.Duration("flush", 2*time.Second, "interval for flushing buffered observations")
@@ -137,29 +140,29 @@ func runAgent(ctx context.Context, args []string) (err error) {
 	}
 	defer closeKeep(&err, agent.Close)
 	agent.Start()
-	fmt.Printf("gremlin agent for service %q\n", cfg.Service)
-	fmt.Printf("  control API: %s\n", agent.ControlURL())
+	fmt.Fprintf(out, "gremlin agent for service %q\n", cfg.Service)
+	fmt.Fprintf(out, "  control API: %s\n", agent.ControlURL())
 	if *pprofAddr != "" {
 		dbg, err := httpx.StartPprof(*pprofAddr)
 		if err != nil {
 			return err
 		}
 		defer dbg.Close()
-		fmt.Printf("  pprof: %s/debug/pprof/\n", dbg.URL())
+		fmt.Fprintf(out, "  pprof: %s/debug/pprof/\n", dbg.URL())
 	}
 	for _, r := range cfg.Routes {
 		addr, err := agent.RouteAddr(r.Dst)
 		if err != nil {
 			return err
 		}
-		fmt.Printf("  route %s -> %v via %s\n", r.Dst, r.Targets, addr)
+		fmt.Fprintf(out, "  route %s -> %v via %s\n", r.Dst, r.Targets, addr)
 	}
 	for _, r := range append(cfg.L4, l4...) {
 		addr, err := agent.L4RouteAddr(r.Dst)
 		if err != nil {
 			return err
 		}
-		fmt.Printf("  l4 relay %s -> %v via %s\n", r.Dst, r.Targets, addr)
+		fmt.Fprintf(out, "  l4 relay %s -> %v via %s\n", r.Dst, r.Targets, addr)
 	}
 
 	if *registryURL != "" {
@@ -176,10 +179,10 @@ func runAgent(ctx context.Context, args []string) (err error) {
 			Replica:         cfg.Replica,
 		}, *leaseTTL, *leaseTTL/3)
 		defer stopHeartbeat()
-		fmt.Printf("  registered with %s (lease %s, heartbeat %s)\n", *registryURL, *leaseTTL, *leaseTTL/3)
+		fmt.Fprintf(out, "  registered with %s (lease %s, heartbeat %s)\n", *registryURL, *leaseTTL, *leaseTTL/3)
 	}
 
 	<-ctx.Done()
-	fmt.Println("shutting down")
+	fmt.Fprintln(out, "shutting down")
 	return nil
 }

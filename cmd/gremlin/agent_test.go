@@ -3,7 +3,6 @@ package main
 import (
 	"context"
 	"encoding/json"
-
 	"io"
 	"net"
 	"net/http"
@@ -12,6 +11,7 @@ import (
 	"path/filepath"
 	"runtime"
 	"strings"
+	"sync"
 	"testing"
 
 	"gremlin/internal/agentapi"
@@ -47,16 +47,38 @@ func TestAgentRejectsBadConfig(t *testing.T) {
 	}
 }
 
-// controlURLFromOutput is impossible with ephemeral ports printed to
-// stdout; instead the test fixes a port by asking the kernel first.
-func freePort(t *testing.T) string {
-	t.Helper()
-	srv := httptest.NewServer(http.NotFoundHandler())
-	addr := strings.TrimPrefix(srv.URL, "http://")
-	srv.Close()
-	return addr
+// lockedBuffer collects what a running verb writes, for a test to read
+// while the verb is still writing.
+type lockedBuffer struct {
+	mu  sync.Mutex
+	buf strings.Builder
 }
 
+func (b *lockedBuffer) Write(p []byte) (int, error) {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.buf.Write(p)
+}
+
+func (b *lockedBuffer) String() string {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.buf.String()
+}
+
+// bannerValue returns the text after prefix on the first banner line that
+// starts with it (leading blanks ignored), and whether there was one.
+func bannerValue(banner, prefix string) (string, bool) {
+	for _, line := range strings.Split(banner, "\n") {
+		if rest, ok := strings.CutPrefix(strings.TrimSpace(line), prefix); ok {
+			return rest, true
+		}
+	}
+	return "", false
+}
+
+// TestAgentLifecycle runs the agent verb with every listener on port 0
+// and reads the addresses it bound from its banner.
 func TestAgentLifecycle(t *testing.T) {
 	backend := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
 		_, _ = io.WriteString(w, "backend")
@@ -75,16 +97,13 @@ func TestAgentLifecycle(t *testing.T) {
 		}
 	}()
 
-	controlAddr := freePort(t)
-	routeAddr := freePort(t)
-	pprofAddr := freePort(t)
 	cfg := map[string]any{
 		"service":  "client",
-		"control":  controlAddr,
+		"control":  "127.0.0.1:0",
 		"logstore": storeServer.URL(),
 		"routes": []map[string]any{{
 			"dst":        "server",
-			"listenAddr": routeAddr,
+			"listenAddr": "127.0.0.1:0",
 			"targets":    []string{strings.TrimPrefix(backend.URL, "http://")},
 		}},
 	}
@@ -99,12 +118,33 @@ func TestAgentLifecycle(t *testing.T) {
 
 	ctx, cancel := context.WithCancel(context.Background())
 	done := make(chan error, 1)
+	var out lockedBuffer
 	go func() {
-		done <- run(ctx, []string{"agent", "-config", cfgPath, "-flush", "10ms", "-pprof", pprofAddr})
+		done <- runAgent(ctx, []string{"-config", cfgPath, "-flush", "10ms", "-pprof", "127.0.0.1:0"}, &out)
+	}()
+	defer func() {
+		cancel()
+		if err := <-done; err != nil {
+			t.Errorf("run: %v", err)
+		}
 	}()
 
+	// The route line is the banner's last.
+	if !waitUntil(func() bool { _, ok := bannerValue(out.String(), "route server "); return ok }) {
+		t.Fatalf("no route line in the agent's banner:\n%s", out.String())
+	}
+	banner := out.String()
+	controlURL, _ := bannerValue(banner, "control API: ")
+	pprofIndex, _ := bannerValue(banner, "pprof: ")
+	route, _ := bannerValue(banner, "route server ")
+	_, routeAddr, _ := strings.Cut(route, " via ")
+	if !strings.HasPrefix(controlURL, "http://127.0.0.1:") || !strings.HasPrefix(pprofIndex, "http://127.0.0.1:") ||
+		!strings.HasPrefix(routeAddr, "127.0.0.1:") || strings.HasSuffix(routeAddr, ":0") {
+		t.Fatalf("banner does not name the bound addresses:\n%s", banner)
+	}
+
 	// The agent proxies and the control API answers.
-	ctl := agentapi.New("http://"+controlAddr, nil)
+	ctl := agentapi.New(controlURL, nil)
 	if !waitUntil(func() bool { return ctl.Healthy(context.Background()) }) {
 		t.Fatal("control API not healthy")
 	}
@@ -132,7 +172,7 @@ func TestAgentLifecycle(t *testing.T) {
 	}
 
 	// The -pprof flag exposes the debug endpoints on their own listener.
-	dbg, err := http.Get("http://" + pprofAddr + "/debug/pprof/")
+	dbg, err := http.Get(pprofIndex)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -140,11 +180,6 @@ func TestAgentLifecycle(t *testing.T) {
 	_ = dbg.Body.Close()
 	if dbg.StatusCode != 200 || !strings.Contains(string(dbgBody), "goroutine") {
 		t.Fatalf("pprof index: %d %q", dbg.StatusCode, dbgBody)
-	}
-
-	cancel()
-	if err := <-done; err != nil {
-		t.Fatalf("run: %v", err)
 	}
 }
 

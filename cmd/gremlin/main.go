@@ -49,7 +49,9 @@ type verb struct {
 
 // verbs is the command table, in usage order.
 var verbs = []verb{
-	{"agent", "data plane", "run a sidecar agent from a JSON config (-config)", runAgent},
+	{"agent", "data plane", "run a sidecar agent from a JSON config (-config)", func(ctx context.Context, args []string) error {
+		return runAgent(ctx, args, os.Stdout)
+	}},
 	{"logstore", "data plane", "run the event-log store server (-shards, -data-dir, -fsync)", runLogstore},
 	{"demo", "data plane", "spin up a demo topology with agents and a store to experiment against", runDemo},
 

@@ -70,13 +70,63 @@ type Agent struct {
 	latency *metrics.Histogram
 }
 
-// copyBufs holds 32 KiB buffers reused by the streaming fast path, so a
-// proxied body costs no per-request allocation.
+// The streaming fast path relays a reply through a buffer sized to it. A
+// reply that declares a Content-Length of at least largeCopySize borrows a
+// 256 KiB buffer from largeBufs, so a bulk transfer makes an eighth of the
+// read/write round trips. Every other reply (small, of unknown length, or
+// a stream that may stay open for minutes) borrows a 32 KiB buffer from
+// copyBufs. Once warm, neither allocates per reply.
+const (
+	copySize      = 32 << 10
+	largeCopySize = 256 << 10
+
+	// largeBufsMax bounds the 256 KiB buffers a process ever makes, so
+	// large replies retain at most 2 MiB. A large reply that finds them
+	// all in use relays through a 32 KiB buffer instead.
+	largeBufsMax = 8
+)
+
+// copyBufs holds the 32 KiB relay buffers.
 var copyBufs = sync.Pool{
 	New: func() any {
-		b := make([]byte, 32<<10)
+		b := make([]byte, copySize)
 		return &b
 	},
+}
+
+// largeBufs is the bounded store of 256 KiB relay buffers: largeMade
+// counts those made, never more than largeBufsMax, so returning one to
+// the channel never blocks. Unlike a sync.Pool it keeps its buffers
+// across garbage collections and under the race detector.
+var (
+	largeBufs = make(chan *[]byte, largeBufsMax)
+	largeMade atomic.Int32
+)
+
+// relayBuffer borrows the buffer a streamed reply that declares length n
+// (-1 when unknown) is relayed through; releaseBuffer returns it.
+func relayBuffer(n int64) *[]byte {
+	if n >= largeCopySize {
+		select {
+		case b := <-largeBufs:
+			return b
+		default:
+		}
+		if largeMade.Add(1) <= largeBufsMax {
+			b := make([]byte, largeCopySize)
+			return &b
+		}
+		largeMade.Add(-1)
+	}
+	return copyBufs.Get().(*[]byte)
+}
+
+func releaseBuffer(b *[]byte) {
+	if len(*b) == largeCopySize {
+		largeBufs <- b
+		return
+	}
+	copyBufs.Put(b)
 }
 
 // Stats is a snapshot of the agent's data-path counters.
@@ -662,10 +712,48 @@ func (rp *routeProxy) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	a.nStreamed.Add(1)
 	copyHeaders(w.Header(), resp.Header)
 	w.WriteHeader(status)
-	buf := copyBufs.Get().(*[]byte)
-	_, _ = io.CopyBuffer(w, resp.Body, *buf)
-	copyBufs.Put(buf)
+	var flusher http.Flusher
+	if flushEach(resp) {
+		flusher, _ = w.(http.Flusher)
+	}
+	buf := relayBuffer(resp.ContentLength)
+	relay(w, flusher, resp.Body, *buf)
+	releaseBuffer(buf)
 	_ = resp.Body.Close()
+}
+
+// flushEach reports whether a streamed reply reaches the client write by
+// write: one of unknown length or an event stream may be read as it
+// arrives (SSE, long-poll), so it is flushed as httputil.ReverseProxy
+// flushes it. Any other reply leaves flushing to the server's buffering.
+func flushEach(resp *http.Response) bool {
+	if resp.ContentLength == -1 {
+		return true
+	}
+	mediaType, _, _ := strings.Cut(resp.Header.Get("Content-Type"), ";")
+	return strings.EqualFold(strings.TrimSpace(mediaType), "text/event-stream")
+}
+
+// relay copies body to w through buf, flushing after every write when
+// flusher is non-nil, until either side fails or body ends. It is a loop
+// of its own because io.CopyBuffer would hand the copy to the
+// ResponseWriter's ReadFrom, which ignores buf and, for a reply with a
+// Content-Length, allocates a 32 KiB buffer per reply.
+func relay(w io.Writer, flusher http.Flusher, body io.Reader, buf []byte) {
+	for {
+		n, err := body.Read(buf)
+		if n > 0 {
+			if _, werr := w.Write(buf[:n]); werr != nil {
+				return
+			}
+			if flusher != nil {
+				flusher.Flush()
+			}
+		}
+		if err != nil {
+			return
+		}
+	}
 }
 
 // logReply completes the exchange's reply-side record — the request record
@@ -758,9 +846,10 @@ func (rp *routeProxy) forward(r *http.Request, f *flow, body []byte, buffered bo
 		out.Body, _ = out.GetBody()
 		out.ContentLength, out.TransferEncoding = int64(len(body)), nil
 	} else if r.ContentLength == 0 {
-		// Bodyless request: NoBody keeps the outbound call from being
-		// framed as chunked.
-		out.Body = http.NoBody
+		// Bodyless request: a nil body keeps the outbound call from being
+		// framed as chunked, and unlike NoBody the transport does not copy
+		// it through a pooled 32 KiB buffer.
+		out.Body = nil
 	}
 	// The outbound request carries this hop's span so the callee's agent
 	// (and any microservice relaying headers via trace.Propagate) links its

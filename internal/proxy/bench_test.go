@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -16,10 +17,15 @@ import (
 
 // benchAgent starts an agent for service "client" whose one route, to
 // "server", reaches a backend answering every request with body, installs
-// the given rules and returns the route's URL.
-func benchAgent(b *testing.B, body string, installed ...rules.Rule) string {
+// the given rules and returns the route's URL. A sized backend declares
+// the body's Content-Length; otherwise a body too large for the server's
+// buffer goes out chunked.
+func benchAgent(b *testing.B, body string, sized bool, installed ...rules.Rule) string {
 	b.Helper()
 	backend := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
+		if sized {
+			w.Header().Set("Content-Length", strconv.Itoa(len(body)))
+		}
 		_, _ = io.WriteString(w, body)
 	}))
 	b.Cleanup(backend.Close)
@@ -84,14 +90,14 @@ func BenchmarkFigure8ProxiedRequest200Rules(b *testing.B) {
 			DelayMillis: 1,
 		})
 	}
-	benchProxied(b, benchAgent(b, "ok", batch...))
+	benchProxied(b, benchAgent(b, "ok", false, batch...))
 }
 
 // benchmarkProxyThroughput pushes a body of the given size through the
 // agent. With no Modify rule the body streams through pooled buffers (B/op
 // stays flat as size grows); a response Modify rule forces the pre-overhaul
-// read-everything path for comparison.
-func benchmarkProxyThroughput(b *testing.B, size int, modify bool) {
+// read-everything path for comparison. sized is benchAgent's.
+func benchmarkProxyThroughput(b *testing.B, size int, modify, sized bool) {
 	var installed []rules.Rule
 	if modify {
 		installed = append(installed, rules.Rule{
@@ -100,13 +106,27 @@ func benchmarkProxyThroughput(b *testing.B, size int, modify bool) {
 			SearchBytes: "never-present", ReplaceBytes: "still-never",
 		})
 	}
-	u := benchAgent(b, strings.Repeat("x", size), installed...)
+	u := benchAgent(b, strings.Repeat("x", size), sized, installed...)
 	b.SetBytes(int64(size))
 	b.ReportAllocs()
 	benchProxied(b, u)
 }
 
-func BenchmarkProxyThroughputStreamed64KiB(b *testing.B) { benchmarkProxyThroughput(b, 64<<10, false) }
-func BenchmarkProxyThroughputBuffered64KiB(b *testing.B) { benchmarkProxyThroughput(b, 64<<10, true) }
-func BenchmarkProxyThroughputStreamed1MiB(b *testing.B)  { benchmarkProxyThroughput(b, 1<<20, false) }
-func BenchmarkProxyThroughputBuffered1MiB(b *testing.B)  { benchmarkProxyThroughput(b, 1<<20, true) }
+func BenchmarkProxyThroughputStreamed64KiB(b *testing.B) {
+	benchmarkProxyThroughput(b, 64<<10, false, false)
+}
+func BenchmarkProxyThroughputBuffered64KiB(b *testing.B) {
+	benchmarkProxyThroughput(b, 64<<10, true, false)
+}
+func BenchmarkProxyThroughputStreamed1MiB(b *testing.B) {
+	benchmarkProxyThroughput(b, 1<<20, false, false)
+}
+func BenchmarkProxyThroughputBuffered1MiB(b *testing.B) {
+	benchmarkProxyThroughput(b, 1<<20, true, false)
+}
+
+// BenchmarkProxyThroughputStreamedSized1MiB streams a reply that declares
+// its Content-Length, the case the relay sizes its buffer by.
+func BenchmarkProxyThroughputStreamedSized1MiB(b *testing.B) {
+	benchmarkProxyThroughput(b, 1<<20, false, true)
+}
