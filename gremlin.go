@@ -26,6 +26,11 @@
 //	    Checks:    []gremlin.Check{gremlin.ExpectBoundedRetries("serviceA", "serviceB", 5)},
 //	}, gremlin.RunOptions{Load: injectTestTraffic})
 //
+// The package re-exports the recipe, scenario, check and rule vocabulary
+// and the constructors a test program needs. The planes' plumbing (store
+// options, registry servers, the telemetry plane) stays internal and is
+// driven through the gremlin command.
+//
 // See examples/ for complete programs and DESIGN.md for the system map.
 package gremlin
 
@@ -43,7 +48,6 @@ import (
 	"gremlin/internal/proxy"
 	"gremlin/internal/registry"
 	"gremlin/internal/rules"
-	"gremlin/internal/telemetry"
 	"gremlin/internal/trace"
 )
 
@@ -157,10 +161,6 @@ type (
 
 	// Source answers record queries (the checker reads through it).
 	Source = eventlog.Source
-
-	// StoreOptions configures a Store (shard count, WAL directory, fsync
-	// policy, segment size, compaction threshold).
-	StoreOptions = eventlog.StoreOptions
 )
 
 // Record kinds.
@@ -173,19 +173,8 @@ const (
 	KindConnClose = eventlog.KindConnClose
 )
 
-// StoreInfo is a store's partition topology and WAL durability
-// configuration, as reported by GET /v1/info.
-type StoreInfo = eventlog.StoreInfo
-
 // NewStore creates an empty, volatile, single-shard event store.
 func NewStore() *Store { return eventlog.NewStore() }
-
-// NewShardedStore creates an event store per opts. The zero StoreOptions
-// value yields a single volatile shard — equivalent to NewStore; set
-// Shards and DataDir to scale and persist it.
-func NewShardedStore(opts StoreOptions) (*Store, error) {
-	return eventlog.NewShardedStore(opts)
-}
 
 // NewStoreServer starts an event-store server on addr ("127.0.0.1:0" for
 // an ephemeral port).
@@ -215,24 +204,6 @@ type (
 	// a TTL, stay members while heartbeats renew the lease, and expire
 	// otherwise. Membership changes stream through WaitEvents.
 	DynamicRegistry = registry.Dynamic
-
-	// DynamicRegistryOptions configures a DynamicRegistry.
-	DynamicRegistryOptions = registry.DynamicOptions
-
-	// RegistryMember is one live instance plus its lease state.
-	RegistryMember = registry.Member
-
-	// RegistryEvent is one membership change (join, update, leave,
-	// expire) from the registry's event ring.
-	RegistryEvent = registry.Event
-
-	// RegistryServer exposes a registry over HTTP: register, renew,
-	// deregister, members, long-poll watch.
-	RegistryServer = registry.Server
-
-	// RegistryClient drives a remote RegistryServer, including the
-	// Heartbeat renew loop agents run until shutdown.
-	RegistryClient = registry.Client
 )
 
 // NewGraph creates an empty application graph.
@@ -245,33 +216,11 @@ func GraphFromEdges(edges []GraphEdge) *Graph { return graph.FromEdges(edges) }
 // whose leases last about a century.
 func NewRegistry(instances ...Instance) *DynamicRegistry { return registry.NewStatic(instances...) }
 
-// NewDynamicRegistry builds a lease-based registry. The zero options value
-// uses a 10s default TTL and a 1024-event watch ring.
-func NewDynamicRegistry(opts DynamicRegistryOptions) *DynamicRegistry {
-	return registry.NewDynamic(opts)
-}
-
-// NewRegistryServer serves a registry over HTTP on addr ("127.0.0.1:0"
-// for an ephemeral port).
-func NewRegistryServer(addr string, reg *DynamicRegistry) (*RegistryServer, error) {
-	return registry.NewServer(addr, reg)
-}
-
-// NewRegistryClient returns a client for a remote registry server.
-func NewRegistryClient(baseURL string) *RegistryClient { return registry.NewClient(baseURL, nil) }
-
 // Control-plane types: orchestrator, checker, recipes, runner.
 type (
 	// Orchestrator is the Failure Orchestrator: a declarative reconciler
 	// that converges every agent toward the registered desired state.
 	Orchestrator = orchestrator.Orchestrator
-
-	// Applied is a handle to an applied rule set; Revert removes it.
-	Applied = orchestrator.Applied
-
-	// ReconcileReport is the outcome of one reconcile or drift pass:
-	// per-agent sync state, unresolved services, expired leases.
-	ReconcileReport = orchestrator.Report
 
 	// Checker is the Assertion Checker over an event-log source.
 	Checker = checker.Checker
@@ -475,9 +424,6 @@ type (
 	// ExplorePoint is one discovered injection point, named by its
 	// canonical execution index.
 	ExplorePoint = explore.Point
-
-	// ExploreCoverage is the scorecard's explore-plane counter block.
-	ExploreCoverage = campaign.ExploreCoverage
 )
 
 // Explore runs a coverage-guided fault exploration: probe the application
@@ -487,60 +433,4 @@ type (
 // retry, fallback and other paths that only execute under failure.
 func Explore(ctx context.Context, r *Runner, opts ExploreOptions) (*ExploreResult, error) {
 	return explore.Explore(ctx, r, opts)
-}
-
-// Telemetry types: the out-of-band metrics plane — scraping agent and
-// store expositions, correlating fault windows with campaign runs, and
-// computing baseline-vs-fault differentials (see internal/telemetry).
-type (
-	// TelemetryTarget is one scrape endpoint (an agent control plane or
-	// the store server's /metrics).
-	TelemetryTarget = telemetry.Target
-
-	// TelemetryScraper polls targets on an interval into a SeriesStore.
-	TelemetryScraper = telemetry.Scraper
-
-	// TelemetrySeriesStore is a fixed-retention in-memory ring of
-	// scraped samples with counter-reset-aware rate and quantile math.
-	TelemetrySeriesStore = telemetry.SeriesStore
-
-	// TelemetryRecorder observes campaign runs and records fault windows.
-	TelemetryRecorder = telemetry.Recorder
-
-	// TelemetryWindow is one fault's injection interval as observed from
-	// the campaign lifecycle.
-	TelemetryWindow = telemetry.Window
-
-	// TelemetryDiffer computes per-unit baseline-vs-fault differentials.
-	TelemetryDiffer = telemetry.Differ
-
-	// TelemetrySnapshot is one dashboard frame: per-service rates,
-	// error ratios and latency quantiles plus window and scraper state.
-	TelemetrySnapshot = telemetry.Snapshot
-
-	// CampaignRunObserver receives unit run start/finish callbacks;
-	// the telemetry Recorder implements it.
-	CampaignRunObserver = campaign.RunObserver
-
-	// UnitTelemetry is one unit's measured differential as journalled
-	// and folded into the scorecard's Telemetry section.
-	UnitTelemetry = campaign.UnitTelemetry
-)
-
-// FleetTargets derives scrape targets from a registry: every agent
-// control plane (replicas suffixed -N) plus the store server, if any.
-func FleetTargets(reg Registry, storeURL string) ([]TelemetryTarget, error) {
-	return telemetry.FleetTargets(reg, storeURL)
-}
-
-// NewTelemetryScraper builds a scraper over targets; Run it in a
-// goroutine or drive it manually with ScrapeOnce.
-func NewTelemetryScraper(store *TelemetrySeriesStore, targets []TelemetryTarget, opts telemetry.ScrapeOptions) *TelemetryScraper {
-	return telemetry.NewScraper(store, targets, opts)
-}
-
-// NewTelemetryDiffer builds a differ over a series store and the fault
-// windows a Recorder collected during a campaign.
-func NewTelemetryDiffer(store *TelemetrySeriesStore, windows []TelemetryWindow, opts telemetry.DiffOptions) *TelemetryDiffer {
-	return telemetry.NewDiffer(store, windows, opts)
 }

@@ -234,11 +234,6 @@ func AtMostRequests(rl RList, tdelta time.Duration, withRule bool, num int) bool
 	return NumRequests(rl, tdelta, withRule) <= num
 }
 
-// AtLeastRequests checks that at least num records occur within the window.
-func AtLeastRequests(rl RList, tdelta time.Duration, withRule bool, num int) bool {
-	return NumRequests(rl, tdelta, withRule) >= num
-}
-
 // CheckStatus checks that at least numMatch records in rl carry the given
 // HTTP status (Table 3). Pass status 0 to match severed connections.
 func CheckStatus(rl RList, status, numMatch int, withRule bool) bool {

@@ -30,15 +30,9 @@ func Combine(rl RList, steps ...Step) bool {
 // CombineTrace is Combine with a human-readable trace of each step's
 // outcome, for recipe reports.
 func CombineTrace(rl RList, steps ...Step) (bool, string) {
-	var (
-		b        strings.Builder
-		rest     = rl
-		boundary time.Time
-	)
+	var b strings.Builder
+	rest := rl
 	for i, s := range steps {
-		if ba, ok := s.(boundaryAware); ok && !boundary.IsZero() {
-			s = ba.withBoundary(boundary)
-		}
 		consumed, ok := s.Consume(rest)
 		fmt.Fprintf(&b, "step %d %s: ", i+1, s.Describe())
 		if !ok {
@@ -49,19 +43,10 @@ func CombineTrace(rl RList, steps ...Step) (bool, string) {
 		if consumed > len(rest) {
 			consumed = len(rest)
 		}
-		if consumed > 0 {
-			boundary = rest[consumed-1].Timestamp
-		}
 		rest = rest[consumed:]
 	}
 	b.WriteString("all steps passed")
 	return true, b.String()
-}
-
-// boundaryAware is implemented by steps whose semantics depend on the
-// timestamp of the last record consumed by the preceding steps.
-type boundaryAware interface {
-	withBoundary(t time.Time) Step
 }
 
 // StatusSeen is a Step that succeeds once numMatch replies with the given
@@ -148,69 +133,6 @@ func (s AtMost) Consume(rl RList) (int, bool) {
 // Describe implements Step.
 func (s AtMost) Describe() string {
 	return fmt.Sprintf("AtMostRequests(tdelta=%s, withRule=%v, n=%d)", s.Tdelta, s.WithRule, s.Num)
-}
-
-// AtLeast is a Step asserting that at least Num records occur within Tdelta
-// of the first remaining record; it consumes the window.
-type AtLeast struct {
-	Tdelta   time.Duration
-	WithRule bool
-	Num      int
-}
-
-// Consume implements Step.
-func (s AtLeast) Consume(rl RList) (int, bool) {
-	window := windowLen(rl, s.Tdelta)
-	return window, NumRequests(rl[:window], 0, s.WithRule) >= s.Num
-}
-
-// Describe implements Step.
-func (s AtLeast) Describe() string {
-	return fmt.Sprintf("AtLeastRequests(tdelta=%s, withRule=%v, n=%d)", s.Tdelta, s.WithRule, s.Num)
-}
-
-// QuietFor is a Step asserting that no records occur for the given duration
-// after the previous step's last consumed record — i.e. the caller backed
-// off. Because steps only see the remaining list, the quiet period is
-// measured between the end of the consumed prefix and the first remaining
-// record; an empty remainder trivially satisfies it. Used to validate the
-// open phase of a circuit breaker.
-//
-// QuietFor needs the timestamp of the boundary record, so it must follow a
-// consuming step inside CombineWithBoundary-aware chains; Combine wires
-// this automatically.
-type QuietFor struct {
-	Tdelta time.Duration
-
-	// boundary is the timestamp of the last consumed record, set by
-	// Combine's execution (via SetBoundary) before Consume runs.
-	boundary time.Time
-}
-
-// Consume implements Step. When no boundary is known (QuietFor used first
-// in a chain), the gap is measured between the first two remaining records.
-func (s QuietFor) Consume(rl RList) (int, bool) {
-	if len(rl) == 0 {
-		return 0, true
-	}
-	if !s.boundary.IsZero() {
-		return 0, !rl[0].Timestamp.Before(s.boundary.Add(s.Tdelta))
-	}
-	if len(rl) == 1 {
-		return 1, true
-	}
-	return 1, !rl[1].Timestamp.Before(rl[0].Timestamp.Add(s.Tdelta))
-}
-
-// Describe implements Step.
-func (s QuietFor) Describe() string {
-	return fmt.Sprintf("QuietFor(tdelta=%s)", s.Tdelta)
-}
-
-// withBoundary implements boundaryAware.
-func (s QuietFor) withBoundary(t time.Time) Step {
-	s.boundary = t
-	return s
 }
 
 // windowLen returns how many leading records of rl fall within tdelta of

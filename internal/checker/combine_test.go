@@ -62,38 +62,6 @@ func TestAtMostConsume(t *testing.T) {
 	}
 }
 
-func TestAtLeastConsume(t *testing.T) {
-	rl := RList{
-		reply("a", "b", "1", 0),
-		reply("a", "b", "2", 10*time.Second),
-	}
-	if _, ok := (AtLeast{Tdelta: time.Minute, WithRule: true, Num: 2}).Consume(rl); !ok {
-		t.Fatal("want pass")
-	}
-	if _, ok := (AtLeast{Tdelta: time.Minute, WithRule: true, Num: 3}).Consume(rl); ok {
-		t.Fatal("want failure")
-	}
-}
-
-func TestQuietForWithoutBoundary(t *testing.T) {
-	rl := RList{
-		reply("a", "b", "1", 0),
-		reply("a", "b", "2", 2*time.Minute),
-	}
-	if _, ok := (QuietFor{Tdelta: time.Minute}).Consume(rl); !ok {
-		t.Fatal("2min gap >= 1min; want pass")
-	}
-	if _, ok := (QuietFor{Tdelta: 5 * time.Minute}).Consume(rl); ok {
-		t.Fatal("2min gap < 5min; want failure")
-	}
-	if _, ok := (QuietFor{Tdelta: time.Minute}).Consume(nil); !ok {
-		t.Fatal("empty list trivially quiet")
-	}
-	if _, ok := (QuietFor{Tdelta: time.Minute}).Consume(rl[:1]); !ok {
-		t.Fatal("single record trivially quiet")
-	}
-}
-
 func TestCombineBoundedRetriesScenario(t *testing.T) {
 	// The paper's HasBoundedRetries: 5 x 503, then at most 5 more calls
 	// within a minute.
@@ -126,34 +94,6 @@ func TestCombineBoundedRetriesScenario(t *testing.T) {
 	}
 }
 
-func TestCombineCircuitBreakerScenarioWithBoundary(t *testing.T) {
-	// 5 failures, then the caller backs off for a minute before probing
-	// again: QuietFor must measure the gap from the last consumed failure.
-	var rl RList
-	for i := 0; i < 5; i++ {
-		rl = append(rl, reply("a", "b", "t", time.Duration(i)*time.Second, withStatus(503), gremlinMade()))
-	}
-	rl = append(rl, reply("a", "b", "t", 4*time.Second+90*time.Second, withStatus(200))) // probe after 90s
-
-	ok, explain := CombineTrace(rl,
-		FailuresSeen{NumMatch: 5, WithRule: true},
-		QuietFor{Tdelta: time.Minute},
-	)
-	if !ok {
-		t.Fatalf("breaker with 90s quiet period should pass: %s", explain)
-	}
-
-	// A caller that keeps retrying 1s after the failures fails the check.
-	noBreaker := append(rl[:5:5], reply("a", "b", "t", 5*time.Second, withStatus(503), gremlinMade()))
-	ok, _ = CombineTrace(noBreaker,
-		FailuresSeen{NumMatch: 5, WithRule: true},
-		QuietFor{Tdelta: time.Minute},
-	)
-	if ok {
-		t.Fatal("caller without breaker should fail")
-	}
-}
-
 func TestCombineTraceOutput(t *testing.T) {
 	rl := RList{reply("a", "b", "1", 0, withStatus(503))}
 	ok, explain := CombineTrace(rl, StatusSeen{Status: 503, NumMatch: 1, WithRule: true})
@@ -180,8 +120,6 @@ func TestStepDescriptions(t *testing.T) {
 		StatusSeen{Status: 503, NumMatch: 5, WithRule: true},
 		FailuresSeen{NumMatch: 3},
 		AtMost{Tdelta: time.Minute, Num: 5},
-		AtLeast{Tdelta: time.Minute, Num: 1},
-		QuietFor{Tdelta: time.Second},
 	}
 	for _, s := range steps {
 		if s.Describe() == "" {
@@ -206,7 +144,6 @@ func TestCombineConsumptionBoundsProperty(t *testing.T) {
 		steps := []Step{
 			StatusSeen{Status: 503, NumMatch: int(threshold % 10), WithRule: true},
 			AtMost{Tdelta: time.Minute, WithRule: true, Num: 5},
-			QuietFor{Tdelta: time.Second},
 		}
 		rest := rl
 		for _, s := range steps {

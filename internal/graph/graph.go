@@ -249,18 +249,6 @@ func (g *Graph) Roots() []string {
 	return roots
 }
 
-// Leaves returns services with no dependencies, sorted.
-func (g *Graph) Leaves() []string {
-	var leaves []string
-	for name, dsts := range g.out {
-		if len(dsts) == 0 {
-			leaves = append(leaves, name)
-		}
-	}
-	sort.Strings(leaves)
-	return leaves
-}
-
 // HasCycle reports whether the call graph contains a dependency cycle.
 // Cycles are legal in microservice deployments but usually indicate a
 // mis-specified logical graph, so recipes warn about them.
@@ -293,51 +281,6 @@ func (g *Graph) HasCycle() bool {
 		}
 	}
 	return false
-}
-
-// Downstream returns every service transitively reachable from name
-// (excluding name itself), sorted. Used by recipes that reason about blast
-// radius.
-func (g *Graph) Downstream(name string) ([]string, error) {
-	if !g.Has(name) {
-		return nil, fmt.Errorf("%w: %q", ErrUnknownService, name)
-	}
-	seen := make(map[string]bool)
-	stack := []string{name}
-	for len(stack) > 0 {
-		n := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		for next := range g.out[n] {
-			if !seen[next] {
-				seen[next] = true
-				stack = append(stack, next)
-			}
-		}
-	}
-	delete(seen, name)
-	return setToSorted(seen), nil
-}
-
-// Upstream returns every service that transitively depends on name
-// (excluding name itself), sorted.
-func (g *Graph) Upstream(name string) ([]string, error) {
-	if !g.Has(name) {
-		return nil, fmt.Errorf("%w: %q", ErrUnknownService, name)
-	}
-	seen := make(map[string]bool)
-	stack := []string{name}
-	for len(stack) > 0 {
-		n := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		for prev := range g.in[n] {
-			if !seen[prev] {
-				seen[prev] = true
-				stack = append(stack, prev)
-			}
-		}
-	}
-	delete(seen, name)
-	return setToSorted(seen), nil
 }
 
 // DOT renders the graph in Graphviz DOT format for documentation and

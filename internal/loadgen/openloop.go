@@ -169,14 +169,6 @@ func (r *OpenLoopResult) OfferedRate() float64 {
 	return float64(r.Arrivals) / r.Elapsed.Seconds()
 }
 
-// ShedRate returns the fraction of arrivals shed at the in-flight cap.
-func (r *OpenLoopResult) ShedRate() float64 {
-	if r.Arrivals == 0 {
-		return 0
-	}
-	return float64(r.Shed) / float64(r.Arrivals)
-}
-
 // RunOpenLoop injects open-loop load: arrivals fire on the Arrival
 // process's schedule regardless of how many responses have come back, so
 // a slow or faulted system accumulates in-flight requests (up to

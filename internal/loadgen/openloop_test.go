@@ -227,9 +227,6 @@ func TestRunOpenLoopShedsAtCap(t *testing.T) {
 	if res.Arrivals != len(res.Samples)+res.Shed {
 		t.Fatalf("arrivals %d != issued %d + shed %d", res.Arrivals, len(res.Samples), res.Shed)
 	}
-	if res.ShedRate() <= 0 {
-		t.Fatal("ShedRate = 0")
-	}
 }
 
 func TestRunOpenLoopValidation(t *testing.T) {

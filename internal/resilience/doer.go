@@ -1,6 +1,6 @@
 // Package resilience implements the resiliency design patterns that
 // Gremlin's pattern checks detect (paper §2.1): timeouts, bounded retries
-// with exponential backoff, circuit breakers, and bulkheads.
+// with exponential backoff, and circuit breakers.
 //
 // The demo microservices in internal/topology compose these wrappers around
 // their dependency clients; building an application *with* a pattern makes
@@ -8,14 +8,13 @@
 // the assertion fail, which is exactly how the paper's experiments
 // distinguish resilient from fragile services (§7.1).
 //
-// The wrappers share the Doer interface so they compose in any order:
+// The wrappers share the Doer interface, so they nest in any order; the
+// last one wrapped is called first:
 //
-//	client := resilience.Chain(http.DefaultClient,
-//	    func(d resilience.Doer) resilience.Doer { return resilience.NewBulkhead(d, 16, 0) },
-//	    func(d resilience.Doer) resilience.Doer { return resilience.NewBreaker(d, resilience.BreakerConfig{}) },
-//	    func(d resilience.Doer) resilience.Doer { return resilience.NewRetry(d, resilience.RetryPolicy{}) },
-//	    func(d resilience.Doer) resilience.Doer { return resilience.NewTimeout(d, time.Second) },
-//	)
+//	var client resilience.Doer = http.DefaultClient
+//	client = resilience.NewTimeout(client, time.Second)
+//	client = resilience.NewRetry(client, resilience.RetryPolicy{})
+//	client = resilience.NewBreaker(client, resilience.BreakerConfig{})
 package resilience
 
 import "net/http"
@@ -31,16 +30,3 @@ type DoerFunc func(req *http.Request) (*http.Response, error)
 
 // Do implements Doer.
 func (f DoerFunc) Do(req *http.Request) (*http.Response, error) { return f(req) }
-
-// Middleware wraps a Doer with additional behaviour.
-type Middleware func(Doer) Doer
-
-// Chain applies middlewares to base so that the first middleware listed is
-// the outermost (called first).
-func Chain(base Doer, mws ...Middleware) Doer {
-	d := base
-	for i := len(mws) - 1; i >= 0; i-- {
-		d = mws[i](d)
-	}
-	return d
-}

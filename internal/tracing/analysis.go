@@ -187,42 +187,6 @@ func ObservedGraph(traces []*Trace) *graph.Graph {
 	return g
 }
 
-// GraphDiff is the difference between the operator-declared application
-// graph and the dependencies actually observed in traces.
-type GraphDiff struct {
-	// Unexercised edges are declared but never observed — the test did not
-	// cover them (or the declared graph is stale).
-	Unexercised []graph.Edge `json:"unexercised,omitempty"`
-
-	// Undeclared edges were observed but not declared — the real
-	// application calls a dependency the operator's graph does not know
-	// about, so recipes computed from that graph miss it.
-	Undeclared []graph.Edge `json:"undeclared,omitempty"`
-}
-
-// Clean reports whether declared and observed graphs agree.
-func (d GraphDiff) Clean() bool {
-	return len(d.Unexercised) == 0 && len(d.Undeclared) == 0
-}
-
-// DiffGraph compares the declared application graph against the
-// dependencies observed in the traces.
-func DiffGraph(declared *graph.Graph, traces []*Trace) GraphDiff {
-	observed := ObservedGraph(traces)
-	var d GraphDiff
-	for _, e := range declared.Edges() {
-		if !observed.HasEdge(e.Src, e.Dst) {
-			d.Unexercised = append(d.Unexercised, e)
-		}
-	}
-	for _, e := range observed.Edges() {
-		if !declared.HasEdge(e.Src, e.Dst) {
-			d.Undeclared = append(d.Undeclared, e)
-		}
-	}
-	return d
-}
-
 func sortedKeys(set map[string]bool) []string {
 	out := make([]string, 0, len(set))
 	for k := range set {

@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"gremlin/internal/eventlog"
-	"gremlin/internal/graph"
 )
 
 // delayedChain builds a->b->c where the b->c hop took a 100ms injected
@@ -146,84 +145,4 @@ func TestObservedGraphAndDiff(t *testing.T) {
 	if !og.HasEdge("a", "b") || !og.HasEdge("b", "c") || !og.HasEdge("c", "d") {
 		t.Fatalf("observed graph missing edges: %v", og.Edges())
 	}
-
-	declared := graph.New()
-	declared.AddEdge("a", "b")
-	declared.AddEdge("b", "c")
-	declared.AddEdge("c", "d")
-	if d := DiffGraph(declared, traces); !d.Clean() {
-		t.Fatalf("diff of matching graphs = %+v", d)
-	}
-
-	declared2 := graph.New()
-	declared2.AddEdge("a", "b")
-	declared2.AddEdge("b", "c")
-	declared2.AddEdge("b", "cache") // declared, never exercised
-	d := DiffGraph(declared2, traces)
-	if len(d.Unexercised) != 1 || d.Unexercised[0].Dst != "cache" {
-		t.Fatalf("unexercised = %+v", d.Unexercised)
-	}
-	if len(d.Undeclared) != 1 || d.Undeclared[0] != (graph.Edge{Src: "c", Dst: "d"}) {
-		t.Fatalf("undeclared = %+v", d.Undeclared)
-	}
-}
-
-func TestHasBoundedRetriesPerTrace(t *testing.T) {
-	// Flow 1 retries twice (3 calls), flow 2 once (2 calls). Budget of 2
-	// retries passes; budget of 1 fails naming the worst flow.
-	var recs []eventlog.Record
-	for i := 0; i < 3; i++ {
-		recs = append(recs, hop("test-r1", spanN("x", i), "", "a", "b",
-			t0.Add(time.Duration(i)*10*time.Millisecond), 5*time.Millisecond, 503)...)
-	}
-	for i := 0; i < 2; i++ {
-		recs = append(recs, hop("test-r2", spanN("y", i), "", "a", "b",
-			t0.Add(time.Duration(i)*10*time.Millisecond), 5*time.Millisecond, 503)...)
-	}
-	traces := Assemble(recs)
-
-	if res := HasBoundedRetriesPerTrace(traces, "a", "b", 2); !res.Passed {
-		t.Fatalf("budget 2 failed: %s", res.Details)
-	}
-	res := HasBoundedRetriesPerTrace(traces, "a", "b", 1)
-	if res.Passed {
-		t.Fatal("budget 1 passed")
-	}
-	if !strings.Contains(res.Details, "test-r1") {
-		t.Fatalf("details should name the worst trace: %s", res.Details)
-	}
-	if res := HasBoundedRetriesPerTrace(traces, "a", "nope", 1); res.Passed {
-		t.Fatal("unexercised edge passed")
-	}
-}
-
-func TestHasCircuitBreakerPerTrace(t *testing.T) {
-	mk := func(gapAfterTrip time.Duration) []*Trace {
-		var recs []eventlog.Record
-		at := t0
-		for i := 0; i < 3; i++ { // three failures trip the breaker
-			recs = append(recs, hop("test-cb", spanN("c", i), "", "a", "b", at, time.Millisecond, 503)...)
-			at = at.Add(2 * time.Millisecond)
-		}
-		// One more call after the trip, gapAfterTrip past the 3rd failure's end.
-		tripEnd := recs[len(recs)-1].Timestamp
-		recs = append(recs, hop("test-cb", "sp-late", "", "a", "b", tripEnd.Add(gapAfterTrip), time.Millisecond, 200)...)
-		return Assemble(recs)
-	}
-	if res := HasCircuitBreakerPerTrace(mk(50*time.Millisecond), "a", "b", 3, 20*time.Millisecond); !res.Passed {
-		t.Fatalf("quiet flow failed: %s", res.Details)
-	}
-	if res := HasCircuitBreakerPerTrace(mk(5*time.Millisecond), "a", "b", 3, 20*time.Millisecond); res.Passed {
-		t.Fatal("hammering flow passed")
-	}
-	if res := HasCircuitBreakerPerTrace(mk(50*time.Millisecond), "a", "b", 9, 20*time.Millisecond); res.Passed {
-		t.Fatal("never-tripped breaker passed")
-	}
-	if res := HasCircuitBreakerPerTrace(nil, "a", "b", 3, 20*time.Millisecond); res.Passed {
-		t.Fatal("no traces passed")
-	}
-}
-
-func spanN(tag string, i int) string {
-	return "sp-" + tag + "-" + string(rune('0'+i))
 }
