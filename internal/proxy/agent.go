@@ -65,8 +65,9 @@ type Agent struct {
 	ordMu    sync.Mutex
 	ordinals map[string]int
 
-	// latency observes each proxied exchange's wall time in seconds
-	// (including injected delays), exposed via GET /metrics.
+	// latency observes each proxied exchange's time to reply headers in
+	// seconds (including injected delays), the latency its reply record
+	// carries, exposed via GET /metrics.
 	latency *metrics.Histogram
 }
 
@@ -566,13 +567,12 @@ func (rp *routeProxy) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	spanID := a.spanGen.Next()
 	f.ids = [3]string{spanID, parentSpan, hopEI}
 	// Deferred so every exit path — including severed connections, which
-	// unwind via ErrAbortHandler — observes its duration and keeps the
-	// replica counted as busy until its reply body is relayed or discarded.
+	// unwind via ErrAbortHandler — keeps the replica counted as busy until
+	// its reply body is relayed or discarded.
 	defer func() {
 		if f.target != nil {
 			f.target.pending.Add(-1)
 		}
-		a.latency.Observe(time.Since(f.start).Seconds())
 	}()
 	reqMsg := rules.Message{
 		Src:       a.cfg.ServiceName,
@@ -628,6 +628,7 @@ func (rp *routeProxy) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		var err error
 		reqBody, err = io.ReadAll(io.LimitReader(r.Body, maxBodyBytes))
 		if err != nil {
+			rp.logReply(f, http.StatusBadGateway, injected, faultActions, faultRules, false)
 			httpx.WriteError(w, http.StatusBadGateway, "proxy: read request body: %v", err)
 			return
 		}
@@ -689,6 +690,7 @@ func (rp *routeProxy) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 			err = closeErr
 		}
 		if err != nil {
+			rp.logReply(f, http.StatusBadGateway, injected, faultActions, faultRules, false)
 			httpx.WriteError(w, http.StatusBadGateway, "proxy: read response from %s: %v", rp.route.Dst, err)
 			return
 		}
@@ -757,16 +759,22 @@ func relay(w io.Writer, flusher http.Flusher, body io.Reader, buf []byte) {
 }
 
 // logReply completes the exchange's reply-side record — the request record
-// with the outcome filled in — and logs it.
+// with the outcome filled in — logs it, and observes the same latency in
+// the agent's histogram. Every exit of ServeHTTP calls it exactly once, at
+// the instant the reply's status is decided: an exchange's latency is its
+// time to reply headers, so the record and the histogram read one clock.
 func (rp *routeProxy) logReply(f *flow, status int,
 	injected time.Duration, actions, ruleIDs []string, gremlin bool) {
 
+	now := time.Now()
+	latency := now.Sub(f.start)
+	rp.agent.latency.Observe(latency.Seconds())
 	rec := &f.recs[1]
 	*rec = f.recs[0]
-	rec.Timestamp = time.Now()
+	rec.Timestamp = now
 	rec.Kind = eventlog.KindReply
 	rec.Status = status
-	rec.LatencyMillis = float64(time.Since(f.start)) / float64(time.Millisecond)
+	rec.LatencyMillis = float64(latency) / float64(time.Millisecond)
 	rec.FaultAction = strings.Join(actions, ",")
 	rec.FaultRuleID = strings.Join(ruleIDs, ",")
 	rec.InjectedDelayMillis = float64(injected) / float64(time.Millisecond)
@@ -841,10 +849,16 @@ func (rp *routeProxy) forward(r *http.Request, f *flow, body []byte, buffered bo
 	out.Close, out.Trailer = false, nil
 	if buffered {
 		rp.mirror(r, body)
-		// GetBody lets the transport replay the body on a stale connection.
-		out.GetBody = func() (io.ReadCloser, error) { return io.NopCloser(bytes.NewReader(body)), nil }
-		out.Body, _ = out.GetBody()
 		out.ContentLength, out.TransferEncoding = int64(len(body)), nil
+		if len(body) == 0 {
+			// An empty body goes as nil: the transport cannot tell that a
+			// non-nil one of length 0 is empty, and would send it chunked.
+			out.Body, out.GetBody = nil, nil
+		} else {
+			// GetBody lets the transport replay the body on a stale connection.
+			out.GetBody = func() (io.ReadCloser, error) { return io.NopCloser(bytes.NewReader(body)), nil }
+			out.Body, _ = out.GetBody()
+		}
 	} else if r.ContentLength == 0 {
 		// Bodyless request: a nil body keeps the outbound call from being
 		// framed as chunked, and unlike NoBody the transport does not copy

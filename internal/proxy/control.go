@@ -178,7 +178,7 @@ func (a *Agent) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 		mw.Counter("gremlin_rule_matched_total", "Messages that matched a rule's criteria, before probability sampling.", float64(rs.Matched), "service", svc, "rule", rs.ID)
 		mw.Counter("gremlin_rule_fired_total", "Fault injections actually applied by a rule.", float64(rs.Fired), "service", svc, "rule", rs.ID)
 	}
-	mw.Histogram("gremlin_agent_request_duration_seconds", "Wall time per proxied exchange, including injected delays.", a.latency.Snapshot(), "service", svc)
+	mw.Histogram("gremlin_agent_request_duration_seconds", "Time to reply headers per proxied exchange, including injected delays.", a.latency.Snapshot(), "service", svc)
 	mw.Gauge("gremlin_agent_log_dropped", "Records dropped by the log-shipping buffer.", float64(st.LogDropped), "service", svc)
 	mw.Gauge("gremlin_agent_log_flushes", "Batches shipped to the event store.", float64(st.LogFlushes), "service", svc)
 	mw.Gauge("gremlin_agent_log_retries", "Failed ship attempts that were retried.", float64(st.LogRetries), "service", svc)
