@@ -4,6 +4,7 @@ import (
 	"context"
 	"flag"
 	"fmt"
+	"io"
 
 	"gremlin/internal/eventlog"
 	"gremlin/internal/httpx"
@@ -12,11 +13,11 @@ import (
 // runLogstore runs the centralized event-log store that Gremlin agents
 // ship their observations to and the Assertion Checker queries — the
 // stand-in for the paper's logstash→Elasticsearch pipeline — until ctx is
-// cancelled.
+// cancelled. Its banner, which names the addresses it bound, goes to out.
 //
 //	gremlin logstore -addr 127.0.0.1:9200
 //	gremlin logstore -shards 8 -data-dir /var/lib/gremlin -fsync interval
-func runLogstore(ctx context.Context, args []string) (err error) {
+func runLogstore(ctx context.Context, args []string, out io.Writer) (err error) {
 	fs := flag.NewFlagSet("gremlin logstore", flag.ContinueOnError)
 	addr := fs.String("addr", "127.0.0.1:9200", "listen address")
 	shards := fs.Int("shards", 1, "number of store shards (request-ID namespaces hash across them)")
@@ -43,24 +44,24 @@ func runLogstore(ctx context.Context, args []string) (err error) {
 	// goroutine: it closes on every return path, after the server.
 	defer closeKeep(&err, store.Close)
 	if n := store.Len(); n > 0 {
-		fmt.Printf("replayed %d records from %s\n", n, *dataDir)
+		fmt.Fprintf(out, "replayed %d records from %s\n", n, *dataDir)
 	}
 
 	srv, err := eventlog.NewServer(*addr, store)
 	if err != nil {
 		return err
 	}
-	fmt.Printf("gremlin logstore listening on %s (%d shard(s))\n", srv.URL(), store.NumShards())
-	fmt.Println("  POST   /v1/records  ingest observations (JSON Lines; ?shard=i&of=n hint)")
-	fmt.Println("  POST   /v1/query    query observations (JSON Lines reply: a dump to POST back)")
-	fmt.Println("  POST   /v1/count    count matching observations")
-	fmt.Println("  POST   /v1/compact  compact the write-ahead logs")
-	fmt.Println("  DELETE /v1/records  clear")
-	fmt.Println("  GET    /v1/stats    record count and shard topology")
-	fmt.Println("  GET    /v1/info     shard topology and WAL durability")
-	fmt.Println("  GET    /v1/stream   live SSE record stream (?pattern=)")
-	fmt.Println("  GET    /metrics     Prometheus text exposition")
-	fmt.Println("  GET    /healthz     liveness probe")
+	fmt.Fprintf(out, "gremlin logstore listening on %s (%d shard(s))\n", srv.URL(), store.NumShards())
+	fmt.Fprintln(out, "  POST   /v1/records  ingest observations (JSON Lines; ?shard=i&of=n hint)")
+	fmt.Fprintln(out, "  POST   /v1/query    query observations (JSON Lines reply: a dump to POST back)")
+	fmt.Fprintln(out, "  POST   /v1/count    count matching observations")
+	fmt.Fprintln(out, "  POST   /v1/compact  compact the write-ahead logs")
+	fmt.Fprintln(out, "  DELETE /v1/records  clear")
+	fmt.Fprintln(out, "  GET    /v1/stats    record count and shard topology")
+	fmt.Fprintln(out, "  GET    /v1/info     shard topology and WAL durability")
+	fmt.Fprintln(out, "  GET    /v1/stream   live SSE record stream (?pattern=)")
+	fmt.Fprintln(out, "  GET    /metrics     Prometheus text exposition")
+	fmt.Fprintln(out, "  GET    /healthz     liveness probe")
 	if *pprofAddr != "" {
 		dbg, err := httpx.StartPprof(*pprofAddr)
 		if err != nil {
@@ -68,10 +69,10 @@ func runLogstore(ctx context.Context, args []string) (err error) {
 			return err
 		}
 		defer dbg.Close()
-		fmt.Printf("  pprof: %s/debug/pprof/\n", dbg.URL())
+		fmt.Fprintf(out, "  pprof: %s/debug/pprof/\n", dbg.URL())
 	}
 
 	<-ctx.Done()
-	fmt.Println("shutting down")
+	fmt.Fprintln(out, "shutting down")
 	return srv.Close()
 }

@@ -5,7 +5,6 @@ import (
 	"io"
 	"net"
 	"net/http"
-	"net/http/httptest"
 	"path/filepath"
 	"runtime"
 	"strings"
@@ -14,36 +13,37 @@ import (
 	"gremlin/internal/eventlog"
 )
 
+// TestLogstorePprofEndpoint binds the store and -pprof to port 0 and
+// reads the pprof address back from the banner.
 func TestLogstorePprofEndpoint(t *testing.T) {
-	// The store's own address is ephemeral, but -pprof takes a fixed one:
-	// ask the kernel for a free port by binding and releasing it.
-	probe := httptest.NewServer(http.NotFoundHandler())
-	pprofAddr := strings.TrimPrefix(probe.URL, "http://")
-	probe.Close()
-
 	ctx, cancel := context.WithCancel(context.Background())
 	done := make(chan error, 1)
+	var out lockedBuffer
 	go func() {
-		done <- run(ctx, []string{"logstore", "-addr", "127.0.0.1:0", "-pprof", pprofAddr})
+		done <- runLogstore(ctx, []string{"-addr", "127.0.0.1:0", "-pprof", "127.0.0.1:0"}, &out)
+	}()
+	defer func() {
+		cancel()
+		if err := <-done; err != nil {
+			t.Errorf("run: %v", err)
+		}
 	}()
 
-	var resp *http.Response
-	if !waitUntil(func() bool {
-		var err error
-		resp, err = http.Get("http://" + pprofAddr + "/debug/pprof/")
-		return err == nil
-	}) {
-		t.Fatal("pprof endpoint never answered")
+	if !waitUntil(func() bool { _, ok := bannerValue(out.String(), "pprof: "); return ok }) {
+		t.Fatalf("no pprof line in the logstore's banner:\n%s", out.String())
+	}
+	pprofIndex, _ := bannerValue(out.String(), "pprof: ")
+	if !strings.HasPrefix(pprofIndex, "http://127.0.0.1:") || strings.Contains(pprofIndex, ":0/") {
+		t.Fatalf("banner does not name the bound pprof address:\n%s", out.String())
+	}
+	resp, err := http.Get(pprofIndex)
+	if err != nil {
+		t.Fatal(err)
 	}
 	body, _ := io.ReadAll(resp.Body)
 	_ = resp.Body.Close()
 	if resp.StatusCode != 200 || !strings.Contains(string(body), "goroutine") {
 		t.Fatalf("pprof index: %d %q", resp.StatusCode, body)
-	}
-
-	cancel()
-	if err := <-done; err != nil {
-		t.Fatalf("run: %v", err)
 	}
 }
 

@@ -52,7 +52,9 @@ var verbs = []verb{
 	{"agent", "data plane", "run a sidecar agent from a JSON config (-config)", func(ctx context.Context, args []string) error {
 		return runAgent(ctx, args, os.Stdout)
 	}},
-	{"logstore", "data plane", "run the event-log store server (-shards, -data-dir, -fsync)", runLogstore},
+	{"logstore", "data plane", "run the event-log store server (-shards, -data-dir, -fsync)", func(ctx context.Context, args []string) error {
+		return runLogstore(ctx, args, os.Stdout)
+	}},
 	{"demo", "data plane", "spin up a demo topology with agents and a store to experiment against", runDemo},
 
 	agentVerb("info", "show agent identity, routes and rule-set generation"),
