@@ -65,24 +65,7 @@ func TestNoExportedFuncWithoutCaller(t *testing.T) {
 	}
 	var decls []decl
 	uses := map[string]int{}
-	fset := token.NewFileSet()
-	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
-		if err != nil {
-			return err
-		}
-		if d.IsDir() {
-			if path != "." && (strings.HasPrefix(d.Name(), ".") || d.Name() == "testdata") {
-				return filepath.SkipDir
-			}
-			return nil
-		}
-		if !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
-			return nil
-		}
-		f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
-		if err != nil {
-			return err
-		}
+	eachNonTestFile(t, func(path string, f *ast.File) {
 		declared := map[*ast.Ident]bool{}
 		internal := strings.HasPrefix(filepath.ToSlash(path), "internal/")
 		for _, dd := range f.Decls {
@@ -109,11 +92,7 @@ func TestNoExportedFuncWithoutCaller(t *testing.T) {
 			}
 			return true
 		})
-		return nil
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
 
 	// dead holds every declared key: whether no other identifier names it.
 	dead := map[string]bool{}
@@ -150,6 +129,201 @@ func TestNoExportedFuncWithoutCaller(t *testing.T) {
 		case !isDead:
 			t.Errorf("keptWithoutCaller lists %s, which now has a non-test caller: drop the entry", k)
 		}
+	}
+}
+
+// keptWithoutSetter lists the exported fields of option structs under
+// internal/ that no non-test code sets and that stay on purpose, each
+// with the reason. A name is "pkg.Type.Field".
+var keptWithoutSetter = map[string]string{
+	"checker.CircuitBreakerOptions.SuccessThreshold": "paper Table 3: the breaker check's half-open successes",
+
+	// Re-exported as gremlin.GenerateOptions; example_test.go documents
+	// them as the knobs a Go recipe turns.
+	"core.GenerateOptions.MaxRetries":       "root facade vocabulary",
+	"core.GenerateOptions.BreakerThreshold": "root facade vocabulary",
+	"core.GenerateOptions.BreakerQuiet":     "root facade vocabulary",
+
+	// Test seams: without them a test would need thousands of records
+	// or hundreds of sockets to reach the bound it checks.
+	"eventlog.BufferOptions.Max":                "test seam: a small buffer bound",
+	"eventlog.StoreOptions.CompactAfter":        "test seam: compaction after a few segments",
+	"eventlog.StoreOptions.MaxSegmentBytes":     "test seam: small WAL segments",
+	"eventlog.StoreOptions.FsyncInterval":       "test seam: group-commit timing",
+	"loadgen.OpenLoopOptions.MaxInFlight":       "test seam: a shedding cap a test can reach",
+	"registry.DynamicOptions.MaxEvents":         "test seam: a short change-event ring",
+	"resilience.BreakerConfig.SuccessThreshold": "test seam: several half-open probes",
+
+	// Clock seams for deterministic-time tests.
+	"registry.DynamicOptions.Now":  "clock seam",
+	"resilience.BreakerConfig.Now": "clock seam",
+	"resilience.RetryPolicy.Sleep": "clock seam",
+}
+
+// defaultingMethods are the methods that fill an option struct's zero
+// fields with defaults; nothing inside one counts as a setter.
+var defaultingMethods = map[string]bool{"withDefaults": true, "defaults": true, "WithDefaults": true}
+
+// TestNoOptionWithoutSetter finds the exported fields of exported struct
+// types under internal/ named *Options, *Config or *Policy that no
+// non-test Go file sets, and holds them to keptWithoutSetter. A field
+// is set by a keyed composite literal of its type naming it, or by an
+// assignment to .Field outside a defaulting method and outside the body
+// of an if whose condition reads the same field (the "if o.X <= 0 {
+// o.X = d }" idiom). Like TestNoExportedFuncWithoutCaller it matches by
+// name: a literal of another package's same-named type, or an
+// assignment to any same-named field, counts as a setter. So it cannot
+// prove an option unused, and only keeps unused ones from growing back.
+func TestNoOptionWithoutSetter(t *testing.T) {
+	declared := map[string]string{} // "pkg.Type.Field" -> "Type.Field"
+	literal := map[string]bool{}    // "Type.Field" named in a keyed literal
+	assigned := map[string]bool{}   // "Field" assigned outside defaulting
+
+	// visit records the setters under n. guarded holds the field names
+	// an enclosing if compares.
+	var visit func(n ast.Node, guarded map[string]bool)
+	visit = func(n ast.Node, guarded map[string]bool) {
+		ast.Inspect(n, func(n ast.Node) bool {
+			switch n := n.(type) {
+			case *ast.FuncDecl:
+				if n.Recv != nil && defaultingMethods[n.Name.Name] {
+					return false
+				}
+			case *ast.IfStmt:
+				inner := map[string]bool{}
+				for k := range guarded {
+					inner[k] = true
+				}
+				ast.Inspect(n.Cond, func(c ast.Node) bool {
+					if sel, ok := c.(*ast.SelectorExpr); ok {
+						inner[sel.Sel.Name] = true
+					}
+					return true
+				})
+				if n.Init != nil {
+					visit(n.Init, guarded)
+				}
+				visit(n.Cond, guarded)
+				visit(n.Body, inner)
+				if n.Else != nil {
+					visit(n.Else, guarded)
+				}
+				return false
+			case *ast.AssignStmt:
+				for _, lhs := range n.Lhs {
+					if sel, ok := lhs.(*ast.SelectorExpr); ok && !guarded[sel.Sel.Name] {
+						assigned[sel.Sel.Name] = true
+					}
+				}
+			case *ast.CompositeLit:
+				typ := n.Type
+				if sel, ok := typ.(*ast.SelectorExpr); ok {
+					typ = sel.Sel
+				}
+				id, ok := typ.(*ast.Ident)
+				if !ok {
+					return true
+				}
+				for _, e := range n.Elts {
+					if kv, ok := e.(*ast.KeyValueExpr); ok {
+						if key, ok := kv.Key.(*ast.Ident); ok {
+							literal[id.Name+"."+key.Name] = true
+						}
+					}
+				}
+			}
+			return true
+		})
+	}
+
+	eachNonTestFile(t, func(path string, f *ast.File) {
+		visit(f, nil)
+		if !strings.HasPrefix(filepath.ToSlash(path), "internal/") {
+			return
+		}
+		for _, dd := range f.Decls {
+			gd, ok := dd.(*ast.GenDecl)
+			if !ok || gd.Tok != token.TYPE {
+				continue
+			}
+			for _, spec := range gd.Specs {
+				ts := spec.(*ast.TypeSpec)
+				st, ok := ts.Type.(*ast.StructType)
+				name := ts.Name.Name
+				if !ok || !ts.Name.IsExported() ||
+					!(strings.HasSuffix(name, "Options") || strings.HasSuffix(name, "Config") || strings.HasSuffix(name, "Policy")) {
+					continue
+				}
+				for _, field := range st.Fields.List {
+					for _, fn := range field.Names {
+						if fn.IsExported() {
+							declared[f.Name.Name+"."+name+"."+fn.Name] = name + "." + fn.Name
+						}
+					}
+				}
+			}
+		}
+	})
+
+	// unset holds every declared key: whether nothing sets it.
+	unset := map[string]bool{}
+	for key, tf := range declared {
+		field := tf[strings.IndexByte(tf, '.')+1:]
+		unset[key] = !literal[tf] && !assigned[field]
+	}
+
+	var unlisted []string
+	for k, isUnset := range unset {
+		if _, ok := keptWithoutSetter[k]; isUnset && !ok {
+			unlisted = append(unlisted, k)
+		}
+	}
+	sort.Strings(unlisted)
+	for _, k := range unlisted {
+		t.Errorf("%s is an option nothing outside tests sets: make its default a constant, or list it in keptWithoutSetter with the reason", k)
+	}
+	var listed []string
+	for k := range keptWithoutSetter {
+		listed = append(listed, k)
+	}
+	sort.Strings(listed)
+	for _, k := range listed {
+		switch isUnset, ok := unset[k]; {
+		case !ok:
+			t.Errorf("keptWithoutSetter lists %s, which no longer exists: drop the entry", k)
+		case !isUnset:
+			t.Errorf("keptWithoutSetter lists %s, which now has a non-test setter: drop the entry", k)
+		}
+	}
+}
+
+// eachNonTestFile parses every non-test Go file in the module, outside
+// dot directories and testdata, and calls fn with each.
+func eachNonTestFile(t *testing.T, fn func(path string, f *ast.File)) {
+	t.Helper()
+	fset := token.NewFileSet()
+	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			if path != "." && (strings.HasPrefix(d.Name(), ".") || d.Name() == "testdata") {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
+			return nil
+		}
+		f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
+		if err != nil {
+			return err
+		}
+		fn(path, f)
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
 }
 

@@ -9,6 +9,7 @@ import (
 	"os"
 	"path/filepath"
 	"runtime/pprof"
+	"strings"
 	"sync"
 	"time"
 
@@ -47,10 +48,10 @@ func runCampaign(ctx context.Context, args []string) error {
 		outPath      = fs.String("out", "", "write the scorecard JSON here (optional)")
 		mdPath       = fs.String("markdown", "", "write the Markdown scorecard here (default stdout)")
 		skip         = fs.String("skip", "user", "comma-separated services to exclude as fault targets")
-		templates    = fs.String("templates", "", "comma-separated scenario templates (default all: overload,crash,hang,partition,sever,delay)")
+		templates    = fs.String("templates", "", "comma-separated scenario templates (default all: "+strings.Join(campaign.TemplateNames, ",")+")")
 		chaos        = fs.Int("chaos", 0, "append this many randomized chaos draws to the plan")
 		chaosSeed    = fs.Int64("chaos-seed", 1, "seed for the chaos draws")
-		maxLatency   = fs.Duration("max-latency", 0, "per-request latency bound asserted on callers (default 10s)")
+		maxLatency   = fs.Duration("max-latency", 0, fmt.Sprintf("per-request latency bound asserted on callers (default %s)", core.GenerateOptions{}.WithDefaults().MaxLatency))
 		keepLogs     = fs.Bool("keep-logs", false, "leave each run's records in the store instead of reclaiming them")
 		lease        = fs.Duration("lease", 30*time.Second, "lease TTL for each run's staged faults (0 disables leasing): if the campaign dies, agents self-expire the rules after this long")
 		liveAsserts  = fs.String("live-asserts", "", "JSON file of online assertions (checker specs); a live violation aborts that run's load early")
@@ -210,7 +211,7 @@ func runCampaign(ctx context.Context, args []string) error {
 			fmt.Printf("telemetry: scraping %s more for recovery measurement\n", *recoveryWait)
 			time.Sleep(*recoveryWait)
 		}
-		measured := telemetry.NewDiffer(series, recorder.Windows(), telemetry.DiffOptions{}).DiffAll()
+		measured := telemetry.NewDiffer(series, recorder.Windows()).DiffAll()
 		for _, ut := range measured {
 			ut := ut
 			entry := campaign.Entry{

@@ -2,6 +2,8 @@ package main
 
 import (
 	"encoding/json"
+	"errors"
+	"flag"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -22,6 +24,33 @@ func TestCampaignRequiredFlags(t *testing.T) {
 	}
 	if err := gremlin("campaign", "-graph", "g.json"); err == nil {
 		t.Fatal("missing -registry/-store/-load-url should fail")
+	}
+}
+
+// TestCampaignUsageNamesDefaults checks that the help text states the
+// defaults the code applies: GenerateOptions' latency bound and every
+// template Enumerate expands.
+func TestCampaignUsageNamesDefaults(t *testing.T) {
+	out, err := os.CreateTemp(t.TempDir(), "usage")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer out.Close()
+	stderr := os.Stderr
+	os.Stderr = out
+	err = gremlin("campaign", "-h")
+	os.Stderr = stderr
+	if !errors.Is(err, flag.ErrHelp) {
+		t.Fatalf("gremlin campaign -h = %v, want flag.ErrHelp", err)
+	}
+	text, err := os.ReadFile(out.Name())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, want := range []string{"(default 2s)", "sever,delay,stream)"} {
+		if !strings.Contains(string(text), want) {
+			t.Errorf("usage does not name %q:\n%s", want, text)
+		}
 	}
 }
 

@@ -181,7 +181,7 @@ func run() error {
 	}
 	fmt.Println("\nquiet period: scraping added 0 event-log records (plane is out-of-band)")
 
-	measured := telemetry.NewDiffer(series, windows, telemetry.DiffOptions{}).DiffAll()
+	measured := telemetry.NewDiffer(series, windows).DiffAll()
 	if len(measured) != 1 {
 		return fmt.Errorf("want one measured unit, got %d", len(measured))
 	}

@@ -25,7 +25,6 @@ import (
 	"time"
 
 	"gremlin/internal/httpx"
-	"gremlin/internal/resilience"
 	"gremlin/internal/trace"
 )
 
@@ -58,11 +57,6 @@ type Config struct {
 	// the Table 1 publishers.
 	QueueDepth int
 
-	// DeliveryClient issues deliveries to subscribers. Wire it through a
-	// Gremlin agent route to fault-inject the delivery path. Nil uses a
-	// plain client.
-	DeliveryClient resilience.Doer
-
 	// RetryBackoff is the pause between delivery attempts for the same
 	// message (default 10 ms). Delivery retries forever (at-least-once,
 	// head-of-line blocking): exactly the behaviour that turns a dead
@@ -79,9 +73,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.QueueDepth <= 0 {
 		c.QueueDepth = 64
-	}
-	if c.DeliveryClient == nil {
-		c.DeliveryClient = &http.Client{Transport: &http.Transport{MaxIdleConnsPerHost: 16}}
 	}
 	if c.RetryBackoff <= 0 {
 		c.RetryBackoff = 10 * time.Millisecond
@@ -121,6 +112,7 @@ type Stats struct {
 type Bus struct {
 	cfg    Config
 	server *httpx.Server
+	client *http.Client // issues deliveries to subscribers
 
 	mu          sync.Mutex
 	subscribers map[string][]*subscriber // by topic
@@ -138,6 +130,7 @@ type Bus struct {
 func New(cfg Config) (*Bus, error) {
 	b := &Bus{
 		cfg:         cfg.withDefaults(),
+		client:      &http.Client{Transport: &http.Transport{MaxIdleConnsPerHost: 16}},
 		subscribers: make(map[string][]*subscriber),
 	}
 	mux := http.NewServeMux()
@@ -308,7 +301,7 @@ func (b *Bus) deliver(s *subscriber, msg Message) bool {
 	req.Header.Set("Content-Type", "application/octet-stream")
 	req.Header.Set("X-Bus-Topic", msg.Topic)
 	trace.SetRequestID(req, msg.RequestID)
-	resp, err := b.cfg.DeliveryClient.Do(req)
+	resp, err := b.client.Do(req)
 	if err != nil {
 		return false
 	}

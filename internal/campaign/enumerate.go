@@ -48,6 +48,11 @@ type Unit struct {
 	Recipe core.Recipe
 }
 
+// TemplateNames are the deterministic templates Enumerate expands, in
+// the order it expands them. An EnumerateOptions with no Templates
+// selects all of them.
+var TemplateNames = []string{"overload", "crash", "hang", "partition", "sever", "delay", "stream"}
+
 // EnumerateOptions tunes fault-space enumeration.
 type EnumerateOptions struct {
 	// Generate seeds the overload and crash templates (scenarios and
@@ -57,8 +62,8 @@ type EnumerateOptions struct {
 	Generate core.GenerateOptions
 
 	// Templates selects which deterministic templates to enumerate; nil
-	// selects all of overload, crash, hang, partition, sever, delay and
-	// stream (the L4 grid over protocol:tcp edges).
+	// selects all of TemplateNames ("stream" is the L4 grid over
+	// protocol:tcp edges).
 	Templates []string
 
 	// HangInterval is how long the hang template stalls each request
@@ -88,6 +93,9 @@ type EnumerateOptions struct {
 }
 
 func (o EnumerateOptions) withDefaults() EnumerateOptions {
+	if len(o.Templates) == 0 {
+		o.Templates = TemplateNames
+	}
 	if o.HangInterval <= 0 {
 		o.HangInterval = 2 * time.Second
 	}
@@ -120,7 +128,7 @@ func Enumerate(g *graph.Graph, opts EnumerateOptions) ([]Unit, error) {
 	for _, t := range o.Templates {
 		want[t] = true
 	}
-	enabled := func(t string) bool { return len(o.Templates) == 0 || want[t] }
+	enabled := func(t string) bool { return want[t] }
 
 	var units []Unit
 

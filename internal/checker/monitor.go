@@ -102,7 +102,7 @@ type Feed func(ctx context.Context, pattern string, fn func(eventlog.Record)) er
 // StoreFeed taps an in-process store's subscription fan-out.
 func StoreFeed(s *eventlog.Store) Feed {
 	return func(ctx context.Context, pattern string, fn func(eventlog.Record)) error {
-		sub, err := s.SubscribeBuffer(pattern, eventlog.DefaultSubscriberBuffer)
+		sub, err := s.Subscribe(pattern)
 		if err != nil {
 			return err
 		}

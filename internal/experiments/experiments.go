@@ -165,7 +165,7 @@ func Figure6(opts Options) (*Figure6Result, error) {
 			From: topology.WordPressService, To: topology.ElasticsearchService,
 		}},
 	}, core.RunOptions{ClearLogs: true, Load: func() error {
-		res, lerr := loadgen.RunSequential(app.EntryURL(), n, "/search", nil)
+		res, lerr := loadgen.RunSequential(app.EntryURL(), n, "/search")
 		if lerr != nil {
 			return lerr
 		}
@@ -187,7 +187,7 @@ func Figure6(opts Options) (*Figure6Result, error) {
 			topology.WordPressService, topology.ElasticsearchService, n, delay,
 		)},
 	}, core.RunOptions{Load: func() error {
-		res, lerr := loadgen.RunSequential(app.EntryURL(), n, "/search", nil)
+		res, lerr := loadgen.RunSequential(app.EntryURL(), n, "/search")
 		if lerr != nil {
 			return lerr
 		}

@@ -43,10 +43,6 @@ type Options struct {
 	// IDPrefix prefixes generated request IDs (default trace.TestIDPrefix).
 	IDPrefix string
 
-	// Client issues the requests. Nil uses a transparent client with no
-	// timeout (measurement must not mask slow responses).
-	Client *http.Client
-
 	// Interval paces each worker between requests (default 0: closed loop).
 	Interval time.Duration
 
@@ -102,10 +98,9 @@ func Run(target string, opts Options) (*Result, error) {
 	if prefix == "" {
 		prefix = trace.TestIDPrefix
 	}
-	client := opts.Client
-	if client == nil {
-		client = &http.Client{Transport: &http.Transport{MaxIdleConnsPerHost: conc * 2}}
-	}
+	// A transparent client with no timeout: measurement must not mask
+	// slow responses.
+	client := &http.Client{Transport: &http.Transport{MaxIdleConnsPerHost: conc * 2}}
 	gen := trace.NewGenerator(prefix, opts.RNG)
 	ctx := opts.Context
 	if ctx == nil {
@@ -154,8 +149,8 @@ feed:
 // RunSequential is Run with one worker and requests issued strictly in
 // order — required when the experiment depends on request ordering, such
 // as Figure 6's "100 aborted then 100 delayed" sequence.
-func RunSequential(target string, n int, path string, client *http.Client) (*Result, error) {
-	return Run(target, Options{N: n, Concurrency: 1, Path: path, Client: client})
+func RunSequential(target string, n int, path string) (*Result, error) {
+	return Run(target, Options{N: n, Concurrency: 1, Path: path})
 }
 
 func shoot(ctx context.Context, client *http.Client, url, id string) Sample {

@@ -121,7 +121,7 @@ func TestRunSequentialOrdering(t *testing.T) {
 		mu.Unlock()
 	}))
 	t.Cleanup(srv.Close)
-	res, err := RunSequential(srv.URL, 10, "/seq", nil)
+	res, err := RunSequential(srv.URL, 10, "/seq")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -94,15 +94,6 @@ func (b *Bursty) Next(rng *rand.Rand) time.Duration {
 	return gap
 }
 
-// RouteWeight is one entry of an open-loop route mix.
-type RouteWeight struct {
-	// Path is the request path (including any query string).
-	Path string
-
-	// Weight is the route's relative share of arrivals (must be > 0).
-	Weight float64
-}
-
 // OpenLoopOptions configures RunOpenLoop.
 type OpenLoopOptions struct {
 	// Arrival is the arrival process (required).
@@ -115,10 +106,6 @@ type OpenLoopOptions struct {
 	// Context, when non-nil, stops the run early.
 	Context context.Context
 
-	// Routes is the per-route mix; arrivals pick a route with probability
-	// proportional to its weight. Empty means every arrival hits "/".
-	Routes []RouteWeight
-
 	// MaxInFlight caps concurrently outstanding requests (default 512).
 	// An arrival that finds the cap exhausted is SHED — counted, not
 	// queued — which is what makes overload measurable: a closed-loop
@@ -128,12 +115,7 @@ type OpenLoopOptions struct {
 	// IDPrefix prefixes generated request IDs (default trace.TestIDPrefix).
 	IDPrefix string
 
-	// Client issues the requests. Nil uses a transparent client with no
-	// timeout.
-	Client *http.Client
-
-	// RNG drives arrivals, route choice, and ID salt; nil is
-	// non-deterministic.
+	// RNG drives arrivals and ID salt; nil is non-deterministic.
 	RNG *rand.Rand
 }
 
@@ -193,10 +175,9 @@ func RunOpenLoop(target string, opts OpenLoopOptions) (*OpenLoopResult, error) {
 	if prefix == "" {
 		prefix = trace.TestIDPrefix
 	}
-	client := opts.Client
-	if client == nil {
-		client = &http.Client{Transport: &http.Transport{MaxIdleConnsPerHost: 64}}
-	}
+	// A transparent client with no timeout: measurement must not mask
+	// slow responses.
+	client := &http.Client{Transport: &http.Transport{MaxIdleConnsPerHost: 64}}
 	rng := opts.RNG
 	if rng == nil {
 		rng = rand.New(rand.NewSource(time.Now().UnixNano()))
@@ -210,14 +191,6 @@ func RunOpenLoop(target string, opts OpenLoopOptions) (*OpenLoopResult, error) {
 		var cancel context.CancelFunc
 		ctx, cancel = context.WithTimeout(ctx, opts.Duration)
 		defer cancel()
-	}
-
-	totalWeight := 0.0
-	for _, rw := range opts.Routes {
-		if rw.Weight <= 0 || rw.Path == "" {
-			return nil, errors.New("loadgen: route mix entries need a path and positive weight")
-		}
-		totalWeight += rw.Weight
 	}
 
 	res := &OpenLoopResult{}
@@ -269,32 +242,21 @@ arrivals:
 			}
 		}
 
-		path := "/"
-		if len(opts.Routes) > 0 {
-			pick := rng.Float64() * totalWeight
-			path = opts.Routes[len(opts.Routes)-1].Path
-			for _, rw := range opts.Routes {
-				if pick -= rw.Weight; pick < 0 {
-					path = rw.Path
-					break
-				}
-			}
-		}
 		id := gen.Next()
 		wg.Add(1)
-		go func(url, id string, due time.Time) {
+		go func(id string, due time.Time) {
 			defer wg.Done()
 			defer inFlight.Add(-1)
 			behind := time.Since(due)
 			// Issued requests run to completion even after the run window
 			// closes, so the result never undercounts in-flight work.
-			s := shoot(context.Background(), client, url, id)
+			s := shoot(context.Background(), client, target+"/", id)
 			s.Latency += behind
 			mu.Lock()
 			res.Samples = append(res.Samples, s)
 			late = append(late, behind)
 			mu.Unlock()
-		}(target+path, id, next)
+		}(id, next)
 	}
 	wg.Wait()
 	res.Elapsed = time.Since(start)

@@ -5,7 +5,6 @@ import (
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
-	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -94,11 +93,7 @@ func TestRunOpenLoopRateAndMix(t *testing.T) {
 	res, err := RunOpenLoop(srv.URL, OpenLoopOptions{
 		Arrival:  Poisson{RatePerSec: 400},
 		Duration: 500 * time.Millisecond,
-		Routes: []RouteWeight{
-			{Path: "/hot", Weight: 3},
-			{Path: "/cold", Weight: 1},
-		},
-		RNG: rand.New(rand.NewSource(4)),
+		RNG:      rand.New(rand.NewSource(4)),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -115,14 +110,9 @@ func TestRunOpenLoopRateAndMix(t *testing.T) {
 		t.Fatalf("offered rate %.1f/s, want ~400/s", rate)
 	}
 	mu.Lock()
-	hot, cold := paths["/hot"], paths["/cold"]
-	mu.Unlock()
-	if hot == 0 || cold == 0 {
-		t.Fatalf("route mix starved a route: hot=%d cold=%d", hot, cold)
-	}
-	ratio := float64(hot) / float64(cold)
-	if ratio < 1.8 || ratio > 5 {
-		t.Fatalf("hot/cold ratio %.2f, want ~3", ratio)
+	defer mu.Unlock()
+	if len(paths) != 1 || paths["/"] != res.Arrivals {
+		t.Fatalf("paths %v, want all %d arrivals on /", paths, res.Arrivals)
 	}
 }
 
@@ -238,12 +228,5 @@ func TestRunOpenLoopValidation(t *testing.T) {
 	}
 	if _, err := RunOpenLoop("http://x", OpenLoopOptions{Arrival: Constant{RatePerSec: 1}}); err == nil {
 		t.Fatal("missing duration and context accepted")
-	}
-	if _, err := RunOpenLoop("http://x", OpenLoopOptions{
-		Arrival:  Constant{RatePerSec: 1},
-		Duration: time.Millisecond,
-		Routes:   []RouteWeight{{Path: "", Weight: 1}},
-	}); err == nil || !strings.Contains(err.Error(), "route mix") {
-		t.Fatalf("bad route mix accepted: %v", err)
 	}
 }

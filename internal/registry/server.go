@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"net/http"
 	"net/url"
 	"strconv"
@@ -206,7 +207,9 @@ func ttlParam(r *http.Request) (time.Duration, error) {
 		return 0, nil
 	}
 	n, err := strconv.Atoi(v)
-	if err != nil || n < 0 {
+	// A TTL past the largest Duration would wrap, possibly to a lease of
+	// nanoseconds that ends before the caller sees its 201.
+	if err != nil || n < 0 || time.Duration(n) > math.MaxInt64/time.Millisecond {
 		return 0, fmt.Errorf("bad ttlMillis %q", v)
 	}
 	return time.Duration(n) * time.Millisecond, nil

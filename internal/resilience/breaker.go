@@ -56,10 +56,6 @@ type BreakerConfig struct {
 	// that close the breaker (default 1).
 	SuccessThreshold int
 
-	// IsFailure classifies an outcome; the default counts transport errors
-	// and 5xx responses as failures.
-	IsFailure func(resp *http.Response, err error) bool
-
 	// Now is the clock; nil uses time.Now. Injectable for tests.
 	Now func() time.Time
 
@@ -78,11 +74,6 @@ func (c BreakerConfig) withDefaults() BreakerConfig {
 	}
 	if c.SuccessThreshold <= 0 {
 		c.SuccessThreshold = 1
-	}
-	if c.IsFailure == nil {
-		c.IsFailure = func(resp *http.Response, err error) bool {
-			return err != nil || resp.StatusCode >= 500
-		}
 	}
 	if c.Now == nil {
 		c.Now = time.Now
@@ -140,7 +131,7 @@ func (b *Breaker) Do(req *http.Request) (*http.Response, error) {
 	}
 
 	resp, err := b.next.Do(req)
-	b.record(b.cfg.IsFailure(resp, err))
+	b.record(failed(resp, err))
 	return resp, err
 }
 

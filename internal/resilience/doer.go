@@ -30,3 +30,9 @@ type DoerFunc func(req *http.Request) (*http.Response, error)
 
 // Do implements Doer.
 func (f DoerFunc) Do(req *http.Request) (*http.Response, error) { return f(req) }
+
+// failed reports whether a call's outcome is a failure to retry or to
+// count against a breaker: a transport error or a 5xx response.
+func failed(resp *http.Response, err error) bool {
+	return err != nil || resp.StatusCode >= 500
+}

@@ -4,15 +4,15 @@ import (
 	"bytes"
 	"fmt"
 	"io"
-	"math/rand"
 	"net/http"
-	"sync"
 	"time"
 )
 
 // RetryPolicy configures bounded retries with exponential backoff (paper
 // §2.1: "API calls are retried a bounded number of times and are usually
-// accompanied with an exponential backoff strategy").
+// accompanied with an exponential backoff strategy"). Transport errors
+// and 5xx responses are retried; the backoff doubles per retry, without
+// jitter.
 type RetryPolicy struct {
 	// MaxRetries is the number of retries after the initial attempt
 	// (default 3, so up to 4 calls total).
@@ -23,20 +23,6 @@ type RetryPolicy struct {
 
 	// MaxBackoff caps the backoff growth (default 1 s).
 	MaxBackoff time.Duration
-
-	// Multiplier is the exponential growth factor (default 2).
-	Multiplier float64
-
-	// Jitter in [0,1) randomizes each backoff by ±Jitter fraction to avoid
-	// synchronized retry storms (default 0, fully deterministic).
-	Jitter float64
-
-	// RetryOn decides whether an attempt's outcome is retryable. The
-	// default retries transport errors and 5xx responses.
-	RetryOn func(resp *http.Response, err error) bool
-
-	// RNG drives jitter; nil uses a non-deterministic default.
-	RNG *rand.Rand
 
 	// Sleep is the clock used between attempts; nil uses time.Sleep.
 	// Injectable for fast tests.
@@ -53,33 +39,16 @@ func (p RetryPolicy) withDefaults() RetryPolicy {
 	if p.MaxBackoff == 0 {
 		p.MaxBackoff = time.Second
 	}
-	if p.Multiplier == 0 {
-		p.Multiplier = 2
-	}
-	if p.RetryOn == nil {
-		p.RetryOn = DefaultRetryOn
-	}
 	if p.Sleep == nil {
 		p.Sleep = time.Sleep
 	}
 	return p
 }
 
-// DefaultRetryOn retries transport errors and 5xx responses.
-func DefaultRetryOn(resp *http.Response, err error) bool {
-	if err != nil {
-		return true
-	}
-	return resp.StatusCode >= 500
-}
-
 // Retry wraps a Doer with bounded, backed-off retries.
 type Retry struct {
 	next   Doer
 	policy RetryPolicy
-
-	mu  sync.Mutex
-	rng *rand.Rand
 }
 
 var _ Doer = (*Retry)(nil)
@@ -87,12 +56,7 @@ var _ Doer = (*Retry)(nil)
 // NewRetry wraps next with the given policy. MaxRetries < 0 disables
 // retries entirely (single attempt).
 func NewRetry(next Doer, policy RetryPolicy) *Retry {
-	p := policy.withDefaults()
-	rng := p.RNG
-	if rng == nil {
-		rng = rand.New(rand.NewSource(rand.Int63()))
-	}
-	return &Retry{next: next, policy: p, rng: rng}
+	return &Retry{next: next, policy: policy.withDefaults()}
 }
 
 // Do implements Doer. The request body (if any) is buffered so it can be
@@ -130,7 +94,7 @@ func (r *Retry) Do(req *http.Request) (*http.Response, error) {
 			attemptReq.ContentLength = int64(len(body))
 		}
 		resp, lastErr = r.next.Do(attemptReq)
-		if !r.policy.RetryOn(resp, lastErr) {
+		if !failed(resp, lastErr) {
 			return resp, lastErr
 		}
 		if attempt == attempts-1 {
@@ -153,28 +117,12 @@ func (r *Retry) Do(req *http.Request) (*http.Response, error) {
 	return resp, nil
 }
 
-// Backoff returns the delay before retry number n (0-based), with
-// exponential growth, cap, and jitter applied.
+// Backoff returns the delay before retry number n (0-based): BaseBackoff
+// doubled n times, capped at MaxBackoff.
 func (r *Retry) Backoff(n int) time.Duration {
-	d := float64(r.policy.BaseBackoff)
-	for i := 0; i < n; i++ {
-		d *= r.policy.Multiplier
-		if time.Duration(d) >= r.policy.MaxBackoff {
-			d = float64(r.policy.MaxBackoff)
-			break
-		}
+	d := r.policy.BaseBackoff
+	for i := 0; i < n && d < r.policy.MaxBackoff; i++ {
+		d *= 2
 	}
-	if time.Duration(d) > r.policy.MaxBackoff {
-		d = float64(r.policy.MaxBackoff)
-	}
-	if r.policy.Jitter > 0 {
-		r.mu.Lock()
-		f := 1 + r.policy.Jitter*(2*r.rng.Float64()-1)
-		r.mu.Unlock()
-		d *= f
-	}
-	if d < 0 {
-		d = 0
-	}
-	return time.Duration(d)
+	return max(0, min(d, r.policy.MaxBackoff))
 }

@@ -58,9 +58,8 @@ const chunk = 1 << 20
 // connection costs no per-connection buffer allocation.
 var copyBufs = sync.Pool{New: func() any { return new([copyBufSize]byte) }}
 
-// DefaultDialTimeout bounds the upstream dial when Config.DialTimeout
-// is zero.
-const DefaultDialTimeout = 5 * time.Second
+// dialTimeout bounds the upstream dial.
+const dialTimeout = 5 * time.Second
 
 // Config describes one L4 relay: a listen address fronting an upstream
 // dependency on behalf of a downstream service.
@@ -87,9 +86,6 @@ type Config struct {
 	ConnID func() string
 	// Agent tags emitted records with the reporting agent instance.
 	Agent string
-	// DialTimeout bounds the upstream dial; zero means
-	// DefaultDialTimeout.
-	DialTimeout time.Duration
 }
 
 func (c Config) validate() error {
@@ -177,9 +173,6 @@ type Relay struct {
 func New(cfg Config) (*Relay, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
-	}
-	if cfg.DialTimeout <= 0 {
-		cfg.DialTimeout = DefaultDialTimeout
 	}
 	ln, err := net.Listen("tcp", cfg.ListenAddr)
 	if err != nil {
@@ -278,7 +271,7 @@ func (r *Relay) mintID() string {
 // dial connects to the next upstream target; Close aborts it.
 func (r *Relay) dial() (net.Conn, error) {
 	target := r.cfg.Targets[r.nextTarget.Add(1)%uint64(len(r.cfg.Targets))]
-	d := net.Dialer{Timeout: r.cfg.DialTimeout}
+	d := net.Dialer{Timeout: dialTimeout}
 	return d.DialContext(r.quit, "tcp", target)
 }
 

@@ -125,7 +125,7 @@ func TestDifferSeesMillisecondDelay(t *testing.T) {
 	w.End = time.Now()
 	l.agent.Matcher().Clear()
 
-	ut, ok := NewDiffer(l.store, []Window{w}, DiffOptions{}).Diff(w)
+	ut, ok := NewDiffer(l.store, []Window{w}).Diff(w)
 	if !ok {
 		t.Fatal("no differential computed")
 	}

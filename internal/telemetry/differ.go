@@ -21,44 +21,25 @@ const (
 	familySubDropped = "gremlin_store_subscriber_dropped_total"
 )
 
-// DiffOptions tunes the Differ.
-type DiffOptions struct {
-	// Tolerance is the relative recovery band: the service has recovered
-	// once its post-cleanup p99 is within baseline×(1+Tolerance).
-	// Default 0.5.
-	Tolerance float64
-
-	// Slack is absolute headroom added to the recovery band, so
-	// single-digit-millisecond baselines aren't held to sub-millisecond
-	// precision. Default 10ms.
-	Slack time.Duration
-
-	// BaselineLookback bounds how far before each window the baseline
-	// reaches. Zero uses everything scraped before the window.
-	BaselineLookback time.Duration
-}
-
-func (o DiffOptions) withDefaults() DiffOptions {
-	if o.Tolerance <= 0 {
-		o.Tolerance = 0.5
-	}
-	if o.Slack <= 0 {
-		o.Slack = 10 * time.Millisecond
-	}
-	return o
-}
+// The recovery band: a service has recovered once its post-cleanup p99
+// is within baseline×(1+recoveryTolerance)+recoverySlack. The slack
+// keeps single-digit-millisecond baselines from being held to
+// sub-millisecond precision.
+const (
+	recoveryTolerance = 0.5
+	recoverySlack     = 10 * time.Millisecond
+)
 
 // Differ computes per-unit fault-window differentials from a scraped
 // SeriesStore and the Recorder's windows.
 type Differ struct {
 	store   *SeriesStore
 	windows []Window
-	opts    DiffOptions
 }
 
 // NewDiffer creates a Differ over store and windows.
-func NewDiffer(store *SeriesStore, windows []Window, opts DiffOptions) *Differ {
-	return &Differ{store: store, windows: windows, opts: opts.withDefaults()}
+func NewDiffer(store *SeriesStore, windows []Window) *Differ {
+	return &Differ{store: store, windows: windows}
 }
 
 // DiffAll computes a differential for every closed window, in start
@@ -140,8 +121,8 @@ func (d *Differ) diffService(w Window, svc string) (campaign.UnitTelemetry, bool
 		BaselineRate: d.store.RateOver(familyDuration+"_count", match, baseline),
 		FaultRate:    d.store.RateOver(familyDuration+"_count", match, fault),
 
-		BaselineErrorRatio: d.errorRatio(match, baseline),
-		FaultErrorRatio:    d.errorRatio(match, fault),
+		BaselineErrorRatio: errorRatio(d.store, match, baseline),
+		FaultErrorRatio:    errorRatio(d.store, match, fault),
 	}
 	if p, ok := d.store.QuantileOver(familyDuration, match, 0.50, baseline); ok {
 		ut.BaselineP50Millis = 1000 * p
@@ -171,18 +152,13 @@ func (d *Differ) diffService(w Window, svc string) (campaign.UnitTelemetry, bool
 
 // baselineIntervals is everything scraped before the window, minus any
 // other window that overlaps it and could plausibly pollute this
-// service's baseline (parallel campaigns), bounded by BaselineLookback.
+// service's baseline (parallel campaigns).
 func (d *Differ) baselineIntervals(w Window, svc string) []Interval {
 	first, _, ok := d.store.Bounds()
 	if !ok {
 		return nil
 	}
 	from := first.Add(-time.Millisecond)
-	if d.opts.BaselineLookback > 0 {
-		if lb := w.Start.Add(-d.opts.BaselineLookback); lb.After(from) {
-			from = lb
-		}
-	}
 	if !w.Start.After(from) {
 		return nil
 	}
@@ -221,13 +197,15 @@ func subtract(ivs []Interval, cut Interval) []Interval {
 	return out
 }
 
-func (d *Differ) errorRatio(match map[string]string, ivs []Interval) float64 {
-	proxied := d.store.IncreaseOver(familyProxied, match, ivs)
+// errorRatio is the share of proxied requests aborted or severed over
+// ivs.
+func errorRatio(store *SeriesStore, match map[string]string, ivs []Interval) float64 {
+	proxied := store.IncreaseOver(familyProxied, match, ivs)
 	if proxied <= 0 {
 		return 0
 	}
-	errs := d.store.IncreaseOver(familyAborted, match, ivs) +
-		d.store.IncreaseOver(familySevered, match, ivs)
+	errs := store.IncreaseOver(familyAborted, match, ivs) +
+		store.IncreaseOver(familySevered, match, ivs)
 	return errs / proxied
 }
 
@@ -241,7 +219,7 @@ func (d *Differ) errorRatio(match map[string]string, ivs []Interval) float64 {
 // to recovery. Scrapes that saw no new observations are skipped —
 // recovery needs traffic to witness it.
 func (d *Differ) recovery(w Window, match map[string]string, basP99 float64) (bool, int64) {
-	band := basP99*(1+d.opts.Tolerance) + d.opts.Slack.Seconds()
+	band := basP99*(1+recoveryTolerance) + recoverySlack.Seconds()
 	_, last, ok := d.store.Bounds()
 	if !ok {
 		return false, 0

@@ -53,7 +53,7 @@ func TestDifferDelayWindow(t *testing.T) {
 		End:    at(15),
 		Status: campaign.StatusPassed,
 	}
-	d := NewDiffer(st, []Window{w}, DiffOptions{})
+	d := NewDiffer(st, []Window{w})
 	ut, ok := d.Diff(w)
 	if !ok {
 		t.Fatal("no differential computed")
@@ -98,7 +98,7 @@ func TestDifferRecoveryFromFirstScrapeAfterWindow(t *testing.T) {
 		Edges: []graph.Edge{{Src: "web", Dst: "db"}},
 		Start: at(10), End: at(15.5), Status: campaign.StatusPassed,
 	}
-	ut, ok := NewDiffer(st, []Window{w}, DiffOptions{}).Diff(w)
+	ut, ok := NewDiffer(st, []Window{w}).Diff(w)
 	if !ok {
 		t.Fatal("no differential computed")
 	}
@@ -122,7 +122,7 @@ func TestDifferBaselineExcludesOtherWindows(t *testing.T) {
 		Edges: []graph.Edge{{Src: "web", Dst: "db"}},
 		Start: at(20), End: at(24), Status: campaign.StatusPassed,
 	}
-	d := NewDiffer(st, []Window{polluter, later}, DiffOptions{})
+	d := NewDiffer(st, []Window{polluter, later})
 	ut, ok := d.Diff(later)
 	if !ok {
 		t.Fatal("no differential for later window")
@@ -136,7 +136,7 @@ func TestDifferBaselineExcludesOtherWindows(t *testing.T) {
 
 func TestDifferSkipsActiveAndSilentWindows(t *testing.T) {
 	st := NewSeriesStore(0)
-	d := NewDiffer(st, nil, DiffOptions{})
+	d := NewDiffer(st, nil)
 	if _, ok := d.Diff(Window{Unit: "open", Start: at(0)}); ok {
 		t.Fatal("active window should not diff")
 	}

@@ -21,24 +21,15 @@ type Target struct {
 
 // ScrapeOptions configures a Scraper.
 type ScrapeOptions struct {
-	// Interval is the poll period (default 1s).
+	// Interval is the poll period (default 1s). It also bounds each
+	// target fetch, so one slow target can never skid the sweep into
+	// the next tick, and a target is stale 3×Interval after its last
+	// successful scrape.
 	Interval time.Duration
-
-	// Concurrency bounds how many targets are scraped at once
-	// (default 8).
-	Concurrency int
-
-	// Timeout bounds each target fetch (default Interval, so one slow
-	// target can never skid the sweep into the next tick).
-	Timeout time.Duration
-
-	// Client issues the fetches; nil uses http.DefaultClient.
-	Client *http.Client
-
-	// StaleAfter is how long after the last successful scrape a target
-	// is reported stale (default 3×Interval).
-	StaleAfter time.Duration
 }
+
+// scrapeConcurrency bounds how many targets are scraped at once.
+const scrapeConcurrency = 8
 
 // TargetStats is one target's scrape health.
 type TargetStats struct {
@@ -84,18 +75,6 @@ func NewScraper(store *SeriesStore, targets []Target, opts ScrapeOptions) *Scrap
 	if opts.Interval <= 0 {
 		opts.Interval = time.Second
 	}
-	if opts.Concurrency <= 0 {
-		opts.Concurrency = 8
-	}
-	if opts.Timeout <= 0 {
-		opts.Timeout = opts.Interval
-	}
-	if opts.Client == nil {
-		opts.Client = http.DefaultClient
-	}
-	if opts.StaleAfter <= 0 {
-		opts.StaleAfter = 3 * opts.Interval
-	}
 	s := &Scraper{store: store, opts: opts}
 	for _, t := range targets {
 		if t.URL == "" {
@@ -129,7 +108,7 @@ func (s *Scraper) Run(ctx context.Context) {
 // returns when the sweep completes — the deterministic entry point tests
 // and the Differ's final flush use.
 func (s *Scraper) ScrapeOnce(ctx context.Context) {
-	sem := make(chan struct{}, s.opts.Concurrency)
+	sem := make(chan struct{}, scrapeConcurrency)
 	var wg sync.WaitGroup
 	for _, t := range s.targets {
 		select {
@@ -149,7 +128,7 @@ func (s *Scraper) ScrapeOnce(ctx context.Context) {
 }
 
 func (s *Scraper) scrapeTarget(ctx context.Context, t *target) {
-	fctx, cancel := context.WithTimeout(ctx, s.opts.Timeout)
+	fctx, cancel := context.WithTimeout(ctx, s.opts.Interval)
 	defer cancel()
 	// Stamp with the scrape's start, as Prometheus does: the target
 	// renders its counters at or after the stamp, so a point stamped
@@ -179,7 +158,7 @@ func (s *Scraper) scrapeTarget(ctx context.Context, t *target) {
 }
 
 func (s *Scraper) fetch(ctx context.Context, url string) ([]metrics.Family, error) {
-	resp, err := httpx.Client{BaseURL: url, HTTP: s.opts.Client}.Do(ctx, http.MethodGet, "", nil)
+	resp, err := httpx.Client{BaseURL: url, HTTP: http.DefaultClient}.Do(ctx, http.MethodGet, "", nil)
 	if err != nil {
 		return nil, err
 	}
@@ -202,7 +181,7 @@ func (s *Scraper) Stats() ScraperStats {
 			LastError:   t.lastErr,
 		}
 		t.mu.Unlock()
-		ts.Stale = ts.LastSuccess.IsZero() || now.Sub(ts.LastSuccess) > s.opts.StaleAfter
+		ts.Stale = ts.LastSuccess.IsZero() || now.Sub(ts.LastSuccess) > 3*s.opts.Interval
 		if ts.Scrapes == 0 {
 			// Never swept yet: not stale, just not started.
 			ts.Stale = false

@@ -71,7 +71,7 @@ func TestScraperCountsErrorsAndStaleness(t *testing.T) {
 
 	st := NewSeriesStore(0)
 	sc := NewScraper(st, []Target{{Name: "bad", URL: srv.URL}},
-		ScrapeOptions{Interval: 5 * time.Millisecond, StaleAfter: time.Nanosecond})
+		ScrapeOptions{Interval: 5 * time.Millisecond})
 	sc.ScrapeOnce(context.Background())
 
 	stats := sc.Stats()
@@ -107,6 +107,54 @@ func TestScraperCountsErrorsAndStaleness(t *testing.T) {
 		if !strings.Contains(text, fam) {
 			t.Errorf("self metrics missing %s", fam)
 		}
+	}
+}
+
+// TestScraperBoundsFetchAndStalenessByInterval: a target that answers
+// once and then hangs costs a sweep no more than about Interval, and is
+// reported stale only once 3×Interval has passed since its last success.
+func TestScraperBoundsFetchAndStalenessByInterval(t *testing.T) {
+	const interval = 50 * time.Millisecond
+	var c atomic.Int64
+	var calls atomic.Int64
+	release := make(chan struct{})
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if calls.Add(1) > 1 {
+			select {
+			case <-r.Context().Done():
+			case <-release:
+			}
+			return
+		}
+		metricsHandler(&c)(w, r)
+	}))
+	defer srv.Close()
+	defer close(release)
+
+	sc := NewScraper(NewSeriesStore(0), []Target{{Name: "slow", URL: srv.URL}}, ScrapeOptions{Interval: interval})
+	sc.ScrapeOnce(context.Background())
+	last := sc.Stats().Targets[0].LastSuccess
+	if last.IsZero() {
+		t.Fatal("first scrape did not succeed")
+	}
+
+	start := time.Now()
+	sc.ScrapeOnce(context.Background())
+	if took := time.Since(start); took < interval || took > time.Second {
+		t.Fatalf("sweep over a hung target took %v, want about %v", took, interval)
+	}
+	stats := sc.Stats()
+	checked := time.Now()
+	if stats.Errors != 1 || stats.Targets[0].LastError == "" {
+		t.Fatalf("hung fetch not counted as one error: %+v", stats)
+	}
+	if checked.Sub(last) < 3*interval && stats.StaleTargets != 0 {
+		t.Fatalf("stale %v after the last success, before 3×Interval", checked.Sub(last))
+	}
+
+	time.Sleep(time.Until(last.Add(3*interval + 10*time.Millisecond)))
+	if stats := sc.Stats(); stats.StaleTargets != 1 || !stats.Targets[0].Stale {
+		t.Fatalf("not stale %v after the last success: %+v", time.Since(last), stats)
 	}
 }
 

@@ -49,7 +49,7 @@ func BuildSnapshot(store *SeriesStore, rec *Recorder, sc *Scraper, window, recen
 		ss := ServiceStat{
 			Service:    svc,
 			Rate:       store.Rate(familyDuration+"_count", match, from, now),
-			ErrorRatio: errorRatioIn(store, match, from, now),
+			ErrorRatio: errorRatio(store, match, []Interval{{From: from, To: now}}),
 		}
 		if p, ok := store.Quantile(familyDuration, match, 0.50, from, now); ok {
 			ss.P50Millis, ss.HasLatency = 1000*p, true
@@ -74,16 +74,6 @@ func BuildSnapshot(store *SeriesStore, rec *Recorder, sc *Scraper, window, recen
 		snap.Scraper = sc.Stats()
 	}
 	return snap
-}
-
-func errorRatioIn(store *SeriesStore, match map[string]string, from, to time.Time) float64 {
-	proxied := store.Increase(familyProxied, match, from, to)
-	if proxied <= 0 {
-		return 0
-	}
-	errs := store.Increase(familyAborted, match, from, to) +
-		store.Increase(familySevered, match, from, to)
-	return errs / proxied
 }
 
 // ServerOptions configures the telemetry server.

@@ -3,7 +3,6 @@ package topology
 import (
 	"fmt"
 	"math/rand"
-	"time"
 )
 
 // GenerateOptions configures the seeded topology generator.
@@ -27,9 +26,6 @@ type GenerateOptions struct {
 	// drawn uniformly (defaults 1 and 1: single-replica).
 	MinReplicas int
 	MaxReplicas int
-
-	// WorkTime is the simulated local processing time per request.
-	WorkTime time.Duration
 
 	// Seed makes generation deterministic: the same options always emit
 	// the same Spec.
@@ -131,7 +127,6 @@ func Generate(opts GenerateOptions) Spec {
 			Name:      name,
 			Replicas:  replicas,
 			DependsOn: deps[name],
-			WorkTime:  opts.WorkTime,
 		})
 	}
 	return spec
