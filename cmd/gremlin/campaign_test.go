@@ -14,6 +14,7 @@ import (
 	"gremlin/internal/campaign"
 	"gremlin/internal/checker"
 	"gremlin/internal/eventlog"
+	"gremlin/internal/graph"
 	"gremlin/internal/registry"
 	"gremlin/internal/topology"
 )
@@ -66,6 +67,24 @@ func TestLiveAssertsRejectsBadSpec(t *testing.T) {
 		"-store", "http://127.0.0.1:1", "-load-url", "http://127.0.0.1:1")
 	if err == nil || !strings.Contains(err.Error(), `unknown field "maximum"`) {
 		t.Fatalf("err = %v, want the misspelled field rejected", err)
+	}
+}
+
+// TestCampaignRejectsUnknownTemplate checks that a misspelled -templates
+// name fails the command with the valid names, instead of an empty plan.
+func TestCampaignRejectsUnknownTemplate(t *testing.T) {
+	store, err := eventlog.NewServer("127.0.0.1:0", eventlog.NewStore())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer store.Close()
+	dir := t.TempDir()
+	graphPath := writeJSON(t, dir, "graph.json", []graph.Edge{{Src: "web", Dst: "db"}})
+	registryPath := writeJSON(t, dir, "registry.json", []registry.Instance{})
+	err = gremlin("campaign", "-graph", graphPath, "-registry", registryPath,
+		"-store", store.URL(), "-load-url", "http://127.0.0.1:1", "-templates", "dealy")
+	if err == nil || !strings.Contains(err.Error(), `"dealy"`) || !strings.Contains(err.Error(), strings.Join(campaign.TemplateNames, ", ")) {
+		t.Fatalf("err = %v, want the unknown template and the valid names", err)
 	}
 }
 

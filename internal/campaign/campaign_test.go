@@ -341,6 +341,24 @@ func TestEnumerateHonorsSkipAndTemplates(t *testing.T) {
 	}
 }
 
+// TestEnumerateRejectsUnknownTemplate: a misspelled template name is an
+// error that lists the valid names, not an empty plan, even beside a
+// valid name.
+func TestEnumerateRejectsUnknownTemplate(t *testing.T) {
+	g := graph.FromEdges([]graph.Edge{{Src: "web", Dst: "db"}})
+	for _, templates := range [][]string{{"dealy"}, {"delay", "dealy"}} {
+		units, err := campaign.Enumerate(g, campaign.EnumerateOptions{Templates: templates})
+		if err == nil || !strings.Contains(err.Error(), `"dealy"`) || !strings.Contains(err.Error(), strings.Join(campaign.TemplateNames, ", ")) {
+			t.Fatalf("Enumerate(%v) = %d units, %v; want an error naming \"dealy\" and the valid templates", templates, len(units), err)
+		}
+	}
+	for _, name := range campaign.TemplateNames {
+		if _, err := campaign.Enumerate(g, campaign.EnumerateOptions{Templates: []string{name}}); err != nil {
+			t.Fatalf("template %q: %v", name, err)
+		}
+	}
+}
+
 // TestCampaignLiveViolationAbortsLoad wires online assertions into a
 // campaign: a crash unit's failure replies trip a live CheckStatus bound
 // long before the load finishes, which cancels the run's load context,

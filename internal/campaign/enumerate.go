@@ -3,6 +3,8 @@ package campaign
 import (
 	"fmt"
 	"math/rand"
+	"slices"
+	"strings"
 	"time"
 
 	"gremlin/internal/checker"
@@ -50,7 +52,7 @@ type Unit struct {
 
 // TemplateNames are the deterministic templates Enumerate expands, in
 // the order it expands them. An EnumerateOptions with no Templates
-// selects all of them.
+// selects all of them; Enumerate refuses any other name.
 var TemplateNames = []string{"overload", "crash", "hang", "partition", "sever", "delay", "stream"}
 
 // EnumerateOptions tunes fault-space enumeration.
@@ -126,6 +128,9 @@ func Enumerate(g *graph.Graph, opts EnumerateOptions) ([]Unit, error) {
 	}
 	want := make(map[string]bool, len(o.Templates))
 	for _, t := range o.Templates {
+		if !slices.Contains(TemplateNames, t) {
+			return nil, fmt.Errorf("campaign: enumerate: unknown template %q (valid: %s)", t, strings.Join(TemplateNames, ", "))
+		}
 		want[t] = true
 	}
 	enabled := func(t string) bool { return want[t] }

@@ -186,12 +186,6 @@ func New(cfg Config) (*Relay, error) {
 // Addr returns the bound listen address (useful with ":0").
 func (r *Relay) Addr() string { return r.ln.Addr().String() }
 
-// Src and Dst return the logical edge the relay carries.
-func (r *Relay) Src() string { return r.cfg.Src }
-
-// Dst returns the logical upstream service name.
-func (r *Relay) Dst() string { return r.cfg.Dst }
-
 // Start begins accepting connections in a background goroutine.
 func (r *Relay) Start() {
 	r.wg.Add(1)

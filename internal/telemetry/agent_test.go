@@ -137,3 +137,22 @@ func TestDifferSeesMillisecondDelay(t *testing.T) {
 		t.Fatalf("fault p50 %.3fms, want at least 0.8ms above the baseline's %.3fms", ut.FaultP50Millis, ut.BaselineP50Millis)
 	}
 }
+
+// TestScrapeOneSeriesPerHistogram: a real agent's latency histogram, with
+// its whole bucket grid, is one series in the store, and quantiles still
+// read it.
+func TestScrapeOneSeriesPerHistogram(t *testing.T) {
+	l := startLiveAgent(t)
+	l.scrape(t)
+	l.drive(t, 20)
+	l.scrape(t)
+	n := 0
+	l.store.each(familyDuration+"_bucket", nil, func(*series) { n++ })
+	if n != 1 {
+		t.Fatalf("%s_bucket is %d series, want 1", familyDuration, n)
+	}
+	first, last, _ := l.store.Bounds()
+	if _, ok := l.store.Quantile(familyDuration, nil, 0.5, first, last); !ok {
+		t.Fatal("no quantile over the scraped histogram")
+	}
+}

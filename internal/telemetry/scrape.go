@@ -86,9 +86,6 @@ func NewScraper(store *SeriesStore, targets []Target, opts ScrapeOptions) *Scrap
 	return s
 }
 
-// Store returns the SeriesStore samples land in.
-func (s *Scraper) Store() *SeriesStore { return s.store }
-
 // Run polls every target each interval until ctx is done. The first
 // sweep runs immediately.
 func (s *Scraper) Run(ctx context.Context) {
@@ -208,6 +205,6 @@ func (s *Scraper) WriteMetrics(mw *metrics.Writer) {
 		mw.Counter("gremlin_telemetry_scrape_errors_total", "Failed scrapes per target.", float64(t.Errors), "target", t.Name)
 	}
 	mw.Gauge("gremlin_telemetry_stale_targets", "Targets with no successful scrape within the staleness horizon.", float64(st.StaleTargets))
-	mw.Gauge("gremlin_telemetry_series", "Distinct series retained in the ring store.", float64(s.store.SeriesCount()))
+	mw.Gauge("gremlin_telemetry_series", "Distinct series retained in the ring store; a histogram is one.", float64(s.store.SeriesCount()))
 	mw.Counter("gremlin_telemetry_ring_evictions_total", "Points overwritten by series-ring wraparound.", float64(s.store.Evictions()))
 }

@@ -43,18 +43,18 @@ func TestScraperAppendsSamplesWithInstanceLabel(t *testing.T) {
 	c.Store(9)
 	sc.ScrapeOnce(context.Background())
 
-	sd := st.Match("gremlin_agent_proxied_total", map[string]string{"service": "web"})
-	if len(sd) != 1 {
-		t.Fatalf("series = %+v", sd)
+	const name = "gremlin_agent_proxied_total"
+	match := map[string]string{"service": "web"}
+	if inst := st.LabelValues(name, "instance"); len(inst) != 1 || inst[0] != "web" {
+		t.Fatalf("instance labels = %v", inst)
 	}
-	if sd[0].Labels["instance"] != "web" {
-		t.Fatalf("instance label = %q", sd[0].Labels["instance"])
-	}
-	if n := len(sd[0].Points); n != 2 {
+	first, last, _ := st.Bounds()
+	if n := len(st.Timestamps(name, match, first.Add(-time.Second), last)); n != 2 {
 		t.Fatalf("points = %d, want 2", n)
 	}
-	if sd[0].Points[1].V != 9 {
-		t.Fatalf("latest value = %v", sd[0].Points[1].V)
+	// 5, then 9: the second point is the latest value.
+	if inc := st.Increase(name, match, first.Add(-time.Second), last); inc != 4 {
+		t.Fatalf("increase = %v, want 4", inc)
 	}
 
 	stats := sc.Stats()

@@ -1,7 +1,8 @@
 // Package telemetry is Gremlin's scrape-and-analyze plane. A Scraper
 // polls agent and store /metrics endpoints, parses their expositions with
 // metrics.ParseExposition, and appends every sample into an in-memory ring
-// SeriesStore. Campaigns annotate the store with fault windows (Recorder,
+// SeriesStore, where a histogram's buckets are one series with a ring per
+// bound. Campaigns annotate the store with fault windows (Recorder,
 // a campaign.RunObserver), and a Differ turns the two into per-unit
 // differentials — baseline-vs-fault request rate, error ratio, latency
 // quantiles, drop counters, and recovery time — that land in the campaign
@@ -10,19 +11,21 @@
 package telemetry
 
 import (
+	"maps"
 	"math"
 	"slices"
 	"sort"
 	"strconv"
+	"strings"
 	"sync"
 	"time"
 
 	"gremlin/internal/metrics"
 )
 
-// DefaultRetention is how many points each series ring keeps. At a one-
-// second scrape interval that is over eight minutes of history per series
-// — enough for any campaign window plus recovery measurement.
+// DefaultRetention is how many points each ring keeps. At a one-second
+// scrape interval that is over eight minutes of history per ring —
+// enough for any campaign window plus recovery measurement.
 const DefaultRetention = 512
 
 // Point is one scraped sample of one series.
@@ -31,56 +34,61 @@ type Point struct {
 	V float64   `json:"v"`
 }
 
-// SeriesData is a snapshot of one series: its identity and points in
-// time order.
-type SeriesData struct {
-	Name   string            `json:"name"`
-	Labels map[string]string `json:"labels,omitempty"`
-	Points []Point           `json:"points"`
-}
-
-// series is one ring of points. When full, appends overwrite the oldest
-// point; start marks the ring's logical head.
-type series struct {
-	name   string
-	labels map[string]string
+// ring is one run of points. When full, appends overwrite the oldest
+// point; start marks the ring's logical head (0 until it is full).
+type ring struct {
 	points []Point
 	start  int
-	full   bool
 }
 
-func (s *series) append(p Point, cap int) (evicted bool) {
-	if !s.full && len(s.points) < cap {
-		s.points = append(s.points, p)
-		if len(s.points) == cap {
-			s.full = true
-		}
+func (r *ring) append(p Point, cap int) (evicted bool) {
+	if len(r.points) < cap {
+		r.points = append(r.points, p)
 		return false
 	}
-	s.points[s.start] = p
-	s.start = (s.start + 1) % len(s.points)
+	r.points[r.start] = p
+	r.start = (r.start + 1) % len(r.points)
 	return true
 }
 
-// ordered returns the ring's points oldest-first, as two runs that share
-// the ring's storage.
-func (s *series) ordered() (older, newer []Point) {
-	if !s.full {
-		return s.points, nil
+// series is one scraped series. A plain series holds one ring. A
+// histogram is one series keyed without its le label, with one ring per
+// bucket bound, so a bound first seen late starts an empty ring anchored
+// at its own first point.
+type series struct {
+	name   string
+	labels map[string]string
+	bounds []float64 // ascending; nil for a plain series
+	les    []string  // bounds[i] as first scraped
+	rings  []ring    // rings[i] holds bounds[i]'s counts
+	next   int       // the bound a scrape's next bucket sample is expected at
+}
+
+// bound returns the index of le's ring, adding a bound it has not seen.
+// Buckets arrive in exposition order, so the expected bound is tried
+// before a parse and a search. ok is false when le is not a number.
+func (s *series) bound(le string) (int, bool) {
+	i := s.next
+	if i >= len(s.les) || s.les[i] != le {
+		b, err := strconv.ParseFloat(le, 64)
+		if err != nil || math.IsNaN(b) {
+			return 0, false
+		}
+		var found bool
+		if i, found = slices.BinarySearch(s.bounds, b); !found {
+			s.bounds = slices.Insert(s.bounds, i, b)
+			s.les = slices.Insert(s.les, i, strings.Clone(le))
+			s.rings = slices.Insert(s.rings, i, ring{})
+		}
 	}
-	return s.points[s.start:], s.points[:s.start]
+	s.next = (i + 1) % len(s.les)
+	return i, true
 }
 
-// snapshot returns a copy of the ring's points oldest-first.
-func (s *series) snapshot() []Point {
-	older, newer := s.ordered()
-	return append(append(make([]Point, 0, len(s.points)), older...), newer...)
-}
-
-// SeriesStore retains scraped samples in fixed-size rings, one per
-// distinct (name, labels) series, and evaluates counter-reset-aware
-// increases and histogram quantiles over time windows. Safe for
-// concurrent use.
+// SeriesStore retains scraped samples in fixed-size rings, one series per
+// distinct (name, labels) and one per histogram, and evaluates
+// counter-reset-aware increases and histogram quantiles over time
+// windows. Safe for concurrent use.
 type SeriesStore struct {
 	mu        sync.RWMutex
 	retention int
@@ -89,7 +97,7 @@ type SeriesStore struct {
 }
 
 // NewSeriesStore creates a store keeping up to retention points per
-// series; retention <= 0 selects DefaultRetention.
+// ring; retention <= 0 selects DefaultRetention.
 func NewSeriesStore(retention int) *SeriesStore {
 	if retention <= 0 {
 		retention = DefaultRetention
@@ -97,8 +105,8 @@ func NewSeriesStore(retention int) *SeriesStore {
 	return &SeriesStore{retention: retention, series: make(map[string]*series)}
 }
 
-// appendSeriesKey appends name plus the sorted label pairs to dst: one
-// ring per distinct labeled series.
+// appendSeriesKey appends name plus the sorted label pairs to dst. It
+// leaves le's value out, so a histogram's buckets share one key.
 func appendSeriesKey(dst []byte, name string, labels map[string]string) []byte {
 	var buf [8]string // scraped series carry a few labels; more spill to the heap
 	keys := buf[:0]
@@ -111,16 +119,21 @@ func appendSeriesKey(dst []byte, name string, labels map[string]string) []byte {
 		dst = append(dst, 0xff)
 		dst = append(dst, k...)
 		dst = append(dst, '=')
-		dst = append(dst, labels[k]...)
+		if k != "le" {
+			dst = append(dst, labels[k]...)
+		}
 	}
 	return dst
 }
 
-// Append records one sample. NaN values are dropped.
+// Append records one sample. A sample with an le label (a histogram's
+// _bucket) is one bound of its histogram series. NaN values, and samples
+// whose le is not a number, are dropped.
 func (st *SeriesStore) Append(t time.Time, name string, labels map[string]string, v float64) {
 	if math.IsNaN(v) {
 		return
 	}
+	le, hist := labels["le"]
 	// A scrape appends every sample of every target: build the key on the
 	// stack, so only a new series allocates one.
 	var kb [256]byte
@@ -128,20 +141,31 @@ func (st *SeriesStore) Append(t time.Time, name string, labels map[string]string
 	st.mu.Lock()
 	defer st.mu.Unlock()
 	s := st.series[string(key)]
-	if s == nil {
-		lcopy := make(map[string]string, len(labels))
-		for k, val := range labels {
-			lcopy[k] = val
+	fresh := s == nil
+	if fresh {
+		s = &series{name: name, labels: maps.Clone(labels)}
+		delete(s.labels, "le")
+		if !hist {
+			s.rings = make([]ring, 1)
 		}
-		s = &series{name: name, labels: lcopy}
+	}
+	i, ok := 0, true
+	if hist {
+		i, ok = s.bound(le)
+	}
+	if !ok {
+		return
+	}
+	if fresh {
 		st.series[string(key)] = s
 	}
-	if s.append(Point{T: t, V: v}, st.retention) {
+	if s.rings[i].append(Point{T: t, V: v}, st.retention) {
 		st.evictions++
 	}
 }
 
-// SeriesCount reports how many distinct series the store holds.
+// SeriesCount reports how many distinct series the store holds; a
+// histogram is one.
 func (st *SeriesStore) SeriesCount() int {
 	st.mu.RLock()
 	defer st.mu.RUnlock()
@@ -166,9 +190,8 @@ func matches(have, want map[string]string) bool {
 }
 
 // each calls fn, under the read lock, for every series named name whose
-// labels are a superset of match. The evaluators read the rings in place:
-// a histogram family is hundreds of bucket series, too many to copy per
-// quantile.
+// labels are a superset of match; a histogram's labels lack le. The
+// evaluators read the rings in place.
 func (st *SeriesStore) each(name string, match map[string]string, fn func(*series)) {
 	st.mu.RLock()
 	defer st.mu.RUnlock()
@@ -177,29 +200,6 @@ func (st *SeriesStore) each(name string, match map[string]string, fn func(*serie
 			fn(s)
 		}
 	}
-}
-
-// Match returns snapshots of every series named name whose labels are a
-// superset of match, sorted by label key for determinism.
-func (st *SeriesStore) Match(name string, match map[string]string) []SeriesData {
-	st.mu.RLock()
-	defer st.mu.RUnlock()
-	type keyed struct {
-		key string
-		s   *series
-	}
-	var hits []keyed
-	for key, s := range st.series {
-		if s.name == name && matches(s.labels, match) {
-			hits = append(hits, keyed{key, s})
-		}
-	}
-	sort.Slice(hits, func(i, j int) bool { return hits[i].key < hits[j].key })
-	out := make([]SeriesData, 0, len(hits))
-	for _, h := range hits {
-		out = append(out, SeriesData{Name: h.s.name, Labels: h.s.labels, Points: h.s.snapshot()})
-	}
-	return out
 }
 
 // LabelValues returns the distinct values of label across series named
@@ -232,20 +232,19 @@ type Interval struct {
 
 func (iv Interval) seconds() float64 { return iv.To.Sub(iv.From).Seconds() }
 
-// increase computes the counter-reset-aware increase of the series over
+// increase computes the counter-reset-aware increase of the ring over
 // (from, to]: the sum of positive deltas, with a reset (value dropping)
 // counted as the post-reset value. The anchor is the last point at or
-// before from; a series first seen inside the window anchors at its first
+// before from; a ring first seen inside the window anchors at its first
 // in-window point, which therefore contributes nothing (its prior value
 // is unknown).
-func (s *series) increase(from, to time.Time) float64 {
+func (r *ring) increase(from, to time.Time) float64 {
 	var (
 		inc      float64
 		prev     float64
 		anchored bool
 	)
-	older, newer := s.ordered()
-	for _, run := range [2][]Point{older, newer} {
+	for _, run := range [2][]Point{r.points[r.start:], r.points[:r.start]} {
 		for _, p := range run {
 			if p.T.After(to) {
 				return inc
@@ -266,11 +265,15 @@ func (s *series) increase(from, to time.Time) float64 {
 	return inc
 }
 
-// Increase sums the counter-reset-aware increase of every matching
-// series over (from, to].
+// Increase sums the counter-reset-aware increase of every ring of every
+// matching series over (from, to].
 func (st *SeriesStore) Increase(name string, match map[string]string, from, to time.Time) float64 {
 	var total float64
-	st.each(name, match, func(s *series) { total += s.increase(from, to) })
+	st.each(name, match, func(s *series) {
+		for i := range s.rings {
+			total += s.rings[i].increase(from, to)
+		}
+	})
 	return total
 }
 
@@ -306,8 +309,8 @@ func (st *SeriesStore) RateOver(name string, match map[string]string, ivs []Inte
 }
 
 // Quantile computes histogram_quantile(q) for the histogram family base
-// over the window: per-le bucket increases are summed across matching
-// series (all instances), then metrics.Quantile reads the quantile off
+// over the window: per-bound bucket increases are summed across matching
+// histograms (all instances), then metrics.Quantile reads the quantile off
 // the cumulative distribution, interpolating inside the bucket. The second
 // return is false when the window holds no observations. Values beyond
 // the last finite bound clamp to it, as Prometheus does.
@@ -316,27 +319,22 @@ func (st *SeriesStore) Quantile(base string, match map[string]string, q float64,
 }
 
 // QuantileOver is Quantile over a set of disjoint intervals. Any le set
-// works, not only the agent's grid.
+// works, not only the agent's grid: the bounds are the union of the
+// matched histograms' bounds.
 func (st *SeriesStore) QuantileOver(base string, match map[string]string, q float64, ivs []Interval) (float64, bool) {
-	byLE := make(map[float64]float64)
+	var bounds, cum []float64
 	st.each(base+"_bucket", match, func(s *series) {
-		le, err := parseLE(s.labels["le"])
-		if err != nil {
-			return
-		}
-		for _, iv := range ivs {
-			byLE[le] += s.increase(iv.From, iv.To)
+		for j, b := range s.bounds {
+			i, found := slices.BinarySearch(bounds, b)
+			if !found {
+				bounds = slices.Insert(bounds, i, b)
+				cum = slices.Insert(cum, i, 0)
+			}
+			for _, iv := range ivs {
+				cum[i] += s.rings[j].increase(iv.From, iv.To)
+			}
 		}
 	})
-	bounds := make([]float64, 0, len(byLE))
-	for le := range byLE {
-		bounds = append(bounds, le)
-	}
-	sort.Float64s(bounds)
-	cum := make([]float64, len(bounds))
-	for i, le := range bounds {
-		cum[i] = byLE[le]
-	}
 	return metrics.Quantile(q, bounds, cum)
 }
 
@@ -346,9 +344,11 @@ func (st *SeriesStore) QuantileOver(base string, match map[string]string, q floa
 func (st *SeriesStore) Timestamps(name string, match map[string]string, from, to time.Time) []time.Time {
 	seen := make(map[int64]time.Time)
 	st.each(name, match, func(s *series) {
-		for _, p := range s.points {
-			if p.T.After(from) && !p.T.After(to) {
-				seen[p.T.UnixNano()] = p.T
+		for _, r := range s.rings {
+			for _, p := range r.points {
+				if p.T.After(from) && !p.T.After(to) {
+					seen[p.T.UnixNano()] = p.T
+				}
 			}
 		}
 	})
@@ -366,22 +366,17 @@ func (st *SeriesStore) Bounds() (first, last time.Time, ok bool) {
 	st.mu.RLock()
 	defer st.mu.RUnlock()
 	for _, s := range st.series {
-		for _, p := range s.points {
-			if !ok || p.T.Before(first) {
-				first = p.T
+		for _, r := range s.rings {
+			for _, p := range r.points {
+				if !ok || p.T.Before(first) {
+					first = p.T
+				}
+				if !ok || p.T.After(last) {
+					last = p.T
+				}
+				ok = true
 			}
-			if !ok || p.T.After(last) {
-				last = p.T
-			}
-			ok = true
 		}
 	}
 	return first, last, ok
-}
-
-func parseLE(s string) (float64, error) {
-	if s == "+Inf" {
-		return math.Inf(1), nil
-	}
-	return strconv.ParseFloat(s, 64)
 }

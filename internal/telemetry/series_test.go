@@ -21,9 +21,13 @@ func TestSeriesRingEviction(t *testing.T) {
 	if st.Evictions() != 6 {
 		t.Fatalf("evictions = %d, want 6", st.Evictions())
 	}
-	pts := st.Match("m", nil)[0].Points
-	if len(pts) != 4 || pts[0].V != 6 || pts[3].V != 9 {
-		t.Fatalf("ring points = %+v", pts)
+	// The ring holds the last four points, 6..9: four instants, and an
+	// increase anchored at 6.
+	if ts := st.Timestamps("m", nil, at(-1), at(20)); len(ts) != 4 || !ts[0].Equal(at(6)) || !ts[3].Equal(at(9)) {
+		t.Fatalf("ring timestamps = %v", ts)
+	}
+	if inc := st.Increase("m", nil, at(-1), at(20)); inc != 3 {
+		t.Fatalf("ring increase = %v, want 3", inc)
 	}
 }
 

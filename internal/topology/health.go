@@ -218,20 +218,6 @@ func (hc *HealthChecker) applyLocked(svc string) {
 	}
 }
 
-// Healthy returns the addresses of a service's replicas currently
-// considered up, in replica order.
-func (hc *HealthChecker) Healthy(svc string) []string {
-	hc.mu.Lock()
-	defer hc.mu.Unlock()
-	var out []string
-	for _, p := range hc.probes {
-		if p.service == svc && p.up {
-			out = append(out, p.addr)
-		}
-	}
-	return out
-}
-
 // State reports whether a replica is currently considered up.
 func (hc *HealthChecker) State(svc string, idx int) (up bool, err error) {
 	hc.mu.Lock()
