@@ -86,10 +86,11 @@ func TestPoolCountsReplicaUntilBodyRelayed(t *testing.T) {
 // straight to the backend. The yardstick is that direct exchange itself:
 // it is one net/http server pass and one client round trip, which is also
 // what the agent cannot avoid, so the comparison holds across toolchains
-// and under -race. On top of that the hop measures 1 allocation (go1.24:
-// flow, span ID, execution index, reply header map and two Store records
-// come to about what Client.Do costs the direct caller); the budget is 6,
-// so the test fails when the hop regains more than five.
+// and under -race. The hop measures 21 allocations below it (go1.24, with
+// and without -race: flow, span ID, execution index, reply header map, two
+// Store records and one exchange on a pooled upstream connection cost less
+// than the direct caller's Client.Do through http.Transport); the budget
+// is direct-14, so the test fails when the hop regains more than seven.
 func TestHopAllocBudget(t *testing.T) {
 	backend, _ := newEcho(t)
 	a := newAgent(t, eventlog.NewStore(), hostport(backend.URL))
@@ -118,7 +119,7 @@ func TestHopAllocBudget(t *testing.T) {
 	}
 	direct := testing.AllocsPerRun(300, exchange(backend.URL))
 	proxied := testing.AllocsPerRun(300, exchange(via))
-	share, budget := proxied-direct, direct+6
+	share, budget := proxied-direct, direct-14
 	t.Logf("direct %.1f allocs/exchange, proxied %.1f, agent share %.1f (budget %.1f)", direct, proxied, share, budget)
 	if share > budget {
 		t.Errorf("the agent adds %.1f allocs to an exchange, budget %.1f: see `make alloc-profile`", share, budget)
