@@ -248,7 +248,7 @@ func TestStreamedReplyNotHeld(t *testing.T) {
 // to the same exchange sent straight to the backend. The relay copies
 // through a buffer from a bounded store that keeps its buffers under the
 // race detector too, so the agent's share is its per-exchange
-// bookkeeping: 8.5 KiB (go1.24; 9.4 KiB under -race). A relay that lets
+// bookkeeping: 7.1 KiB (go1.24; 7.6 KiB under -race). A relay that lets
 // the ResponseWriter's ReadFrom do the copy allocates a 32 KiB buffer
 // per reply on top (41 KiB; 70 KiB under -race, where sync.Pool drops
 // puts); the budget of 16 KiB fails that.
