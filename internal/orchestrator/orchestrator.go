@@ -36,7 +36,6 @@ import (
 	"errors"
 	"fmt"
 	"sort"
-	"strings"
 	"sync"
 	"time"
 
@@ -143,12 +142,15 @@ func New(reg registry.Registry, opts ...Option) *Orchestrator {
 	return o
 }
 
+// Registry returns the registry the orchestrator resolves services in.
+func (o *Orchestrator) Registry() registry.Registry { return o.reg }
+
 // Applied is a handle to a successfully applied rule set.
 type Applied struct {
 	orch *Orchestrator
 	name string
 	// perAgent maps agent control URL to the IDs of rules desired there,
-	// for counts and human-readable summaries.
+	// for counts.
 	perAgent map[string][]string
 }
 
@@ -342,24 +344,4 @@ func (o *Orchestrator) resolveAgents(services []string) ([]string, error) {
 	}
 	sort.Strings(out)
 	return out, nil
-}
-
-// Describe renders a human-readable summary of an applied rule set, for
-// tool output.
-func (a *Applied) Describe() string {
-	if len(a.perAgent) == 0 {
-		return "no rules applied"
-	}
-	urls := make([]string, 0, len(a.perAgent))
-	for u := range a.perAgent {
-		urls = append(urls, u)
-	}
-	sort.Strings(urls)
-	var b strings.Builder
-	for _, u := range urls {
-		ids := append([]string(nil), a.perAgent[u]...)
-		sort.Strings(ids)
-		fmt.Fprintf(&b, "%s: %s\n", u, strings.Join(ids, ", "))
-	}
-	return b.String()
 }

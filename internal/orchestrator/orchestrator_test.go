@@ -309,21 +309,6 @@ func TestFlushAllUnknownService(t *testing.T) {
 	}
 }
 
-func TestDescribe(t *testing.T) {
-	f := newFixture()
-	applied, err := f.orch.Apply(context.Background(), []rules.Rule{delayRule("r1", "b")})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := applied.Describe(); !strings.Contains(got, "agent-b1") || !strings.Contains(got, "r1") {
-		t.Fatalf("Describe = %q", got)
-	}
-	empty := &Applied{perAgent: map[string][]string{}}
-	if got := empty.Describe(); got != "no rules applied" {
-		t.Fatalf("Describe = %q", got)
-	}
-}
-
 // TestConcurrentApplyRevert stresses parallel apply/revert cycles against
 // the same agents; rules must never leak.
 func TestConcurrentApplyRevert(t *testing.T) {

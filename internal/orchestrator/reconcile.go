@@ -425,16 +425,28 @@ func (o *Orchestrator) reconcile(ctx context.Context, antiEntropy bool) (*Report
 		i int
 		a AgentReport
 	}
-	results := make(chan slot, len(urls))
-	for i, url := range urls {
-		go func(i int, url string) {
-			prev, known := seen[url]
-			results <- slot{i, o.syncAgent(ctx, url, desired[url], version, prev, known)}
-		}(i, url)
-	}
+	// A settled agent is reported inline: it costs neither a call nor a
+	// goroutine. Only the agents a pass must call are fanned out.
 	rep.Agents = make([]AgentReport, len(urls))
+	results := make(chan slot, len(urls))
+	calls := 0
+	for i, url := range urls {
+		want := desired[url]
+		prev, known := seen[url]
+		ar := AgentReport{URL: url, Desired: desiredStatus(version, want.rules)}
+		if known && prev.settled(ar.Desired.Hash, want) {
+			ar.Observed = prev.status
+			ar.InSync = true
+			rep.Agents[i] = ar
+			continue
+		}
+		calls++
+		go func(i int, ar AgentReport) {
+			results <- slot{i, o.syncAgent(ctx, ar, want, prev, known)}
+		}(i, ar)
+	}
 	repairs := 0
-	for range urls {
+	for range calls {
 		s := <-results
 		rep.Agents[s.i] = s.a
 		if s.a.Pushed {
@@ -450,21 +462,17 @@ func (o *Orchestrator) reconcile(ctx context.Context, antiEntropy bool) (*Report
 	return rep, nil
 }
 
-// syncAgent converges one agent to its desired rule set. When the pass
-// knows the agent's confirmed state (prev), a settled agent costs no call
-// and any other is PUT at once on prev's generation with If-Match.
-// Otherwise it reads first: observe the agent's generation, then PUT with
-// If-Match on what was observed. A rejected PUT carries the agent's
-// current status, so the retry goes out at once on that generation; a
-// failed call backs off and reads again. Attempts are bounded either way.
-func (o *Orchestrator) syncAgent(ctx context.Context, url string, want desiredAgent, version uint64, prev agentState, known bool) AgentReport {
-	ar := AgentReport{URL: url, Desired: desiredStatus(version, want.rules)}
-	if known && prev.settled(ar.Desired.Hash, want) {
-		ar.Observed = prev.status
-		ar.InSync = true
-		return ar
-	}
-	c := o.dial(url)
+// syncAgent converges one agent to its desired rule set, filling in ar,
+// which names the agent and its desired status. When the pass knows the
+// agent's confirmed state (prev), the agent is PUT at once on prev's
+// generation with If-Match; the caller has already reported a settled
+// one without calling it. Otherwise it reads first: observe the agent's
+// generation, then PUT with If-Match on what was observed. A rejected PUT
+// carries the agent's current status, so the retry goes out at once on
+// that generation; a failed call backs off and reads again. Attempts are
+// bounded either way.
+func (o *Orchestrator) syncAgent(ctx context.Context, ar AgentReport, want desiredAgent, prev agentState, known bool) AgentReport {
+	c := o.dial(ar.URL)
 	gen := prev.status.Generation
 	var lastErr error
 	for i := 0; i < o.attempts; i++ {

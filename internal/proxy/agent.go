@@ -724,7 +724,15 @@ func (rp *routeProxy) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	ended := relay(w, flusher, resp.Body, *buf)
 	releaseBuffer(buf)
 	_ = resp.Body.Close()
-	if ended && len(resp.Trailer) > 0 {
+	if !ended {
+		// A reply cut short by either side must reach the client as a
+		// cut: returning would let net/http end a chunked body with its
+		// last chunk, and the client would read a short body as whole.
+		// Aborting drops the connection instead, as
+		// httputil.ReverseProxy does.
+		panic(http.ErrAbortHandler)
+	}
+	if len(resp.Trailer) > 0 {
 		for k, vs := range resp.Trailer {
 			if len(resp.Trailer) != announced {
 				k = http.TrailerPrefix + k

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"io"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"runtime"
@@ -430,5 +431,70 @@ func TestProxyDataPathNotBlockedBySlowStore(t *testing.T) {
 	}
 	if got := slow.inner.Len(); got != 2*n {
 		t.Fatalf("store has %d records, want %d", got, 2*n)
+	}
+}
+
+// TestCutReplyReachesClient has the upstream write and flush part of a
+// reply and then reset its connection. Read straight from the upstream,
+// the client's read of the body fails; through the agent it must fail
+// too, for a chunked reply as for a sized one. An agent that ends the
+// reply normally closes a chunked body with its last chunk, and the
+// client reads the short body as whole.
+func TestCutReplyReachesClient(t *testing.T) {
+	const part = "first part "
+	for _, tc := range []struct {
+		name  string
+		sized bool
+	}{
+		{"chunked", false},
+		{"sized", true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			backend := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
+				if tc.sized {
+					w.Header().Set("Content-Length", "100")
+				}
+				_, _ = io.WriteString(w, part)
+				w.(http.Flusher).Flush()
+				conn, _, err := w.(http.Hijacker).Hijack()
+				if err != nil {
+					return
+				}
+				if tcp, ok := conn.(*net.TCPConn); ok {
+					_ = tcp.SetLinger(0) // close with a reset
+				}
+				_ = conn.Close()
+			}))
+			t.Cleanup(backend.Close)
+			a := newAgent(t, eventlog.NewStore(), hostport(backend.URL))
+			u, err := a.RouteURL("server")
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, target := range []struct{ name, url string }{
+				{"direct", backend.URL},
+				{"through the agent", u},
+			} {
+				req, err := http.NewRequest(http.MethodGet, target.url+"/cut", nil)
+				if err != nil {
+					t.Fatal(err)
+				}
+				trace.SetRequestID(req, "test-1")
+				resp, err := http.DefaultClient.Do(req)
+				if err != nil {
+					// The agent buffers a sized reply's start, so the
+					// cut can come before the headers: also a cut.
+					continue
+				}
+				body, err := io.ReadAll(resp.Body)
+				resp.Body.Close()
+				if err == nil {
+					t.Errorf("%s: read %q with no error, want the cut to show", target.name, body)
+				}
+				if !strings.HasPrefix(part, string(body)) {
+					t.Errorf("%s: read %q, want a prefix of %q", target.name, body, part)
+				}
+			}
+		})
 	}
 }
